@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geom
 from .rng import substream
 from .surface.trimesh import _point_tri_sqdist
 
@@ -143,13 +144,9 @@ def _classify_tris(tri, x, radius):
     d = tri - x[None, None, :]
     vert_in = np.einsum("mvj,mvj->mv", d, d) <= radius * radius
     inside = vert_in.all(axis=1)
-    touching = np.sqrt(_point_tri_sqdist_batch(x, tri)) <= radius
+    touching = np.sqrt(_point_tri_sqdist(x, tri)) <= radius
     straddle = touching & ~inside
     return inside, straddle
-
-
-def _point_tri_sqdist_batch(x, tri):
-    return _point_tri_sqdist(x, tri)
 
 
 def _quadrisect(tri):
@@ -174,23 +171,6 @@ def _fibonacci_directions(n):
     phi = i * np.pi * (3.0 - np.sqrt(5.0))
     s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
     return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
-
-
-def _cap_directions(center, ang_radius, n):
-    """Fibonacci-like grid inside the cap of angular radius around center."""
-    center = center / np.linalg.norm(center)
-    i = np.arange(n)
-    cmin = np.cos(ang_radius)
-    z = 1.0 - (1.0 - cmin) * (i + 0.5) / n
-    phi = i * np.pi * (3.0 - np.sqrt(5.0))
-    s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    a = np.array([1.0, 0.0, 0.0]) if abs(center[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(center, a)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(center, e1)
-    return (z[:, None] * center[None]
-            + (s * np.cos(phi))[:, None] * e1[None]
-            + (s * np.sin(phi))[:, None] * e2[None])
 
 
 def _max_abs_dot(dirs, rel):
@@ -252,7 +232,8 @@ def beta_number(oracle, x, r, n_patch=4000, grid_level=1, seed=0):
         if vals[i] < best_val:
             best_dir, best_val = dirs[i], float(vals[i])
         spacing = 2.0 / np.sqrt(500 * 4**k)
-        refine = _cap_directions(best_dir, 2.0 * spacing, 600)
+        refine = geom.cap_fibonacci(best_dir / np.linalg.norm(best_dir),
+                                    2.0 * spacing, 600)
         rvals = _max_abs_dot(refine, rel)
         i = int(np.argmin(rvals))
         if rvals[i] < best_val:

@@ -390,6 +390,15 @@ def _emit(args, document, table):
         sys.stdout.write(payload)
 
 
+def _env_int(name):
+    """Integer value of an environment fallback (0 when unset)."""
+    raw = os.environ.get(name, "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"{name} must be an integer, got {raw!r}") from None
+
+
 def run(argv):
     """Execute one subcommand; returns the process exit code."""
     parser = build_parser()
@@ -398,16 +407,14 @@ def run(argv):
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("MENGER_SEED", "0"))
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("MENGER_THREADS", "0")) or \
-            (os.cpu_count() or 1)
-
     t0 = time.monotonic()
     try:
+        seed = args.seed
+        if seed is None:
+            seed = _env_int("MENGER_SEED")
+        threads = args.threads
+        if threads is None:
+            threads = _env_int("MENGER_THREADS") or (os.cpu_count() or 1)
         config, results, table = _RUNNERS[args.subcommand](args, seed, threads)
     except UsageError as exc:
         print(f"menger-surf: {exc}", file=sys.stderr)

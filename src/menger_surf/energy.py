@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geom import orthobasis
 from .integrand import IntegrandSpec, eval_batch
 from .rng import CHUNK, chunk_sizes, substream
 from .surface import SurfaceOracle
@@ -269,11 +270,7 @@ def sample_cap(center, chordal_radius, rng, n):
     one_minus_cos = rng.random(n) * hmax
     psi = rng.random(n) * 2.0 * np.pi
     sin_t = np.sqrt(one_minus_cos * (2.0 - one_minus_cos))
-    # orthonormal frame around mu
-    a = np.array([1.0, 0.0, 0.0]) if abs(mu[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(mu, a)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(mu, e1)
+    e1, e2 = orthobasis(mu)
     disp = (-one_minus_cos[:, None] * mu[None]
             + (sin_t * np.cos(psi))[:, None] * e1[None]
             + (sin_t * np.sin(psi))[:, None] * e2[None])

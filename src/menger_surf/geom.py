@@ -222,6 +222,31 @@ def angle_between(u, v):
 
 
 # ---------------------------------------------------------------------------
+# direction frames and caps
+# ---------------------------------------------------------------------------
+
+def orthobasis(v):
+    """Unit vectors (e1, e2) completing the unit vector v to a right-handed frame."""
+    a = np.array([1.0, 0.0, 0.0]) if abs(v[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    e1 = np.cross(v, a)
+    e1 /= np.linalg.norm(e1)
+    return e1, np.cross(v, e1)
+
+
+def cap_fibonacci(v, phi, n):
+    """n Fibonacci directions covering the solid cap of angular radius phi
+    around the unit vector v."""
+    e1, e2 = orthobasis(v)
+    i = np.arange(n)
+    z = 1.0 - (1.0 - np.cos(phi)) * (i + 0.5) / n
+    psi = i * np.pi * (3.0 - np.sqrt(5.0))
+    s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    return (z[:, None] * v[None]
+            + (s * np.cos(psi))[:, None] * e1[None]
+            + (s * np.sin(psi))[:, None] * e2[None])
+
+
+# ---------------------------------------------------------------------------
 # simplex classes
 # ---------------------------------------------------------------------------
 

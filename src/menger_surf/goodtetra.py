@@ -14,6 +14,7 @@ import numpy as np
 
 from . import geom
 from .rng import substream
+from .surface.trimesh import CHUNK_PAIRS
 
 _PROJ_TAG = 0x50524F4A
 
@@ -59,27 +60,8 @@ class GoodTetraResult:
 # direction sets
 # ---------------------------------------------------------------------------
 
-def _orthobasis(v):
-    a = np.array([1.0, 0.0, 0.0]) if abs(v[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(v, a)
-    e1 /= np.linalg.norm(e1)
-    return e1, np.cross(v, e1)
-
-
-def _cap_fibonacci(v, phi, n):
-    """n directions covering the solid cap of angular radius phi around v."""
-    e1, e2 = _orthobasis(v)
-    i = np.arange(n)
-    z = 1.0 - (1.0 - np.cos(phi)) * (i + 0.5) / n
-    psi = i * np.pi * (3.0 - np.sqrt(5.0))
-    s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    return (z[:, None] * v[None]
-            + (s * np.cos(psi))[:, None] * e1[None]
-            + (s * np.sin(psi))[:, None] * e2[None])
-
-
 def _rim_ring(v, phi, n):
-    e1, e2 = _orthobasis(v)
+    e1, e2 = geom.orthobasis(v)
     psi = np.arange(n) * (2.0 * np.pi / n)
     return (np.cos(phi) * v[None]
             + np.sin(phi) * (np.cos(psi)[:, None] * e1[None]
@@ -88,7 +70,7 @@ def _rim_ring(v, phi, n):
 
 def _double_cone_dirs(v, phi, n_cap, n_rim):
     """Axis, interior Fibonacci cover and the exact rim ring, mirrored."""
-    up = np.concatenate([v[None], _cap_fibonacci(v, phi, n_cap),
+    up = np.concatenate([v[None], geom.cap_fibonacci(v, phi, n_cap),
                          _rim_ring(v, phi, n_rim)])
     return np.concatenate([up, -up])
 
@@ -134,7 +116,7 @@ def _grow_cone(oracle, x0, v, t_lo, params):
     spacing = np.sqrt(2.0 * np.pi * (1.0 - np.cos(params.phi0)) / max(n_cap, 1))
     radius = 2.0 * spacing
     for _ in range(24):
-        local = _cap_fibonacci(best_dir, radius, 256)
+        local = geom.cap_fibonacci(best_dir, radius, 256)
         # keep candidates inside the double cone
         local = local[np.abs(local @ v) >= np.cos(params.phi0) - 1e-12]
         if len(local) == 0:
@@ -222,7 +204,7 @@ def _rim_vertex(oracle, x0, v, r, plane_normal, params, n_scan=96):
     decreasing guaranteed distance to the plane and returns the first surface
     point found, maximizing its actual plane distance on that segment.
     """
-    e1, e2 = _orthobasis(v)
+    e1, e2 = geom.orthobasis(v)
     psi = np.arange(n_scan) * (2.0 * np.pi / n_scan)
     ring = np.cos(psi)[:, None] * e1[None] + np.sin(psi)[:, None] * e2[None]
 
@@ -328,7 +310,7 @@ def _project_unit(y, v, rho):
     w = y - (y @ v) * v
     nrm = np.linalg.norm(w)
     if nrm < 1e-12 * rho:
-        e1, _ = _orthobasis(v)
+        e1, _ = geom.orthobasis(v)
         return e1
     return w / nrm
 
@@ -342,7 +324,7 @@ def _case_central(oracle, x0, v, rho, y1, params):
     w = y1 - (y1 @ v) * v
     axial = np.linalg.norm(w) < params.hit_tolerance * r
     if axial:
-        u, e2 = _orthobasis(v)
+        u, e2 = geom.orthobasis(v)
         case = "central_hit_a"
     else:
         u = w / np.linalg.norm(w)
@@ -483,7 +465,7 @@ def verify_projection(oracle, x0, r, witness_plane_normal, n_rays=1000,
     x0 = np.asarray(x0, dtype=float)
     v = np.asarray(witness_plane_normal, dtype=float)
     v = v / np.linalg.norm(v)
-    e1, e2 = _orthobasis(v)
+    e1, e2 = geom.orthobasis(v)
     rng = substream(seed, _PROJ_TAG)
     rad = (r / np.sqrt(2.0)) * np.sqrt(rng.random(n_rays))
     psi = rng.random(n_rays) * 2.0 * np.pi
@@ -492,21 +474,21 @@ def verify_projection(oracle, x0, r, witness_plane_normal, n_rays=1000,
     limit = r * (1.0 + tol)
 
     if oracle.is_mesh:
-        # one batched ray/triangle pass over all disk segments
+        # one batched ray/triangle pass over all disk segments, against the
+        # faces whose boxes meet B(x0, limit): a hit elsewhere cannot count
         mesh = oracle.backing
         origins = w - r * v[None]
         dirs = np.tile(2.0 * r * v, (n_rays, 1))
-        good = 0
-        chunk = max(1, int(2.0e6 / max(len(mesh.faces), 1)))
+        near_faces = np.nonzero(mesh.box_distances(x0)[0] <= limit)[0]
+        good = np.zeros(n_rays, dtype=bool)
+        chunk = max(1, CHUNK_PAIRS // max(len(near_faces), 1))
         for s in range(0, n_rays, chunk):
-            t, ok = mesh._ray_tri(origins[s:s + chunk], dirs[s:s + chunk], None)
-            ok &= (t >= -1e-12) & (t <= 1.0 + 1e-12)
-            tf = np.where(ok, t, 0.0)
-            pts = (origins[s:s + chunk, None, :]
-                   + tf[..., None] * dirs[s:s + chunk, None, :])
-            near = np.linalg.norm(pts - x0[None, None, :], axis=-1) <= limit
-            good += int((ok & near).any(axis=1).sum())
-        return good / float(n_rays)
+            t, ok = mesh._ray_tri(origins[s:s + chunk], dirs[s:s + chunk],
+                                  near_faces)
+            ray, face = np.nonzero(ok & (t >= -1e-12) & (t <= 1.0 + 1e-12))
+            pts = origins[s + ray] + t[ray, face, None] * dirs[s + ray]
+            good[s + ray[np.linalg.norm(pts - x0[None], axis=-1) <= limit]] = True
+        return int(good.sum()) / float(n_rays)
 
     good = 0
     for k in range(n_rays):

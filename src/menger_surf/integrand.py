@@ -185,11 +185,6 @@ def menger_cross_form_batch(P):
     return out
 
 
-def menger_cross_form(T):
-    T = geom.as_tetra(T)
-    return float(menger_cross_form_batch(T[None])[0])
-
-
 def lemma_bounds(theta, kappa, d):
     """Lower bounds for the menger integrand on structured tetrahedra.
 

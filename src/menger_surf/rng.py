@@ -37,10 +37,6 @@ def substream(seed, *path):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def n_chunks(n, chunk=CHUNK):
-    return (int(n) + chunk - 1) // chunk
-
-
 def chunk_sizes(n, chunk=CHUNK):
     """Sizes of the successive chunks covering ``n`` samples."""
     n = int(n)

@@ -169,19 +169,73 @@ class Torus:
             return np.empty(0)
         roots = np.roots(coeffs[nz[0]:])
         real = roots[np.abs(roots.imag) < 1e-8 * (1.0 + np.abs(roots.real))].real
-        # safeguarded polish: a few Newton steps on the implicit form
+        return self._polish(a, np.tile(d, (len(real), 1)), real)
+
+    def _ray_roots(self, a, dirs):
+        """Polished real roots of every ray's quartic, as (ray index, t).
+
+        The batched form of ``_segment_roots``: the same coefficients, the
+        same companion matrices as ``np.roots`` (a zero constant term deflates
+        to a lower degree plus a root at 0), one stacked ``eigvals`` call per
+        degree and one Newton polish for all roots.  Rays whose leading
+        coefficient is negligible take the per-ray path.
+        """
+        # per-ray BLAS dots and libm squares, as _segment_roots forms them,
+        # so that both paths agree to the bit
+        ad, dd, dxy = np.array([(a @ d, d @ d, d[0]**2 + d[1]**2)
+                                for d in dirs]).reshape(-1, 3).T
+        q0 = a @ a + self.R**2 - self.r**2
+        q1 = 2.0 * ad
+        k = 4.0 * self.R**2
+        coeffs = np.stack([
+            dd * dd,
+            q1 * dd + dd * q1,
+            q0 * dd + q1 * q1 + dd * q0 - k * dxy,
+            q0 * q1 + q1 * q0 - k * (2.0 * (a[0] * dirs[:, 0] + a[1] * dirs[:, 1])),
+            np.full(len(dirs), q0 * q0 - k * (a[0]**2 + a[1]**2))], axis=1)
+        lead = np.max(np.abs(coeffs), axis=1) + 1e-300
+        quartic = np.abs(coeffs[:, 0]) > 1e-14 * lead
+        # exact trailing zeros deflate, as in np.roots
+        zeros = np.argmax(coeffs[:, ::-1] != 0.0, axis=1)
+
+        rays, ts = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+        for z in np.unique(zeros[quartic]):
+            sel = np.nonzero(quartic & (zeros == z))[0]
+            deg = 4 - z
+            if deg:
+                comp = np.zeros((len(sel), deg, deg))
+                comp[:, 0] = -coeffs[sel, 1:deg + 1] / coeffs[sel, :1]
+                comp[:, 1:, :-1] += np.eye(deg - 1)
+                roots = np.linalg.eigvals(comp)
+                real = np.abs(roots.imag) < 1e-8 * (1.0 + np.abs(roots.real))
+                row, col = np.nonzero(real)
+                rays.append(sel[row])
+                ts.append(roots.real[row, col])
+            rays.append(np.repeat(sel, z))
+            ts.append(np.zeros(len(sel) * z))
+        rays = np.concatenate(rays)
+        ts = self._polish(a, dirs[rays], np.concatenate(ts))
+        for i in np.nonzero(~quartic)[0]:
+            t = self._segment_roots(a, dirs[i])
+            rays = np.concatenate([rays, np.full(len(t), i)])
+            ts = np.concatenate([ts, t])
+        return rays, ts
+
+    def _polish(self, a, dirs, t):
+        """Safeguarded polish: three Newton steps on the implicit form along
+        a + t * dirs[i] for each root t[i]."""
         for _ in range(3):
-            p = a[None] + real[:, None] * d[None]
+            p = a[None] + t[:, None] * dirs
             f = self._implicit(p)
             x, y, z = p[:, 0], p[:, 1], p[:, 2]
             qv = x * x + y * y + z * z + self.R**2 - self.r**2
             grad = np.stack([4.0 * x * qv - 8.0 * self.R**2 * x,
                              4.0 * y * qv - 8.0 * self.R**2 * y,
                              4.0 * z * qv], axis=-1)
-            df = np.einsum("ij,j->i", grad, d)
+            df = np.einsum("ij,ij->i", grad, dirs)
             step = np.where(np.abs(df) > 1e-300, f / np.where(df == 0, 1.0, df), 0.0)
-            real = real - np.clip(step, -0.1, 0.1)
-        return real
+            t = t - np.clip(step, -0.1, 0.1)
+        return t
 
     def segment_hits(self, a, b):
         a = np.asarray(a, dtype=float)
@@ -193,12 +247,11 @@ class Torus:
 
     def band_min_hits(self, origin, dirs, tmin, tmax):
         origin = np.asarray(origin, dtype=float)
+        dirs = np.asarray(dirs, dtype=float)
         out = np.full(len(dirs), np.inf)
-        for i, d in enumerate(np.asarray(dirs, dtype=float)):
-            ts = self._segment_roots(origin, d)
-            ts = ts[(ts >= tmin) & (ts <= tmax)]
-            if len(ts):
-                out[i] = ts.min()
+        rays, ts = self._ray_roots(origin, dirs)
+        band = (ts >= tmin) & (ts <= tmax)
+        np.minimum.at(out, rays[band], ts[band])
         return out
 
     def inside(self, p):

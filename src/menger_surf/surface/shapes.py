@@ -130,20 +130,3 @@ def capsule_mesh(length, radius, n_profile=64, n_around=128):
         faces.append((ni, rv(m - 1, k), rv(m - 1, k + 1)))
     return TriMesh(verts, np.asarray(faces, dtype=np.int64))
 
-
-def cube_mesh(edge=1.0):
-    """Axis-aligned cube of the given edge, 12 triangles, outward winding."""
-    h = edge / 2.0
-    v = np.array([[x, y, z] for x in (-h, h) for y in (-h, h) for z in (-h, h)])
-    quads = [
-        (0, 1, 3, 2),  # x = -h
-        (4, 6, 7, 5),  # x = +h
-        (0, 4, 5, 1),  # y = -h
-        (2, 3, 7, 6),  # y = +h
-        (0, 2, 6, 4),  # z = -h
-        (1, 5, 7, 3),  # z = +h
-    ]
-    faces = []
-    for a, b, c, d in quads:
-        faces += [(a, b, c), (a, c, d)]
-    return TriMesh(v, np.asarray(faces, dtype=np.int64))

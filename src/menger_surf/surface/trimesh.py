@@ -5,7 +5,6 @@ import warnings
 import numpy as np
 
 from .. import geom
-from .bvh import BVH
 
 # fixed, axis-avoiding directions for the parity votes (deterministic runs)
 _PARITY_DIRS = np.array([
@@ -15,13 +14,26 @@ _PARITY_DIRS = np.array([
 ])
 _PARITY_DIRS /= np.linalg.norm(_PARITY_DIRS, axis=1)[:, None]
 
+# OpenBLAS runs the last (m mod 8) columns of a matrix product through a
+# micro-kernel that rounds differently from the main one; padding the face
+# list to a multiple of 8 gives each face the same bits in every subset
+_COL_BLOCK = 8
+# angular slack (radians) of the cone cull against rounding in its angles
+_CONE_SLACK = 1e-9
+# ray x face pairs per kernel call: temporaries of 512 KiB stay in cache
+CHUNK_PAIRS = 1 << 16
+
 
 class TriMesh:
-    """Immutable triangle mesh with area tables, BVH and oriented normals.
+    """Immutable triangle mesh with area tables, face boxes and oriented normals.
 
-    Stored normals point into the bounded component when the mesh is
-    watertight (established by a ray-parity vote); ``normals_inward`` is None
-    for open meshes, which have no interior.
+    Ray queries test only the faces that can matter: those whose boxes reach
+    the distance shell and whose bounding spheres reach the double cone of
+    the rays (``band_min_hits``), that a segment's slab test meets
+    (``segment_hits``), or that reach a witness ball.  Stored normals point
+    into the bounded component when the mesh is watertight (established by a
+    ray-parity vote); ``normals_inward`` is None for open meshes, which have
+    no interior.
     """
 
     def __init__(self, vertices, faces):
@@ -76,7 +88,12 @@ class TriMesh:
         self._v0c = np.einsum("ij,ij->i", self._v0, self._fc)
         self._v0g1 = np.einsum("ij,ij->i", self._v0, self._g1)
         self._v0g2 = np.einsum("ij,ij->i", self._v0, self._g2)
-        self.bvh = BVH(tri)
+        # face boxes, padded past the ray kernel's barycentric slack so that
+        # no cull drops a face the kernel would report a hit on
+        lo, hi = tri.min(axis=1), tri.max(axis=1)
+        pad = 1e-9 * (hi - lo).max(axis=1, keepdims=True)
+        self.tri_lo = lo - pad
+        self.tri_hi = hi + pad
 
         lo, hi = vertices.min(axis=0), vertices.max(axis=0)
         self.diameter = float(np.linalg.norm(hi - lo))
@@ -163,7 +180,7 @@ class TriMesh:
         """All intersection points of segment [a, b], sorted along it."""
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        cand = self.bvh.segment_candidates(a, b)
+        cand = np.nonzero(_segment_box_mask(a, b - a, self.tri_lo, self.tri_hi))[0]
         if len(cand) == 0:
             return np.empty((0, 3))
         t, ok = self._ray_tri(a[None], (b - a)[None], cand)
@@ -185,23 +202,31 @@ class TriMesh:
         origin = np.asarray(origin, dtype=float)
         dirs = np.asarray(dirs, dtype=float)
         out = np.full(len(dirs), np.inf)
-        # drop faces whose boxes cannot reach the [tmin, tmax] shell
-        lo, hi = self.bvh.tri_lo, self.bvh.tri_hi
-        gap = np.maximum(lo - origin, 0.0) + np.maximum(origin - hi, 0.0)
-        dmin = np.linalg.norm(gap, axis=1)
-        far = np.maximum(np.abs(lo - origin), np.abs(hi - origin))
-        dmax = np.linalg.norm(far, axis=1)
-        keep = (dmin <= tmax) & (dmax >= tmin)
-        if not keep.any():
+        if len(dirs) == 0:
             return out
-        idx = np.nonzero(keep)[0]
-        chunk = max(1, int(4.0e6 / max(len(idx), 1)))
-        for s in range(0, len(dirs), chunk):
-            d = dirs[s:s + chunk]
-            t, ok = self._ray_tri(origin[None], d, idx)
+        # drop faces whose boxes cannot reach the [tmin, tmax] shell, then
+        # those outside the double cone that holds every ray
+        dmin, dmax = self.box_distances(origin)
+        idx = np.nonzero((dmin <= tmax) & (dmax >= tmin))[0]
+        idx = idx[_cone_mask(origin, dirs, self.tri_lo[idx], self.tri_hi[idx])]
+        if len(idx) == 0:
+            return out
+        starts = list(range(0, len(dirs), max(2, CHUNK_PAIRS // len(idx))))
+        if len(starts) > 1 and len(dirs) - starts[-1] == 1:
+            starts.pop()  # a one-ray product takes another BLAS path
+        for s, e in zip(starts, starts[1:] + [len(dirs)]):
+            t, ok = self._ray_tri(origin[None], dirs[s:e], idx)
             ok &= (t >= tmin) & (t <= tmax)
-            out[s:s + chunk] = np.where(ok, t, np.inf).min(axis=1)
+            out[s:e] = np.where(ok, t, np.inf).min(axis=1)
         return out
+
+    def box_distances(self, p):
+        """Least and greatest distance from p to each padded face box."""
+        below, above = self.tri_lo - p, p - self.tri_hi
+        gap = np.maximum(np.maximum(below, above), 0.0)
+        far = -np.minimum(below, above)
+        return (np.sqrt(np.einsum("ij,ij->i", gap, gap)),
+                np.sqrt(np.einsum("ij,ij->i", far, far)))
 
     def inside(self, p):
         """Ray-parity membership with 3 fixed directions and majority vote."""
@@ -239,13 +264,12 @@ class TriMesh:
         dirs = np.asarray(dirs, dtype=float)
         origins = np.asarray(origins, dtype=float)
         if face_idx is None:
-            fc, v0c = self._fc, self._v0c
-            g1, g2 = self._g1, self._g2
-            v0g1, v0g2 = self._v0g1, self._v0g2
-        else:
-            fc, v0c = self._fc[face_idx], self._v0c[face_idx]
-            g1, g2 = self._g1[face_idx], self._g2[face_idx]
-            v0g1, v0g2 = self._v0g1[face_idx], self._v0g2[face_idx]
+            face_idx = np.arange(len(self.faces))
+        m = len(face_idx)
+        face_idx = np.concatenate([face_idx, np.zeros((-m) % _COL_BLOCK, dtype=np.int64)])
+        fc, v0c = self._fc[face_idx], self._v0c[face_idx]
+        g1, g2 = self._g1[face_idx], self._g2[face_idx]
+        v0g1, v0g2 = self._v0g1[face_idx], self._v0g2[face_idx]
         den = dirs @ fc.T                              # (k, m)
         num = v0c[None, :] - origins @ fc.T            # broadcasts (1|k, m)
         dn = np.linalg.norm(dirs, axis=1)[:, None] + 1e-300
@@ -259,12 +283,57 @@ class TriMesh:
         v = a2 + tf * (dirs @ g2.T)
         slack = 1e-10
         ok &= (u >= -slack) & (v >= -slack) & (u + v <= 1.0 + slack)
-        return t, ok
+        return t[:, :m], ok[:, :m]
 
     def describe(self):
         return {"kind": "mesh", "n_vertices": int(len(self.vertices)),
                 "n_faces": int(len(self.faces)),
                 "watertight": bool(self.watertight)}
+
+
+def _segment_box_mask(a, d, lo, hi):
+    """Boxes [lo, hi] that a + t d, t in [0, 1], meets (slab test)."""
+    t0 = np.zeros(len(lo))
+    t1 = np.ones(len(lo))
+    miss = np.zeros(len(lo), dtype=bool)
+    for k in range(3):
+        if d[k] == 0.0:
+            miss |= (a[k] < lo[:, k]) | (a[k] > hi[:, k])
+        else:
+            inv = 1.0 / d[k]
+            ta = (lo[:, k] - a[k]) * inv
+            tb = (hi[:, k] - a[k]) * inv
+            t0 = np.maximum(t0, np.minimum(ta, tb))
+            t1 = np.minimum(t1, np.maximum(ta, tb))
+    return ~miss & (t0 <= t1)
+
+
+def _line_angle(v, axis):
+    """Angle in [0, pi/2] between each row of v and the line through axis."""
+    return np.arctan2(np.linalg.norm(np.cross(v, axis), axis=1), np.abs(v @ axis))
+
+
+def _cone_mask(origin, dirs, lo, hi):
+    """Boxes [lo, hi] that a line through origin along some ray of dirs can meet.
+
+    The rays lie in the double cone around their sign-aligned mean direction,
+    with the widest ray's angle to it as half-angle; a box stays when its
+    bounding sphere reaches into that cone.
+    """
+    keep = np.ones(len(lo), dtype=bool)
+    unit = dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    axis = (np.where(unit @ unit[0] < 0.0, -1.0, 1.0)[:, None] * unit).sum(axis=0)
+    axis /= np.linalg.norm(axis)
+    half = _line_angle(unit, axis).max() + _CONE_SLACK
+    if not half < 0.5 * np.pi:  # also catches a zero ray or a zero mean
+        return keep
+    q = 0.5 * (lo + hi) - origin
+    qn = np.linalg.norm(q, axis=1)
+    rad = 0.5 * np.linalg.norm(hi - lo, axis=1)
+    out = qn > rad  # origin outside the sphere
+    keep[out] = (_line_angle(q[out], axis)
+                 - np.arcsin(rad[out] / qn[out])) <= half
+    return keep
 
 
 def _point_tri_sqdist(p, tri):

@@ -187,3 +187,11 @@ class TestExitCodes:
         assert cli.run(["energy", "--analytic", "sphere", "--radius", "1",
                         "--integrand", '{"kind":"nope"}', "--p", "8",
                         "--samples", "2000"]) == 2
+
+    @pytest.mark.parametrize("var", ["MENGER_SEED", "MENGER_THREADS"])
+    def test_non_integer_environment(self, capsys, monkeypatch, var):
+        monkeypatch.setenv(var, "abc")
+        assert cli.run(["energy", "--analytic", "sphere", "--radius", "1",
+                        "--p", "8", "--samples", "2000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("menger-surf: ") and var in err

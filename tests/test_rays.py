@@ -1,0 +1,179 @@
+"""The culled and batched ray queries agree bit for bit with brute force."""
+
+import copy
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from pytest import approx
+
+from menger_surf import geom, goodtetra
+from menger_surf.surface import SurfaceOracle, TriMesh, shapes, trimesh
+from menger_surf.surface.analytic import Torus
+
+RAY_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@functools.cache
+def mesh(kind, noise_seed):
+    if kind == "kink":
+        from conftest import kink_box
+        return kink_box(n=16)
+    base = shapes.icosphere(2)
+    radial = 1.0 + 0.05 * np.random.default_rng(noise_seed).standard_normal(
+        (len(base.vertices), 1))
+    return TriMesh(base.vertices * radial, base.faces)
+
+
+meshes = st.builds(mesh, st.sampled_from(["ico", "kink"]), st.integers(0, 3))
+unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(
+    lambda v: np.linalg.norm(v) > 0.1).map(lambda v: v / np.linalg.norm(v))
+caps = st.floats(-6.0, np.log10(np.pi / 4.0)).map(lambda e: 10.0**e)
+
+
+def brute_band_min(m, origin, dirs, tmin, tmax):
+    t, ok = m._ray_tri(origin[None], dirs, None)
+    ok &= (t >= tmin) & (t <= tmax)
+    return np.where(ok, t, np.inf).min(axis=1)
+
+
+@RAY_SETTINGS
+@given(m=meshes, seed=st.integers(0, 2**32), n=st.integers(2, 64),
+       shared_origin=st.booleans())
+def test_ray_kernel_bits_do_not_depend_on_the_face_subset(m, seed, n,
+                                                          shared_origin):
+    rng = np.random.default_rng(seed)
+    origins = m.vertices[rng.integers(len(m.vertices),
+                                      size=1 if shared_origin else n)]
+    dirs = rng.standard_normal((n, 3))
+    idx = np.sort(rng.choice(len(m.faces), rng.integers(1, len(m.faces)),
+                             replace=False))
+    t_all, ok_all = m._ray_tri(origins, dirs, None)
+    t, ok = m._ray_tri(origins, dirs, idx)
+    assert np.array_equal(t, t_all[:, idx])
+    assert np.array_equal(ok, ok_all[:, idx])
+
+
+@RAY_SETTINGS
+@given(m=meshes, vertex=st.integers(0, 10**6), along_normal=st.booleans(),
+       axis=unit_vectors, cap=caps, double=st.booleans(),
+       n=st.integers(1, 96), band=st.tuples(st.floats(0.0, 1.0),
+                                            st.floats(0.0, 2.0)),
+       chunk_pairs=st.sampled_from([trimesh.CHUNK_PAIRS, 64]))
+def test_mesh_band_min_hits_matches_all_faces(m, vertex, along_normal, axis,
+                                              cap, double, n, band,
+                                              chunk_pairs):
+    vi = vertex % len(m.vertices)
+    origin = m.vertices[vi]
+    if along_normal:  # the search's own situation: cone around the normal
+        axis = m.vertex_normals[vi]
+    dirs = geom.cap_fibonacci(axis, cap, n)
+    if double:
+        dirs = np.concatenate([dirs, -dirs])
+    tmin = band[0] * band[1] * m.diameter
+    tmax = band[1] * m.diameter
+    with pytest.MonkeyPatch.context() as mp:  # small chunks split the rays
+        mp.setattr(trimesh, "CHUNK_PAIRS", chunk_pairs)
+        got = m.band_min_hits(origin, dirs, tmin, tmax)
+    assert np.array_equal(got, brute_band_min(m, origin, dirs, tmin, tmax))
+
+
+@RAY_SETTINGS
+@given(m=meshes, vertex=st.integers(0, 10**6), d=unit_vectors,
+       length=st.floats(0.01, 2.0), shift=st.floats(-1.0, 1.0))
+def test_mesh_segment_hits_match_all_faces(m, vertex, d, length, shift):
+    a = m.vertices[vertex % len(m.vertices)] + shift * length * m.diameter * d
+    b = a + length * m.diameter * d
+    t, ok = m._ray_tri(a[None], (b - a)[None], None)
+    ok &= (t >= -1e-12) & (t <= 1.0 + 1e-12)
+    ts = np.sort(t[ok])
+    if len(ts):
+        ts = ts[np.concatenate([[True], np.diff(ts) > 1e-12])]
+    expected = a[None] + ts[:, None] * (b - a)[None]
+    assert np.array_equal(m.segment_hits(a, b), expected)
+
+
+TORUS = Torus(2.0, 1.0)
+# points of the torus whose implicit value is exactly 0.0, so every ray's
+# quartic has a zero constant term
+EXACT_ON_TORUS = [np.array(p, dtype=float) for p in
+                  ([3, 0, 0], [0, -3, 0], [1, 0, 0], [0, 1, 0], [2, 0, 1],
+                   [0, -2, -1])]
+
+
+def torus_origins():
+    u, v = (st.floats(0.0, 2.0 * np.pi),) * 2
+    on = st.tuples(u, v).map(lambda uv: np.array([
+        (2.0 + np.cos(uv[1])) * np.cos(uv[0]),
+        (2.0 + np.cos(uv[1])) * np.sin(uv[0]), np.sin(uv[1])]))
+    off = st.tuples(*[st.floats(-4.0, 4.0)] * 3).map(np.array)
+    return st.one_of(st.sampled_from(EXACT_ON_TORUS), on, off)
+
+
+def per_ray_band_min(origin, dirs, tmin, tmax):
+    out = np.full(len(dirs), np.inf)
+    for i, d in enumerate(dirs):
+        ts = TORUS._segment_roots(origin, d)
+        ts = ts[(ts >= tmin) & (ts <= tmax)]
+        if len(ts):
+            out[i] = ts.min()
+    return out
+
+
+@RAY_SETTINGS
+@given(origin=torus_origins(), axis=unit_vectors, cap=caps,
+       double=st.booleans(), n=st.integers(1, 64),
+       band=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 8.0)))
+def test_torus_band_min_hits_matches_per_ray_roots(origin, axis, cap, double,
+                                                   n, band):
+    dirs = geom.cap_fibonacci(axis, cap, n)
+    if double:
+        dirs = np.concatenate([dirs, -dirs])
+    tmin, tmax = band[0] * band[1], band[1]
+    assert np.array_equal(TORUS.band_min_hits(origin, dirs, tmin, tmax),
+                          per_ray_band_min(origin, dirs, tmin, tmax))
+
+
+def test_torus_batch_keeps_per_ray_rounding():
+    # rays whose libm square d[0]**2 differs from d[0] * d[0] in the last
+    # bit, which moves the first hit by an ulp
+    cases = [([-1.9588128824443378, -0.7475168052714901, 0.3748572069461935],
+              [0.38231912738393503, -0.698761714081058, 0.6046190137358304]),
+             ([3.0, 0.0, 0.0],
+              [-0.9697651745784389, 0.03567910988076383, 0.24141770294029039])]
+    for origin, d in cases:
+        origin, dirs = np.array(origin), np.array([d])
+        assert np.array_equal(TORUS.band_min_hits(origin, dirs, 1e-6, 10.0),
+                              per_ray_band_min(origin, dirs, 1e-6, 10.0))
+
+
+def test_torus_zero_constant_term_deflates():
+    # np.roots drops the zero root before solving; so must the batch
+    origin = EXACT_ON_TORUS[0]
+    assert TORUS._implicit(origin) == 0.0
+    rays, ts = TORUS._ray_roots(origin, np.array([[-1.0, 0.0, 0.0]]))
+    assert list(rays) == [0, 0, 0, 0]
+    assert np.sort(ts) == approx([0.0, 2.0, 4.0, 6.0], abs=1e-12)
+
+
+def unculled(m):
+    """The same mesh with infinite face boxes, so that no cull drops a face."""
+    out = copy.copy(m)
+    out.tri_lo = np.full_like(m.tri_lo, -np.inf)
+    out.tri_hi = np.full_like(m.tri_hi, np.inf)
+    return out
+
+
+@RAY_SETTINGS
+@given(m=meshes, vertex=st.integers(0, 10**6), normal=unit_vectors,
+       r=st.floats(0.02, 0.5), n_rays=st.integers(1, 200),
+       seed=st.integers(0, 2**32))
+def test_witness_fraction_matches_all_faces(m, vertex, normal, r, n_rays,
+                                            seed):
+    x0 = m.vertices[vertex % len(m.vertices)]
+    args = (x0, r * m.diameter, normal, n_rays, seed)
+    culled = goodtetra.verify_projection(SurfaceOracle.from_mesh(m), *args)
+    full = goodtetra.verify_projection(SurfaceOracle.from_mesh(unculled(m)),
+                                       *args)
+    assert culled == full
