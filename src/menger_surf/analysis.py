@@ -107,33 +107,26 @@ def density_quotient(oracle, x, radius, depth=8):
 
     area_in = 0.0
     inside, straddle = _classify_tris(tri, x, radius)
-    area_in += _tri_areas(tri[inside]).sum()
-    straddle_area0 = float(_tri_areas(tri[straddle]).sum())
+    area_in += geom.tri_areas(tri[inside]).sum()
+    straddle_area0 = float(geom.tri_areas(tri[straddle]).sum())
     work = tri[straddle]
     for _ in range(depth):
         if len(work) == 0:
             break
         work = _quadrisect(work)
         inside, straddle = _classify_tris(work, x, radius)
-        area_in += _tri_areas(work[inside]).sum()
+        area_in += geom.tri_areas(work[inside]).sum()
         work = work[straddle]
     if len(work):
         centroids = work.mean(axis=1)
         d = centroids - x
         in_c = np.einsum("ij,ij->i", d, d) <= radius * radius
-        area_in += 0.5 * _tri_areas(work[in_c]).sum()
+        area_in += 0.5 * geom.tri_areas(work[in_c]).sum()
 
     quotient = float(area_in) / radius**2
     return DensityReport(x, float(radius), float(area_in), quotient,
                          quotient >= np.pi / 2.0,
                          straddle_area0 * 2.0 ** (-depth))
-
-
-def _tri_areas(tri):
-    if len(tri) == 0:
-        return np.zeros(0)
-    cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    return 0.5 * np.linalg.norm(cross, axis=1)
 
 
 def _classify_tris(tri, x, radius):

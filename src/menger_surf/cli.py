@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage error, 1 runtime error.
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -26,6 +27,10 @@ SUBCOMMANDS = ("integrand", "energy", "local-energy", "scaling", "diverge",
                "density", "beta", "oscillation", "goodtetra", "minimize")
 
 _SKIP_ECHO = {"--output", "--threads", "--audit-out", "--mesh-out"}
+
+# float flags that must be finite and positive in every subcommand that has them
+_POSITIVE_FLAGS = ("p", "radius", "major_radius", "minor_radius", "extent",
+                   "length", "patch_radius", "cap", "alpha", "eps", "hit_tol")
 
 
 class UsageError(Exception):
@@ -43,6 +48,19 @@ def _floats(text, n=None):
         raise UsageError(f"expected comma-separated numbers, got {text!r}")
     if n is not None and len(vals) != n:
         raise UsageError(f"expected {n} comma-separated numbers, got {text!r}")
+    if not all(map(math.isfinite, vals)):
+        raise UsageError(f"expected finite numbers, got {text!r}")
+    return vals
+
+
+def _positive(flag, vals):
+    """The values of a flag, which must be a non-empty list of finite
+    positive numbers."""
+    if not vals:
+        raise UsageError(f"{flag} needs at least one number")
+    for v in vals:
+        if not (math.isfinite(v) and v > 0.0):
+            raise UsageError(f"{flag} must be finite and positive, got {v!r}")
     return vals
 
 
@@ -220,7 +238,7 @@ def _run_local_energy(args, seed, threads):
 
 def _run_scaling(args, seed, threads):
     spec = _resolve_spec(args)
-    radii = _floats(args.radii)
+    radii = _positive("--radii", _floats(args.radii))
     rows = energy.scaling_study(spec, args.p, radii, args.samples, seed,
                                 threads=threads)
     config = {"spec": spec.to_dict(), "p": args.p, "samples": args.samples,
@@ -279,7 +297,7 @@ def _run_beta(args, seed, threads):
 def _run_oscillation(args, seed, threads):
     oracle = _resolve_surface(args)
     point = _resolve_point(args, oracle, seed)
-    scales = _floats(args.scales)
+    scales = _positive("--scales", _floats(args.scales))
     profile = analysis.normal_oscillation_profile(oracle, point, scales,
                                                   args.pairs, seed)
     fit = analysis.holder_exponent_fit(profile) if len(profile) >= 3 else None
@@ -409,6 +427,10 @@ def run(argv):
 
     t0 = time.monotonic()
     try:
+        for name in _POSITIVE_FLAGS:
+            value = getattr(args, name, None)
+            if value is not None:
+                _positive("--" + name.replace("_", "-"), [value])
         seed = args.seed
         if seed is None:
             seed = _env_int("MENGER_SEED")

@@ -60,13 +60,70 @@ class LemmaBounds(NamedTuple):
 # batched building blocks
 # ---------------------------------------------------------------------------
 
-def _edge_vectors(P):
-    """(n,4,3) stack -> z_i = x_i - x_0 as three (n,3) arrays."""
-    return P[:, 1] - P[:, 0], P[:, 2] - P[:, 0], P[:, 3] - P[:, 0]
-
-
 def _norm(v):
     return np.sqrt(np.einsum("...i,...i->...", v, v))
+
+
+# The column kernel below reproduces, bit for bit, the (n, 3)-array
+# formulation it replaced (np.cross, einsum dots, a sum over the four face
+# norms), which tests/kernel_oracle.py keeps as its oracle.  It walks the
+# stack in chunks of TETRA_CHUNK quadruples so that its temporaries stay small.
+TETRA_CHUNK = 8192
+
+
+def _sub(a, b):
+    return a[0] - b[0], a[1] - b[1], a[2] - b[2]
+
+
+def _cross(a, b):
+    """np.cross's formula on column triples."""
+    return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
+
+
+def _dot(a, b):
+    """Dot product of column triples in the order einsum sums a length-3 axis."""
+    return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
+
+
+def _tetra_chunk(P):
+    """Tetrahedron quantities of one chunk, plus the terms of its circumradii.
+
+    Returns (volume, total_area, diameter, min_height, coplanar) and
+    (|z_i|^2, z1 x z2, z2 x z3, z1 x z3, z3.(z1 x z2)) with z_i = x_i - x_0.
+    """
+    x = [(P[:, i, 0], P[:, i, 1], P[:, i, 2]) for i in range(4)]
+    z1, z2, z3 = _sub(x[1], x[0]), _sub(x[2], x[0]), _sub(x[3], x[0])
+    c12, c23, c13 = _cross(z1, z2), _cross(z2, z3), _cross(z1, z3)
+    c_far = _cross(_sub(z2, z1), _sub(z3, z2))
+
+    triple = _dot(z3, c12)
+    volume = np.abs(triple) / 6.0
+    f12, f23, f13, f_far = (np.sqrt(_dot(c, c)) for c in (c12, c23, c13, c_far))
+    total_area = 0.5 * (((f12 + f23) + f13) + f_far)
+    max_face = 0.5 * np.maximum(np.maximum(f12, f23), np.maximum(f13, f_far))
+
+    # |x_0 - x_i| = |z_i| exactly; sqrt is monotone, so the largest square
+    # gives the largest norm
+    sq = [_dot(z, z) for z in (z1, z2, z3)]
+    diam2 = np.maximum(np.maximum(sq[0], sq[1]), sq[2])
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        e = _sub(x[i], x[j])
+        np.maximum(diam2, _dot(e, e), out=diam2)
+    diam = np.sqrt(diam2)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        min_height = np.where(max_face > 0.0, 3.0 * volume / max_face, 0.0)
+    coplanar = min_height <= TET_COPLANARITY_REL * diam
+    return (volume, total_area, diam, min_height, coplanar), (sq, c12, c23, c13, triple)
+
+
+def _over_chunks(kernel, P):
+    """Apply ``kernel`` to TETRA_CHUNK-sized slices of a (n,4,3) stack and
+    join its output arrays."""
+    P = np.asarray(P, dtype=float)
+    parts = [kernel(P[s:s + TETRA_CHUNK])
+             for s in range(0, max(len(P), 1), TETRA_CHUNK)]
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def tetra_quantities(P):
@@ -77,28 +134,13 @@ def tetra_quantities(P):
     vertex-to-opposite-plane distance; it is 0 whenever the largest face is
     itself degenerate.
     """
-    P = np.asarray(P, dtype=float)
-    z1, z2, z3 = _edge_vectors(P)
-    c12 = np.cross(z1, z2)
-    c23 = np.cross(z2, z3)
-    c13 = np.cross(z1, z3)
-    c_far = np.cross(z2 - z1, z3 - z2)
+    return _over_chunks(lambda C: _tetra_chunk(C)[0], P)
 
-    triple = np.einsum("...i,...i->...", z3, c12)
-    volume = np.abs(triple) / 6.0
 
-    face_crosses = np.stack([_norm(c12), _norm(c23), _norm(c13), _norm(c_far)], axis=-1)
-    total_area = 0.5 * face_crosses.sum(axis=-1)
-    max_face = 0.5 * face_crosses.max(axis=-1)
-
-    diam = np.zeros(len(P))
-    for i, j in _TET_PAIRS:
-        np.maximum(diam, _norm(P[:, i] - P[:, j]), out=diam)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        min_height = np.where(max_face > 0.0, 3.0 * volume / max_face, 0.0)
-    coplanar = min_height <= TET_COPLANARITY_REL * diam
-    return volume, total_area, diam, min_height, coplanar
+def tri_areas(tri):
+    """Areas of a (m,3,3) stack of triangles."""
+    tri = np.asarray(tri, dtype=float)
+    return 0.5 * np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1)
 
 
 def simplex_measures(T):
@@ -131,6 +173,17 @@ def circumradius_triangle(x, y, z):
     return float(a * b * c / (4.0 * area))
 
 
+def _circumsphere_chunk(P):
+    quantities, (sq, c12, c23, c13, triple) = _tetra_chunk(P)
+    # z3 x z1 = -(z1 x z3) exactly, up to the sign of zeros the norm squares
+    mix = tuple((sq[0] * c23[k] - sq[1] * c13[k]) + sq[2] * c12[k] for k in range(3))
+    num = np.abs(triple)
+    den = np.sqrt(_dot(mix, mix))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radius = np.where(num > 0.0, den / (2.0 * num), np.inf)
+    return radius, quantities[4]
+
+
 def circumsphere_radius_batch(P):
     """Circumsphere radii of a (n,4,3) stack.
 
@@ -138,17 +191,7 @@ def circumsphere_radius_batch(P):
     set.  Uses 1/(2R) = |z3.(z1 x z2)| / | |z1|^2 z2xz3 + |z2|^2 z3xz1 +
     |z3|^2 z1xz2 | with z_i = x_i - x_0.
     """
-    P = np.asarray(P, dtype=float)
-    z1, z2, z3 = _edge_vectors(P)
-    num = np.abs(np.einsum("...i,...i->...", z3, np.cross(z1, z2)))
-    mix = (np.einsum("...i,...i->...", z1, z1)[..., None] * np.cross(z2, z3)
-           + np.einsum("...i,...i->...", z2, z2)[..., None] * np.cross(z3, z1)
-           + np.einsum("...i,...i->...", z3, z3)[..., None] * np.cross(z1, z2))
-    den = _norm(mix)
-    _, _, diam, hmin, coplanar = tetra_quantities(P)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        radius = np.where(num > 0.0, den / (2.0 * num), np.inf)
-    return radius, coplanar
+    return _over_chunks(_circumsphere_chunk, P)
 
 
 def circumsphere_radius(T):

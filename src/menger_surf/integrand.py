@@ -76,6 +76,11 @@ class IntegrandSpec:
         return cls.from_dict(json.loads(text))
 
 
+# comparators (i, j) of the sorting networks on 3 and 4 elements
+_SORT_NETWORKS = {3: ((0, 1), (1, 2), (0, 1)),
+                  4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))}
+
+
 def _canonical_points(P):
     """Lexicographically sort the vertices inside each simplex of a stack.
 
@@ -83,9 +88,25 @@ def _canonical_points(P):
     canonical vertex order makes the floating-point evaluation invariant too,
     since every ordering then computes the same arithmetic.  Positive scaling
     preserves the canonical order, so exact homogeneity is untouched.
+
+    A sorting network runs on the coordinate columns.  Points that compare
+    equal are equal up to the sign of zero coordinates, which no integrand
+    depends on, so the order is the one a stable sort gives.  Swaps exchange
+    the bits of the columns under an all-ones mask.  The result is an
+    (n, k, 3) view of a (k, 3, n) column block, whose columns the geometry
+    kernel reads contiguously.
     """
-    order = np.lexsort((P[:, :, 2], P[:, :, 1], P[:, :, 0]), axis=-1)
-    return np.take_along_axis(P, order[:, :, None], axis=1)
+    C = P.transpose(1, 2, 0).copy()
+    bits = C.view(np.int64)
+    for i, j in _SORT_NETWORKS[P.shape[1]]:
+        a, b = C[i], C[j]
+        swap = (b[0] < a[0]) | ((b[0] == a[0]) & (
+            (b[1] < a[1]) | ((b[1] == a[1]) & (b[2] < a[2]))))
+        flip = bits[i] ^ bits[j]
+        flip &= -swap.astype(np.int64)
+        bits[i] ^= flip
+        bits[j] ^= flip
+    return C.transpose(2, 0, 1)
 
 
 def _mean_batch(name, a, b, c):
@@ -168,7 +189,8 @@ def menger_cross_form_batch(P):
     |(z2-z1) x (z3-z2)|) diam^2), an algebraically identical route to the
     V/(A diam^2) definition, kept separate as a cross-check.
     """
-    P = _canonical_points(np.asarray(P, dtype=float))
+    # row-major, so that its einsum and norm sums keep their order
+    P = np.ascontiguousarray(_canonical_points(np.asarray(P, dtype=float)))
     z1 = P[:, 1] - P[:, 0]
     z2 = P[:, 2] - P[:, 0]
     z3 = P[:, 3] - P[:, 0]

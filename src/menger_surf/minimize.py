@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geom import tri_areas
 from .integrand import IntegrandSpec, eval_batch
 from .rng import substream
 from .surface.trimesh import TriMesh
@@ -58,9 +59,7 @@ class OptimizerState:
 
 def vertex_weights(vertices, faces):
     """Lumped vertex weights: one third of each incident face area."""
-    tri = vertices[faces]
-    areas = 0.5 * np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0],
-                                          tri[:, 2] - tri[:, 0]), axis=1)
+    areas = tri_areas(vertices[faces])
     w = np.zeros(len(vertices))
     np.add.at(w, faces.ravel(), np.repeat(areas / 3.0, 3))
     return w
@@ -82,9 +81,9 @@ def discrete_energy(mesh, config):
             raise ValueError(
                 f"vertex budget exceeded for exhaustive mode "
                 f"({len(verts)} > {MAX_EXHAUSTIVE_VERTICES})")
-        combos = _combos(len(verts))
-        kp = eval_batch(_MENGER, verts[combos]) ** config.p
-        return 24.0 * float(np.sum(w[combos].prod(axis=1) * kp))
+        combos, cols, _ = _combos(len(verts))
+        kp = eval_batch(_MENGER, np.take(verts, combos, axis=0)) ** config.p
+        return 24.0 * float(np.sum(_weight_products(w, cols) * kp))
     rng = substream(config.seed, _ANNEAL_TAG, 0xBEEF)
     prob = w / w.sum()
     idx = rng.choice(len(verts), size=(config.n_samples, 4), p=prob)
@@ -96,18 +95,25 @@ _combo_cache = {}
 
 
 def _combos(n):
+    """The 4-subsets of range(n) as rows, their four index columns and, for
+    each vertex, the rows that contain it."""
     if n not in _combo_cache:
-        _combo_cache[n] = np.array(list(itertools.combinations(range(n), 4)),
-                                   dtype=np.int64)
+        combos = np.array(list(itertools.combinations(range(n), 4)), dtype=np.int64)
+        _combo_cache[n] = combos, tuple(combos.T.copy()), _rows_by_vertex(combos, n)
     return _combo_cache[n]
 
 
-def _rows_by_vertex(combos, n):
-    rows = [[] for _ in range(n)]
-    for r, quad in enumerate(combos):
-        for v in quad:
-            rows[v].append(r)
-    return [np.asarray(r, dtype=np.int64) for r in rows]
+def _weight_products(w, cols):
+    """w[c0] w[c1] w[c2] w[c3] per quadruple, the bits of w[combos].prod(axis=1)."""
+    c0, c1, c2, c3 = cols
+    return w[c0] * w[c1] * w[c2] * w[c3]
+
+
+def _rows_by_vertex(table, n):
+    """For each of n vertices, the ascending rows of an index table that hold it."""
+    flat = table.ravel()
+    order = np.argsort(flat, kind="stable")
+    return np.split(order // table.shape[1], np.cumsum(np.bincount(flat, minlength=n))[:-1])
 
 
 class _EnergyTable:
@@ -117,17 +123,10 @@ class _EnergyTable:
         self.p = float(p)
         self.verts = vertices.copy()
         self.faces = faces
-        self.combos = _combos(len(vertices))
-        self.rows_of = _rows_by_vertex(self.combos, len(vertices))
-        self.kp = eval_batch(_MENGER, self.verts[self.combos]) ** self.p
-        tri = self.verts[faces]
-        self.face_areas = 0.5 * np.linalg.norm(
-            np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1)
-        self.faces_of = [[] for _ in range(len(vertices))]
-        for f, quad in enumerate(faces):
-            for v in quad:
-                self.faces_of[v].append(f)
-        self.faces_of = [np.asarray(f, dtype=np.int64) for f in self.faces_of]
+        self.combos, self.combo_cols, self.rows_of = _combos(len(vertices))
+        self.kp = eval_batch(_MENGER, np.take(self.verts, self.combos, axis=0)) ** self.p
+        self.face_areas = tri_areas(self.verts[faces])
+        self.faces_of = _rows_by_vertex(faces, len(vertices))
 
     def area(self):
         return float(self.face_areas.sum())
@@ -135,7 +134,7 @@ class _EnergyTable:
     def energy(self):
         w = np.zeros(len(self.verts))
         np.add.at(w, self.faces.ravel(), np.repeat(self.face_areas / 3.0, 3))
-        return 24.0 * float(np.sum(w[self.combos].prod(axis=1) * self.kp))
+        return 24.0 * float(np.sum(_weight_products(w, self.combo_cols) * self.kp))
 
     def move(self, vi, new_pos):
         """Apply a vertex move; returns an undo closure."""
@@ -145,10 +144,9 @@ class _EnergyTable:
         old_kp = self.kp[rows].copy()
         old_areas = self.face_areas[fids].copy()
         self.verts[vi] = new_pos
-        tri = self.verts[self.faces[fids]]
-        self.face_areas[fids] = 0.5 * np.linalg.norm(
-            np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1)
-        self.kp[rows] = eval_batch(_MENGER, self.verts[self.combos[rows]]) ** self.p
+        self.face_areas[fids] = tri_areas(self.verts[self.faces[fids]])
+        quads = np.take(self.combos, rows, axis=0)
+        self.kp[rows] = eval_batch(_MENGER, np.take(self.verts, quads, axis=0)) ** self.p
 
         def undo():
             self.verts[vi] = old_pos
@@ -223,9 +221,7 @@ def _anneal(mesh, p, iters, seed, mode, area_target=None, energy_cap=None):
     final = TriMesh(verts, mesh.faces)
     cfg = DiscreteEnergyConfig(p=p)
     final_energy = discrete_energy(final, cfg)
-    tri = verts[mesh.faces]
-    final_area = float(0.5 * np.linalg.norm(
-        np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1).sum())
+    final_area = float(tri_areas(verts[mesh.faces]).sum())
     if mode == "energy":
         objective, constraint = final_energy, final_area
     else:

@@ -50,7 +50,7 @@ class TriMesh:
 
         tri = vertices[faces]
         cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-        areas = 0.5 * np.linalg.norm(cross, axis=1)
+        areas = geom.tri_areas(tri)
         edges = np.stack([
             np.linalg.norm(tri[:, 1] - tri[:, 0], axis=1),
             np.linalg.norm(tri[:, 2] - tri[:, 0], axis=1),
@@ -275,7 +275,8 @@ class TriMesh:
         dn = np.linalg.norm(dirs, axis=1)[:, None] + 1e-300
         cn = np.linalg.norm(fc, axis=1)[None, :]
         ok = np.abs(den) > 1e-13 * dn * cn
-        t = np.where(ok, num / np.where(den == 0.0, 1.0, den), np.inf)
+        # divide only the pairs that pass: near-parallel ones would overflow
+        t = np.divide(num, den, out=np.full(den.shape, np.inf), where=ok)
         tf = np.where(ok, t, 0.0)  # keep inf out of the barycentric products
         a1 = (origins @ g1.T) - v0g1[None, :]
         a2 = (origins @ g2.T) - v0g2[None, :]

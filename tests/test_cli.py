@@ -195,3 +195,22 @@ class TestExitCodes:
                         "--p", "8", "--samples", "2000"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("menger-surf: ") and var in err
+
+    @pytest.mark.parametrize("argv", [
+        ["energy", "--analytic", "sphere", "--radius", "1", "--p", "nan",
+         "--samples", "2000"],
+        ["energy", "--analytic", "sphere", "--radius", "inf", "--p", "8",
+         "--samples", "2000"],
+        ["local-energy", "--analytic", "sphere", "--radius", "1", "--center",
+         "0,0,1", "--patch-radius", "nan", "--p", "8", "--samples", "2000"],
+        ["scaling", "--p", "8", "--radii", "", "--samples", "2000"],
+        ["minimize", "--mesh", "MESH", "--mode", "energy", "--cap", "nan",
+         "--iters", "3", "--p", "9"],
+        ["minimize", "--mesh", "MESH", "--mode", "area", "--cap", "nan",
+         "--iters", "3", "--p", "9"],
+    ], ids=["p-nan", "radius-inf", "patch-radius-nan", "radii-empty",
+            "energy-cap-nan", "area-cap-nan"])
+    def test_non_finite_or_empty_input(self, capsys, ico_obj, argv):
+        argv = [ico_obj if a == "MESH" else a for a in argv]
+        assert cli.run(argv + ["--seed", "0"]) == 2
+        assert capsys.readouterr().err.startswith("menger-surf: ")

@@ -165,6 +165,7 @@ def unculled(m):
     return out
 
 
+@pytest.mark.filterwarnings("error")
 @RAY_SETTINGS
 @given(m=meshes, vertex=st.integers(0, 10**6), normal=unit_vectors,
        r=st.floats(0.02, 0.5), n_rays=st.integers(1, 200),
@@ -177,3 +178,15 @@ def test_witness_fraction_matches_all_faces(m, vertex, normal, r, n_rays,
     full = goodtetra.verify_projection(SurfaceOracle.from_mesh(unculled(m)),
                                        *args)
     assert culled == full
+
+
+@pytest.mark.filterwarnings("error")
+def test_near_parallel_ray_is_silent():
+    # the ray meets the flat faces at z = 0 with den ~ 1e-312, so the masked
+    # num / den overflows
+    from conftest import kink_box
+    m = kink_box(n=16)
+    t, ok = m._ray_tri(np.array([[0.0, 0.0, 1.0]]), np.array([[1.0, 0.0, 1e-310]]), None)
+    flat = np.abs(m.face_normals[:, 2]) == 1.0
+    assert flat.any()
+    assert not ok[0, flat].any() and np.isinf(t[0, flat]).all()
