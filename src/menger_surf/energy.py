@@ -165,8 +165,11 @@ def local_energy(oracle, center, radius, spec, p, n, seed, threads=1):
     """Energy restricted to the patch inside B(center, radius).
 
     Quadruples are drawn by rejection from global area-uniform sampling; the
-    patch area is estimated from the acceptance fraction of the same stream,
-    and the estimate is (patch_area)^4 * mean over accepted quadruples.
+    patch area is estimated from the acceptance fraction q of the same stream,
+    and the estimate is (patch_area)^4 * mean over accepted quadruples.  Its
+    error bar covers both factors by the delta method: the squared relative
+    error of the mean, plus 16 (1 - q) / (q * drawn) for the binomial
+    fraction q raised to the 4th power.
     """
     n = int(n)
     if n < 1:
@@ -197,13 +200,15 @@ def local_energy(oracle, center, radius, spec, p, n, seed, threads=1):
     vals = eval_batch(spec, quads) ** p
     if not np.all(np.isfinite(vals)):
         raise FloatingPointError("non-finite integrand value encountered")
-    patch_area = oracle.total_area * (len(pts) / drawn)
+    q = len(pts) / drawn
     mean_c = float(vals.mean())
     dev = vals - mean_c
     mean, stderr = _mean_and_stderr((n_quads, mean_c, float(dev @ dev)))
-    a4 = patch_area ** 4
-    return EnergyEstimate(a4 * mean, a4 * stderr, n_quads, int(seed),
-                          float(p), spec)
+    a4 = (oracle.total_area * q) ** 4
+    value = a4 * mean
+    area_rel = 4.0 * np.sqrt((1.0 - q) / (q * drawn))
+    return EnergyEstimate(value, float(np.hypot(a4 * stderr, value * area_rel)),
+                          n_quads, int(seed), float(p), spec)
 
 
 def scaling_study(spec, p, radii, n, seed, threads=1):

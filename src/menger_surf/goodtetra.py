@@ -14,7 +14,6 @@ import numpy as np
 
 from . import geom
 from .rng import substream
-from .surface.trimesh import CHUNK_PAIRS
 
 _PROJ_TAG = 0x50524F4A
 
@@ -472,27 +471,11 @@ def verify_projection(oracle, x0, r, witness_plane_normal, n_rays=1000,
     w = (x0[None] + rad[:, None] * (np.cos(psi)[:, None] * e1[None]
                                     + np.sin(psi)[:, None] * e2[None]))
     limit = r * (1.0 + tol)
-
-    if oracle.is_mesh:
-        # one batched ray/triangle pass over all disk segments, against the
-        # faces whose boxes meet B(x0, limit): a hit elsewhere cannot count
-        mesh = oracle.backing
-        origins = w - r * v[None]
-        dirs = np.tile(2.0 * r * v, (n_rays, 1))
-        near_faces = np.nonzero(mesh.box_distances(x0)[0] <= limit)[0]
-        good = np.zeros(n_rays, dtype=bool)
-        chunk = max(1, CHUNK_PAIRS // max(len(near_faces), 1))
-        for s in range(0, n_rays, chunk):
-            t, ok = mesh._ray_tri(origins[s:s + chunk], dirs[s:s + chunk],
-                                  near_faces)
-            ray, face = np.nonzero(ok & (t >= -1e-12) & (t <= 1.0 + 1e-12))
-            pts = origins[s + ray] + t[ray, face, None] * dirs[s + ray]
-            good[s + ray[np.linalg.norm(pts - x0[None], axis=-1) <= limit]] = True
-        return int(good.sum()) / float(n_rays)
-
-    good = 0
-    for k in range(n_rays):
-        pts = oracle.segment_hits(w[k] - r * v, w[k] + r * v)
-        if len(pts) and (np.linalg.norm(pts - x0[None], axis=1) <= limit).any():
-            good += 1
-    return good / float(n_rays)
+    # all segments in one query; dirs = b - a, the bits of a segment_hits(a, b)
+    origins = w - r * v[None]
+    dirs = (w + r * v[None]) - origins
+    ray, t = oracle.ray_hits(origins, dirs, -1e-12, 1.0 + 1e-12)
+    pts = origins[ray] + t[:, None] * dirs[ray]
+    good = np.zeros(n_rays, dtype=bool)
+    good[ray[np.linalg.norm(pts - x0[None], axis=1) <= limit]] = True
+    return int(good.sum()) / float(n_rays)

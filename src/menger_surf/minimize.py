@@ -77,10 +77,6 @@ def discrete_energy(mesh, config):
     faces = mesh.faces
     w = vertex_weights(verts, faces)
     if config.quadrature == "all_vertex_quadruples":
-        if len(verts) > MAX_EXHAUSTIVE_VERTICES:
-            raise ValueError(
-                f"vertex budget exceeded for exhaustive mode "
-                f"({len(verts)} > {MAX_EXHAUSTIVE_VERTICES})")
         combos, cols, _ = _combos(len(verts))
         kp = eval_batch(_MENGER, np.take(verts, combos, axis=0)) ** config.p
         return 24.0 * float(np.sum(_weight_products(w, cols) * kp))
@@ -97,6 +93,9 @@ _combo_cache = {}
 def _combos(n):
     """The 4-subsets of range(n) as rows, their four index columns and, for
     each vertex, the rows that contain it."""
+    if n > MAX_EXHAUSTIVE_VERTICES:
+        raise ValueError(f"vertex budget exceeded for exhaustive mode "
+                         f"({n} > {MAX_EXHAUSTIVE_VERTICES})")
     if n not in _combo_cache:
         combos = np.array(list(itertools.combinations(range(n), 4)), dtype=np.int64)
         _combo_cache[n] = combos, tuple(combos.T.copy()), _rows_by_vertex(combos, n)
@@ -170,6 +169,8 @@ def _anneal(mesh, p, iters, seed, mode, area_target=None, energy_cap=None):
         constraint = area_target
         tau0 = 0.002 * (objective + 1e-300)
     else:
+        if energy_raw > energy_cap:
+            raise ValueError("infeasible start: energy above the cap")
         objective = area
         constraint = energy_raw
         tau0 = 0.002 * (area + 1e-300)
@@ -211,16 +212,18 @@ def _anneal(mesh, p, iters, seed, mode, area_target=None, energy_cap=None):
         if it % 100 == 0:
             temperature *= 0.999
 
-    # materialize the final state; in area-cap mode project exactly onto the
-    # target by uniform scaling about the vertex centroid
+    # materialize the final state; in energy mode project exactly onto the
+    # area target by uniform scaling about the vertex centroid, and re-sum
+    # the energy of the scaled vertices; in area mode the vertices are the
+    # table's own, whose energy it holds
     verts = table.verts
     if mode == "energy":
         s = np.sqrt(area_target / table.area())
         centroid = verts.mean(axis=0)
         verts = centroid + s * (verts - centroid)
     final = TriMesh(verts, mesh.faces)
-    cfg = DiscreteEnergyConfig(p=p)
-    final_energy = discrete_energy(final, cfg)
+    final_energy = (discrete_energy(final, DiscreteEnergyConfig(p=p))
+                    if mode == "energy" else table.energy())
     final_area = float(tri_areas(verts[mesh.faces]).sum())
     if mode == "energy":
         objective, constraint = final_energy, final_area
@@ -247,9 +250,6 @@ def minimize_energy_area_cap(mesh, p, area_cap, iters, seed):
 
 def minimize_area_energy_cap(mesh, p, energy_cap, iters, seed):
     """Anneal the mesh area, rejecting states above the energy cap."""
-    start = discrete_energy(mesh, DiscreteEnergyConfig(p=p))
-    if start > energy_cap:
-        raise ValueError("infeasible start: energy above the cap")
     return _anneal(mesh, p, int(iters), seed, "area", energy_cap=float(energy_cap))
 
 

@@ -1,10 +1,17 @@
 """Surface oracles: a uniform interface over analytic shapes and meshes.
 
 An oracle provides total area, area-uniform sampling with oriented normals,
-segment intersection, banded first-hit ray queries, an inside test when the
-surface bounds a volume, and a triangulated stand-in for face-based
-diagnostics.  Oracles are immutable after construction and safe to share;
-random streams are caller-owned and never stored.
+ray queries, an inside test when the surface bounds a volume, and a
+triangulated stand-in for face-based diagnostics.  Oracles are immutable
+after construction and safe to share; random streams are caller-owned and
+never stored.
+
+Every backing answers one batched ray query, ``ray_hits(origins, dirs, tmin,
+tmax)``: all hits t in [tmin, tmax] of the rays origins + t * dirs[i], as
+(ray index, t) pairs, for one shared origin (3,) or one origin per ray
+(k, 3).  The oracle reduces it to banded first hits (``band_min_hits``),
+the sorted hit points of one segment (``segment_hits``) and, on meshes, the
+parity votes of the inside test.
 """
 
 from typing import NamedTuple
@@ -89,11 +96,32 @@ class SurfaceOracle:
         pts, _ = self.backing.sample(rng, n)
         return pts
 
-    def segment_hits(self, a, b):
-        return self.backing.segment_hits(a, b)
+    def ray_hits(self, origins, dirs, tmin, tmax):
+        return self.backing.ray_hits(origins, dirs, tmin, tmax)
 
     def band_min_hits(self, origin, dirs, tmin, tmax):
-        return self.backing.band_min_hits(origin, dirs, tmin, tmax)
+        """Per-ray smallest hit parameter within [tmin, tmax] (inf for none).
+
+        Hits below tmin do not occlude the band.
+        """
+        out = np.full(len(dirs), np.inf)
+        ray, t = self.ray_hits(origin, dirs, tmin, tmax)
+        np.minimum.at(out, ray, t)
+        return out
+
+    def segment_hits(self, a, b):
+        """All intersection points of the segment [a, b], sorted along it.
+
+        Hits closer than 1e-12 in the segment parameter count once (a ray
+        through a shared mesh edge meets both faces).
+        """
+        a = np.asarray(a, dtype=float)
+        d = np.asarray(b, dtype=float) - a
+        _, t = self.ray_hits(a, d[None], -1e-12, 1.0 + 1e-12)
+        t = np.sort(t)
+        keep = np.ones(len(t), dtype=bool)
+        keep[1:] = np.diff(t) > 1e-12
+        return a[None] + t[keep, None] * d[None]
 
     def inside(self, p):
         return self.backing.inside(p)

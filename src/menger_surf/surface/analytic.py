@@ -1,6 +1,7 @@
 """Closed-form surfaces: sphere, torus, saddle patch, capsule.
 
-Each kind provides area-exact sampling, closed-form segment intersection,
+Each kind provides area-exact sampling, closed-form ray intersection
+(``ray_hits``: every hit of a batch of rays within a parameter band),
 normals, an inside test when the surface bounds a volume, and a triangulated
 stand-in via ``tessellate`` for the face-based diagnostics.  Normals point
 into the bounded component (inward) where one exists.
@@ -37,13 +38,40 @@ def _solve_quadratic_batch(A, B, C):
     return t1, t2, valid
 
 
-def _dedupe_sorted(ts, scale):
-    if len(ts) == 0:
-        return ts
-    ts = np.sort(ts)
-    keep = np.ones(len(ts), dtype=bool)
-    keep[1:] = np.diff(ts) > 1e-12 * max(scale, 1.0)
-    return ts[keep]
+def _origin_dots(dirs, o):
+    """dirs[i] @ o, or dirs[i] @ o[i] for per-ray origins (k, 3).
+
+    Always in the bits of a matrix-vector product of two or more rows: a
+    one-row product takes another BLAS path, so it is padded, and per-ray
+    origins run one two-row product each.
+    """
+    if o.ndim == 2:
+        return (np.stack([dirs, dirs], axis=1) @ o[:, :, None])[:, 0, 0]
+    if len(dirs) == 1:
+        return (np.concatenate([dirs, dirs]) @ o)[:1]
+    return dirs @ o
+
+
+def _dots(u, w):
+    """u @ w row by row for (3,) or (k, 3) operands, in the bits of a 1-D dot."""
+    if u.ndim == w.ndim == 1:
+        return u @ w
+    u, w = np.broadcast_arrays(u, w)
+    return (u[:, None, :] @ w[:, :, None])[:, 0, 0]
+
+
+def _squares_xy(v):
+    """v_x**2 + v_y**2 per row of v, squared by C ``pow`` as numpy scalars are;
+    ``np.square`` (x * x) differs from it in the last bit on ~0.1 % of inputs."""
+    sq = np.asarray(v, dtype=object)[..., :2] ** 2
+    return np.asarray(sq[..., 0] + sq[..., 1], dtype=float)
+
+
+def _hits(ts, ok, tmin, tmax):
+    """The (ray, t) pairs of a (k, c) table of candidate roots that hold."""
+    ray, col = divmod(np.flatnonzero(ok & (ts >= tmin) & (ts <= tmax)),
+                      ts.shape[1])
+    return ray, ts[ray, col]
 
 
 class Sphere:
@@ -64,28 +92,13 @@ class Sphere:
         w = np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
         return self.center + self.radius * w, -w
 
-    def segment_hits(self, a, b):
-        a = np.asarray(a, dtype=float) - self.center
-        d = np.asarray(b, dtype=float) - self.center - a
-        t1, t2, valid = _solve_quadratic_batch(d @ d, 2.0 * (a @ d),
-                                               a @ a - self.radius**2)
-        ts = [t for t, v in ((t1, valid), (t2, valid))
-              if v and -1e-12 <= t <= 1.0 + 1e-12]
-        ts = _dedupe_sorted(np.asarray(ts, dtype=float), 1.0)
-        return self.center + a[None] + ts[:, None] * d[None]
-
-    def band_min_hits(self, origin, dirs, tmin, tmax):
-        o = np.asarray(origin, dtype=float) - self.center
+    def ray_hits(self, origins, dirs, tmin, tmax):
+        o = np.asarray(origins, dtype=float) - self.center
         dirs = np.asarray(dirs, dtype=float)
-        A = np.einsum("ij,ij->i", dirs, dirs)
-        B = 2.0 * dirs @ o
-        C = o @ o - self.radius**2
-        t1, t2, valid = _solve_quadratic_batch(A, B, np.full(len(dirs), C))
-        out = np.full(len(dirs), np.inf)
-        for t in (t1, t2):
-            band = valid & (t >= tmin) & (t <= tmax)
-            out = np.where(band & (t < out), t, out)
-        return out
+        t1, t2, valid = _solve_quadratic_batch(
+            np.einsum("ij,ij->i", dirs, dirs), _origin_dots(2.0 * dirs, o),
+            _dots(o, o) - self.radius**2)
+        return _hits(np.stack([t1, t2], axis=1), valid[:, None], tmin, tmax)
 
     def inside(self, p):
         return bool(np.linalg.norm(np.asarray(p, dtype=float) - self.center)
@@ -174,25 +187,26 @@ class Torus:
     def _ray_roots(self, a, dirs):
         """Polished real roots of every ray's quartic, as (ray index, t).
 
-        The batched form of ``_segment_roots``: the same coefficients, the
-        same companion matrices as ``np.roots`` (a zero constant term deflates
-        to a lower degree plus a root at 0), one stacked ``eigvals`` call per
-        degree and one Newton polish for all roots.  Rays whose leading
-        coefficient is negligible take the per-ray path.
+        ``a`` is one origin (3,) or one per ray (k, 3).  The batched form of
+        ``_segment_roots``: the same coefficients, the same companion matrices
+        as ``np.roots`` (a zero constant term deflates to a lower degree plus
+        a root at 0), one stacked ``eigvals`` call per degree and one Newton
+        polish for all roots.  Rays whose leading coefficient is negligible
+        take the per-ray path.
         """
-        # per-ray BLAS dots and libm squares, as _segment_roots forms them,
-        # so that both paths agree to the bit
-        ad, dd, dxy = np.array([(a @ d, d @ d, d[0]**2 + d[1]**2)
-                                for d in dirs]).reshape(-1, 3).T
-        q0 = a @ a + self.R**2 - self.r**2
+        # 1-D dots and pow squares, as _segment_roots forms them, so that
+        # both paths agree to the bit
+        ad, dd, dxy = _dots(a, dirs), _dots(dirs, dirs), _squares_xy(dirs)
+        q0 = _dots(a, a) + self.R**2 - self.r**2
         q1 = 2.0 * ad
         k = 4.0 * self.R**2
-        coeffs = np.stack([
+        coeffs = np.stack(np.broadcast_arrays(
             dd * dd,
             q1 * dd + dd * q1,
             q0 * dd + q1 * q1 + dd * q0 - k * dxy,
-            q0 * q1 + q1 * q0 - k * (2.0 * (a[0] * dirs[:, 0] + a[1] * dirs[:, 1])),
-            np.full(len(dirs), q0 * q0 - k * (a[0]**2 + a[1]**2))], axis=1)
+            q0 * q1 + q1 * q0
+            - k * (2.0 * (a[..., 0] * dirs[:, 0] + a[..., 1] * dirs[:, 1])),
+            q0 * q0 - k * _squares_xy(a)), axis=1)
         lead = np.max(np.abs(coeffs), axis=1) + 1e-300
         quartic = np.abs(coeffs[:, 0]) > 1e-14 * lead
         # exact trailing zeros deflate, as in np.roots
@@ -214,18 +228,19 @@ class Torus:
             rays.append(np.repeat(sel, z))
             ts.append(np.zeros(len(sel) * z))
         rays = np.concatenate(rays)
-        ts = self._polish(a, dirs[rays], np.concatenate(ts))
+        ts = self._polish(a if a.ndim == 1 else a[rays], dirs[rays],
+                          np.concatenate(ts))
         for i in np.nonzero(~quartic)[0]:
-            t = self._segment_roots(a, dirs[i])
+            t = self._segment_roots(a if a.ndim == 1 else a[i], dirs[i])
             rays = np.concatenate([rays, np.full(len(t), i)])
             ts = np.concatenate([ts, t])
         return rays, ts
 
     def _polish(self, a, dirs, t):
         """Safeguarded polish: three Newton steps on the implicit form along
-        a + t * dirs[i] for each root t[i]."""
+        a + t * dirs[i] (a shared or one origin per root) for each root t[i]."""
         for _ in range(3):
-            p = a[None] + t[:, None] * dirs
+            p = a + t[:, None] * dirs
             f = self._implicit(p)
             x, y, z = p[:, 0], p[:, 1], p[:, 2]
             qv = x * x + y * y + z * z + self.R**2 - self.r**2
@@ -237,22 +252,11 @@ class Torus:
             t = t - np.clip(step, -0.1, 0.1)
         return t
 
-    def segment_hits(self, a, b):
-        a = np.asarray(a, dtype=float)
-        d = np.asarray(b, dtype=float) - a
-        ts = self._segment_roots(a, d)
-        ts = ts[(ts >= -1e-12) & (ts <= 1.0 + 1e-12)]
-        ts = _dedupe_sorted(ts, 1.0)
-        return a[None] + ts[:, None] * d[None]
-
-    def band_min_hits(self, origin, dirs, tmin, tmax):
-        origin = np.asarray(origin, dtype=float)
-        dirs = np.asarray(dirs, dtype=float)
-        out = np.full(len(dirs), np.inf)
-        rays, ts = self._ray_roots(origin, dirs)
+    def ray_hits(self, origins, dirs, tmin, tmax):
+        rays, ts = self._ray_roots(np.asarray(origins, dtype=float),
+                                   np.asarray(dirs, dtype=float))
         band = (ts >= tmin) & (ts <= tmax)
-        np.minimum.at(out, rays[band], ts[band])
-        return out
+        return rays[band], ts[band]
 
     def inside(self, p):
         p = np.asarray(p, dtype=float)
@@ -326,35 +330,18 @@ class SaddlePatch:
         normals = np.stack([-y / nrm, -x / nrm, 1.0 / nrm], axis=-1)
         return pts, normals
 
-    def segment_hits(self, a, b):
-        a = np.asarray(a, dtype=float)
-        d = np.asarray(b, dtype=float) - a
-        # x(t) y(t) - z(t) = 0 is quadratic in the segment parameter
-        c2 = d[0] * d[1]
-        c1 = a[0] * d[1] + a[1] * d[0] - d[2]
-        c0 = a[0] * a[1] - a[2]
-        t1, t2, valid = _solve_quadratic_batch(c2, c1, c0)
-        ts = [float(t) for t in (t1, t2)
-              if valid and np.isfinite(t) and -1e-12 <= t <= 1.0 + 1e-12]
-        ts = _dedupe_sorted(np.asarray(ts, dtype=float), 1.0)
-        pts = a[None] + ts[:, None] * d[None]
-        keep = (np.abs(pts[:, 0]) <= self.L) & (np.abs(pts[:, 1]) <= self.L)
-        return pts[keep]
-
-    def band_min_hits(self, origin, dirs, tmin, tmax):
-        origin = np.asarray(origin, dtype=float)
+    def ray_hits(self, origins, dirs, tmin, tmax):
+        o = np.asarray(origins, dtype=float)
         dirs = np.asarray(dirs, dtype=float)
+        # x(t) y(t) - z(t) = 0 is quadratic in the ray parameter
         c2 = dirs[:, 0] * dirs[:, 1]
-        c1 = origin[0] * dirs[:, 1] + origin[1] * dirs[:, 0] - dirs[:, 2]
-        c0 = origin[0] * origin[1] - origin[2]
-        t1, t2, valid = _solve_quadratic_batch(c2, c1, np.full(len(dirs), c0))
-        out = np.full(len(dirs), np.inf)
-        for t in (t1, t2):
-            p = origin[None] + t[:, None] * dirs
-            band = (valid & np.isfinite(t) & (t >= tmin) & (t <= tmax)
-                    & (np.abs(p[:, 0]) <= self.L) & (np.abs(p[:, 1]) <= self.L))
-            out = np.where(band & (t < out), t, out)
-        return out
+        c1 = o[..., 0] * dirs[:, 1] + o[..., 1] * dirs[:, 0] - dirs[:, 2]
+        c0 = o[..., 0] * o[..., 1] - o[..., 2]
+        t1, t2, valid = _solve_quadratic_batch(c2, c1, c0)
+        ts = np.stack([t1, t2], axis=1)
+        p = o[..., None, :] + ts[..., None] * dirs[:, None]
+        on_patch = (np.abs(p[..., 0]) <= self.L) & (np.abs(p[..., 1]) <= self.L)
+        return _hits(ts, valid[:, None] & np.isfinite(ts) & on_patch, tmin, tmax)
 
     def inside(self, p):
         raise ValueError("no interior")
@@ -426,51 +413,35 @@ class Capsule:
         normals[cap] = -w
         return pts, normals
 
-    def _candidate_ts(self, o, dirs):
-        """Per-ray candidate hit parameters against wall and caps: (k, 6)."""
-        o = np.asarray(o, dtype=float)
+    def ray_hits(self, origins, dirs, tmin, tmax):
+        o = np.asarray(origins, dtype=float)
         dirs = np.asarray(dirs, dtype=float)
-        k = len(dirs)
-        cands = np.full((k, 6), np.inf)
+        cands = np.full((len(dirs), 6), np.inf)
         # wall
         A = dirs[:, 0]**2 + dirs[:, 1]**2
-        B = 2.0 * (o[0] * dirs[:, 0] + o[1] * dirs[:, 1])
-        C = o[0]**2 + o[1]**2 - self.radius**2
-        t1, t2, valid = _solve_quadratic_batch(A, B, np.full(k, C))
+        B = 2.0 * (o[..., 0] * dirs[:, 0] + o[..., 1] * dirs[:, 1])
+        C = _squares_xy(o) - self.radius**2
+        t1, t2, valid = _solve_quadratic_batch(A, B, C)
         for col, t in ((0, t1), (1, t2)):
             tf = np.where(np.isfinite(t), t, 0.0)
-            z = o[2] + tf * dirs[:, 2]
+            z = o[..., 2] + tf * dirs[:, 2]
             ok = valid & np.isfinite(t) & (np.abs(z) <= self.half)
             cands[:, col] = np.where(ok, t, np.inf)
         # caps
         for col, sign in ((2, 1.0), (4, -1.0)):
             cz = sign * self.half
             oz = o.copy()
-            oz[2] -= cz
+            oz[..., 2] -= cz
             A = np.einsum("ij,ij->i", dirs, dirs)
-            B = 2.0 * dirs @ oz
-            C = oz @ oz - self.radius**2
-            t1, t2, valid = _solve_quadratic_batch(A, B, np.full(k, C))
+            B = _origin_dots(2.0 * dirs, oz)
+            C = _dots(oz, oz) - self.radius**2
+            t1, t2, valid = _solve_quadratic_batch(A, B, C)
             for dcol, t in ((0, t1), (1, t2)):
                 tf = np.where(np.isfinite(t), t, 0.0)
-                z = o[2] + tf * dirs[:, 2]
+                z = o[..., 2] + tf * dirs[:, 2]
                 ok = valid & np.isfinite(t) & (sign * (z - cz) >= -1e-12)
                 cands[:, col + dcol] = np.where(ok, t, np.inf)
-        return cands
-
-    def segment_hits(self, a, b):
-        a = np.asarray(a, dtype=float)
-        d = np.asarray(b, dtype=float) - a
-        cands = self._candidate_ts(a, d[None])[0]
-        ts = cands[np.isfinite(cands)]
-        ts = ts[(ts >= -1e-12) & (ts <= 1.0 + 1e-12)]
-        ts = _dedupe_sorted(ts, 1.0)
-        return a[None] + ts[:, None] * d[None]
-
-    def band_min_hits(self, origin, dirs, tmin, tmax):
-        cands = self._candidate_ts(origin, dirs)
-        cands = np.where((cands >= tmin) & (cands <= tmax), cands, np.inf)
-        return cands.min(axis=1)
+        return _hits(cands, np.isfinite(cands), tmin, tmax)
 
     def inside(self, p):
         p = np.asarray(p, dtype=float)

@@ -27,13 +27,10 @@ CHUNK_PAIRS = 1 << 16
 class TriMesh:
     """Immutable triangle mesh with area tables, face boxes and oriented normals.
 
-    Ray queries test only the faces that can matter: those whose boxes reach
-    the distance shell and whose bounding spheres reach the double cone of
-    the rays (``band_min_hits``), that a segment's slab test meets
-    (``segment_hits``), or that reach a witness ball.  Stored normals point
-    into the bounded component when the mesh is watertight (established by a
-    ray-parity vote); ``normals_inward`` is None for open meshes, which have
-    no interior.
+    ``ray_hits`` tests only the faces that can matter (see there).  Stored
+    normals point into the bounded component when the mesh is watertight
+    (established by a ray-parity vote); ``normals_inward`` is None for open
+    meshes, which have no interior.
     """
 
     def __init__(self, vertices, faces):
@@ -88,6 +85,9 @@ class TriMesh:
         self._v0c = np.einsum("ij,ij->i", self._v0, self._fc)
         self._v0g1 = np.einsum("ij,ij->i", self._v0, self._g1)
         self._v0g2 = np.einsum("ij,ij->i", self._v0, self._g2)
+        self._kernel_arrays = (self._fc, self._v0c, self._g1, self._g2,
+                               self._v0g1, self._v0g2,
+                               np.linalg.norm(self._fc, axis=1))
         # face boxes, padded past the ray kernel's barycentric slack so that
         # no cull drops a face the kernel would report a hit on
         lo, hi = tri.min(axis=1), tri.max(axis=1)
@@ -108,15 +108,13 @@ class TriMesh:
     # -- construction helpers -------------------------------------------------
 
     def _check_watertight(self):
-        seen = {}
-        for i, j, k in self.faces:
-            for a, b in ((i, j), (j, k), (k, i)):
-                key = (min(a, b), max(a, b))
-                seen.setdefault(key, []).append(a < b)
-        for orientations in seen.values():
-            if len(orientations) != 2 or orientations[0] == orientations[1]:
-                return False
-        return True
+        """Every edge lies on exactly two faces that run it in opposite senses."""
+        a = self.faces.ravel()
+        b = self.faces[:, [1, 2, 0]].ravel()
+        key = np.minimum(a, b) * len(self.vertices) + np.maximum(a, b)
+        _, edge, count = np.unique(key, return_inverse=True, return_counts=True)
+        forward = np.bincount(edge, weights=a < b)
+        return bool(np.all(count == 2) and np.all(forward == 1))
 
     def _angle_weighted_normals(self):
         normals = np.zeros_like(self.vertices)
@@ -138,11 +136,8 @@ class TriMesh:
         m = len(self.faces)
         probe = np.linspace(0, m - 1, num=min(25, m), dtype=int)
         eps = 1e-4 * self.mean_edge
-        votes = 0
-        for f in probe:
-            c = self._tri[f].mean(axis=0)
-            if self.inside(c + eps * self.face_normals[f]):
-                votes += 1
+        points = self._tri[probe].mean(axis=1) + eps * self.face_normals[probe]
+        votes = np.count_nonzero(self._inside_all(points))
         if votes <= len(probe) // 2:
             # winding normals point outward; flip so stored normals are inward
             self.face_normals = -self.face_normals
@@ -176,49 +171,48 @@ class TriMesh:
 
     # -- queries ------------------------------------------------------------------
 
-    def segment_hits(self, a, b):
-        """All intersection points of segment [a, b], sorted along it."""
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        cand = np.nonzero(_segment_box_mask(a, b - a, self.tri_lo, self.tri_hi))[0]
-        if len(cand) == 0:
-            return np.empty((0, 3))
-        t, ok = self._ray_tri(a[None], (b - a)[None], cand)
-        ok &= (t >= -1e-12) & (t <= 1.0 + 1e-12)
-        t = np.sort(t[0][ok[0]])
-        if len(t) == 0:
-            return np.empty((0, 3))
-        keep = np.ones(len(t), dtype=bool)
-        keep[1:] = np.diff(t) > 1e-12  # collapse duplicates from shared edges
-        t = t[keep]
-        return a[None] + t[:, None] * (b - a)[None]
+    def ray_hits(self, origins, dirs, tmin, tmax):
+        """Every hit of the rays origins + t * dirs[i] with tmin <= t <= tmax.
 
-    def band_min_hits(self, origin, dirs, tmin, tmax):
-        """Per-ray smallest hit parameter within [tmin, tmax].
-
-        Rays are origin + t * dirs[i] with unit dirs; returns t (inf when the
-        band holds no hit).  Hits below tmin do not occlude the band.
+        ``origins`` is one shared point (3,) or one point per ray (k, 3).
+        Returns (ray index, t) pairs, grouped by ray.  The faces tested depend
+        on the input: for a shared origin, those whose boxes reach the
+        distance shell of [tmin, tmax] and whose bounding spheres reach the
+        double cone that holds every ray; for per-ray origins and a finite
+        tmax, those whose boxes meet the bounding box of all segments;
+        otherwise all of them.
         """
-        origin = np.asarray(origin, dtype=float)
+        origins = np.asarray(origins, dtype=float)
         dirs = np.asarray(dirs, dtype=float)
-        out = np.full(len(dirs), np.inf)
+        no_hits = np.empty(0, dtype=np.int64), np.empty(0)
         if len(dirs) == 0:
-            return out
-        # drop faces whose boxes cannot reach the [tmin, tmax] shell, then
-        # those outside the double cone that holds every ray
-        dmin, dmax = self.box_distances(origin)
-        idx = np.nonzero((dmin <= tmax) & (dmax >= tmin))[0]
-        idx = idx[_cone_mask(origin, dirs, self.tri_lo[idx], self.tri_hi[idx])]
+            return no_hits
+        if origins.ndim == 1:
+            lens = np.linalg.norm(dirs, axis=1)
+            dmin, dmax = self.box_distances(origins)
+            idx = np.nonzero((dmin <= max(-tmin, tmax) * lens.max())
+                             & (dmax >= tmin * lens.min()))[0]
+            idx = idx[_cone_mask(origins, dirs, self.tri_lo[idx], self.tri_hi[idx])]
+        elif np.isfinite(tmax):
+            ends = np.concatenate([origins + tmin * dirs, origins + tmax * dirs])
+            idx = np.nonzero(np.all((self.tri_lo <= ends.max(axis=0))
+                                    & (self.tri_hi >= ends.min(axis=0)), axis=1))[0]
+        else:
+            idx = np.arange(len(self.faces))
         if len(idx) == 0:
-            return out
-        starts = list(range(0, len(dirs), max(2, CHUNK_PAIRS // len(idx))))
-        if len(starts) > 1 and len(dirs) - starts[-1] == 1:
-            starts.pop()  # a one-ray product takes another BLAS path
-        for s, e in zip(starts, starts[1:] + [len(dirs)]):
-            t, ok = self._ray_tri(origin[None], dirs[s:e], idx)
-            ok &= (t >= tmin) & (t <= tmax)
-            out[s:e] = np.where(ok, t, np.inf).min(axis=1)
-        return out
+            return no_hits
+        faces = self._face_block(idx)
+        rays, ts = [], []
+        step = max(2, CHUNK_PAIRS // len(idx))
+        for s in range(0, len(dirs), step):
+            o = origins if origins.ndim == 1 else origins[s:s + step]
+            t, ok = self._ray_block(o, dirs[s:s + step], faces)
+            # hits are sparse: a flat index scan is ~10x faster than 2-D nonzero
+            ray, face = divmod(np.flatnonzero(ok & (t >= tmin) & (t <= tmax)),
+                               len(idx))
+            rays.append(s + ray)
+            ts.append(t[ray, face])
+        return np.concatenate(rays), np.concatenate(ts)
 
     def box_distances(self, p):
         """Least and greatest distance from p to each padded face box."""
@@ -230,14 +224,17 @@ class TriMesh:
 
     def inside(self, p):
         """Ray-parity membership with 3 fixed directions and majority vote."""
+        return bool(self._inside_all(np.asarray(p, dtype=float)[None])[0])
+
+    def _inside_all(self, points):
+        """``inside`` for each row of points, from one batch of parity rays."""
         if not self.watertight:
             raise ValueError("no interior")
-        p = np.asarray(p, dtype=float)
-        votes = 0
-        for d in _PARITY_DIRS:
-            t, ok = self._ray_tri(p[None], d[None], None)
-            votes += int(np.count_nonzero(ok[0] & (t[0] > 0.0))) % 2
-        return votes >= 2
+        n = len(points)
+        ray, t = self.ray_hits(np.repeat(points, 3, axis=0),
+                               np.tile(_PARITY_DIRS, (n, 1)), 0.0, np.inf)
+        parity = np.bincount(ray[t > 0.0], minlength=3 * n) % 2
+        return parity.reshape(n, 3).sum(axis=1) >= 2
 
     def has_interior(self):
         return self.watertight
@@ -256,57 +253,50 @@ class TriMesh:
     def _ray_tri(self, origins, dirs, face_idx):
         """Ray/triangle hit parameters against a face subset.
 
-        origins (1,3) or (k,3), dirs (k,3); face_idx selects faces (None for
-        all).  Everything reduces to (k,3)x(3,m) matrix products against the
-        precomputed plane normals and barycentric gradients.  Returns (t, ok)
-        of shape (k, m); the parallel test is scale-free.
+        origins (3,), (1,3) or (k,3), dirs (k,3); face_idx selects faces
+        (None for all).  Everything reduces to matrix products against the
+        precomputed plane normals and barycentric gradients: one row-vector
+        product per origin, and (k,3)x(3,m) for the directions, padded to two
+        rows when k = 1.  Returns (t, ok) of shape (k, m); the parallel test
+        is scale-free.
         """
-        dirs = np.asarray(dirs, dtype=float)
-        origins = np.asarray(origins, dtype=float)
+        return self._ray_block(origins, dirs, self._face_block(face_idx))
+
+    def _face_block(self, face_idx):
+        """(m, kernel arrays of the m faces padded to a multiple of _COL_BLOCK)."""
         if face_idx is None:
             face_idx = np.arange(len(self.faces))
         m = len(face_idx)
         face_idx = np.concatenate([face_idx, np.zeros((-m) % _COL_BLOCK, dtype=np.int64)])
-        fc, v0c = self._fc[face_idx], self._v0c[face_idx]
-        g1, g2 = self._g1[face_idx], self._g2[face_idx]
-        v0g1, v0g2 = self._v0g1[face_idx], self._v0g2[face_idx]
+        return m, [a[face_idx] for a in self._kernel_arrays]
+
+    def _ray_block(self, origins, dirs, faces):
+        """``_ray_tri`` against the faces of a ``_face_block``."""
+        m, (fc, v0c, g1, g2, v0g1, v0g2, cn) = faces
+        dirs = np.asarray(dirs, dtype=float)
+        k = len(dirs)
+        if k == 1:  # a one-row product takes another BLAS path
+            dirs = np.concatenate([dirs, dirs])
+        origins = np.asarray(origins, dtype=float).reshape(-1, 1, 3)
         den = dirs @ fc.T                              # (k, m)
-        num = v0c[None, :] - origins @ fc.T            # broadcasts (1|k, m)
+        num = v0c[None, :] - (origins @ fc.T)[:, 0]    # broadcasts (1|k, m)
         dn = np.linalg.norm(dirs, axis=1)[:, None] + 1e-300
-        cn = np.linalg.norm(fc, axis=1)[None, :]
-        ok = np.abs(den) > 1e-13 * dn * cn
+        ok = np.abs(den) > 1e-13 * dn * cn[None, :]
         # divide only the pairs that pass: near-parallel ones would overflow
         t = np.divide(num, den, out=np.full(den.shape, np.inf), where=ok)
         tf = np.where(ok, t, 0.0)  # keep inf out of the barycentric products
-        a1 = (origins @ g1.T) - v0g1[None, :]
-        a2 = (origins @ g2.T) - v0g2[None, :]
+        a1 = (origins @ g1.T)[:, 0] - v0g1[None, :]
+        a2 = (origins @ g2.T)[:, 0] - v0g2[None, :]
         u = a1 + tf * (dirs @ g1.T)
         v = a2 + tf * (dirs @ g2.T)
         slack = 1e-10
         ok &= (u >= -slack) & (v >= -slack) & (u + v <= 1.0 + slack)
-        return t[:, :m], ok[:, :m]
+        return t[:k, :m], ok[:k, :m]
 
     def describe(self):
         return {"kind": "mesh", "n_vertices": int(len(self.vertices)),
                 "n_faces": int(len(self.faces)),
                 "watertight": bool(self.watertight)}
-
-
-def _segment_box_mask(a, d, lo, hi):
-    """Boxes [lo, hi] that a + t d, t in [0, 1], meets (slab test)."""
-    t0 = np.zeros(len(lo))
-    t1 = np.ones(len(lo))
-    miss = np.zeros(len(lo), dtype=bool)
-    for k in range(3):
-        if d[k] == 0.0:
-            miss |= (a[k] < lo[:, k]) | (a[k] > hi[:, k])
-        else:
-            inv = 1.0 / d[k]
-            ta = (lo[:, k] - a[k]) * inv
-            tb = (hi[:, k] - a[k]) * inv
-            t0 = np.maximum(t0, np.minimum(ta, tb))
-            t1 = np.minimum(t1, np.maximum(ta, tb))
-    return ~miss & (t0 <= t1)
 
 
 def _line_angle(v, axis):

@@ -93,6 +93,15 @@ class TestLocalEnergy:
                                   60000, seed=5)
         assert 0.0 < loc.value < glob.value
 
+    def test_error_bar_covers_the_patch_area(self, unit_sphere):
+        # the circumsphere integrand is constant on the sphere, so the
+        # estimate spreads over seeds only through its estimated patch area
+        ests = [energy.local_energy(unit_sphere, [0, 0, 1], 0.5, CIRCUM, 4.0,
+                                    2000, seed) for seed in range(8)]
+        spread = np.std([e.value for e in ests], ddof=1)
+        errors = np.array([e.std_error for e in ests])
+        assert np.all((errors > 0.5 * spread) & (errors < 2.0 * spread))
+
     def test_patch_too_small(self, unit_sphere):
         with pytest.raises(ValueError, match="patch too small"):
             energy.local_energy(unit_sphere, [0, 0, 1], 1e-4, MENGER, 8.0,

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from pytest import approx
 
 from menger_surf import geom, goodtetra
+from menger_surf.rng import substream
 from menger_surf.surface import SurfaceOracle, TriMesh, shapes, trimesh
-from menger_surf.surface.analytic import Torus
+from menger_surf.surface.analytic import Capsule, SaddlePatch, Sphere, Torus
 
 RAY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -75,7 +76,7 @@ def test_mesh_band_min_hits_matches_all_faces(m, vertex, along_normal, axis,
     tmax = band[1] * m.diameter
     with pytest.MonkeyPatch.context() as mp:  # small chunks split the rays
         mp.setattr(trimesh, "CHUNK_PAIRS", chunk_pairs)
-        got = m.band_min_hits(origin, dirs, tmin, tmax)
+        got = SurfaceOracle(m).band_min_hits(origin, dirs, tmin, tmax)
     assert np.array_equal(got, brute_band_min(m, origin, dirs, tmin, tmax))
 
 
@@ -91,10 +92,11 @@ def test_mesh_segment_hits_match_all_faces(m, vertex, d, length, shift):
     if len(ts):
         ts = ts[np.concatenate([[True], np.diff(ts) > 1e-12])]
     expected = a[None] + ts[:, None] * (b - a)[None]
-    assert np.array_equal(m.segment_hits(a, b), expected)
+    assert np.array_equal(SurfaceOracle(m).segment_hits(a, b), expected)
 
 
 TORUS = Torus(2.0, 1.0)
+TORUS_ORACLE = SurfaceOracle(TORUS)
 # points of the torus whose implicit value is exactly 0.0, so every ray's
 # quartic has a zero constant term
 EXACT_ON_TORUS = [np.array(p, dtype=float) for p in
@@ -131,7 +133,7 @@ def test_torus_band_min_hits_matches_per_ray_roots(origin, axis, cap, double,
     if double:
         dirs = np.concatenate([dirs, -dirs])
     tmin, tmax = band[0] * band[1], band[1]
-    assert np.array_equal(TORUS.band_min_hits(origin, dirs, tmin, tmax),
+    assert np.array_equal(TORUS_ORACLE.band_min_hits(origin, dirs, tmin, tmax),
                           per_ray_band_min(origin, dirs, tmin, tmax))
 
 
@@ -144,7 +146,7 @@ def test_torus_batch_keeps_per_ray_rounding():
               [-0.9697651745784389, 0.03567910988076383, 0.24141770294029039])]
     for origin, d in cases:
         origin, dirs = np.array(origin), np.array([d])
-        assert np.array_equal(TORUS.band_min_hits(origin, dirs, 1e-6, 10.0),
+        assert np.array_equal(TORUS_ORACLE.band_min_hits(origin, dirs, 1e-6, 10.0),
                               per_ray_band_min(origin, dirs, 1e-6, 10.0))
 
 
@@ -190,3 +192,97 @@ def test_near_parallel_ray_is_silent():
     flat = np.abs(m.face_normals[:, 2]) == 1.0
     assert flat.any()
     assert not ok[0, flat].any() and np.isinf(t[0, flat]).all()
+
+
+# -- ray_hits: one primitive, whatever the batch ------------------------------
+
+BACKINGS = {"sphere": Sphere(1.3, center=(0.2, -0.1, 0.3)),
+            "torus": Torus(2.0, 1.0), "saddle": SaddlePatch(1.0),
+            "capsule": Capsule(3.0, 0.5)}
+backings = st.one_of(st.sampled_from(sorted(BACKINGS)).map(BACKINGS.get),
+                     meshes)
+bands = st.one_of(
+    st.tuples(st.floats(-2.0, 1.0), st.floats(0.0, 6.0)).map(
+        lambda b: (b[0], b[0] + b[1])),
+    st.floats(-1.0, 1.0).map(lambda lo: (lo, np.inf)))
+
+
+def ray_batch(seed, n):
+    """Generic origins in [-3, 3]^3 and directions of mixed lengths."""
+    rng = np.random.default_rng(seed)
+    origins = rng.uniform(-3.0, 3.0, (n, 3))
+    dirs = rng.standard_normal((n, 3)) * rng.uniform(0.2, 3.0, (n, 1))
+    return origins, dirs
+
+
+def assert_same_pairs(got, expected):
+    assert np.array_equal(got[0], expected[0])
+    assert np.array_equal(got[1], expected[1])
+
+
+@RAY_SETTINGS
+@given(backing=backings, seed=st.integers(0, 2**32), n=st.integers(1, 40),
+       band=bands)
+def test_shared_origin_equals_repeated_origin(backing, seed, n, band):
+    origins, dirs = ray_batch(seed, n)
+    repeated = np.tile(origins[0], (n, 1))
+    assert_same_pairs(backing.ray_hits(origins[0], dirs, *band),
+                      backing.ray_hits(repeated, dirs, *band))
+
+
+@RAY_SETTINGS
+@given(backing=backings, seed=st.integers(0, 2**32), n=st.integers(2, 40),
+       band=bands)
+def test_each_ray_equals_its_row_in_a_batch(backing, seed, n, band):
+    origins, dirs = ray_batch(seed, n)
+    ray, t = backing.ray_hits(origins, dirs, *band)
+    for i in range(n):
+        one = backing.ray_hits(origins[i:i + 1], dirs[i:i + 1], *band)
+        assert_same_pairs(one, (ray[ray == i] - i, t[ray == i]))
+
+
+@RAY_SETTINGS
+@given(m=meshes, seed=st.integers(0, 2**32), n=st.integers(1, 60),
+       shared_origin=st.booleans(), band=bands,
+       chunk_pairs=st.sampled_from([trimesh.CHUNK_PAIRS, 64]))
+def test_mesh_ray_hits_match_all_faces(m, seed, n, shared_origin, band,
+                                       chunk_pairs):
+    origins, dirs = ray_batch(seed, n)
+    if shared_origin:
+        origins = origins[0]
+    with pytest.MonkeyPatch.context() as mp:  # small chunks split the rays
+        mp.setattr(trimesh, "CHUNK_PAIRS", chunk_pairs)
+        got = m.ray_hits(origins, dirs, *band)
+    t, ok = m._ray_tri(origins, dirs, None)
+    ray, face = np.nonzero(ok & (t >= band[0]) & (t <= band[1]))
+    assert_same_pairs(got, (ray, t[ray, face]))
+
+
+def per_segment_fraction(oracle, x0, r, normal, n_rays, seed, tol=1e-3):
+    """verify_projection as one segment_hits call per disk point."""
+    v = normal / np.linalg.norm(normal)
+    e1, e2 = geom.orthobasis(v)
+    rng = substream(seed, goodtetra._PROJ_TAG)
+    rad = (r / np.sqrt(2.0)) * np.sqrt(rng.random(n_rays))
+    psi = rng.random(n_rays) * 2.0 * np.pi
+    w = (x0[None] + rad[:, None] * (np.cos(psi)[:, None] * e1[None]
+                                    + np.sin(psi)[:, None] * e2[None]))
+    good = 0
+    for k in range(n_rays):
+        pts = oracle.segment_hits(w[k] - r * v, w[k] + r * v)
+        if len(pts) and (np.linalg.norm(pts - x0[None], axis=1)
+                         <= r * (1.0 + tol)).any():
+            good += 1
+    return good / float(n_rays)
+
+
+@RAY_SETTINGS
+@given(kind=st.sampled_from(["torus", "capsule"]), seed=st.integers(0, 2**32),
+       normal=unit_vectors, r=st.floats(0.02, 2.0), n_rays=st.integers(1, 120))
+def test_witness_fraction_matches_per_segment_loop(kind, seed, normal, r,
+                                                   n_rays):
+    oracle = SurfaceOracle(BACKINGS[kind])
+    x0 = oracle.sample_points(np.random.default_rng(seed), 1)[0]
+    args = (x0, r, normal, n_rays, seed)
+    assert (goodtetra.verify_projection(oracle, *args)
+            == per_segment_fraction(oracle, *args))

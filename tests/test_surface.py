@@ -87,6 +87,40 @@ class TestLoaders:
         path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1/1/1 2/2/2 3/3/3\n")
         assert len(load_mesh(path).faces) == 1
 
+    def test_flipped_face_is_not_watertight(self):
+        base = shapes.icosphere(1)
+        assert base.watertight
+        faces = base.faces.copy()
+        faces[7] = faces[7, ::-1]
+        assert not TriMesh(base.vertices, faces).watertight
+
+    def test_edge_on_three_faces_is_not_watertight(self):
+        base = shapes.icosphere(0)
+        a, b, _ = base.faces[0]
+        fin = np.array([[b, a, len(base.vertices)]])
+        verts = np.concatenate([base.vertices, [[3.0, 0.5, 0.25]]])
+        mesh = TriMesh(verts, np.concatenate([base.faces, fin]))
+        assert not mesh.watertight
+
+    def test_watertight_matches_edge_dict(self, flat_patch):
+        def by_edge_dict(faces):  # the per-edge loop the vectorised test replaced
+            seen = {}
+            for i, j, k in faces:
+                for a, b in ((i, j), (j, k), (k, i)):
+                    seen.setdefault((min(a, b), max(a, b)), []).append(a < b)
+            return all(len(o) == 2 and o[0] != o[1] for o in seen.values())
+
+        base = shapes.icosphere(2)
+        rng = substream(8, 8)
+        for flips in (0, 1, 2):
+            faces = base.faces.copy()
+            pick = rng.choice(len(faces), flips, replace=False)
+            faces[pick] = faces[pick, ::-1]
+            mesh = TriMesh(base.vertices, faces)
+            assert mesh.watertight == by_edge_dict(faces) == (flips == 0)
+        for mesh in (flat_patch, shapes.torus_mesh(2.0, 1.0, 12, 8)):
+            assert mesh.watertight == by_edge_dict(mesh.faces)
+
     def test_zero_area_faces_dropped_with_warning(self, tmp_path):
         path = tmp_path / "degen.obj"
         path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 1 2\n")
@@ -208,7 +242,7 @@ class TestInside:
         pts = rng.uniform(-1.3, 1.3, (1000, 3))
         far = np.array([3.1, 2.9, 3.3])
         for p in pts:
-            crossings = len(icosphere2.segment_hits(p, far))
+            crossings = len(SurfaceOracle(icosphere2).segment_hits(p, far))
             assert icosphere2.inside(p) == (crossings % 2 == 1)
 
     def test_normals_point_inward(self, icosphere2, torus_2_1):
