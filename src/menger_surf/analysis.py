@@ -167,11 +167,11 @@ def _fibonacci_directions(n):
 
 
 def _max_abs_dot(dirs, rel):
-    """max_i |rel_i . dir| for each direction, chunked over directions."""
+    """max_i |rel_i . dir| for each direction, 512 directions per product."""
     out = np.empty(len(dirs))
-    chunk = max(1, int(2.0e7 / max(len(rel), 1)))
-    for s in range(0, len(dirs), chunk):
-        out[s:s + chunk] = np.abs(rel @ dirs[s:s + chunk].T).max(axis=0)
+    for s in range(0, len(dirs), 512):
+        prod = rel @ dirs[s:s + 512].T
+        out[s:s + 512] = np.maximum(prod.max(axis=0), -prod.min(axis=0))
     return out
 
 
@@ -183,7 +183,7 @@ def patch_samples(oracle, x, r, n_patch, seed=0):
     budget = 400
     for k in range(budget):
         rng = substream(seed, _PATCH_TAG, k)
-        block = oracle.sample_points(rng, 8192)
+        block = oracle.sample_points(rng, 8192, (x, r))
         d = block - x
         keep = np.einsum("ij,ij->i", d, d) <= r * r
         pts.append(block[keep])
@@ -245,7 +245,10 @@ def normal_oscillation_profile(oracle, x, scales, pairs_per_scale=400, seed=0):
 
     For each scale d the angle is maximized over sampled surface points y
     with |y - x| in [d/2, d]; the max (not the mean) matches the sup-type
-    oscillation bounds.
+    oscillation bounds.  Each scale stops after pairs_per_scale pairs or 400
+    blocks of 4096 draws, whichever comes first, so small scales may collect
+    fewer pairs (on torus(2, 1) at (3, 0, 0) the scale 0.05 collects 109-138
+    of 400 at seeds 1-3); a scale that collects none raises ValueError.
     """
     x = np.asarray(x, dtype=float)
     scales = sorted(float(s) for s in scales)
@@ -259,7 +262,7 @@ def normal_oscillation_profile(oracle, x, scales, pairs_per_scale=400, seed=0):
         max_osc = 0.0
         for k in range(400):
             rng = substream(seed, _OSC_TAG, si, k)
-            pts, normals = oracle.sample(rng, 4096)
+            pts, normals = oracle.sample(rng, 4096, (x, d))
             dist = np.linalg.norm(pts - x, axis=1)
             keep = (dist >= d / 2.0) & (dist <= d)
             if keep.any():
@@ -268,6 +271,9 @@ def normal_oscillation_profile(oracle, x, scales, pairs_per_scale=400, seed=0):
                 collected += int(keep.sum())
             if collected >= pairs_per_scale:
                 break
+        if collected == 0:
+            raise ValueError(f"no sampled point at distance [{d / 2.0}, {d}] "
+                             f"from x for scale {d}")
         profile.append((d, max_osc))
     return profile
 

@@ -186,7 +186,7 @@ def local_energy(oracle, center, radius, spec, p, n, seed, threads=1):
     k = 0
     while sum(len(a) for a in accepted) < need and drawn < budget:
         rng = substream(seed, _ENERGY_TAG, 1, k)
-        pts = oracle.sample_points(rng, block)
+        pts = oracle.sample_points(rng, block, (center, radius))
         drawn += block
         d = pts - center
         keep = np.einsum("ij,ij->i", d, d) <= radius * radius

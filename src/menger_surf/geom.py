@@ -264,6 +264,14 @@ def angle_between(u, v):
     return float(np.arccos(c))
 
 
+def ball_reach(ball, diameter):
+    """(center, reach) of a ball (center, radius) padded for rounding: a
+    sampler may drop a draw whose point is provably farther than reach, since
+    no rounded test of |point - center| <= radius can then accept it."""
+    center = np.asarray(ball[0], dtype=float)
+    return center, ball[1] * (1.0 + 1e-9) + 1e-12 * (np.abs(center).max() + diameter)
+
+
 # ---------------------------------------------------------------------------
 # direction frames and caps
 # ---------------------------------------------------------------------------

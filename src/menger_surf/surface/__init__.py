@@ -12,6 +12,14 @@ tmax)``: all hits t in [tmin, tmax] of the rays origins + t * dirs[i], as
 (k, 3).  The oracle reduces it to banded first hits (``band_min_hits``),
 the sorted hit points of one segment (``segment_hits``) and, on meshes, the
 parity votes of the inside test.
+
+Every backing samples area-uniformly by ``sample(rng, n, ball=None)``.  A
+ball (center, radius) changes no random draw, so the generator ends in the
+same state: the sampler drops, before forming any point, the draws that
+provably land farther than radius from center (up to a padding for rounding,
+``geom.ball_reach``) and returns the other rows of ``sample(rng, n)``, bit for
+bit and in draw order.  Callers that keep only the points of a patch apply
+their own exact test to what comes back.
 """
 
 from typing import NamedTuple
@@ -89,11 +97,13 @@ class SurfaceOracle:
     def diameter(self):
         return self.backing.diameter
 
-    def sample(self, rng, n):
-        return self.backing.sample(rng, n)
+    def sample(self, rng, n, ball=None):
+        """n area-uniform draws as (points, normals); with a ball (center,
+        radius), only the rows that can land in it (module docstring)."""
+        return self.backing.sample(rng, n, ball)
 
-    def sample_points(self, rng, n):
-        pts, _ = self.backing.sample(rng, n)
+    def sample_points(self, rng, n, ball=None):
+        pts, _ = self.backing.sample(rng, n, ball)
         return pts
 
     def ray_hits(self, origins, dirs, tmin, tmax):

@@ -9,6 +9,7 @@ into the bounded component (inward) where one exists.
 
 import numpy as np
 
+from .. import geom
 from . import shapes
 
 
@@ -84,10 +85,14 @@ class Sphere:
         self.diameter = 2.0 * self.radius
         self._tess = {}
 
-    def sample(self, rng, n):
+    def sample(self, rng, n, ball=None):
         # Archimedes: z uniform on [-rho, rho] is area-uniform
         z = rng.random(n) * 2.0 - 1.0
         phi = rng.random(n) * 2.0 * np.pi
+        if ball is not None:
+            x, reach = geom.ball_reach(ball, self.diameter)
+            keep = np.abs(self.center[2] + self.radius * z - x[2]) <= reach
+            z, phi = z[keep], phi[keep]
         s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
         w = np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
         return self.center + self.radius * w, -w
@@ -143,7 +148,7 @@ class Torus:
         self.diameter = 2.0 * (self.R + self.r)
         self._tess = {}
 
-    def sample(self, rng, n):
+    def sample(self, rng, n, ball=None):
         # minor angle by rejection with weight (R + r cos v)/(R + r): exact
         # area measure r (R + r cos v) du dv
         v = np.empty(0)
@@ -153,6 +158,15 @@ class Torus:
             v = np.concatenate([v, prop[acc]])
         v = v[:n]
         u = rng.random(n) * 2.0 * np.pi
+        if ball is not None:
+            # |p - x| >= 2 sqrt(rho_p rho_x) sin(|u - u_x| / 2), rho_p >= R - r
+            x, reach = geom.ball_reach(ball, self.diameter)
+            chord = 2.0 * np.sqrt((self.R - self.r) * np.hypot(x[0], x[1]))
+            if reach < chord:
+                # | |u - (u_x + pi)| - pi | is the wrapped angle from u to u_x
+                off = np.abs(np.abs(u - (np.arctan2(x[1], x[0]) + np.pi)) - np.pi)
+                keep = off <= 2.0 * np.arcsin(reach / chord) + 1e-9
+                u, v = u[keep], v[keep]
         cu, su = np.cos(u), np.sin(u)
         cv, sv = np.cos(v), np.sin(v)
         pts = np.stack([(self.R + self.r * cv) * cu,
@@ -315,7 +329,7 @@ class SaddlePatch:
         W = np.outer(wx, wx)
         return float(np.sum(W * np.sqrt(1.0 + X**2 + Y**2)))
 
-    def sample(self, rng, n):
+    def sample(self, rng, n, ball=None):
         wmax = np.sqrt(1.0 + 2.0 * self.L**2)
         xy = np.empty((0, 2))
         while len(xy) < n:
@@ -324,6 +338,9 @@ class SaddlePatch:
             acc = rng.random(4096) <= w
             xy = np.concatenate([xy, prop[acc]])
         xy = xy[:n]
+        if ball is not None:
+            c, reach = geom.ball_reach(ball, self.diameter)
+            xy = xy[np.all(np.abs(xy - c[:2]) <= reach, axis=1)]
         x, y = xy[:, 0], xy[:, 1]
         pts = np.stack([x, y, x * y], axis=-1)
         nrm = np.sqrt(1.0 + x**2 + y**2)
@@ -389,13 +406,19 @@ class Capsule:
         """The apex of the +z (or -z) end cap, a convenient seed point."""
         return np.array([0.0, 0.0, sign * (self.half + self.radius)])
 
-    def sample(self, rng, n):
+    def sample(self, rng, n, ball=None):
         u = rng.random(n) * self.total_area
         phi = rng.random(n) * 2.0 * np.pi
         h = rng.random(n)
-        pts = np.empty((n, 3))
-        normals = np.empty((n, 3))
         cyl = u < self.cyl_area
+        if ball is not None:
+            x, reach = geom.ball_reach(ball, self.diameter)
+            top = np.where(u < self.cyl_area + self.cap_area / 2.0, 1.0, -1.0)
+            z = np.where(cyl, (h - 0.5) * self.length, top * (self.half + self.radius * h))
+            keep = np.abs(z - x[2]) <= reach
+            u, phi, h, cyl = u[keep], phi[keep], h[keep], cyl[keep]
+        pts = np.empty((len(u), 3))
+        normals = np.empty((len(u), 3))
         c, s = np.cos(phi), np.sin(phi)
         # cylinder wall
         z = (h[cyl] - 0.5) * self.length

@@ -146,12 +146,18 @@ class TriMesh:
 
     # -- sampling ---------------------------------------------------------------
 
-    def sample(self, rng, n):
-        """Area-uniform surface samples: (points (n,3), normals (n,3))."""
+    def sample(self, rng, n, ball=None):
+        """Area-uniform surface samples: (points (n,3), normals (n,3));
+        with a ball, only the draws on faces whose boxes reach it."""
         u = rng.random(n) * self.total_area
         fi = np.minimum(np.searchsorted(self.cum_areas, u), len(self.faces) - 1)
-        r1 = np.sqrt(rng.random(n))
+        r1 = rng.random(n)
         r2 = rng.random(n)
+        if ball is not None:
+            c, reach = geom.ball_reach(ball, self.diameter)
+            keep = (self.box_distances(c)[0] <= reach)[fi]
+            fi, r1, r2 = fi[keep], r1[keep], r2[keep]
+        r1 = np.sqrt(r1)
         tri = self._tri[fi]
         pts = ((1.0 - r1)[:, None] * tri[:, 0]
                + (r1 * (1.0 - r2))[:, None] * tri[:, 1]

@@ -147,6 +147,13 @@ class TestOscillation:
         for p in (9.0, 16.0, 24.0):
             assert fit.exponent >= analysis.exponents(p)["lambda"]
 
+    def test_empty_scale_is_an_error_not_flat(self, unit_sphere):
+        # 400 blocks of 4096 draws expect ~0.08 points at distance
+        # [0.00025, 0.0005] of x; reporting 0.0 would read as a flat patch
+        with pytest.raises(ValueError, match="scale 0.0005"):
+            analysis.normal_oscillation_profile(unit_sphere, [0, 0, 1],
+                                                [0.0005, 0.001], 400, seed=0)
+
     def test_scale_beyond_diameter(self, unit_sphere):
         with pytest.raises(ValueError, match="exceeds"):
             analysis.normal_oscillation_profile(unit_sphere, [0, 0, 1],
