@@ -31,6 +31,9 @@ _SKIP_ECHO = {"--output", "--threads", "--audit-out", "--mesh-out"}
 # float flags that must be finite and positive in every subcommand that has them
 _POSITIVE_FLAGS = ("p", "radius", "major_radius", "minor_radius", "extent",
                    "length", "patch_radius", "cap", "alpha", "eps", "hit_tol")
+# integer flags and their least values; the good-tetrahedron search casts a
+# quarter of its --rays on the cone's cap and a quarter on its rim
+_INT_FLOORS = {"threads": 1, "rays": 4, "proj_rays": 1}
 
 
 class UsageError(Exception):
@@ -431,12 +434,19 @@ def run(argv):
             value = getattr(args, name, None)
             if value is not None:
                 _positive("--" + name.replace("_", "-"), [value])
+        for name, least in _INT_FLOORS.items():
+            value = getattr(args, name, None)
+            if value is not None and value < least:
+                raise UsageError(f"--{name.replace('_', '-')} must be at least "
+                                 f"{least}, got {value}")
         seed = args.seed
         if seed is None:
             seed = _env_int("MENGER_SEED")
         threads = args.threads
         if threads is None:
             threads = _env_int("MENGER_THREADS") or (os.cpu_count() or 1)
+            if threads < 1:
+                raise UsageError(f"MENGER_THREADS must be positive, got {threads}")
         config, results, table = _RUNNERS[args.subcommand](args, seed, threads)
     except UsageError as exc:
         print(f"menger-surf: {exc}", file=sys.stderr)

@@ -203,28 +203,6 @@ def circumsphere_radius(T):
     return float(r[0])
 
 
-def circumsphere_center(T):
-    """Circumcenter by the equidistance linear system (independent route).
-
-    Solves 2 (x_i - x_0) . c = |x_i|^2 - |x_0|^2; used to cross-check the
-    closed-form radius.
-    """
-    T = as_tetra(T)
-    A = 2.0 * (T[1:] - T[0])
-    b = np.einsum("ij,ij->i", T[1:], T[1:]) - T[0] @ T[0]
-    det = np.linalg.det(A)
-    scale = np.max(np.abs(A)) ** 3 + 1e-300
-    if abs(det) < 1e-14 * scale:
-        raise ValueError("coplanar")
-    return np.linalg.solve(A, b)
-
-
-def circumsphere_radius_solve(T):
-    """Radius from the equidistant-center solve (oracle for the formula)."""
-    T = as_tetra(T)
-    return float(np.linalg.norm(circumsphere_center(T) - T[0]))
-
-
 # ---------------------------------------------------------------------------
 # planes and distances
 # ---------------------------------------------------------------------------

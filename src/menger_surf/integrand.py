@@ -182,31 +182,6 @@ def eval_integrand(spec, T):
     return float(eval_batch(spec, T[None])[0])
 
 
-def menger_cross_form_batch(P):
-    """The cross-product form of the menger integrand on a (n,4,3) stack.
-
-    (1/3) |z3.(z1 x z2)| / ((|z1 x z2| + |z2 x z3| + |z1 x z3| +
-    |(z2-z1) x (z3-z2)|) diam^2), an algebraically identical route to the
-    V/(A diam^2) definition, kept separate as a cross-check.
-    """
-    # row-major, so that its einsum and norm sums keep their order
-    P = np.ascontiguousarray(_canonical_points(np.asarray(P, dtype=float)))
-    z1 = P[:, 1] - P[:, 0]
-    z2 = P[:, 2] - P[:, 0]
-    z3 = P[:, 3] - P[:, 0]
-    c12 = np.cross(z1, z2)
-    num = np.abs(np.einsum("ij,ij->i", z3, c12))
-    csum = (np.linalg.norm(c12, axis=1)
-            + np.linalg.norm(np.cross(z2, z3), axis=1)
-            + np.linalg.norm(np.cross(z1, z3), axis=1)
-            + np.linalg.norm(np.cross(z2 - z1, z3 - z2), axis=1))
-    _, _, diam, _, coplanar = geom.tetra_quantities(P)
-    out = np.zeros(len(P))
-    ok = ~coplanar & (csum > 0.0)
-    out[ok] = num[ok] / (3.0 * csum[ok] * diam[ok] ** 2)
-    return out
-
-
 def lemma_bounds(theta, kappa, d):
     """Lower bounds for the menger integrand on structured tetrahedra.
 

@@ -1,6 +1,7 @@
 """Surface oracles: a uniform interface over analytic shapes and meshes.
 
-An oracle provides total area, area-uniform sampling with oriented normals,
+An oracle provides total area, area-uniform sampling of points with or
+without oriented normals,
 ray queries, an inside test when the surface bounds a volume, and a
 triangulated stand-in for face-based diagnostics.  Oracles are immutable
 after construction and safe to share; random streams are caller-owned and
@@ -20,6 +21,15 @@ provably land farther than radius from center (up to a padding for rounding,
 ``geom.ball_reach``) and returns the other rows of ``sample(rng, n)``, bit for
 bit and in draw order.  Callers that keep only the points of a patch apply
 their own exact test to what comes back.
+
+``sample_points(rng, n, ball=None)`` is the points-only path for callers that
+need no normals (the Monte-Carlo estimators and the patch samples).  It makes
+the same draws, leaves the generator in the same state and returns the rows
+of ``sample(rng, n, ball)[0]`` bit for bit, but forms no normal: each backing
+has one draw core that both paths share (``sampler.AreaSampler``), and the
+oracle's ``sample_points`` never goes through its ``sample``.  Meshes look up
+the face of each area draw in a guide table and form points one coordinate
+column at a time from per-corner coordinate arrays.
 """
 
 from typing import NamedTuple
@@ -103,8 +113,9 @@ class SurfaceOracle:
         return self.backing.sample(rng, n, ball)
 
     def sample_points(self, rng, n, ball=None):
-        pts, _ = self.backing.sample(rng, n, ball)
-        return pts
+        """The points of ``sample(rng, n, ball)``, bit for bit, without forming
+        any normal (module docstring)."""
+        return self.backing.sample_points(rng, n, ball)
 
     def ray_hits(self, origins, dirs, tmin, tmax):
         return self.backing.ray_hits(origins, dirs, tmin, tmax)

@@ -11,6 +11,10 @@ import numpy as np
 
 from .. import geom
 from . import shapes
+from .sampler import AreaSampler
+
+# proposals per block of the rejection samplers
+_BLOCK = 4096
 
 
 def _solve_quadratic_batch(A, B, C):
@@ -75,7 +79,7 @@ def _hits(ts, ok, tmin, tmax):
     return ray, ts[ray, col]
 
 
-class Sphere:
+class Sphere(AreaSampler):
     def __init__(self, radius, center=(0.0, 0.0, 0.0)):
         if not radius > 0.0:
             raise ValueError("radius must be positive")
@@ -85,7 +89,9 @@ class Sphere:
         self.diameter = 2.0 * self.radius
         self._tess = {}
 
-    def sample(self, rng, n, ball=None):
+    def _draw(self, rng, n, ball):
+        """The x, y and z arrays of the outward unit vectors (s cos phi,
+        s sin phi, z)."""
         # Archimedes: z uniform on [-rho, rho] is area-uniform
         z = rng.random(n) * 2.0 - 1.0
         phi = rng.random(n) * 2.0 * np.pi
@@ -94,8 +100,17 @@ class Sphere:
             keep = np.abs(self.center[2] + self.radius * z - x[2]) <= reach
             z, phi = z[keep], phi[keep]
         s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-        w = np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
-        return self.center + self.radius * w, -w
+        return s * np.cos(phi), s * np.sin(phi), z
+
+    def _points(self, *w):
+        pts = np.empty((len(w[2]), 3))
+        for c in range(3):
+            col = np.multiply(self.radius, w[c], out=pts[:, c])
+            col += self.center[c]
+        return pts
+
+    def _normals(self, *w):
+        return -np.stack(w, axis=-1)
 
     def ray_hits(self, origins, dirs, tmin, tmax):
         o = np.asarray(origins, dtype=float) - self.center
@@ -136,7 +151,7 @@ class Sphere:
         return {"kind": "sphere", "radius": self.radius}
 
 
-class Torus:
+class Torus(AreaSampler):
     """Torus of revolution about the z axis: major radius R, minor radius r."""
 
     def __init__(self, major_radius, minor_radius):
@@ -148,15 +163,33 @@ class Torus:
         self.diameter = 2.0 * (self.R + self.r)
         self._tess = {}
 
-    def sample(self, rng, n, ball=None):
-        # minor angle by rejection with weight (R + r cos v)/(R + r): exact
-        # area measure r (R + r cos v) du dv
-        v = np.empty(0)
-        while len(v) < n:
-            prop = rng.random(4096) * 2.0 * np.pi
-            acc = rng.random(4096) <= (self.R + self.r * np.cos(prop)) / (self.R + self.r)
-            v = np.concatenate([v, prop[acc]])
-        v = v[:n]
+    def _minor_angles(self, rng, n):
+        """n minor angles v and their cosines, by rejection with weight
+        (R + r cos v)/(R + r): exact area measure r (R + r cos v) du dv.
+
+        Every block draws its proposals and test values in full, but tests
+        proposals only up to the n-th acceptance: a slice at a time, each
+        slice as long as the missing acceptances need on average.
+        """
+        rate = self.R / (self.R + self.r)  # mean acceptance
+        v, cv, have = [np.empty(0)], [np.empty(0)], 0
+        while have < n:
+            prop = rng.random(_BLOCK) * 2.0 * np.pi
+            test = rng.random(_BLOCK)
+            lo = 0
+            while lo < _BLOCK and have < n:
+                hi = min(_BLOCK, lo + int((n - have) / rate) + 1)
+                c = np.cos(prop[lo:hi])
+                acc = test[lo:hi] <= (self.R + self.r * c) / (self.R + self.r)
+                v.append(prop[lo:hi][acc])
+                cv.append(c[acc])
+                have += len(cv[-1])
+                lo = hi
+        return np.concatenate(v)[:n], np.concatenate(cv)[:n]
+
+    def _draw(self, rng, n, ball):
+        """cos u, sin u, cos v, sin v of the major angles u and minor angles v."""
+        v, cv = self._minor_angles(rng, n)
         u = rng.random(n) * 2.0 * np.pi
         if ball is not None:
             # |p - x| >= 2 sqrt(rho_p rho_x) sin(|u - u_x| / 2), rho_p >= R - r
@@ -166,14 +199,20 @@ class Torus:
                 # | |u - (u_x + pi)| - pi | is the wrapped angle from u to u_x
                 off = np.abs(np.abs(u - (np.arctan2(x[1], x[0]) + np.pi)) - np.pi)
                 keep = off <= 2.0 * np.arcsin(reach / chord) + 1e-9
-                u, v = u[keep], v[keep]
-        cu, su = np.cos(u), np.sin(u)
-        cv, sv = np.cos(v), np.sin(v)
-        pts = np.stack([(self.R + self.r * cv) * cu,
-                        (self.R + self.r * cv) * su,
-                        self.r * sv], axis=-1)
-        outward = np.stack([cv * cu, cv * su, sv], axis=-1)
-        return pts, -outward
+                u, v, cv = u[keep], v[keep], cv[keep]
+        return np.cos(u), np.sin(u), cv, np.sin(v)
+
+    def _points(self, cu, su, cv, sv):
+        pts = np.empty((len(cu), 3))
+        rho = np.multiply(self.r, cv)
+        rho += self.R
+        np.multiply(rho, cu, out=pts[:, 0])
+        np.multiply(rho, su, out=pts[:, 1])
+        np.multiply(self.r, sv, out=pts[:, 2])
+        return pts
+
+    def _normals(self, cu, su, cv, sv):
+        return -np.stack([cv * cu, cv * su, sv], axis=-1)
 
     def _implicit(self, p):
         x, y, z = p[..., 0], p[..., 1], p[..., 2]
@@ -307,7 +346,7 @@ class Torus:
         return {"kind": "torus", "major_radius": self.R, "minor_radius": self.r}
 
 
-class SaddlePatch:
+class SaddlePatch(AreaSampler):
     """Graph of f(x, y) = x*y over the square [-L, L]^2.  Open: no interior."""
 
     def __init__(self, extent):
@@ -329,23 +368,27 @@ class SaddlePatch:
         W = np.outer(wx, wx)
         return float(np.sum(W * np.sqrt(1.0 + X**2 + Y**2)))
 
-    def sample(self, rng, n, ball=None):
+    def _draw(self, rng, n, ball):
+        """The (x, y) coordinates, by rejection with the area element."""
         wmax = np.sqrt(1.0 + 2.0 * self.L**2)
         xy = np.empty((0, 2))
         while len(xy) < n:
-            prop = (rng.random((4096, 2)) * 2.0 - 1.0) * self.L
+            prop = (rng.random((_BLOCK, 2)) * 2.0 - 1.0) * self.L
             w = np.sqrt(1.0 + prop[:, 0]**2 + prop[:, 1]**2) / wmax
-            acc = rng.random(4096) <= w
+            acc = rng.random(_BLOCK) <= w
             xy = np.concatenate([xy, prop[acc]])
         xy = xy[:n]
         if ball is not None:
             c, reach = geom.ball_reach(ball, self.diameter)
             xy = xy[np.all(np.abs(xy - c[:2]) <= reach, axis=1)]
-        x, y = xy[:, 0], xy[:, 1]
-        pts = np.stack([x, y, x * y], axis=-1)
+        return xy[:, 0], xy[:, 1]
+
+    def _points(self, x, y):
+        return np.stack([x, y, x * y], axis=-1)
+
+    def _normals(self, x, y):
         nrm = np.sqrt(1.0 + x**2 + y**2)
-        normals = np.stack([-y / nrm, -x / nrm, 1.0 / nrm], axis=-1)
-        return pts, normals
+        return np.stack([-y / nrm, -x / nrm, 1.0 / nrm], axis=-1)
 
     def ray_hits(self, origins, dirs, tmin, tmax):
         o = np.asarray(origins, dtype=float)
@@ -387,7 +430,7 @@ class SaddlePatch:
         return {"kind": "saddle", "extent": self.L}
 
 
-class Capsule:
+class Capsule(AreaSampler):
     """Cylinder of given length about the z axis capped by two hemispheres."""
 
     def __init__(self, length, radius):
@@ -406,7 +449,10 @@ class Capsule:
         """The apex of the +z (or -z) end cap, a convenient seed point."""
         return np.array([0.0, 0.0, sign * (self.half + self.radius)])
 
-    def sample(self, rng, n, ball=None):
+    def _draw(self, rng, n, ball):
+        """cos phi, sin phi, the height h and the wall mask of every row, and
+        for the cap rows whether they lie on the top cap and their outward
+        unit vectors about the cap centres."""
         u = rng.random(n) * self.total_area
         phi = rng.random(n) * 2.0 * np.pi
         h = rng.random(n)
@@ -417,24 +463,30 @@ class Capsule:
             z = np.where(cyl, (h - 0.5) * self.length, top * (self.half + self.radius * h))
             keep = np.abs(z - x[2]) <= reach
             u, phi, h, cyl = u[keep], phi[keep], h[keep], cyl[keep]
-        pts = np.empty((len(u), 3))
-        normals = np.empty((len(u), 3))
         c, s = np.cos(phi), np.sin(phi)
-        # cylinder wall
-        z = (h[cyl] - 0.5) * self.length
-        pts[cyl] = np.stack([self.radius * c[cyl], self.radius * s[cyl], z], axis=-1)
-        normals[cyl] = np.stack([-c[cyl], -s[cyl], np.zeros(int(cyl.sum()))], axis=-1)
         # end caps: split the remaining area evenly, hemisphere z-uniform
         cap = ~cyl
         top = u[cap] < self.cyl_area + self.cap_area / 2.0
         zc = h[cap]  # uniform in [0, 1] -> hemisphere by Archimedes
         sc = np.sqrt(np.maximum(1.0 - zc * zc, 0.0))
         w = np.stack([sc * c[cap], sc * s[cap], np.where(top, zc, -zc)], axis=-1)
-        centers = np.zeros((int(cap.sum()), 3))
+        return c, s, h, cyl, top, w
+
+    def _points(self, c, s, h, cyl, top, w):
+        pts = np.empty((len(h), 3))
+        # cylinder wall
+        z = (h[cyl] - 0.5) * self.length
+        pts[cyl] = np.stack([self.radius * c[cyl], self.radius * s[cyl], z], axis=-1)
+        centers = np.zeros((len(w), 3))
         centers[:, 2] = np.where(top, self.half, -self.half)
-        pts[cap] = centers + self.radius * w
-        normals[cap] = -w
-        return pts, normals
+        pts[~cyl] = centers + self.radius * w
+        return pts
+
+    def _normals(self, c, s, h, cyl, top, w):
+        normals = np.empty((len(h), 3))
+        normals[cyl] = np.stack([-c[cyl], -s[cyl], np.zeros(int(cyl.sum()))], axis=-1)
+        normals[~cyl] = -w
+        return normals
 
     def ray_hits(self, origins, dirs, tmin, tmax):
         o = np.asarray(origins, dtype=float)

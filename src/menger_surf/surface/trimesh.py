@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 
 from .. import geom
+from .sampler import AreaSampler
 
 # fixed, axis-avoiding directions for the parity votes (deterministic runs)
 _PARITY_DIRS = np.array([
@@ -22,9 +23,11 @@ _COL_BLOCK = 8
 _CONE_SLACK = 1e-9
 # ray x face pairs per kernel call: temporaries of 512 KiB stay in cache
 CHUNK_PAIRS = 1 << 16
+# guide-table steps before a face lookup falls back to binary search
+_GUIDE_STEPS = 4
 
 
-class TriMesh:
+class TriMesh(AreaSampler):
     """Immutable triangle mesh with area tables, face boxes and oriented normals.
 
     ``ray_hits`` tests only the faces that can matter (see there).  Stored
@@ -67,6 +70,16 @@ class TriMesh:
         self.face_areas = areas
         self.cum_areas = np.cumsum(areas)
         self.total_area = float(self.cum_areas[-1])
+        # guide table (Chen and Asau 1974) of one bucket per face: u lies in
+        # bucket int(u * scale), and guide[b] is the first face whose
+        # cumulative area falls in bucket b or later.  Rounding in the bucket
+        # index is monotone in u, so no face left of guide[b] reaches u.
+        self._guide_scale = len(faces) / self.total_area
+        buckets = (self.cum_areas * self._guide_scale).astype(np.intp)
+        self._guide = np.minimum(
+            np.searchsorted(buckets, np.arange(len(faces) + 1)), len(faces) - 1)
+        # _corners[c, k] is coordinate c of corner k of every face, a view
+        self._corners = tri.transpose(2, 1, 0)
         self.face_normals = cross / np.linalg.norm(cross, axis=1)[:, None]
         self._tri = tri
         self._e1 = tri[:, 1] - tri[:, 0]
@@ -146,34 +159,58 @@ class TriMesh:
 
     # -- sampling ---------------------------------------------------------------
 
-    def sample(self, rng, n, ball=None):
-        """Area-uniform surface samples: (points (n,3), normals (n,3));
-        with a ball, only the draws on faces whose boxes reach it."""
-        u = rng.random(n) * self.total_area
-        fi = np.minimum(np.searchsorted(self.cum_areas, u), len(self.faces) - 1)
+    def _draw(self, rng, n, ball):
+        """Face indices and barycentric draws (sqrt r1, r2); with a ball, only
+        the draws on faces whose boxes reach it."""
+        fi = self._face_at(rng.random(n) * self.total_area)
         r1 = rng.random(n)
         r2 = rng.random(n)
         if ball is not None:
             c, reach = geom.ball_reach(ball, self.diameter)
             keep = (self.box_distances(c)[0] <= reach)[fi]
             fi, r1, r2 = fi[keep], r1[keep], r2[keep]
-        r1 = np.sqrt(r1)
-        tri = self._tri[fi]
-        pts = ((1.0 - r1)[:, None] * tri[:, 0]
-               + (r1 * (1.0 - r2))[:, None] * tri[:, 1]
-               + (r1 * r2)[:, None] * tri[:, 2])
-        return pts, self.face_normals[fi].copy()
+        return fi, np.sqrt(r1), r2
+
+    def _face_at(self, u):
+        """The first face whose cumulative area reaches u, for u in
+        [0, total_area]: ``np.searchsorted(cum_areas, u)``, by a guide table.
+
+        Start at the guide entry of u's bucket, which is never right of the
+        answer, and step right while the cumulative area is below u.  Rows
+        still short after a few steps (many tiny faces in one bucket) finish
+        by binary search.
+        """
+        fi = self._guide[(u * self._guide_scale).astype(np.intp)]
+        for _ in range(_GUIDE_STEPS):
+            right = self.cum_areas[fi] < u
+            if not right.any():
+                return fi
+            fi += right
+        rest = np.flatnonzero(self.cum_areas[fi] < u)
+        fi[rest] = np.searchsorted(self.cum_areas, u[rest])
+        return fi
+
+    def _points(self, fi, r1, r2):
+        """(1 - r1) a + r1 (1 - r2) b + r1 r2 c on faces fi with corners a, b,
+        c, summed left to right one coordinate column at a time."""
+        weights = (1.0 - r1, r1 * (1.0 - r2), r1 * r2)
+        pts = np.empty((len(fi), 3))
+        term = np.empty(len(fi))
+        for col, corners in zip(pts.T, self._corners):
+            np.multiply(weights[0], corners[0][fi], out=col)
+            for w, corner in zip(weights[1:], corners[1:]):
+                col += np.multiply(w, corner[fi], out=term)
+        return pts
+
+    def _normals(self, fi, r1, r2):
+        return self.face_normals[fi]
 
     def sample_on_faces(self, face_idx, rng):
         """Uniform barycentric samples on the given faces, one point each."""
         face_idx = np.asarray(face_idx, dtype=np.int64)
-        m = len(face_idx)
-        r1 = np.sqrt(rng.random(m))
-        r2 = rng.random(m)
-        tri = self._tri[face_idx]
-        return ((1.0 - r1)[:, None] * tri[:, 0]
-                + (r1 * (1.0 - r2))[:, None] * tri[:, 1]
-                + (r1 * r2)[:, None] * tri[:, 2])
+        r1 = np.sqrt(rng.random(len(face_idx)))
+        r2 = rng.random(len(face_idx))
+        return self._points(face_idx, r1, r2)
 
     # -- queries ------------------------------------------------------------------
 

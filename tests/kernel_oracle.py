@@ -1,11 +1,14 @@
-"""The (n, 3)-array formulation of the tetrahedron kernel, kept as an oracle.
+"""Oracles for the tetrahedron kernel and the integrands.
 
 ``geom`` and ``integrand`` evaluate the same formulas on coordinate columns
-in chunks, with a sorting network for the canonical vertex order.  The
+in chunks, with a sorting network for the canonical vertex order.  Most
 functions here are the formulation that column kernel replaced: stable
 ``lexsort`` canonicalisation, ``np.cross`` and ``einsum`` on whole (n, 3)
 arrays and a ``sum`` over the stacked face norms.  The column kernel must
-agree with them bit for bit (``tests/test_kernel.py``).
+agree with them bit for bit (``tests/test_kernel.py``).  The last three are
+independent routes to the same quantities, which the tests compare within
+tolerances: the circumcentre by a linear solve, and the menger integrand in
+its cross-product form.
 """
 
 import itertools
@@ -104,4 +107,52 @@ def eval_batch(spec, P):
         out[ok] = volume[ok] / (area[ok] * diam[ok] ** 2)
     else:
         out[ok] = hmin[ok] / diam[ok] ** (2.0 + spec.s)
+    return out
+
+
+def circumsphere_center(T):
+    """Circumcenter by the equidistance linear system (independent route).
+
+    Solves 2 (x_i - x_0) . c = |x_i|^2 - |x_0|^2; used to cross-check the
+    closed-form radius.
+    """
+    T = geom.as_tetra(T)
+    A = 2.0 * (T[1:] - T[0])
+    b = np.einsum("ij,ij->i", T[1:], T[1:]) - T[0] @ T[0]
+    det = np.linalg.det(A)
+    scale = np.max(np.abs(A)) ** 3 + 1e-300
+    if abs(det) < 1e-14 * scale:
+        raise ValueError("coplanar")
+    return np.linalg.solve(A, b)
+
+
+def circumsphere_radius_solve(T):
+    """Radius from the equidistant-center solve (oracle for the formula)."""
+    T = geom.as_tetra(T)
+    return float(np.linalg.norm(circumsphere_center(T) - T[0]))
+
+
+def menger_cross_form_batch(P):
+    """The cross-product form of the menger integrand on a (n,4,3) stack.
+
+    (1/3) |z3.(z1 x z2)| / ((|z1 x z2| + |z2 x z3| + |z1 x z3| +
+    |(z2-z1) x (z3-z2)|) diam^2), an algebraically identical route to the
+    V/(A diam^2) definition, kept separate as a cross-check.
+    """
+    # row-major, so that its einsum and norm sums keep their order
+    P = np.ascontiguousarray(
+        integrand._canonical_points(np.asarray(P, dtype=float)))
+    z1 = P[:, 1] - P[:, 0]
+    z2 = P[:, 2] - P[:, 0]
+    z3 = P[:, 3] - P[:, 0]
+    c12 = np.cross(z1, z2)
+    num = np.abs(np.einsum("ij,ij->i", z3, c12))
+    csum = (np.linalg.norm(c12, axis=1)
+            + np.linalg.norm(np.cross(z2, z3), axis=1)
+            + np.linalg.norm(np.cross(z1, z3), axis=1)
+            + np.linalg.norm(np.cross(z2 - z1, z3 - z2), axis=1))
+    _, _, diam, _, coplanar = geom.tetra_quantities(P)
+    out = np.zeros(len(P))
+    ok = ~coplanar & (csum > 0.0)
+    out[ok] = num[ok] / (3.0 * csum[ok] * diam[ok] ** 2)
     return out

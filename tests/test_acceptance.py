@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from conftest import random_tetrahedra, voluminous_tetrahedra, wide_base_tetrahedra
+from kernel_oracle import menger_cross_form_batch
 from menger_surf import analysis, cli, energy, geom, goodtetra, minimize
-from menger_surf.integrand import (IntegrandSpec, eval_batch,
-                                   lemma_bounds, menger_cross_form_batch)
+from menger_surf.integrand import IntegrandSpec, eval_batch, lemma_bounds
 from menger_surf.rng import substream
 from menger_surf.surface import SurfaceOracle, SurfacePoint, TriMesh, save_obj, shapes
 

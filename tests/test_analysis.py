@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from pytest import approx
 
-from menger_surf import analysis
+from menger_surf import analysis, geom
 from menger_surf.surface import SurfaceOracle, shapes
 
 
@@ -178,3 +179,44 @@ class TestHolderFit:
             analysis.holder_exponent_fit([(0.1, 1.0), (0.2, 2.0)])
         with pytest.raises(ValueError):
             analysis.holder_exponent_fit([(0.1, 1.0), (0.2, 2.0), (-0.3, 1.0)])
+
+
+# beta_number's direction counts: the SVD candidate, each refinement cap, and
+# the Fibonacci grids of levels 0-3
+BETA_DIRECTION_COUNTS = [1, 600] + [500 * 4**k for k in range(4)]
+
+
+def _beta_directions(count, rel):
+    if count == 1:
+        return np.linalg.svd(rel, full_matrices=False)[2][-1:]
+    if count == 600:
+        return geom.cap_fibonacci(np.array([0.0, 0.6, 0.8]), 0.1, 600)
+    return analysis._fibonacci_directions(count)
+
+
+def _check_one_product(count, n_points, seed):
+    rel = 0.2 * np.random.default_rng(seed).standard_normal((n_points, 3))
+    dirs = _beta_directions(count, rel)
+    prod = rel @ dirs.T
+    want = np.maximum(prod.max(axis=0), -prod.min(axis=0))
+    assert np.array_equal(analysis._max_abs_dot(dirs, rel), want), n_points
+
+
+# _max_abs_dot works in blocks of 512 directions.  BLAS rounds a block that
+# ends 1-15 columns past a multiple of 512 differently from one product over
+# all directions, for some small patch sizes; no count beta_number uses makes
+# such a block, and these tests pin that.
+@pytest.mark.parametrize("count", BETA_DIRECTION_COUNTS)
+def test_max_abs_dot_equals_one_product_small_patches(count):
+    for n_points in range(1, 65):
+        _check_one_product(count, n_points, n_points)
+
+
+@pytest.mark.parametrize("count", BETA_DIRECTION_COUNTS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32))
+def test_max_abs_dot_equals_one_product(count, data, seed):
+    """Up to beta's 4000 patch points, fewer where one product over all
+    directions would pass 2^22 entries."""
+    _check_one_product(
+        count, data.draw(st.integers(1, min(4000, (1 << 22) // count))), seed)

@@ -214,3 +214,23 @@ class TestExitCodes:
         argv = [ico_obj if a == "MESH" else a for a in argv]
         assert cli.run(argv + ["--seed", "0"]) == 2
         assert capsys.readouterr().err.startswith("menger-surf: ")
+
+    @pytest.mark.parametrize("name,flag,value", [
+        ("energy", "--threads", "0"),
+        ("energy", "--threads", "-3"),
+        ("goodtetra", "--rays", "0"),
+        ("goodtetra", "--rays", "3"),
+        ("goodtetra", "--proj-rays", "0"),
+    ])
+    def test_integer_flag_below_floor(self, capsys, tmp_path, name, flag,
+                                      value):
+        argv = QUICK[name] + [flag, value]  # the last occurrence wins
+        code, out = run_to_file(tmp_path, "bad.json", argv)
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("menger-surf: ") and "at least" in err
+
+    def test_negative_thread_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("MENGER_THREADS", "-3")
+        assert cli.run(QUICK["energy"]) == 2
+        assert "MENGER_THREADS" in capsys.readouterr().err

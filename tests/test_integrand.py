@@ -5,10 +5,10 @@ import pytest
 from pytest import approx
 
 from conftest import random_tetrahedra, voluminous_tetrahedra, wide_base_tetrahedra
+from kernel_oracle import menger_cross_form_batch
 from menger_surf import geom
 from menger_surf.integrand import (IntegrandSpec, eval_batch, eval_integrand,
-                                   lemma_bounds, mean_value,
-                                   menger_cross_form_batch)
+                                   lemma_bounds, mean_value)
 
 REG_TET = np.array([
     [0.0, 0.0, 0.0],

@@ -1,4 +1,5 @@
-"""Ball-culled sampling returns exactly the rows of the full sample it can keep."""
+"""Samplers against the bodies they replaced, and ball-culled sampling
+against the full sample it culls."""
 
 import functools
 
@@ -11,6 +12,8 @@ from menger_surf.integrand import IntegrandSpec
 from menger_surf.rng import substream
 from menger_surf.surface import SurfaceOracle, TriMesh, shapes
 from menger_surf.surface.analytic import Capsule, SaddlePatch, Sphere, Torus
+
+import sample_oracle
 
 SAMPLE_SETTINGS = settings(max_examples=300, deadline=None)
 CALLER_SETTINGS = settings(max_examples=12, deadline=None)
@@ -81,6 +84,113 @@ def test_ball_keeps_full_sample_rows(kind, where, rel_radius, n, seed):
     near = ((np.einsum("ij,ij->i", d, d) <= r * r)
             | (np.linalg.norm(d, axis=1) <= r))
     assert np.isin(np.flatnonzero(near), rows).all()
+
+
+@SAMPLE_SETTINGS
+@given(kind=st.sampled_from(BACKINGS),
+       where=st.sampled_from(["none", "on", "near", "edge", "box"]),
+       rel_radius=st.floats(-6.0, 0.0).map(lambda e: 10.0**e),
+       n=st.integers(0, 9000), seed=st.integers(0, 2**32))
+def test_samplers_match_oracle(kind, where, rel_radius, n, seed):
+    surf = backing(kind)
+    ball = None
+    if where != "none":
+        r = 3.0 * surf.diameter * rel_radius
+        pts = sample_oracle.sample(surf, substream(seed, 5), 64)[0]
+        ball = (_center(surf, pts, where, r, seed), r)
+    ref_rng, both_rng, pts_rng = (substream(seed, 4) for _ in range(3))
+    ref_pts, ref_nrm = sample_oracle.sample(surf, ref_rng, n, ball)
+    got_pts, got_nrm = surf.sample(both_rng, n, ball)
+    only_pts = surf.sample_points(pts_rng, n, ball)
+    for got in (got_pts, got_nrm, only_pts):
+        assert got.shape == ref_pts.shape and got.dtype == np.float64
+    assert np.array_equal(got_pts, ref_pts) and np.array_equal(got_nrm, ref_nrm)
+    assert np.array_equal(only_pts, ref_pts)
+    # the same draws: every generator ends in the same state
+    end = ref_rng.random(4)
+    assert np.array_equal(both_rng.random(4), end)
+    assert np.array_equal(pts_rng.random(4), end)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["mesh", "kink"]), seed=st.integers(0, 2**32),
+       n=st.integers(0, 2000))
+def test_sample_on_faces_matches_oracle(kind, seed, n):
+    surf = backing(kind)
+    faces = np.random.default_rng(seed).integers(len(surf.faces), size=n)
+    rng, ref_rng = substream(seed, 6), substream(seed, 6)
+    got = surf.sample_on_faces(faces, rng)
+    assert np.array_equal(got, sample_oracle.mesh_on_faces(surf, faces, ref_rng))
+    assert np.array_equal(rng.random(4), ref_rng.random(4))
+
+
+def test_sample_points_forms_no_normal(monkeypatch):
+    """The oracle's points path reaches neither ``sample`` (so a traced
+    ``surface.sample`` span never nests) nor any backing's normals."""
+    def refuse(*args):
+        raise AssertionError("normals formed")
+
+    monkeypatch.setattr(SurfaceOracle, "sample", refuse)
+    for kind in BACKINGS:
+        monkeypatch.setattr(type(backing(kind)), "_normals", refuse)
+    for kind in BACKINGS:
+        surf = backing(kind)
+        x = sample_oracle.sample(surf, substream(0, 1), 1)[0][0]
+        for ball in (None, (x, 0.1 * surf.diameter)):
+            assert len(SurfaceOracle(surf).sample_points(substream(0, 2), 500,
+                                                         ball)) > 0
+
+
+def _sliver_mesh(rng, tiny):
+    """One large face with `tiny` faces of 1e-12 of its area on either side
+    of it in the face list, so that they share one or two guide buckets."""
+    big = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0]])
+    small = rng.random((2 * tiny, 1, 3)) * 5.0 + np.array(
+        [[0.0, 0.0, 2.0], [1e-5, 0.0, 2.0], [0.0, 1e-5, 2.0]])
+    tris = np.concatenate([small[:tiny], big[None], small[tiny:]])
+    return TriMesh(tris.reshape(-1, 3), np.arange(3 * len(tris)).reshape(-1, 3))
+
+
+def _random_soup(rng, m):
+    """m unconnected triangles with areas spread over eight decades."""
+    tris = rng.random((m, 3, 3)) * 10.0 ** rng.uniform(-4.0, 0.0, (m, 1, 1))
+    return TriMesh(tris.reshape(-1, 3), np.arange(3 * m).reshape(-1, 3))
+
+
+def _grid(m):
+    """m half-unit right triangles on an integer grid: every cumulative area
+    times the guide scale (2) is an integer, so each lies on a bucket edge."""
+    x = np.arange(m + 1, dtype=float)
+    verts = np.concatenate([np.stack([x, 0 * x, 0 * x], axis=1),
+                            np.stack([x, 0 * x + 1.0, 0 * x], axis=1)])
+    i = np.arange(m)
+    faces = np.stack([i, i + 1, i + m + 1], axis=1)
+    faces[1::2] = np.stack([i + 1, i + m + 2, i + m + 1], axis=1)[1::2]
+    return TriMesh(verts, faces)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["sliver", "soup", "grid", "mesh", "kink"]),
+       size=st.integers(1, 3000), seed=st.integers(0, 2**32))
+def test_guide_lookup_equals_searchsorted(kind, size, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "sliver":
+        surf = _sliver_mesh(rng, size)
+    elif kind == "soup":
+        surf = _random_soup(rng, size)
+    elif kind == "grid":
+        surf = _grid(size)
+    else:
+        surf = backing(kind)
+    cum, total = surf.cum_areas, surf.total_area
+    # every cumulative area, its neighbours, the ends, and uniform draws
+    u = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, np.inf),
+                        [0.0, total, np.nextafter(total, 0.0)],
+                        np.nextafter(total, 0.0) - np.arange(64) * 1e-16 * total,
+                        rng.random(4096) * total, cum[:1] * rng.random(64)])
+    u = rng.permutation(np.clip(u, 0.0, total))
+    want = np.minimum(np.searchsorted(cum, u), len(cum) - 1)
+    assert np.array_equal(surf._face_at(u), want)
 
 
 @pytest.mark.parametrize("kind", BACKINGS)
