@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geom
-from .rng import substream
+from .rng import blocks, substream
 from .surface.trimesh import _point_tri_sqdist
 
 _PATCH_TAG = 0x50415443
@@ -175,23 +175,33 @@ def _max_abs_dot(dirs, rel):
     return out
 
 
+def _ball_points(oracle, x, r, need, stream, block, budget, threads=1):
+    """Surface points in B(x, r) by rejection, and the number of blocks drawn.
+
+    Block k draws ``block`` ball-culled points from ``substream(*stream, k)``;
+    blocks are read until ``need`` points are kept or ``budget`` are drawn."""
+    def work(k):
+        pts = oracle.sample_points(substream(*stream, k), block, (x, r))
+        d = pts - x
+        return pts[np.einsum("ij,ij->i", d, d) <= r * r]
+
+    kept = []
+    have = 0
+    for pts in blocks(work, budget, threads):
+        kept.append(pts)
+        have += len(pts)
+        if have >= need:
+            break
+    return np.concatenate(kept) if kept else np.empty((0, 3)), len(kept)
+
+
 def patch_samples(oracle, x, r, n_patch, seed=0):
     """Up to n_patch area-uniform samples of the patch inside B(x, r)."""
+    if n_patch < 1:
+        raise ValueError("need a positive patch sample count")
     x = np.asarray(x, dtype=float)
-    pts = []
-    have = 0
-    budget = 400
-    for k in range(budget):
-        rng = substream(seed, _PATCH_TAG, k)
-        block = oracle.sample_points(rng, 8192, (x, r))
-        d = block - x
-        keep = np.einsum("ij,ij->i", d, d) <= r * r
-        pts.append(block[keep])
-        have += int(keep.sum())
-        if have >= n_patch:
-            break
-    pts = np.concatenate(pts) if pts else np.empty((0, 3))
-    return pts[:n_patch]
+    return _ball_points(oracle, x, r, n_patch, (seed, _PATCH_TAG), 8192,
+                        400)[0][:n_patch]
 
 
 def beta_number(oracle, x, r, n_patch=4000, grid_level=1, seed=0):
@@ -250,25 +260,29 @@ def normal_oscillation_profile(oracle, x, scales, pairs_per_scale=400, seed=0):
     fewer pairs (on torus(2, 1) at (3, 0, 0) the scale 0.05 collects 109-138
     of 400 at seeds 1-3); a scale that collects none raises ValueError.
     """
+    if pairs_per_scale < 1:
+        raise ValueError("need a positive pair count")
     x = np.asarray(x, dtype=float)
     scales = sorted(float(s) for s in scales)
     if any(s > oracle.diameter for s in scales):
         raise ValueError("scale exceeds surface diameter")
     n0 = oracle.normal_at(x)
 
+    def work(k, si, d):
+        pts, normals = oracle.sample(substream(seed, _OSC_TAG, si, k), 4096,
+                                     (x, d))
+        dist = np.linalg.norm(pts - x, axis=1)
+        keep = (dist >= d / 2.0) & (dist <= d)
+        cosang = np.clip(normals[keep] @ n0, -1.0, 1.0)
+        return len(cosang), float(np.arccos(cosang).max(initial=0.0))
+
     profile = []
     for si, d in enumerate(scales):
         collected = 0
         max_osc = 0.0
-        for k in range(400):
-            rng = substream(seed, _OSC_TAG, si, k)
-            pts, normals = oracle.sample(rng, 4096, (x, d))
-            dist = np.linalg.norm(pts - x, axis=1)
-            keep = (dist >= d / 2.0) & (dist <= d)
-            if keep.any():
-                cosang = np.clip(normals[keep] @ n0, -1.0, 1.0)
-                max_osc = max(max_osc, float(np.arccos(cosang).max()))
-                collected += int(keep.sum())
+        for count, osc in blocks(lambda k: work(k, si, d), 400):
+            collected += count
+            max_osc = max(max_osc, osc)
             if collected >= pairs_per_scale:
                 break
         if collected == 0:

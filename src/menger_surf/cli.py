@@ -31,9 +31,14 @@ _SKIP_ECHO = {"--output", "--threads", "--audit-out", "--mesh-out"}
 # float flags that must be finite and positive in every subcommand that has them
 _POSITIVE_FLAGS = ("p", "radius", "major_radius", "minor_radius", "extent",
                    "length", "patch_radius", "cap", "alpha", "eps", "hit_tol")
-# integer flags and their least values; the good-tetrahedron search casts a
-# quarter of its --rays on the cone's cap and a quarter on its rim
-_INT_FLOORS = {"threads": 1, "rays": 4, "proj_rays": 1}
+# integer flags and their (least, greatest) values.  The good-tetrahedron
+# search casts a quarter of its --rays on the cone's cap and a quarter on its
+# rim.  Each --grid-level step quadruples beta's directions and each --depth
+# step doubles density's straddling faces; the caps bound time and memory.
+_INT_RANGES = {"threads": (1, math.inf), "rays": (4, math.inf),
+               "proj_rays": (1, math.inf), "samples": (1, math.inf),
+               "pairs": (1, math.inf), "patch_samples": (1, math.inf),
+               "iters": (1, math.inf), "grid_level": (0, 6), "depth": (0, 10)}
 
 
 class UsageError(Exception):
@@ -65,6 +70,16 @@ def _positive(flag, vals):
         if not (math.isfinite(v) and v > 0.0):
             raise UsageError(f"{flag} must be finite and positive, got {v!r}")
     return vals
+
+
+def _check_int_ranges(args):
+    """Raise UsageError for an integer flag outside its range."""
+    for name, (least, most) in _INT_RANGES.items():
+        value = getattr(args, name, None)
+        if value is not None and not least <= value <= most:
+            bound = f"at least {least}" if value < least else f"at most {most}"
+            raise UsageError(f"--{name.replace('_', '-')} must be {bound}, "
+                             f"got {value}")
 
 
 def _add_surface_flags(sp):
@@ -434,11 +449,7 @@ def run(argv):
             value = getattr(args, name, None)
             if value is not None:
                 _positive("--" + name.replace("_", "-"), [value])
-        for name, least in _INT_FLOORS.items():
-            value = getattr(args, name, None)
-            if value is not None and value < least:
-                raise UsageError(f"--{name.replace('_', '-')} must be at least "
-                                 f"{least}, got {value}")
+        _check_int_ranges(args)
         seed = args.seed
         if seed is None:
             seed = _env_int("MENGER_SEED")

@@ -2,19 +2,21 @@
 
 The energy of a surface is the integral of integrand^p over independent
 area-uniform quadruples, i.e. (total_area)^4 times the mean of integrand^p.
-Sampling is split into fixed-size chunks, each fed by its own counter-based
-stream, and partial sums are reduced in chunk order, so the estimate is a
-pure function of (seed, n, spec, p, surface) independent of the worker count.
+Quadruples come in blocks from ``rng.blocks``, one counter-based stream per
+block.  A global estimate merges the statistics of all its blocks pairwise in
+block order; a local one reads blocks until enough points land in its patch.
+Either way the estimate is a pure function of (seed, n, spec, p, surface),
+independent of the worker count.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import _ball_points
 from .geom import orthobasis
 from .integrand import IntegrandSpec, eval_batch
-from .rng import CHUNK, chunk_sizes, substream
+from .rng import CHUNK, blocks, substream
 from .surface import SurfaceOracle
 
 _ENERGY_TAG = 0x4D504E52  # stream namespace for energy estimators
@@ -71,34 +73,31 @@ def _merge_stats(a, b):
     return n, mean, m2
 
 
-def _chunk_stats(draw_values, sizes, threads):
-    """Per-chunk (count, mean, squared deviations), merged in chunk order.
+def _moments(vals):
+    """(count, mean, squared deviations) of integrand values.  Deviations are
+    taken against the values' own mean, so the constant integrand reports
+    (near-)zero variance, not the cancellation noise of a sum of squares."""
+    if not np.all(np.isfinite(vals)):
+        raise FloatingPointError("non-finite integrand value encountered")
+    mean = float(vals.mean())
+    dev = vals - mean
+    return len(vals), mean, float(dev @ dev)
 
-    Deviations are taken against each chunk's own mean, so the constant
-    integrand really does report (near-)zero variance instead of the
-    cancellation noise of a global sum-of-squares.
-    """
-    def work(args):
-        k, m = args
-        vals = draw_values(k, m)
-        if not np.all(np.isfinite(vals)):
-            raise FloatingPointError(
-                "non-finite integrand value encountered (geometry bug)")
-        mean = float(vals.mean())
-        dev = vals - mean
-        return len(vals), mean, float(dev @ dev)
 
-    jobs = list(enumerate(sizes))
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, jobs))
-    else:
-        parts = [work(j) for j in jobs]
+def _chunk_stats(draw_values, n, threads):
+    """Mean and standard error of n values drawn in chunks of CHUNK, from the
+    moments of each chunk merged pairwise in chunk order."""
+    n = int(n)
+
+    def work(k):
+        return _moments(draw_values(k, min(CHUNK, n - k * CHUNK)))
+
+    parts = list(blocks(work, -(-n // CHUNK), threads))
     while len(parts) > 1:
         parts = [_merge_stats(parts[i], parts[i + 1])
                  if i + 1 < len(parts) else parts[i]
                  for i in range(0, len(parts), 2)]
-    return parts[0]
+    return _mean_and_stderr(parts[0])
 
 
 def _mean_and_stderr(stats):
@@ -155,8 +154,7 @@ def estimate_mp(oracle, spec, p, n, seed, threads=1, stratify_by_face=False,
             return _integrand_fn(pts)
         return eval_batch(spec, pts) ** p
 
-    stats = _chunk_stats(draw_values, chunk_sizes(n), threads)
-    mean, stderr = _mean_and_stderr(stats)
+    mean, stderr = _chunk_stats(draw_values, n, threads)
     a4 = oracle.total_area ** 4
     return EnergyEstimate(a4 * mean, a4 * stderr, n, int(seed), float(p), spec)
 
@@ -169,7 +167,8 @@ def local_energy(oracle, center, radius, spec, p, n, seed, threads=1):
     and the estimate is (patch_area)^4 * mean over accepted quadruples.  Its
     error bar covers both factors by the delta method: the squared relative
     error of the mean, plus 16 (1 - q) / (q * drawn) for the binomial
-    fraction q raised to the 4th power.
+    fraction q raised to the 4th power.  The draws run in blocks on
+    ``threads`` workers; the estimate does not depend on their number.
     """
     n = int(n)
     if n < 1:
@@ -178,32 +177,18 @@ def local_energy(oracle, center, radius, spec, p, n, seed, threads=1):
         raise ValueError("radius must be positive")
     center = np.asarray(center, dtype=float)
 
-    need = 4 * n
-    accepted = []
-    drawn = 0
     block = 4 * CHUNK
-    budget = max(200 * need, 10**6)
-    k = 0
-    while sum(len(a) for a in accepted) < need and drawn < budget:
-        rng = substream(seed, _ENERGY_TAG, 1, k)
-        pts = oracle.sample_points(rng, block, (center, radius))
-        drawn += block
-        d = pts - center
-        keep = np.einsum("ij,ij->i", d, d) <= radius * radius
-        accepted.append(pts[keep])
-        k += 1
-    pts = np.concatenate(accepted) if accepted else np.empty((0, 3))
+    # blocks of up to 200 draws per needed point, and at least 10^6 draws
+    budget = -(-max(200 * 4 * n, 10**6) // block)
+    pts, n_blocks = _ball_points(oracle, center, radius, 4 * n,
+                                 (seed, _ENERGY_TAG, 1), block, budget, threads)
     if len(pts) < 100:
         raise ValueError("patch too small for requested n")
     n_quads = min(n, len(pts) // 4)
     quads = pts[:4 * n_quads].reshape(n_quads, 4, 3)
-    vals = eval_batch(spec, quads) ** p
-    if not np.all(np.isfinite(vals)):
-        raise FloatingPointError("non-finite integrand value encountered")
+    mean, stderr = _mean_and_stderr(_moments(eval_batch(spec, quads) ** p))
+    drawn = n_blocks * block
     q = len(pts) / drawn
-    mean_c = float(vals.mean())
-    dev = vals - mean_c
-    mean, stderr = _mean_and_stderr((n_quads, mean_c, float(dev @ dev)))
     a4 = (oracle.total_area * q) ** 4
     value = a4 * mean
     area_rel = 4.0 * np.sqrt((1.0 - q) / (q * drawn))
@@ -299,6 +284,8 @@ def divergence_study(alpha, p, mean, eps, n_max, samples, seed, threads=1):
         raise ValueError("eps must lie in (0, 1)")
     if not 1 <= int(n_max) <= 8:
         raise ValueError("n_max must lie in 1..8")
+    if int(samples) < 1:
+        raise ValueError("need a positive sample count")
     spec = IntegrandSpec(kind="leger", mean=mean, alpha=float(alpha))
 
     rows = []
@@ -316,8 +303,7 @@ def divergence_study(alpha, p, mean, eps, n_max, samples, seed, threads=1):
             quads[:, 3] = _XI
             return eval_batch(spec, quads) ** p
 
-        stats = _chunk_stats(draw_values, chunk_sizes(samples), threads)
-        mval, stderr = _mean_and_stderr(stats)
+        mval, stderr = _chunk_stats(draw_values, samples, threads)
         rows.append(DivergenceRow(n_idx, r_n, measure * mval, measure * stderr))
 
     logs_r = np.log([row.r_n for row in rows])

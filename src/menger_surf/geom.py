@@ -21,7 +21,6 @@ import numpy as np
 TRI_DEGENERACY_REL = 1e-14
 TET_COPLANARITY_REL = 1e-12
 
-_TET_PAIRS = list(itertools.combinations(range(4), 2))
 _PERMS4 = np.array(list(itertools.permutations(range(4))))
 
 
@@ -295,29 +294,18 @@ def classify_voluminous(T, theta, d):
 def classify_voluminous_batch(P, theta, d):
     P = np.asarray(P, dtype=float)
     x0 = P[:, 0]
-    ok = np.ones(len(P), dtype=bool)
-    for i in (1, 2, 3):
-        ok &= _norm(P[:, i] - x0) <= 2.0 * d
-    for i, j in _TET_PAIRS:
-        ok &= _norm(P[:, i] - P[:, j]) >= theta * d
+    ok = classify_wide_batch(P[:, :3], theta, d)
+    ok &= _norm(P[:, 3] - x0) <= 2.0 * d
+    for i in (0, 1, 2):
+        ok &= _norm(P[:, i] - P[:, 3]) >= theta * d
 
-    u = P[:, 1] - x0
-    v = P[:, 2] - x0
-    nu, nv = _norm(u), _norm(v)
-    nz = (nu > 0.0) & (nv > 0.0)
-    cosang = np.ones(len(P))
-    cosang[nz] = np.einsum("ij,ij->i", u[nz], v[nz]) / (nu[nz] * nv[nz])
-    ang = np.arccos(np.clip(cosang, -1.0, 1.0))
-    ok &= nz & (ang >= theta) & (ang <= np.pi - theta)
-
-    cross = np.cross(u, v)
+    cross = np.cross(P[:, 1] - x0, P[:, 2] - x0)
     ncross = _norm(cross)
     base_ok = ncross > 0.0
     dist = np.zeros(len(P))
     w = P[:, 3] - x0
     dist[base_ok] = np.abs(np.einsum("ij,ij->i", w[base_ok], cross[base_ok])) / ncross[base_ok]
-    ok &= base_ok & (dist >= theta * d)
-    return ok
+    return ok & base_ok & (dist >= theta * d)
 
 
 def classify_wide(tri, theta, d):

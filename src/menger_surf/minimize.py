@@ -52,16 +52,15 @@ class OptimizerState:
     audit: list = field(repr=False)
     self_intersecting: bool = False
 
-    def audit_rows(self):
-        return [{"iteration": it, "objective": ob, "constraint_value": cv,
-                 "accepted": acc} for it, ob, cv, acc in self.audit]
-
 
 def vertex_weights(vertices, faces):
     """Lumped vertex weights: one third of each incident face area."""
-    areas = tri_areas(vertices[faces])
-    w = np.zeros(len(vertices))
-    np.add.at(w, faces.ravel(), np.repeat(areas / 3.0, 3))
+    return _lumped_weights(tri_areas(vertices[faces]), faces, len(vertices))
+
+
+def _lumped_weights(face_areas, faces, n_verts):
+    w = np.zeros(n_verts)
+    np.add.at(w, faces.ravel(), np.repeat(face_areas / 3.0, 3))
     return w
 
 
@@ -74,12 +73,9 @@ def discrete_energy(mesh, config):
     indices proportionally to their weights.
     """
     verts = mesh.vertices
-    faces = mesh.faces
-    w = vertex_weights(verts, faces)
     if config.quadrature == "all_vertex_quadruples":
-        combos, cols, _ = _combos(len(verts))
-        kp = eval_batch(_MENGER, np.take(verts, combos, axis=0)) ** config.p
-        return 24.0 * float(np.sum(_weight_products(w, cols) * kp))
+        return _EnergyTable(verts, mesh.faces, config.p).energy()
+    w = vertex_weights(verts, mesh.faces)
     rng = substream(config.seed, _ANNEAL_TAG, 0xBEEF)
     prob = w / w.sum()
     idx = rng.choice(len(verts), size=(config.n_samples, 4), p=prob)
@@ -131,8 +127,7 @@ class _EnergyTable:
         return float(self.face_areas.sum())
 
     def energy(self):
-        w = np.zeros(len(self.verts))
-        np.add.at(w, self.faces.ravel(), np.repeat(self.face_areas / 3.0, 3))
+        w = _lumped_weights(self.face_areas, self.faces, len(self.verts))
         return 24.0 * float(np.sum(_weight_products(w, self.combo_cols) * self.kp))
 
     def move(self, vi, new_pos):

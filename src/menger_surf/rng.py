@@ -1,10 +1,12 @@
-"""Counter-based random streams for reproducible, worker-independent sampling.
+"""Counter-based random streams and the ordered block driver.
 
-Every Monte-Carlo loop in this package is partitioned into fixed-size chunks.
-Chunk ``k`` draws all of its randomness from ``substream(seed, tag, k)`` and
-partial results are merged pairwise in chunk order, so an estimate depends
-only on ``(seed, n)`` and never on how many workers ran the chunks.
+Every Monte-Carlo and rejection loop in this package reads its blocks from
+``blocks``, and block ``k`` draws all of its randomness from its own
+``substream(seed, tag, ..., k)`` (Salmon et al., SC 2011), so a result
+depends only on the seed and the request, never on the worker count.
 """
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -37,10 +39,17 @@ def substream(seed, *path):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def chunk_sizes(n, chunk=CHUNK):
-    """Sizes of the successive chunks covering ``n`` samples."""
-    n = int(n)
-    sizes = [chunk] * (n // chunk)
-    if n % chunk:
-        sizes.append(n % chunk)
-    return sizes
+def blocks(work, count, threads=1):
+    """Yield ``work(0), work(1), ..., work(count - 1)`` in block order.
+
+    With ``threads > 1`` the blocks run in waves of ``threads`` on a thread
+    pool.  The reader may stop at any block; what it read is then what the
+    serial loop yields, and at most ``threads - 1`` further blocks ran for
+    nothing.
+    """
+    if not threads or threads < 2:
+        yield from map(work, range(count))
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for start in range(0, count, threads):
+            yield from pool.map(work, range(start, min(start + threads, count)))

@@ -82,25 +82,21 @@ class TriMesh(AreaSampler):
         self._corners = tri.transpose(2, 1, 0)
         self.face_normals = cross / np.linalg.norm(cross, axis=1)[:, None]
         self._tri = tri
-        self._e1 = tri[:, 1] - tri[:, 0]
-        self._e2 = tri[:, 2] - tri[:, 0]
-        self._cross_norm = 2.0 * areas
         # precomputed plane + barycentric gradients: ray batches then reduce
         # to matrix products instead of per-pair cross products
-        self._fc = cross
-        e11 = np.einsum("ij,ij->i", self._e1, self._e1)
-        e22 = np.einsum("ij,ij->i", self._e2, self._e2)
-        e12 = np.einsum("ij,ij->i", self._e1, self._e2)
+        v0 = tri[:, 0]
+        e1 = tri[:, 1] - v0
+        e2 = tri[:, 2] - v0
+        e11 = np.einsum("ij,ij->i", e1, e1)
+        e22 = np.einsum("ij,ij->i", e2, e2)
+        e12 = np.einsum("ij,ij->i", e1, e2)
         gram_det = np.maximum(e11 * e22 - e12 * e12, 1e-300)
-        self._g1 = (e22[:, None] * self._e1 - e12[:, None] * self._e2) / gram_det[:, None]
-        self._g2 = (e11[:, None] * self._e2 - e12[:, None] * self._e1) / gram_det[:, None]
-        self._v0 = tri[:, 0]
-        self._v0c = np.einsum("ij,ij->i", self._v0, self._fc)
-        self._v0g1 = np.einsum("ij,ij->i", self._v0, self._g1)
-        self._v0g2 = np.einsum("ij,ij->i", self._v0, self._g2)
-        self._kernel_arrays = (self._fc, self._v0c, self._g1, self._g2,
-                               self._v0g1, self._v0g2,
-                               np.linalg.norm(self._fc, axis=1))
+        g1 = (e22[:, None] * e1 - e12[:, None] * e2) / gram_det[:, None]
+        g2 = (e11[:, None] * e2 - e12[:, None] * e1) / gram_det[:, None]
+        self._kernel_arrays = (cross, np.einsum("ij,ij->i", v0, cross), g1, g2,
+                               np.einsum("ij,ij->i", v0, g1),
+                               np.einsum("ij,ij->i", v0, g2),
+                               np.linalg.norm(cross, axis=1))
         # face boxes, padded past the ray kernel's barycentric slack so that
         # no cull drops a face the kernel would report a hit on
         lo, hi = tri.min(axis=1), tri.max(axis=1)

@@ -122,6 +122,12 @@ class TestBeta:
         with pytest.raises(ValueError, match="empty patch"):
             analysis.beta_number(unit_sphere, [0.0, 0.0, 5.0], 0.1, 100, 0)
 
+    @pytest.mark.parametrize("n_patch", [0, -5])
+    def test_patch_sample_count_below_one(self, unit_sphere, n_patch):
+        # a negative count once sliced all but the last points of a block
+        with pytest.raises(ValueError, match="positive"):
+            analysis.patch_samples(unit_sphere, [0.0, 0.0, 1.0], 0.3, n_patch)
+
 
 class TestOscillation:
     def test_flat_patch_zero(self, flat_oracle):
@@ -154,6 +160,12 @@ class TestOscillation:
         with pytest.raises(ValueError, match="scale 0.0005"):
             analysis.normal_oscillation_profile(unit_sphere, [0, 0, 1],
                                                 [0.0005, 0.001], 400, seed=0)
+
+    @pytest.mark.parametrize("pairs", [0, -4])
+    def test_pair_count_below_one(self, unit_sphere, pairs):
+        with pytest.raises(ValueError, match="positive"):
+            analysis.normal_oscillation_profile(unit_sphere, [0, 0, 1],
+                                                [0.1, 0.2], pairs, seed=0)
 
     def test_scale_beyond_diameter(self, unit_sphere):
         with pytest.raises(ValueError, match="exceeds"):

@@ -1,3 +1,4 @@
+import argparse
 import json
 from importlib import resources
 
@@ -138,7 +139,8 @@ class TestCsv:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("name", ["energy", "scaling", "diverge"])
+    @pytest.mark.parametrize("name", ["energy", "scaling", "diverge",
+                                      "local-energy"])
     def test_thread_count_invariance(self, tmp_path, name):
         outs = []
         for t in (1, 4, 8):
@@ -221,14 +223,35 @@ class TestExitCodes:
         ("goodtetra", "--rays", "0"),
         ("goodtetra", "--rays", "3"),
         ("goodtetra", "--proj-rays", "0"),
+        ("oscillation", "--pairs", "0"),
+        ("oscillation", "--pairs", "-4"),
+        ("beta", "--patch-samples", "0"),
+        ("beta", "--patch-samples", "-5"),
+        ("beta", "--grid-level", "-1"),
+        ("density", "--depth", "-1"),
+        ("diverge", "--samples", "0"),
+        ("diverge", "--samples", "-5"),
+        ("minimize", "--iters", "0"),
+        ("minimize", "--iters", "-5"),
     ])
-    def test_integer_flag_below_floor(self, capsys, tmp_path, name, flag,
-                                      value):
-        argv = QUICK[name] + [flag, value]  # the last occurrence wins
+    def test_integer_flag_below_floor(self, capsys, tmp_path, ico_obj, name,
+                                      flag, value):
+        base = QUICK.get(name) or [
+            "minimize", "--mesh", ico_obj, "--mode", "energy", "--cap", "100",
+            "--iters", "3", "--p", "9", "--seed", "0"]
+        argv = base + [flag, value]  # the last occurrence wins
         code, out = run_to_file(tmp_path, "bad.json", argv)
         assert code == 2 and not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("menger-surf: ") and "at least" in err
+
+    @pytest.mark.parametrize("flag,cap", [("grid_level", 6), ("depth", 10)])
+    def test_integer_flag_caps(self, flag, cap):
+        # through the validator alone: a run above a cap would exhaust memory
+        cli._check_int_ranges(argparse.Namespace(**{flag: cap}))
+        for value in (cap + 1, 10**6):
+            with pytest.raises(cli.UsageError, match="at most"):
+                cli._check_int_ranges(argparse.Namespace(**{flag: value}))
 
     def test_negative_thread_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("MENGER_THREADS", "-3")
