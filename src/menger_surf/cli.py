@@ -35,10 +35,12 @@ _POSITIVE_FLAGS = ("p", "radius", "major_radius", "minor_radius", "extent",
 # search casts a quarter of its --rays on the cone's cap and a quarter on its
 # rim.  Each --grid-level step quadruples beta's directions and each --depth
 # step doubles density's straddling faces; the caps bound time and memory.
+# diverge's --nmax is divergence_study's own range.
 _INT_RANGES = {"threads": (1, math.inf), "rays": (4, math.inf),
                "proj_rays": (1, math.inf), "samples": (1, math.inf),
                "pairs": (1, math.inf), "patch_samples": (1, math.inf),
-               "iters": (1, math.inf), "grid_level": (0, 6), "depth": (0, 10)}
+               "iters": (1, math.inf), "grid_level": (0, 6), "depth": (0, 10),
+               "nmax": (1, 8)}
 
 
 class UsageError(Exception):
@@ -354,6 +356,11 @@ def _run_goodtetra(args, seed, threads):
 def _run_minimize(args, seed, threads):
     from .surface import load_mesh, save_obj
     mesh = load_mesh(args.mesh, args.mesh_format)
+    try:  # both annealers need p > 8 and a vertex count the energy can sum
+        minimize.DiscreteEnergyConfig(p=args.p)
+        minimize._combos(len(mesh.vertices))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if args.mode == "energy":
         state = minimize.minimize_energy_area_cap(mesh, args.p, args.cap,
                                                   args.iters, seed)

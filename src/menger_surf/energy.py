@@ -106,52 +106,23 @@ def _mean_and_stderr(stats):
     return mean, np.sqrt(var / n)
 
 
-def _stratified_faces(mesh, n):
-    """Deterministic largest-remainder allocation of n draws over faces."""
-    quota = n * mesh.face_areas / mesh.total_area
-    counts = np.floor(quota).astype(np.int64)
-    deficit = n - int(counts.sum())
-    if deficit > 0:
-        order = np.argsort(-(quota - counts), kind="stable")
-        counts[order[:deficit]] += 1
-    return np.repeat(np.arange(len(counts)), counts)
-
-
-def estimate_mp(oracle, spec, p, n, seed, threads=1, stratify_by_face=False,
-                _integrand_fn=None):
+def estimate_mp(oracle, spec, p, n, seed, threads=1):
     """Estimate the p-energy of a surface by quadruple Monte-Carlo.
 
     value     = area^4 * mean of integrand(T)^p over n independent quadruples
     std_error = area^4 * sample standard deviation / sqrt(n)
 
-    With ``stratify_by_face`` (mesh surfaces only) the first point of each
-    quadruple is stratified over the faces proportionally to area, which
-    keeps the estimator unbiased and usually trims its variance; the
-    reported error retains the plain sample-std formula and is then mildly
-    conservative.  ``_integrand_fn`` is a test hook replacing integrand^p.
+    All four points of every quadruple are independent area-uniform draws.
     """
     n = int(n)
     if n < 1000:
         raise ValueError("need at least 10^3 samples")
     if p < 1:
         raise ValueError("p must be >= 1")
-    assignment = None
-    if stratify_by_face:
-        if not getattr(oracle, "is_mesh", False):
-            raise ValueError("face stratification needs a mesh surface")
-        assignment = _stratified_faces(oracle.backing, n)
 
     def draw_values(k, m):
         rng = substream(seed, _ENERGY_TAG, k)
-        if assignment is None:
-            pts = oracle.sample_points(rng, 4 * m).reshape(m, 4, 3)
-        else:
-            fi = assignment[k * CHUNK:k * CHUNK + m]
-            first = oracle.backing.sample_on_faces(fi, rng)
-            rest = oracle.sample_points(rng, 3 * m).reshape(m, 3, 3)
-            pts = np.concatenate([first[:, None, :], rest], axis=1)
-        if _integrand_fn is not None:
-            return _integrand_fn(pts)
+        pts = oracle.sample_points(rng, 4 * m).reshape(m, 4, 3)
         return eval_batch(spec, pts) ** p
 
     mean, stderr = _chunk_stats(draw_values, n, threads)
@@ -173,6 +144,8 @@ def local_energy(oracle, center, radius, spec, p, n, seed, threads=1):
     n = int(n)
     if n < 1:
         raise ValueError("need a positive sample count")
+    if p < 1:
+        raise ValueError("p must be >= 1")
     if not radius > 0.0:
         raise ValueError("radius must be positive")
     center = np.asarray(center, dtype=float)

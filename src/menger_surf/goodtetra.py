@@ -17,20 +17,20 @@ from .rng import substream
 
 _PROJ_TAG = 0x50524F4A
 
+PHI0 = np.pi / 4.0  # cone half-angle; the construction needs <= pi/4
+BISECTION_TOL = 1e-6  # relative gain or rotation step that ends a refinement
+MAX_ITERATIONS = 64  # cone growths before the search gives up
+WITNESS_TOL = 1e-3  # relative slack of verify_projection's witness ball
+
 
 @dataclass
 class GoodTetraParams:
-    phi0: float = np.pi / 4.0
     hit_tolerance: float = 1e-3
     ray_count: int = 4096
-    bisection_tol: float = 1e-6
-    max_iterations: int = 64
 
     def __post_init__(self):
-        if not (0.0 < self.phi0 <= np.pi / 4.0):
-            raise ValueError("phi0 must lie in (0, pi/4]")
-        if min(self.hit_tolerance, self.bisection_tol) <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not self.hit_tolerance > 0.0:
+            raise ValueError("hit_tolerance must be positive")
 
 
 @dataclass
@@ -98,11 +98,11 @@ def _grow_cone(oracle, x0, v, t_lo, params):
     n_rim = params.ray_count // 4
     # coarse pass bounds the stopping radius from above, which lets the full
     # pass restrict its search band (and, for meshes, its face set)
-    coarse = _double_cone_dirs(v, params.phi0, 128, 64)
+    coarse = _double_cone_dirs(v, PHI0, 128, 64)
     cts = oracle.band_min_hits(x0, coarse, t_lo, t_hi)
     if np.isfinite(cts).any():
         t_hi = float(np.min(cts)) * (1.0 + 4.0 * params.hit_tolerance)
-    dirs = _double_cone_dirs(v, params.phi0, n_cap, n_rim)
+    dirs = _double_cone_dirs(v, PHI0, n_cap, n_rim)
     ts = oracle.band_min_hits(x0, dirs, t_lo, t_hi)
     if not np.isfinite(ts).any():
         raise RuntimeError("cone growth found no surface hit")
@@ -112,12 +112,12 @@ def _grow_cone(oracle, x0, v, t_lo, params):
     best = int(np.argmin(ts))
     rho = float(ts[best])
     best_dir = dirs[best]
-    spacing = np.sqrt(2.0 * np.pi * (1.0 - np.cos(params.phi0)) / max(n_cap, 1))
+    spacing = np.sqrt(2.0 * np.pi * (1.0 - np.cos(PHI0)) / max(n_cap, 1))
     radius = 2.0 * spacing
     for _ in range(24):
         local = geom.cap_fibonacci(best_dir, radius, 256)
         # keep candidates inside the double cone
-        local = local[np.abs(local @ v) >= np.cos(params.phi0) - 1e-12]
+        local = local[np.abs(local @ v) >= np.cos(PHI0) - 1e-12]
         if len(local) == 0:
             break
         lts = oracle.band_min_hits(x0, local, t_lo, t_hi)
@@ -128,11 +128,11 @@ def _grow_cone(oracle, x0, v, t_lo, params):
             improvement = (rho - lts[lbest]) / rho
             rho = float(lts[lbest])
             best_dir = local[lbest]
-            if improvement < params.bisection_tol:
+            if improvement < BISECTION_TOL:
                 break
         else:
             radius *= 0.5
-            if radius < params.bisection_tol:
+            if radius < BISECTION_TOL:
                 break
 
     dirs = np.concatenate(all_dirs)
@@ -154,7 +154,7 @@ def _classify(hits, x0, v, rho, params):
     axial = np.abs(yhat @ v)
 
     slack = params.hit_tolerance
-    central = axial >= np.cos(0.75 * params.phi0 + slack)
+    central = axial >= np.cos(0.75 * PHI0 + slack)
     if central.any():
         pick = int(np.argmax(np.where(central, axial, -np.inf)))
         return "central", (y[pick],)
@@ -193,9 +193,10 @@ def _segment_best_hit(oracle, a, b, x0, plane_normal):
 
 
 _RIM_FACTORS = (1.0, 0.996, 0.99, 0.97, 0.94)
+_RIM_SCAN = 96  # rim points scanned per factor
 
 
-def _rim_vertex(oracle, x0, v, r, plane_normal, params, n_scan=96):
+def _rim_vertex(oracle, x0, v, r, plane_normal, params):
     """Vertex on a vertical segment through the stopping rim, far from a plane.
 
     Scans the rim circle (and slightly shrunken copies, which keeps the
@@ -204,7 +205,7 @@ def _rim_vertex(oracle, x0, v, r, plane_normal, params, n_scan=96):
     point found, maximizing its actual plane distance on that segment.
     """
     e1, e2 = geom.orthobasis(v)
-    psi = np.arange(n_scan) * (2.0 * np.pi / n_scan)
+    psi = np.arange(_RIM_SCAN) * (2.0 * np.pi / _RIM_SCAN)
     ring = np.cos(psi)[:, None] * e1[None] + np.sin(psi)[:, None] * e2[None]
 
     candidates = []
@@ -217,7 +218,7 @@ def _rim_vertex(oracle, x0, v, r, plane_normal, params, n_scan=96):
         dhi = (hi - x0[None]) @ plane_normal
         crossing = np.sign(dlo) != np.sign(dhi)
         score = np.where(crossing, 0.0, np.minimum(np.abs(dlo), np.abs(dhi)))
-        for k in range(n_scan):
+        for k in range(_RIM_SCAN):
             candidates.append((float(score[k]), fi, k, lo[k], hi[k]))
     candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
 
@@ -273,7 +274,7 @@ def find_good_tetra(oracle, seed_point, params=None):
     t_lo = max(1e-7 * oracle.diameter, 0.0)
     first_hit = None
     radii = []
-    for iteration in range(1, params.max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         rho, hits = _grow_cone(oracle, x0, v, t_lo, params)
         radii.append(float(rho))
         if first_hit is None:
@@ -301,7 +302,7 @@ def find_good_tetra(oracle, seed_point, params=None):
         eta = _eta_achieved(T, d_s)
         return GoodTetraResult(np.asarray(T), float(d_s), case, eta,
                                iteration, v.copy(), float(first_hit), radii)
-    raise RuntimeError("max_iterations exceeded "
+    raise RuntimeError(f"{MAX_ITERATIONS} cone growths exceeded "
                        "(insufficient resolution or non-admissible surface)")
 
 
@@ -318,7 +319,7 @@ def _case_central(oracle, x0, v, rho, y1, params):
     """Central hit: one vertex near the cone axis, two on rim segments."""
     if (y1 @ v) < 0.0:
         v = -v
-    r = rho * np.sin(params.phi0)
+    r = rho * np.sin(PHI0)
     x1 = x0 + y1
     w = y1 - (y1 @ v) * v
     axial = np.linalg.norm(w) < params.hit_tolerance * r
@@ -367,7 +368,7 @@ def _case_wide(oracle, x0, v, rho, payload, params):
     x1 = x0 + y1
     x2 = x0 + y2
     n_p = _plane_normal(x0, x1, x2)
-    r = rho * np.sin(params.phi0)
+    r = rho * np.sin(PHI0)
     x3 = _rim_vertex(oracle, x0, v, r, n_p, params)
     return np.stack([x0, x1, x2, x3]), "wide_pair"
 
@@ -388,11 +389,11 @@ def _case_antipodal(oracle, x0, v, rho, y1, params):
     n_scan = 64
     band_lo = 0.5 * rho * (1.0 - params.hit_tolerance)
     band_hi = rho * (1.0 + params.hit_tolerance)
-    cos_old = np.cos(params.phi0 + 2.0 * params.hit_tolerance)
+    cos_old = np.cos(PHI0 + 2.0 * params.hit_tolerance)
 
     def new_point(s):
-        axis = _rotation(w, s * params.phi0) @ v
-        dirs = _double_cone_dirs(axis, params.phi0, 512, 192)
+        axis = _rotation(w, s * PHI0) @ v
+        dirs = _double_cone_dirs(axis, PHI0, 512, 192)
         ts = oracle.band_min_hits(x0, dirs, band_lo, band_hi)
         okm = np.isfinite(ts)
         if not okm.any():
@@ -418,7 +419,7 @@ def _case_antipodal(oracle, x0, v, rho, y1, params):
     if hit_pt is not None:
         # bisect toward the earliest rotation that still sees a new point
         lo, hi, pt_hi = s_empty, s_hit, hit_pt
-        while hi - lo > params.bisection_tol:
+        while hi - lo > BISECTION_TOL:
             mid = 0.5 * (lo + hi)
             pt = new_point(mid)
             if pt is not None:
@@ -427,14 +428,14 @@ def _case_antipodal(oracle, x0, v, rho, y1, params):
                 lo = mid
         x2 = pt_hi
         n_p = _plane_normal(x0, x0 + y1, x2)
-        r = rho * np.sin(params.phi0)
+        r = rho * np.sin(PHI0)
         x3 = _rim_vertex(oracle, x0, v, r, n_p, params)
         return np.stack([x0, x0 + y1, x2, x3]), "antipodal_3a"
 
     # subcase (b): forward annulus of the half-rotated cone
-    v_star = _rotation(w, 0.5 * params.phi0) @ v
+    v_star = _rotation(w, 0.5 * PHI0) @ v
     v_star /= np.linalg.norm(v_star)
-    dirs = _double_cone_dirs(v_star, params.phi0, 1024, 256)
+    dirs = _double_cone_dirs(v_star, PHI0, 1024, 256)
     ts = oracle.band_min_hits(x0, dirs, rho * (1.0 + params.hit_tolerance),
                               2.0 * rho * (1.0 - 1e-6))
     okm = np.isfinite(ts)
@@ -442,7 +443,7 @@ def _case_antipodal(oracle, x0, v, rho, y1, params):
         pick = int(np.argmin(np.where(okm, ts, np.inf)))
         x2 = x0 + ts[pick] * dirs[pick]
         n_p = _plane_normal(x0, x0 + y1, x2)
-        r = rho * np.sin(params.phi0)
+        r = rho * np.sin(PHI0)
         x3 = _rim_vertex(oracle, x0, v, r, n_p, params)
         return np.stack([x0, x0 + y1, x2, x3]), "antipodal_3b"
 
@@ -454,12 +455,13 @@ def _case_antipodal(oracle, x0, v, rho, y1, params):
 # ---------------------------------------------------------------------------
 
 def verify_projection(oracle, x0, r, witness_plane_normal, n_rays=1000,
-                      seed=0, tol=1e-3):
+                      seed=0):
     """Fraction of the witness disk whose perpendicular segments meet the surface.
 
     Samples points w uniformly in the disk of radius r/sqrt(2) around x0
     inside the witness plane and casts the segment of half-length r through w
-    perpendicular to the plane; a hit counts when it lies in B(x0, r(1+tol)).
+    perpendicular to the plane; a hit counts when it lies in
+    B(x0, r (1 + WITNESS_TOL)).
     """
     x0 = np.asarray(x0, dtype=float)
     v = np.asarray(witness_plane_normal, dtype=float)
@@ -470,7 +472,7 @@ def verify_projection(oracle, x0, r, witness_plane_normal, n_rays=1000,
     psi = rng.random(n_rays) * 2.0 * np.pi
     w = (x0[None] + rad[:, None] * (np.cos(psi)[:, None] * e1[None]
                                     + np.sin(psi)[:, None] * e2[None]))
-    limit = r * (1.0 + tol)
+    limit = r * (1.0 + WITNESS_TOL)
     # all segments in one query; dirs = b - a, the bits of a segment_hits(a, b)
     origins = w - r * v[None]
     dirs = (w + r * v[None]) - origins

@@ -27,17 +27,10 @@ MAX_EXHAUSTIVE_VERTICES = 64
 @dataclass
 class DiscreteEnergyConfig:
     p: float
-    quadrature: str = "all_vertex_quadruples"   # or "sampled"
-    n_samples: int = 0
-    seed: int = 0
 
     def __post_init__(self):
         if not self.p > 8.0:
-            raise ValueError("p must exceed 8")
-        if self.quadrature not in ("all_vertex_quadruples", "sampled"):
-            raise ValueError("unknown quadrature mode")
-        if self.quadrature == "sampled" and self.n_samples < 1:
-            raise ValueError("sampled quadrature needs n_samples >= 1")
+            raise ValueError(f"p must exceed 8, got {self.p}")
 
 
 @dataclass
@@ -53,12 +46,8 @@ class OptimizerState:
     self_intersecting: bool = False
 
 
-def vertex_weights(vertices, faces):
-    """Lumped vertex weights: one third of each incident face area."""
-    return _lumped_weights(tri_areas(vertices[faces]), faces, len(vertices))
-
-
 def _lumped_weights(face_areas, faces, n_verts):
+    """Lumped vertex weights: one third of each incident face area."""
     w = np.zeros(n_verts)
     np.add.at(w, faces.ravel(), np.repeat(face_areas / 3.0, 3))
     return w
@@ -67,20 +56,11 @@ def _lumped_weights(face_areas, faces, n_verts):
 def discrete_energy(mesh, config):
     """Quadrature of integrand^p over vertex quadruples with lumped weights.
 
-    Exhaustive mode sums all unordered quadruples times the 24 orderings
-    (the integrand is permutation symmetric; quadruples with a repeated
-    vertex are coplanar and contribute 0).  Sampled mode draws vertex
-    indices proportionally to their weights.
+    Sums all unordered quadruples times the 24 orderings (the integrand is
+    permutation symmetric; quadruples with a repeated vertex are coplanar and
+    contribute 0).  Needs 4 to ``MAX_EXHAUSTIVE_VERTICES`` vertices.
     """
-    verts = mesh.vertices
-    if config.quadrature == "all_vertex_quadruples":
-        return _EnergyTable(verts, mesh.faces, config.p).energy()
-    w = vertex_weights(verts, mesh.faces)
-    rng = substream(config.seed, _ANNEAL_TAG, 0xBEEF)
-    prob = w / w.sum()
-    idx = rng.choice(len(verts), size=(config.n_samples, 4), p=prob)
-    kp = eval_batch(_MENGER, verts[idx]) ** config.p
-    return float(w.sum() ** 4 * kp.mean())
+    return _EnergyTable(mesh.vertices, mesh.faces, config.p).energy()
 
 
 _combo_cache = {}
@@ -89,6 +69,9 @@ _combo_cache = {}
 def _combos(n):
     """The 4-subsets of range(n) as rows, their four index columns and, for
     each vertex, the rows that contain it."""
+    if n < 4:
+        raise ValueError(f"the discrete energy needs at least 4 vertices, "
+                         f"got {n}")
     if n > MAX_EXHAUSTIVE_VERTICES:
         raise ValueError(f"vertex budget exceeded for exhaustive mode "
                          f"({n} > {MAX_EXHAUSTIVE_VERTICES})")
@@ -150,6 +133,7 @@ class _EnergyTable:
 
 
 def _anneal(mesh, p, iters, seed, mode, area_target=None, energy_cap=None):
+    config = DiscreteEnergyConfig(p=p)
     table = _EnergyTable(mesh.vertices, mesh.faces, p)
     n_verts = len(table.verts)
     sigma0 = 0.02 * mesh.mean_edge
@@ -217,7 +201,7 @@ def _anneal(mesh, p, iters, seed, mode, area_target=None, energy_cap=None):
         centroid = verts.mean(axis=0)
         verts = centroid + s * (verts - centroid)
     final = TriMesh(verts, mesh.faces)
-    final_energy = (discrete_energy(final, DiscreteEnergyConfig(p=p))
+    final_energy = (discrete_energy(final, config)
                     if mode == "energy" else table.energy())
     final_area = float(tri_areas(verts[mesh.faces]).sum())
     if mode == "energy":

@@ -4,8 +4,8 @@ An oracle provides total area, area-uniform sampling of points with or
 without oriented normals,
 ray queries, an inside test when the surface bounds a volume, and a
 triangulated stand-in for face-based diagnostics.  Oracles are immutable
-after construction and safe to share; random streams are caller-owned and
-never stored.
+after construction, apart from the stand-in they build once on first use,
+and safe to share; random streams are caller-owned and never stored.
 
 Every backing answers one batched ray query, ``ray_hits(origins, dirs, tmin,
 tmax)``: all hits t in [tmin, tmax] of the rays origins + t * dirs[i], as
@@ -72,12 +72,13 @@ class SurfaceOracle:
         self.total_area = float(backing.total_area)
         if not self.total_area > 0.0:
             raise ValueError("surface has no area")
+        self._mesh = None
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def sphere(cls, radius, center=(0.0, 0.0, 0.0)):
-        return cls(Sphere(radius, center))
+    def sphere(cls, radius):
+        return cls(Sphere(radius))
 
     @classmethod
     def torus(cls, major_radius, minor_radius):
@@ -156,10 +157,11 @@ class SurfaceOracle:
     def surface_distance(self, p):
         return self.backing.surface_distance(p)
 
-    def tessellate(self, **kwargs):
-        if isinstance(self.backing, TriMesh):
-            return self.backing
-        return self.backing.tessellate(**kwargs)
+    def tessellate(self):
+        """The backing's triangulated stand-in, built once per oracle."""
+        if self._mesh is None:
+            self._mesh = self.backing.tessellate()
+        return self._mesh
 
     def describe(self):
         return self.backing.describe()

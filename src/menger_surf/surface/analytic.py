@@ -87,7 +87,6 @@ class Sphere(AreaSampler):
         self.center = np.asarray(center, dtype=float)
         self.total_area = 4.0 * np.pi * self.radius**2
         self.diameter = 2.0 * self.radius
-        self._tess = {}
 
     def _draw(self, rng, n, ball):
         """The x, y and z arrays of the outward unit vectors (s cos phi,
@@ -138,14 +137,11 @@ class Sphere(AreaSampler):
         return float(abs(np.linalg.norm(np.asarray(p, dtype=float) - self.center)
                          - self.radius))
 
-    def tessellate(self, subdivisions=5):
-        key = ("sphere", subdivisions)
-        if key not in self._tess:
-            mesh = shapes.icosphere(subdivisions, radius=self.radius)
-            if np.any(self.center != 0.0):
-                mesh = shapes.TriMesh(mesh.vertices + self.center, mesh.faces)
-            self._tess[key] = mesh
-        return self._tess[key]
+    def tessellate(self):
+        mesh = shapes.icosphere(5, radius=self.radius)
+        if np.any(self.center != 0.0):
+            mesh = shapes.TriMesh(mesh.vertices + self.center, mesh.faces)
+        return mesh
 
     def describe(self):
         return {"kind": "sphere", "radius": self.radius}
@@ -161,7 +157,6 @@ class Torus(AreaSampler):
         self.r = float(minor_radius)
         self.total_area = 4.0 * np.pi**2 * self.R * self.r
         self.diameter = 2.0 * (self.R + self.r)
-        self._tess = {}
 
     def _minor_angles(self, rng, n):
         """n minor angles v and their cosines, by rejection with weight
@@ -336,11 +331,8 @@ class Torus(AreaSampler):
         rho = np.hypot(p[0], p[1])
         return float(abs(np.hypot(rho - self.R, p[2]) - self.r))
 
-    def tessellate(self, nu=192, nv=96):
-        key = ("torus", nu, nv)
-        if key not in self._tess:
-            self._tess[key] = shapes.torus_mesh(self.R, self.r, nu, nv)
-        return self._tess[key]
+    def tessellate(self):
+        return shapes.torus_mesh(self.R, self.r, 192, 96)
 
     def describe(self):
         return {"kind": "torus", "major_radius": self.R, "minor_radius": self.r}
@@ -354,7 +346,6 @@ class SaddlePatch(AreaSampler):
             raise ValueError("extent must be positive")
         self.L = float(extent)
         self.total_area = self._area()
-        self._tess = {}
         zspan = 2.0 * self.L**2
         self.diameter = float(np.sqrt(8.0 * self.L**2 + zspan**2))
 
@@ -420,11 +411,8 @@ class SaddlePatch(AreaSampler):
         x, y, z = (float(v) for v in p)
         return abs(z - x * y) / np.sqrt(1.0 + x * x + y * y)
 
-    def tessellate(self, n=128):
-        if ("saddle", n) not in self._tess:
-            self._tess[("saddle", n)] = shapes.graph_mesh(
-                lambda x, y: x * y, self.L, n)
-        return self._tess[("saddle", n)]
+    def tessellate(self):
+        return shapes.graph_mesh(lambda x, y: x * y, self.L, 128)
 
     def describe(self):
         return {"kind": "saddle", "extent": self.L}
@@ -442,12 +430,11 @@ class Capsule(AreaSampler):
         self.cyl_area = 2.0 * np.pi * self.radius * self.length
         self.cap_area = 4.0 * np.pi * self.radius**2
         self.total_area = self.cyl_area + self.cap_area
-        self._tess = {}
         self.diameter = self.length + 2.0 * self.radius
 
-    def tip(self, sign=1):
-        """The apex of the +z (or -z) end cap, a convenient seed point."""
-        return np.array([0.0, 0.0, sign * (self.half + self.radius)])
+    def tip(self):
+        """The apex of the +z end cap, a convenient seed point."""
+        return np.array([0.0, 0.0, self.half + self.radius])
 
     def _draw(self, rng, n, ball):
         """cos phi, sin phi, the height h and the wall mask of every row, and
@@ -540,12 +527,8 @@ class Capsule(AreaSampler):
         z = np.clip(p[2], -self.half, self.half)
         return float(abs(np.linalg.norm(p - np.array([0.0, 0.0, z])) - self.radius))
 
-    def tessellate(self, n_profile=64, n_around=128):
-        key = ("capsule", n_profile, n_around)
-        if key not in self._tess:
-            self._tess[key] = shapes.capsule_mesh(self.length, self.radius,
-                                                  n_profile, n_around)
-        return self._tess[key]
+    def tessellate(self):
+        return shapes.capsule_mesh(self.length, self.radius, 64, 128)
 
     def describe(self):
         return {"kind": "capsule", "length": self.length, "radius": self.radius}

@@ -201,13 +201,6 @@ class TriMesh(AreaSampler):
     def _normals(self, fi, r1, r2):
         return self.face_normals[fi]
 
-    def sample_on_faces(self, face_idx, rng):
-        """Uniform barycentric samples on the given faces, one point each."""
-        face_idx = np.asarray(face_idx, dtype=np.int64)
-        r1 = np.sqrt(rng.random(len(face_idx)))
-        r2 = rng.random(len(face_idx))
-        return self._points(face_idx, r1, r2)
-
     # -- queries ------------------------------------------------------------------
 
     def ray_hits(self, origins, dirs, tmin, tmax):
@@ -289,28 +282,21 @@ class TriMesh(AreaSampler):
         return float(np.sqrt(_point_tri_sqdist(np.asarray(p, dtype=float),
                                                self._tri).min()))
 
-    def _ray_tri(self, origins, dirs, face_idx):
-        """Ray/triangle hit parameters against a face subset.
-
-        origins (3,), (1,3) or (k,3), dirs (k,3); face_idx selects faces
-        (None for all).  Everything reduces to matrix products against the
-        precomputed plane normals and barycentric gradients: one row-vector
-        product per origin, and (k,3)x(3,m) for the directions, padded to two
-        rows when k = 1.  Returns (t, ok) of shape (k, m); the parallel test
-        is scale-free.
-        """
-        return self._ray_block(origins, dirs, self._face_block(face_idx))
-
     def _face_block(self, face_idx):
         """(m, kernel arrays of the m faces padded to a multiple of _COL_BLOCK)."""
-        if face_idx is None:
-            face_idx = np.arange(len(self.faces))
         m = len(face_idx)
         face_idx = np.concatenate([face_idx, np.zeros((-m) % _COL_BLOCK, dtype=np.int64)])
         return m, [a[face_idx] for a in self._kernel_arrays]
 
     def _ray_block(self, origins, dirs, faces):
-        """``_ray_tri`` against the faces of a ``_face_block``."""
+        """Ray/triangle hit parameters against the faces of a ``_face_block``.
+
+        origins (3,), (1,3) or (k,3), dirs (k,3).  Everything reduces to
+        matrix products against the precomputed plane normals and barycentric
+        gradients: one row-vector product per origin, and (k,3)x(3,m) for the
+        directions, padded to two rows when k = 1.  Returns (t, ok) of shape
+        (k, m); the parallel test is scale-free.
+        """
         m, (fc, v0c, g1, g2, v0g1, v0g2, cn) = faces
         dirs = np.asarray(dirs, dtype=float)
         k = len(dirs)
@@ -331,6 +317,9 @@ class TriMesh(AreaSampler):
         slack = 1e-10
         ok &= (u >= -slack) & (v >= -slack) & (u + v <= 1.0 + slack)
         return t[:k, :m], ok[:k, :m]
+
+    def tessellate(self):
+        return self
 
     def describe(self):
         return {"kind": "mesh", "n_vertices": int(len(self.vertices)),

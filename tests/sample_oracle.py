@@ -123,18 +123,6 @@ def mesh(surf, rng, n, ball=None):
     return pts, surf.face_normals[fi].copy()
 
 
-def mesh_on_faces(surf, face_idx, rng):
-    """The former ``TriMesh.sample_on_faces``."""
-    face_idx = np.asarray(face_idx, dtype=np.int64)
-    m = len(face_idx)
-    r1 = np.sqrt(rng.random(m))
-    r2 = rng.random(m)
-    tri = surf._tri[face_idx]
-    return ((1.0 - r1)[:, None] * tri[:, 0]
-            + (r1 * (1.0 - r2))[:, None] * tri[:, 1]
-            + (r1 * r2)[:, None] * tri[:, 2])
-
-
 ORACLES = {Sphere: sphere, Torus: torus, SaddlePatch: saddle,
            Capsule: capsule, TriMesh: mesh}
 

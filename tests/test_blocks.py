@@ -85,12 +85,10 @@ def _former_chunk_stats(draw_values, n, threads):
 
 @ORACLE_SETTINGS
 @given(kind=kinds, seed=st.integers(0, 2**32), n=st.integers(1000, 13000),
-       threads=thread_counts, stratify=st.booleans())
-def test_estimate_mp_matches_chunk_loop(kind, seed, n, threads, stratify):
+       threads=thread_counts)
+def test_estimate_mp_matches_chunk_loop(kind, seed, n, threads):
     oracle = surface(kind)
-    stratify = stratify and oracle.is_mesh
-    run = lambda: energy.estimate_mp(oracle, MENGER, 8.0, n, seed, threads,
-                                     stratify_by_face=stratify)
+    run = lambda: energy.estimate_mp(oracle, MENGER, 8.0, n, seed, threads)
     got = run()
     with mock.patch.object(energy, "_chunk_stats", _former_chunk_stats):
         want = run()

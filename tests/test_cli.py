@@ -233,19 +233,29 @@ class TestExitCodes:
         ("diverge", "--samples", "-5"),
         ("minimize", "--iters", "0"),
         ("minimize", "--iters", "-5"),
+        ("diverge", "--nmax", "0"),
+        ("minimize", "--p", "8"),
+        ("minimize-area", "--p", "5"),
+        ("minimize", "--mesh", "TRIANGLE"),
     ])
     def test_integer_flag_below_floor(self, capsys, tmp_path, ico_obj, name,
                                       flag, value):
+        mode = "area" if name == "minimize-area" else "energy"
         base = QUICK.get(name) or [
-            "minimize", "--mesh", ico_obj, "--mode", "energy", "--cap", "100",
+            "minimize", "--mesh", ico_obj, "--mode", mode, "--cap", "100",
             "--iters", "3", "--p", "9", "--seed", "0"]
+        if value == "TRIANGLE":  # a mesh of 3 vertices has no quadruple
+            value = str(tmp_path / "triangle.obj")
+            save_obj(value, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 2]])
         argv = base + [flag, value]  # the last occurrence wins
         code, out = run_to_file(tmp_path, "bad.json", argv)
         assert code == 2 and not out.exists()
         err = capsys.readouterr().err
-        assert err.startswith("menger-surf: ") and "at least" in err
+        says = "must exceed 8" if flag == "--p" else "at least"
+        assert err.startswith("menger-surf: ") and says in err
 
-    @pytest.mark.parametrize("flag,cap", [("grid_level", 6), ("depth", 10)])
+    @pytest.mark.parametrize("flag,cap", [("grid_level", 6), ("depth", 10),
+                                          ("nmax", 8)])
     def test_integer_flag_caps(self, flag, cap):
         # through the validator alone: a run above a cap would exhaust memory
         cli._check_int_ranges(argparse.Namespace(**{flag: cap}))

@@ -41,32 +41,18 @@ class TestEstimateMp:
         assert ests[0].value == ests[1].value == ests[2].value
         assert ests[0].std_error == ests[1].std_error == ests[2].std_error
 
-    def test_constant_integrand_is_unbiased(self, unit_sphere):
-        est = energy.estimate_mp(unit_sphere, MENGER, 8.0, 4096, seed=0,
-                                 _integrand_fn=lambda pts: np.ones(len(pts)))
+    def test_constant_integrand_is_unbiased(self, unit_sphere, monkeypatch):
+        monkeypatch.setattr(energy, "eval_batch",
+                            lambda spec, pts: np.ones(len(pts)))
+        est = energy.estimate_mp(unit_sphere, MENGER, 8.0, 4096, seed=0)
         assert est.value == unit_sphere.total_area ** 4
         assert est.std_error == 0.0
 
-    def test_nonfinite_integrand_raises(self, unit_sphere):
+    def test_nonfinite_integrand_raises(self, unit_sphere, monkeypatch):
+        monkeypatch.setattr(energy, "eval_batch",
+                            lambda spec, pts: np.full(len(pts), np.inf))
         with pytest.raises(FloatingPointError, match="non-finite"):
-            energy.estimate_mp(unit_sphere, MENGER, 8.0, 2000, seed=0,
-                               _integrand_fn=lambda pts: np.full(len(pts), np.inf))
-
-    def test_stratified_first_point(self, icosphere2):
-        oracle = SurfaceOracle.from_mesh(icosphere2)
-        plain = energy.estimate_mp(oracle, MENGER, 8.0, 40000, seed=6)
-        strat = energy.estimate_mp(oracle, MENGER, 8.0, 40000, seed=6,
-                                   stratify_by_face=True)
-        sigma = np.hypot(plain.std_error, strat.std_error)
-        assert abs(plain.value - strat.value) <= 4.0 * sigma
-        again = energy.estimate_mp(oracle, MENGER, 8.0, 40000, seed=6,
-                                   stratify_by_face=True, threads=4)
-        assert strat.value == again.value
-
-    def test_stratified_needs_mesh(self, unit_sphere):
-        with pytest.raises(ValueError, match="stratification"):
-            energy.estimate_mp(unit_sphere, MENGER, 8.0, 2000, seed=0,
-                               stratify_by_face=True)
+            energy.estimate_mp(unit_sphere, MENGER, 8.0, 2000, seed=0)
 
     def test_minimum_sample_count(self, unit_sphere):
         with pytest.raises(ValueError):
@@ -106,6 +92,12 @@ class TestLocalEnergy:
         with pytest.raises(ValueError, match="patch too small"):
             energy.local_energy(unit_sphere, [0, 0, 1], 1e-4, MENGER, 8.0,
                                 5000, seed=0)
+
+    def test_subunit_exponent_rejected(self, unit_sphere):
+        # the same floor as estimate_mp
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            energy.local_energy(unit_sphere, [0, 0, 1], 0.5, MENGER, 0.5,
+                                2000, seed=0)
 
 
 class TestScaling:

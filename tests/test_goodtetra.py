@@ -210,6 +210,4 @@ class TestValidation:
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
-            goodtetra.GoodTetraParams(phi0=1.0)
-        with pytest.raises(ValueError):
             goodtetra.GoodTetraParams(hit_tolerance=0.0)

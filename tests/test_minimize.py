@@ -21,7 +21,8 @@ def noisy_icosphere(scale=0.05, seed=5):
 class TestDiscreteEnergy:
     def test_weights_sum_to_area(self):
         mesh = shapes.icosphere(1)
-        w = minimize.vertex_weights(mesh.vertices, mesh.faces)
+        w = minimize._lumped_weights(mesh.face_areas, mesh.faces,
+                                     len(mesh.vertices))
         assert w.sum() == approx(mesh.total_area, rel=1e-12)
         assert (w >= 0).all()
 
@@ -40,14 +41,9 @@ class TestDiscreteEnergy:
         mesh = shapes.icosphere(2)  # 162 vertices
         with pytest.raises(ValueError, match="vertex budget"):
             minimize.discrete_energy(mesh, CFG)
-
-    def test_sampled_quadrature_consistent(self):
-        mesh = shapes.icosphere(1)
-        exact = minimize.discrete_energy(mesh, CFG)
-        sampled = minimize.discrete_energy(
-            mesh, minimize.DiscreteEnergyConfig(p=P, quadrature="sampled",
-                                                n_samples=200000, seed=3))
-        assert sampled == approx(exact, rel=0.2)
+        triangle = TriMesh(np.eye(3), [[0, 1, 2]])
+        with pytest.raises(ValueError, match="at least 4 vertices"):
+            minimize.discrete_energy(triangle, CFG)
 
     def test_brute_force_reference(self):
         # independent reference: scalar loop over unordered quadruples with
@@ -160,6 +156,14 @@ class TestAreaUnderEnergyCap:
         assert state.objective == approx(mesh.total_area)
         for _, _, cv, acc in state.audit[1:]:
             assert not acc
+
+
+@pytest.mark.parametrize("anneal", [minimize.minimize_energy_area_cap,
+                                    minimize.minimize_area_energy_cap])
+@pytest.mark.parametrize("p", [5.0, 8.0])
+def test_subcritical_exponent_rejected(anneal, p):
+    with pytest.raises(ValueError, match="p must exceed 8"):
+        anneal(shapes.icosphere(0), p, 100.0, iters=3, seed=0)
 
 
 class TestSelfIntersectionFlag:

@@ -33,8 +33,13 @@ unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(
 caps = st.floats(-6.0, np.log10(np.pi / 4.0)).map(lambda e: 10.0**e)
 
 
+def every_face(m):
+    """The ray kernel's view of all faces of m, with no cull."""
+    return m._face_block(np.arange(len(m.faces)))
+
+
 def brute_band_min(m, origin, dirs, tmin, tmax):
-    t, ok = m._ray_tri(origin[None], dirs, None)
+    t, ok = m._ray_block(origin[None], dirs, every_face(m))
     ok &= (t >= tmin) & (t <= tmax)
     return np.where(ok, t, np.inf).min(axis=1)
 
@@ -50,8 +55,8 @@ def test_ray_kernel_bits_do_not_depend_on_the_face_subset(m, seed, n,
     dirs = rng.standard_normal((n, 3))
     idx = np.sort(rng.choice(len(m.faces), rng.integers(1, len(m.faces)),
                              replace=False))
-    t_all, ok_all = m._ray_tri(origins, dirs, None)
-    t, ok = m._ray_tri(origins, dirs, idx)
+    t_all, ok_all = m._ray_block(origins, dirs, every_face(m))
+    t, ok = m._ray_block(origins, dirs, m._face_block(idx))
     assert np.array_equal(t, t_all[:, idx])
     assert np.array_equal(ok, ok_all[:, idx])
 
@@ -86,7 +91,7 @@ def test_mesh_band_min_hits_matches_all_faces(m, vertex, along_normal, axis,
 def test_mesh_segment_hits_match_all_faces(m, vertex, d, length, shift):
     a = m.vertices[vertex % len(m.vertices)] + shift * length * m.diameter * d
     b = a + length * m.diameter * d
-    t, ok = m._ray_tri(a[None], (b - a)[None], None)
+    t, ok = m._ray_block(a[None], (b - a)[None], every_face(m))
     ok &= (t >= -1e-12) & (t <= 1.0 + 1e-12)
     ts = np.sort(t[ok])
     if len(ts):
@@ -188,7 +193,8 @@ def test_near_parallel_ray_is_silent():
     # num / den overflows
     from conftest import kink_box
     m = kink_box(n=16)
-    t, ok = m._ray_tri(np.array([[0.0, 0.0, 1.0]]), np.array([[1.0, 0.0, 1e-310]]), None)
+    t, ok = m._ray_block(np.array([[0.0, 0.0, 1.0]]),
+                         np.array([[1.0, 0.0, 1e-310]]), every_face(m))
     flat = np.abs(m.face_normals[:, 2]) == 1.0
     assert flat.any()
     assert not ok[0, flat].any() and np.isinf(t[0, flat]).all()
@@ -253,7 +259,7 @@ def test_mesh_ray_hits_match_all_faces(m, seed, n, shared_origin, band,
     with pytest.MonkeyPatch.context() as mp:  # small chunks split the rays
         mp.setattr(trimesh, "CHUNK_PAIRS", chunk_pairs)
         got = m.ray_hits(origins, dirs, *band)
-    t, ok = m._ray_tri(origins, dirs, None)
+    t, ok = m._ray_block(origins, dirs, every_face(m))
     ray, face = np.nonzero(ok & (t >= band[0]) & (t <= band[1]))
     assert_same_pairs(got, (ray, t[ray, face]))
 

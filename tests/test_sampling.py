@@ -112,18 +112,6 @@ def test_samplers_match_oracle(kind, where, rel_radius, n, seed):
     assert np.array_equal(pts_rng.random(4), end)
 
 
-@settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(["mesh", "kink"]), seed=st.integers(0, 2**32),
-       n=st.integers(0, 2000))
-def test_sample_on_faces_matches_oracle(kind, seed, n):
-    surf = backing(kind)
-    faces = np.random.default_rng(seed).integers(len(surf.faces), size=n)
-    rng, ref_rng = substream(seed, 6), substream(seed, 6)
-    got = surf.sample_on_faces(faces, rng)
-    assert np.array_equal(got, sample_oracle.mesh_on_faces(surf, faces, ref_rng))
-    assert np.array_equal(rng.random(4), ref_rng.random(4))
-
-
 def test_sample_points_forms_no_normal(monkeypatch):
     """The oracle's points path reaches neither ``sample`` (so a traced
     ``surface.sample`` span never nests) nor any backing's normals."""

@@ -1,11 +1,14 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from pytest import approx
 
 from menger_surf.rng import substream
 from menger_surf.surface import (MeshParseError, SurfaceOracle, TriMesh,
-                                 load_mesh, sample_point, save_obj, save_off,
-                                 shapes)
+                                 load_mesh, load_obj, load_off, sample_point,
+                                 save_obj, save_off, shapes)
 
 CUBE_OBJ = """# unit cube
 v 0 0 0
@@ -129,6 +132,49 @@ class TestLoaders:
         assert len(mesh.faces) == 1
         assert mesh.n_dropped == 1
 
+
+# valid OBJ and OFF documents with a few words or separators swapped reach
+# the parsers' deeper branches, which random bytes almost never do
+VALID_MESHES = [
+    b"v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 3\nf -1 1/1 2//2 3 # q\n",
+    b"OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 1 2\n4 0 1 2 3\n"]
+MESH_WORDS = [b"", b" ", b"\n", b"#", b"v", b"f", b"OFF", b"0", b"2", b"-1",
+              b"-9", b"2.5", b"1e999", b"nan", b"99999999999", b"zz", b"1/x",
+              b"\xff"]
+
+
+def edited(doc, edits):
+    words = re.split(rb"(\s+)", doc)
+    for pos, word in edits:
+        words[pos % len(words)] = word
+    return b"".join(words)
+
+
+mesh_bytes = st.one_of(
+    st.binary(max_size=300),
+    st.builds(edited, st.sampled_from(VALID_MESHES),
+              st.lists(st.tuples(st.integers(0, 99),
+                                 st.sampled_from(MESH_WORDS)), max_size=3)))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=mesh_bytes, loader=st.sampled_from([load_obj, load_off]))
+def test_loaders_raise_only_parse_errors(fuzz_dir, data, loader):
+    path = fuzz_dir / "m"
+    path.write_bytes(data)
+    try:
+        vertices, faces = loader(path)
+    except MeshParseError:
+        return
+    assert vertices.ndim == 2 and vertices.shape[1] == 3
+    assert np.all(np.isfinite(vertices))
+    assert faces.ndim == 2 and faces.shape[1] == 3
+    assert faces.min() >= 0 and faces.max() < len(vertices)
 
 class TestSampling:
     def test_sphere_mean_near_origin(self, unit_sphere):
@@ -263,21 +309,25 @@ class TestTessellation:
         mesh = torus_2_1.tessellate()
         assert mesh.total_area == approx(torus_2_1.total_area, rel=0.01)
         assert mesh.watertight
+        assert torus_2_1.tessellate() is mesh
 
     def test_capsule_tessellation_area(self):
         cap = SurfaceOracle.capsule(3.0, 0.5)
         mesh = cap.tessellate()
         assert mesh.total_area == approx(cap.total_area, rel=0.01)
         assert mesh.watertight
+        assert cap.tessellate() is mesh
 
     def test_saddle_tessellation_area(self):
         saddle = SurfaceOracle.saddle(1.0)
         mesh = saddle.tessellate()
         assert mesh.total_area == approx(saddle.total_area, rel=0.01)
+        assert saddle.tessellate() is mesh
 
     def test_mesh_oracle_tessellate_is_identity(self, icosphere2):
         oracle = SurfaceOracle.from_mesh(icosphere2)
         assert oracle.tessellate() is icosphere2
+        assert oracle.tessellate() is oracle.tessellate()
 
 
 class TestOracleValidation:
