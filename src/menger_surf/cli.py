@@ -31,11 +31,11 @@ _SKIP_ECHO = {"--output", "--threads", "--audit-out", "--mesh-out"}
 # float flags that must be finite and positive in every subcommand that has them
 _POSITIVE_FLAGS = ("p", "radius", "major_radius", "minor_radius", "extent",
                    "length", "patch_radius", "cap", "alpha", "eps", "hit_tol")
-# integer flags and their (least, greatest) values.  The good-tetrahedron
-# search casts a quarter of its --rays on the cone's cap and a quarter on its
-# rim.  Each --grid-level step quadruples beta's directions and each --depth
-# step doubles density's straddling faces; the caps bound time and memory.
-# diverge's --nmax is divergence_study's own range.
+# integer flags and their (least, greatest) values.  --rays has the floor
+# that goodtetra.GoodTetraParams checks for ray_count.  Each --grid-level step
+# quadruples beta's directions and each --depth step doubles density's
+# straddling faces; the caps bound time and memory.  diverge's --nmax is
+# divergence_study's own range.
 _INT_RANGES = {"threads": (1, math.inf), "rays": (4, math.inf),
                "proj_rays": (1, math.inf), "samples": (1, math.inf),
                "pairs": (1, math.inf), "patch_samples": (1, math.inf),

@@ -31,6 +31,9 @@ class GoodTetraParams:
     def __post_init__(self):
         if not self.hit_tolerance > 0.0:
             raise ValueError("hit_tolerance must be positive")
+        # a cone growth casts ray_count // 4 rays on its cap and on its rim
+        if self.ray_count < 4:
+            raise ValueError("ray_count must be at least 4")
 
 
 @dataclass

@@ -4,15 +4,18 @@ An oracle provides total area, area-uniform sampling of points with or
 without oriented normals,
 ray queries, an inside test when the surface bounds a volume, and a
 triangulated stand-in for face-based diagnostics.  Oracles are immutable
-after construction, apart from the stand-in they build once on first use,
-and safe to share; random streams are caller-owned and never stored.
+after construction, apart from the stand-in they build once on first use
+and a mesh's face view of its last shared ray origin, and safe to share;
+random streams are caller-owned and never stored.
 
 Every backing answers one batched ray query, ``ray_hits(origins, dirs, tmin,
 tmax)``: all hits t in [tmin, tmax] of the rays origins + t * dirs[i], as
 (ray index, t) pairs, for one shared origin (3,) or one origin per ray
-(k, 3).  The oracle reduces it to banded first hits (``band_min_hits``),
-the sorted hit points of one segment (``segment_hits``) and, on meshes, the
-parity votes of the inside test.
+(k, 3).  The oracle reduces it to banded first hits (``band_min_hits``, a
+shared origin), the sorted hit points of one segment (``segment_hits``, a
+one-row per-ray origin, so that the rim probes of a search leave the face
+view of its seed point in place) and, on meshes, the parity votes of the
+inside test.
 
 Every backing samples area-uniformly by ``sample(rng, n, ball=None)``.  A
 ball (center, radius) changes no random draw, so the generator ends in the
@@ -51,7 +54,8 @@ def load_mesh(path, format=None):
     """Load an OBJ or OFF file into a TriMesh.
 
     ``format`` is "obj" or "off"; when omitted it is taken from the file
-    extension.
+    extension.  A file that does not parse, or whose faces are all
+    degenerate, raises ``MeshParseError``.
     """
     if format is None:
         format = str(path).rsplit(".", 1)[-1].lower()
@@ -61,7 +65,10 @@ def load_mesh(path, format=None):
         vertices, faces = load_off(path)
     else:
         raise ValueError(f"unknown mesh format {format!r}")
-    return TriMesh(vertices, faces)
+    try:
+        return TriMesh(vertices, faces)
+    except ValueError as exc:  # the parsers leave only "every face degenerate"
+        raise MeshParseError(path, 1, str(exc)) from None
 
 
 class SurfaceOracle:
@@ -139,7 +146,8 @@ class SurfaceOracle:
         """
         a = np.asarray(a, dtype=float)
         d = np.asarray(b, dtype=float) - a
-        _, t = self.ray_hits(a, d[None], -1e-12, 1.0 + 1e-12)
+        # one per-ray origin: a mesh keeps the face view of a search's seed
+        _, t = self.ray_hits(a[None], d[None], -1e-12, 1.0 + 1e-12)
         t = np.sort(t)
         keep = np.ones(len(t), dtype=bool)
         keep[1:] = np.diff(t) > 1e-12

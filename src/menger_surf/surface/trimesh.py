@@ -19,8 +19,9 @@ _PARITY_DIRS /= np.linalg.norm(_PARITY_DIRS, axis=1)[:, None]
 # micro-kernel that rounds differently from the main one; padding the face
 # list to a multiple of 8 gives each face the same bits in every subset
 _COL_BLOCK = 8
-# angular slack (radians) of the cone cull against rounding in its angles
-_CONE_SLACK = 1e-9
+# angular slack (radians) of the cone cull against rounding in its angles;
+# arccos of a dot product near 1 is off by up to ~2e-8
+_CONE_SLACK = 1e-7
 # ray x face pairs per kernel call: temporaries of 512 KiB stay in cache
 CHUNK_PAIRS = 1 << 16
 # guide-table steps before a face lookup falls back to binary search
@@ -33,7 +34,8 @@ class TriMesh(AreaSampler):
     ``ray_hits`` tests only the faces that can matter (see there).  Stored
     normals point into the bounded component when the mesh is watertight
     (established by a ray-parity vote); ``normals_inward`` is None for open
-    meshes, which have no interior.
+    meshes, which have no interior.  Only the face view of the last shared
+    ray origin changes after construction, one attribute replaced whole.
     """
 
     def __init__(self, vertices, faces):
@@ -103,6 +105,7 @@ class TriMesh(AreaSampler):
         pad = 1e-9 * (hi - lo).max(axis=1, keepdims=True)
         self.tri_lo = lo - pad
         self.tri_hi = hi + pad
+        self._view = None  # see _shaft_faces
 
         lo, hi = vertices.min(axis=0), vertices.max(axis=0)
         self.diameter = float(np.linalg.norm(hi - lo))
@@ -208,11 +211,10 @@ class TriMesh(AreaSampler):
 
         ``origins`` is one shared point (3,) or one point per ray (k, 3).
         Returns (ray index, t) pairs, grouped by ray.  The faces tested depend
-        on the input: for a shared origin, those whose boxes reach the
-        distance shell of [tmin, tmax] and whose bounding spheres reach the
-        double cone that holds every ray; for per-ray origins and a finite
-        tmax, those whose boxes meet the bounding box of all segments;
-        otherwise all of them.
+        on the input: for a shared origin, those that ``_shaft_faces`` keeps;
+        for per-ray origins and a finite tmax, those whose boxes meet the
+        bounding box of all segments; otherwise all of them.  A ray's hits
+        have the same bits whichever faces are tested.
         """
         origins = np.asarray(origins, dtype=float)
         dirs = np.asarray(dirs, dtype=float)
@@ -220,11 +222,7 @@ class TriMesh(AreaSampler):
         if len(dirs) == 0:
             return no_hits
         if origins.ndim == 1:
-            lens = np.linalg.norm(dirs, axis=1)
-            dmin, dmax = self.box_distances(origins)
-            idx = np.nonzero((dmin <= max(-tmin, tmax) * lens.max())
-                             & (dmax >= tmin * lens.min()))[0]
-            idx = idx[_cone_mask(origins, dirs, self.tri_lo[idx], self.tri_hi[idx])]
+            idx = self._shaft_faces(origins, dirs, tmin, tmax)
         elif np.isfinite(tmax):
             ends = np.concatenate([origins + tmin * dirs, origins + tmax * dirs])
             idx = np.nonzero(np.all((self.tri_lo <= ends.max(axis=0))
@@ -245,6 +243,45 @@ class TriMesh(AreaSampler):
             rays.append(s + ray)
             ts.append(t[ray, face])
         return np.concatenate(rays), np.concatenate(ts)
+
+    def _shaft_faces(self, origin, dirs, tmin, tmax):
+        """The faces, ascending, that a ray from origin along some row of
+        dirs can meet with tmin <= t <= tmax: one shaft (Haines and Wallace
+        1991) around the rays, cut from the face view of origin.
+
+        A face stays when its box reaches the distance shell of [tmin, tmax]
+        and its bounding sphere reaches the double cone around the rays'
+        sign-aligned mean direction, of the widest ray's angle to it.  The
+        mesh keeps the view of the last origin, so the cone growths of one
+        search, which all cast from the seed point, build it once.
+        """
+        view = self._view
+        if view is None or view[0] != origin.tobytes():
+            view = self._view = self._face_view(origin)
+        _, order, dmin, dmax, centre_dirs, beta = view
+        lens = np.linalg.norm(dirs, axis=1)
+        n = np.searchsorted(dmin, max(-tmin, tmax) * lens.max(), side="right")
+        keep = dmax[:n] >= tmin * lens.min()
+        unit = dirs / lens[:, None]
+        axis = (np.where(unit @ unit[0] < 0.0, -1.0, 1.0)[:, None] * unit).sum(axis=0)
+        axis /= np.linalg.norm(axis)
+        half = _line_angle(unit, axis).max() + _CONE_SLACK
+        if half < 0.5 * np.pi:  # False also for a zero ray or a zero mean
+            keep &= np.arccos(np.abs(centre_dirs[:n] @ axis)) <= half + beta[:n]
+        return np.sort(order[:n][keep])
+
+    def _face_view(self, origin):
+        """(origin bytes, face order by dmin, and in that order dmin, dmax,
+        unit directions to the bounding-sphere centres and their angular
+        radii beta); beta is pi/2 when origin is inside the sphere."""
+        dmin, dmax = self.box_distances(origin)
+        order = np.argsort(dmin, kind="stable")
+        lo, hi = self.tri_lo[order], self.tri_hi[order]
+        q = 0.5 * (lo + hi) - origin
+        rad = 0.5 * np.linalg.norm(hi - lo, axis=1)
+        reach = np.maximum(np.linalg.norm(q, axis=1), rad)
+        return (origin.tobytes(), order, dmin[order], dmax[order],
+                q / reach[:, None], np.arcsin(rad / reach))
 
     def box_distances(self, p):
         """Least and greatest distance from p to each padded face box."""
@@ -330,29 +367,6 @@ class TriMesh(AreaSampler):
 def _line_angle(v, axis):
     """Angle in [0, pi/2] between each row of v and the line through axis."""
     return np.arctan2(np.linalg.norm(np.cross(v, axis), axis=1), np.abs(v @ axis))
-
-
-def _cone_mask(origin, dirs, lo, hi):
-    """Boxes [lo, hi] that a line through origin along some ray of dirs can meet.
-
-    The rays lie in the double cone around their sign-aligned mean direction,
-    with the widest ray's angle to it as half-angle; a box stays when its
-    bounding sphere reaches into that cone.
-    """
-    keep = np.ones(len(lo), dtype=bool)
-    unit = dirs / np.linalg.norm(dirs, axis=1)[:, None]
-    axis = (np.where(unit @ unit[0] < 0.0, -1.0, 1.0)[:, None] * unit).sum(axis=0)
-    axis /= np.linalg.norm(axis)
-    half = _line_angle(unit, axis).max() + _CONE_SLACK
-    if not half < 0.5 * np.pi:  # also catches a zero ray or a zero mean
-        return keep
-    q = 0.5 * (lo + hi) - origin
-    qn = np.linalg.norm(q, axis=1)
-    rad = 0.5 * np.linalg.norm(hi - lo, axis=1)
-    out = qn > rad  # origin outside the sphere
-    keep[out] = (_line_angle(q[out], axis)
-                 - np.arcsin(rad[out] / qn[out])) <= half
-    return keep
 
 
 def _point_tri_sqdist(p, tri):

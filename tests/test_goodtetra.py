@@ -211,3 +211,9 @@ class TestValidation:
     def test_param_validation(self):
         with pytest.raises(ValueError):
             goodtetra.GoodTetraParams(hit_tolerance=0.0)
+
+    @pytest.mark.parametrize("rays", [0, 3])
+    def test_too_few_rays_rejected(self, rays):
+        # fewer than 4 used to divide by zero inside the first cone growth
+        with pytest.raises(ValueError, match="ray_count"):
+            goodtetra.GoodTetraParams(ray_count=rays)

@@ -100,6 +100,58 @@ def test_mesh_segment_hits_match_all_faces(m, vertex, d, length, shift):
     assert np.array_equal(SurfaceOracle(m).segment_hits(a, b), expected)
 
 
+def cone_origin(m, vertex, offset):
+    """A mesh vertex, or a point up to a diameter off it."""
+    return m.vertices[vertex % len(m.vertices)] + offset * m.diameter
+
+
+offsets = st.one_of(st.just(np.zeros(3)),
+                    st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array))
+
+
+@RAY_SETTINGS
+@given(m=meshes, vertex=st.integers(0, 10**6), offset=offsets,
+       axis=unit_vectors, cap=caps, double=st.booleans(), n=st.integers(1, 96),
+       band=st.tuples(st.floats(-0.5, 1.0), st.floats(0.0, 2.0)))
+def test_shaft_keeps_every_face_hit(m, vertex, offset, axis, cap, double, n,
+                                    band):
+    origin = cone_origin(m, vertex, offset)
+    dirs = geom.cap_fibonacci(axis, cap, n)
+    if double:
+        dirs = np.concatenate([dirs, -dirs])
+    tmin, tmax = band[0] * band[1] * m.diameter, band[1] * m.diameter
+    t, ok = m._ray_block(origin, dirs, every_face(m))
+    hit = np.flatnonzero((ok & (t >= tmin) & (t <= tmax)).any(axis=0))
+    kept = m._shaft_faces(origin, dirs, tmin, tmax)
+    assert np.array_equal(kept, np.unique(kept))
+    assert np.isin(hit, kept).all()
+
+
+@RAY_SETTINGS
+@given(kind=st.sampled_from(["ico", "kink"]), vertices=st.tuples(
+           st.integers(0, 10**6), st.integers(0, 10**6)),
+       offset=offsets, axis=unit_vectors, cap=caps, n=st.integers(1, 64),
+       seg=st.tuples(unit_vectors, st.floats(0.01, 2.0)))
+def test_alternating_origins_match_a_fresh_mesh(kind, vertices, offset, axis,
+                                                cap, n, seg):
+    m = mesh(kind, 0)  # shared across examples, so it holds a stale view
+    origins = [cone_origin(m, vertices[0], 0.0),
+               cone_origin(m, vertices[1], offset)]
+    dirs = geom.cap_fibonacci(axis, cap, n)
+    dirs = np.concatenate([dirs, -dirs])
+    a = origins[0]
+    b = a + seg[1] * m.diameter * seg[0]
+    oracle = SurfaceOracle(m)
+    for o in (origins[0], origins[1], None, origins[0], origins[1]):
+        fresh = SurfaceOracle(TriMesh(m.vertices, m.faces))
+        if o is None:
+            assert np.array_equal(oracle.segment_hits(a, b),
+                                  fresh.segment_hits(a, b))
+            continue
+        assert np.array_equal(oracle.band_min_hits(o, dirs, 0.0, m.diameter),
+                              fresh.band_min_hits(o, dirs, 0.0, m.diameter))
+
+
 TORUS = Torus(2.0, 1.0)
 TORUS_ORACLE = SurfaceOracle(TORUS)
 # points of the torus whose implicit value is exactly 0.0, so every ray's
@@ -169,6 +221,7 @@ def unculled(m):
     out = copy.copy(m)
     out.tri_lo = np.full_like(m.tri_lo, -np.inf)
     out.tri_hi = np.full_like(m.tri_hi, np.inf)
+    out._view = None  # a face view of m holds m's boxes
     return out
 
 

@@ -132,6 +132,13 @@ class TestLoaders:
         assert len(mesh.faces) == 1
         assert mesh.n_dropped == 1
 
+    def test_all_faces_degenerate_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "collinear.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 2 0 0\nf 1 2 3\n")
+        with pytest.warns(UserWarning, match="dropped 1"):
+            with pytest.raises(MeshParseError, match="collinear.obj:1: empty"):
+                load_mesh(path)
+
 
 # valid OBJ and OFF documents with a few words or separators swapped reach
 # the parsers' deeper branches, which random bytes almost never do
