@@ -267,7 +267,9 @@ class TriMesh(AreaSampler):
         axis /= np.linalg.norm(axis)
         half = _line_angle(unit, axis).max() + _CONE_SLACK
         if half < 0.5 * np.pi:  # False also for a zero ray or a zero mean
-            keep &= np.arccos(np.abs(centre_dirs[:n] @ axis)) <= half + beta[:n]
+            # a centre on the axis can round its |cos| above 1: clamp, or NaN
+            cos = np.minimum(np.abs(centre_dirs[:n] @ axis), 1.0)
+            keep &= np.arccos(cos) <= half + beta[:n]
         return np.sort(order[:n][keep])
 
     def _face_view(self, origin):

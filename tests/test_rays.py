@@ -127,6 +127,21 @@ def test_shaft_keeps_every_face_hit(m, vertex, offset, axis, cap, double, n,
     assert np.isin(hit, kept).all()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["ico", "kink"])
+def test_shaft_keeps_a_face_centred_on_the_ray(kind):
+    # a ray along (1, 1, 1) at a box centre rounds the cosine between them
+    # above 1 for many faces; the cone test must still keep the face
+    m = mesh(kind, 0)
+    dirs = np.ones((1, 3))
+    for f, centre in enumerate(0.5 * (m.tri_lo + m.tri_hi)):
+        origin = centre - 0.5
+        assert f in m._shaft_faces(origin, dirs, 0.0, m.diameter)
+        got = SurfaceOracle(m).band_min_hits(origin, dirs, 0.0, m.diameter)
+        assert np.array_equal(got, brute_band_min(m, origin, dirs, 0.0,
+                                                  m.diameter))
+
+
 @RAY_SETTINGS
 @given(kind=st.sampled_from(["ico", "kink"]), vertices=st.tuples(
            st.integers(0, 10**6), st.integers(0, 10**6)),
