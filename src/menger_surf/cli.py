@@ -34,13 +34,14 @@ _POSITIVE_FLAGS = ("p", "radius", "major_radius", "minor_radius", "extent",
 # integer flags and their (least, greatest) values.  --rays has the floor
 # that goodtetra.GoodTetraParams checks for ray_count.  Each --grid-level step
 # quadruples beta's directions and each --depth step doubles density's
-# straddling faces; the caps bound time and memory.  diverge's --nmax is
-# divergence_study's own range.
-_INT_RANGES = {"threads": (1, math.inf), "rays": (4, math.inf),
+# straddling faces; the caps bound time and memory.  A wave of the block
+# driver starts one OS thread per block, so --threads has a cap too.
+# diverge's --nmax is divergence_study's own range.
+_INT_RANGES = {"threads": (1, 256), "rays": (4, math.inf),
                "proj_rays": (1, math.inf), "samples": (1, math.inf),
                "pairs": (1, math.inf), "patch_samples": (1, math.inf),
                "iters": (1, math.inf), "grid_level": (0, 6), "depth": (0, 10),
-               "nmax": (1, 8)}
+               "nmax": (2, 8)}
 
 
 class UsageError(Exception):
@@ -76,7 +77,10 @@ def _positive(flag, vals):
 
 def _check_int_ranges(args):
     """Raise UsageError for an integer flag outside its range."""
-    for name, (least, most) in _INT_RANGES.items():
+    ranges = dict(_INT_RANGES)
+    if getattr(args, "subcommand", None) in ("energy", "scaling"):
+        ranges["samples"] = (energy.MIN_SAMPLES, math.inf)  # estimate_mp's
+    for name, (least, most) in ranges.items():
         value = getattr(args, name, None)
         if value is not None and not least <= value <= most:
             bound = f"at least {least}" if value < least else f"at most {most}"
@@ -462,9 +466,12 @@ def run(argv):
             seed = _env_int("MENGER_SEED")
         threads = args.threads
         if threads is None:
-            threads = _env_int("MENGER_THREADS") or (os.cpu_count() or 1)
-            if threads < 1:
-                raise UsageError(f"MENGER_THREADS must be positive, got {threads}")
+            least, most = _INT_RANGES["threads"]
+            threads = (_env_int("MENGER_THREADS")
+                       or min(os.cpu_count() or 1, most))
+            if not least <= threads <= most:
+                raise UsageError(f"MENGER_THREADS must lie in "
+                                 f"{least}..{most}, got {threads}")
         config, results, table = _RUNNERS[args.subcommand](args, seed, threads)
     except UsageError as exc:
         print(f"menger-surf: {exc}", file=sys.stderr)

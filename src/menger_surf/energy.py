@@ -106,6 +106,9 @@ def _mean_and_stderr(stats):
     return mean, np.sqrt(var / n)
 
 
+MIN_SAMPLES = 1000  # the fewest quadruples estimate_mp accepts
+
+
 def estimate_mp(oracle, spec, p, n, seed, threads=1):
     """Estimate the p-energy of a surface by quadruple Monte-Carlo.
 
@@ -115,7 +118,7 @@ def estimate_mp(oracle, spec, p, n, seed, threads=1):
     All four points of every quadruple are independent area-uniform draws.
     """
     n = int(n)
-    if n < 1000:
+    if n < MIN_SAMPLES:
         raise ValueError("need at least 10^3 samples")
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -255,8 +258,8 @@ def divergence_study(alpha, p, mean, eps, n_max, samples, seed, threads=1):
         raise ValueError("alpha must exceed 1")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    if not 1 <= int(n_max) <= 8:
-        raise ValueError("n_max must lie in 1..8")
+    if not 2 <= int(n_max) <= 8:  # the slope needs two scales
+        raise ValueError("n_max must lie in 2..8")
     if int(samples) < 1:
         raise ValueError("need a positive sample count")
     spec = IntegrandSpec(kind="leger", mean=mean, alpha=float(alpha))

@@ -253,12 +253,20 @@ def ball_reach(ball, diameter):
 # direction frames and caps
 # ---------------------------------------------------------------------------
 
+def cross3(a, b):
+    """Components of np.cross(a, b), bit for bit, for a and b given as three
+    components each (floats or arrays); skips np.cross's ~30 us set-up."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
 def orthobasis(v):
     """Unit vectors (e1, e2) completing the unit vector v to a right-handed frame."""
-    a = np.array([1.0, 0.0, 0.0]) if abs(v[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(v, a)
+    v = [float(c) for c in v]
+    a = (1.0, 0.0, 0.0) if abs(v[0]) < 0.9 else (0.0, 1.0, 0.0)
+    e1 = np.array(cross3(v, a))
     e1 /= np.linalg.norm(e1)
-    return e1, np.cross(v, e1)
+    return e1, np.array(cross3(v, e1.tolist()))
 
 
 def cap_fibonacci(v, phi, n):

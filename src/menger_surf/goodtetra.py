@@ -2,10 +2,11 @@
 
 Starting from a seed point with its surface normal, a double cone grows until
 it first meets the surface; the hit pattern is classified (central hit, wide
-pair, or antipodal position with rotated-cap subcases), the remaining
-vertices are picked on vertical segments through the rim of the stopping
-cone, and the stopping radius together with the cone's base plane witnesses
-a large projection of the surrounding patch.
+pair, or antipodal position with rotated-cap subcases).  Each case picks an
+axis and two vertices besides the seed; one scan of vertical segments through
+the rim of the stopping cone then picks the fourth, far from the plane of the
+other three.  The stopping radius together with the cone's base plane
+witnesses a large projection of the surrounding patch.
 """
 
 from dataclasses import dataclass
@@ -62,18 +63,17 @@ class GoodTetraResult:
 # direction sets
 # ---------------------------------------------------------------------------
 
-def _rim_ring(v, phi, n):
+def _circle(v, psi):
+    """Unit vectors cos(psi) e1 + sin(psi) e2 orthogonal to the unit v."""
     e1, e2 = geom.orthobasis(v)
-    psi = np.arange(n) * (2.0 * np.pi / n)
-    return (np.cos(phi) * v[None]
-            + np.sin(phi) * (np.cos(psi)[:, None] * e1[None]
-                             + np.sin(psi)[:, None] * e2[None]))
+    return np.cos(psi)[:, None] * e1[None] + np.sin(psi)[:, None] * e2[None]
 
 
 def _double_cone_dirs(v, phi, n_cap, n_rim):
     """Axis, interior Fibonacci cover and the exact rim ring, mirrored."""
-    up = np.concatenate([v[None], geom.cap_fibonacci(v, phi, n_cap),
-                         _rim_ring(v, phi, n_rim)])
+    psi = np.arange(n_rim) * (2.0 * np.pi / n_rim)
+    rim = np.cos(phi) * v[None] + np.sin(phi) * _circle(v, psi)
+    up = np.concatenate([v[None], geom.cap_fibonacci(v, phi, n_cap), rim])
     return np.concatenate([up, -up])
 
 
@@ -186,51 +186,52 @@ def _classify(hits, x0, v, rho, params):
     return "antipodal", (y[pick],)
 
 
-def _segment_best_hit(oracle, a, b, x0, plane_normal):
-    """Surface point on [a, b] farthest from the plane through x0."""
-    pts = oracle.segment_hits(a, b)
-    if len(pts) == 0:
-        return None
-    d = np.abs((pts - x0[None]) @ plane_normal)
-    return pts[int(np.argmax(d))]
-
-
 _RIM_FACTORS = (1.0, 0.996, 0.99, 0.97, 0.94)
 _RIM_SCAN = 96  # rim points scanned per factor
+_NO_RIM_HIT = ("no rim segment met the surface "
+               "(cone condition failed at mesh resolution)")
 
 
-def _rim_vertex(oracle, x0, v, r, plane_normal, params):
+def _rim_segments(x0, v, z, half):
+    """Ends of the segments of half-length half along v through x0 + z."""
+    return (x0 + z) - half * v, (x0 + z) + half * v
+
+
+def _rim_vertex(oracle, x0, v, r, plane_normal, params, first=None):
     """Vertex on a vertical segment through the stopping rim, far from a plane.
 
     Scans the rim circle (and slightly shrunken copies, which keeps the
     segments transversal when the exact rim grazes the surface) in order of
     decreasing guaranteed distance to the plane and returns the first surface
-    point found, maximizing its actual plane distance on that segment.
+    point found, maximizing its actual plane distance on that segment.  The
+    rim point x0 + first, when given, is tried at every factor before the
+    scan.
     """
-    e1, e2 = geom.orthobasis(v)
-    psi = np.arange(_RIM_SCAN) * (2.0 * np.pi / _RIM_SCAN)
-    ring = np.cos(psi)[:, None] * e1[None] + np.sin(psi)[:, None] * e2[None]
-
-    candidates = []
-    for fi, f in enumerate(_RIM_FACTORS):
-        z = f * r * ring
-        half = f * r * (1.0 + 2.0 * params.hit_tolerance)
-        lo = (x0[None] + z) - half * v[None]
-        hi = (x0[None] + z) + half * v[None]
-        dlo = (lo - x0[None]) @ plane_normal
-        dhi = (hi - x0[None]) @ plane_normal
+    halves = [f * r * (1.0 + 2.0 * params.hit_tolerance) for f in _RIM_FACTORS]
+    ring = _circle(v, np.arange(_RIM_SCAN) * (2.0 * np.pi / _RIM_SCAN))
+    los, his, scores = [], [], []
+    for f, half in zip(_RIM_FACTORS, halves):
+        lo, hi = _rim_segments(x0, v, f * r * ring, half)
+        dlo = (lo - x0) @ plane_normal
+        dhi = (hi - x0) @ plane_normal
         crossing = np.sign(dlo) != np.sign(dhi)
-        score = np.where(crossing, 0.0, np.minimum(np.abs(dlo), np.abs(dhi)))
-        for k in range(_RIM_SCAN):
-            candidates.append((float(score[k]), fi, k, lo[k], hi[k]))
-    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+        scores.append(np.where(crossing, 0.0,
+                               np.minimum(np.abs(dlo), np.abs(dhi))))
+        los.append(lo)
+        his.append(hi)
+    # stable, so equal scores keep the scan's (factor, k) order
+    order = np.argsort(-np.concatenate(scores), kind="stable")
+    segments = list(zip(np.concatenate(los)[order],
+                        np.concatenate(his)[order]))
+    if first is not None:
+        segments[:0] = [_rim_segments(x0, v, f * first, half)
+                        for f, half in zip(_RIM_FACTORS, halves)]
 
-    for score, fi, k, a, b in candidates:
-        pt = _segment_best_hit(oracle, a, b, x0, plane_normal)
-        if pt is not None:
-            return pt
-    raise RuntimeError("no rim segment met the surface "
-                       "(cone condition failed at mesh resolution)")
+    for a, b in segments:
+        pts = oracle.segment_hits(a, b)
+        if len(pts):
+            return pts[int(np.argmax(np.abs((pts - x0) @ plane_normal)))]
+    raise RuntimeError(_NO_RIM_HIT)
 
 
 def _plane_normal(x0, p1, p2):
@@ -285,25 +286,29 @@ def find_good_tetra(oracle, seed_point, params=None):
         if len(hits) == 0:
             raise RuntimeError("stopping sphere carried no hits")
         label, payload = _classify(hits, x0, v, rho, params)
+        y1 = payload[0]
+        r = rho * np.sin(PHI0)  # radius of the stopping rim
 
+        first = None
         if label == "central":
-            T, case = _case_central(oracle, x0, v, rho, payload[0], params)
+            axis, x2, first, case = _case_central(oracle, x0, v, r, y1, params)
         elif label == "wide":
-            T, case = _case_wide(oracle, x0, v, rho, payload, params)
+            axis, x2, case = v, x0 + payload[1], "wide_pair"
         else:
-            out = _case_antipodal(oracle, x0, v, rho, payload[0], params)
-            if out[0] is None:
+            axis, x2, case = _case_antipodal(oracle, x0, v, rho, y1, params)
+            if x2 is None:
                 # subcase (c): continue growing around the rotated axis; the
                 # emptiness of the forward annulus forces the next stopping
                 # radius beyond twice the current one
-                v = out[1]
+                v = axis
                 t_lo = rho * (1.0 + 2.0 * params.hit_tolerance)
                 continue
-            T, case = out
 
-        d_s = rho
-        eta = _eta_achieved(T, d_s)
-        return GoodTetraResult(np.asarray(T), float(d_s), case, eta,
+        x1 = x0 + y1
+        n_p = _plane_normal(x0, x1, x2)
+        x3 = _rim_vertex(oracle, x0, axis, r, n_p, params, first)
+        T = np.stack([x0, x1, x2, x3])
+        return GoodTetraResult(T, float(rho), case, _eta_achieved(T, rho),
                                iteration, v.copy(), float(first_hit), radii)
     raise RuntimeError(f"{MAX_ITERATIONS} cone growths exceeded "
                        "(insufficient resolution or non-admissible surface)")
@@ -318,71 +323,44 @@ def _project_unit(y, v, rho):
     return w / nrm
 
 
-def _case_central(oracle, x0, v, rho, y1, params):
-    """Central hit: one vertex near the cone axis, two on rim segments."""
+def _case_central(oracle, x0, v, r, y1, params):
+    """Central hit: the hit is one vertex, the most central point of a rim
+    segment another.
+
+    Returns (axis, x2, first, label); for a hit on the axis, ``first`` is the
+    rim point that the fourth vertex's scan tries first, else None.
+    """
     if (y1 @ v) < 0.0:
         v = -v
-    r = rho * np.sin(PHI0)
-    x1 = x0 + y1
     w = y1 - (y1 @ v) * v
     axial = np.linalg.norm(w) < params.hit_tolerance * r
     if axial:
         u, e2 = geom.orthobasis(v)
-        case = "central_hit_a"
     else:
         u = w / np.linalg.norm(w)
         e2 = np.cross(v, u)
-        case = "central_hit_b"
 
-    x2 = None
     z2 = -r * e2
     for f in _RIM_FACTORS:
-        a = x0 + f * z2 - f * r * (1.0 + 2.0 * params.hit_tolerance) * v
-        b = x0 + f * z2 + f * r * (1.0 + 2.0 * params.hit_tolerance) * v
+        a, b = _rim_segments(x0, v, f * z2,
+                             f * r * (1.0 + 2.0 * params.hit_tolerance))
         pts = oracle.segment_hits(a, b)
         if len(pts):
             # most central hit keeps the base wide
             x2 = pts[int(np.argmin(np.abs((pts - x0[None]) @ v)))]
-            break
-    if x2 is None:
-        raise RuntimeError("no rim segment met the surface "
-                           "(cone condition failed at mesh resolution)")
-
-    n_p = _plane_normal(x0, x1, x2)
-    if axial:
-        x3 = None
-        z3 = r * u
-        for f in _RIM_FACTORS:
-            a = x0 + f * z3 - f * r * (1.0 + 2.0 * params.hit_tolerance) * v
-            b = x0 + f * z3 + f * r * (1.0 + 2.0 * params.hit_tolerance) * v
-            x3 = _segment_best_hit(oracle, a, b, x0, n_p)
-            if x3 is not None:
-                break
-        if x3 is None:
-            x3 = _rim_vertex(oracle, x0, v, r, n_p, params)
-    else:
-        x3 = _rim_vertex(oracle, x0, v, r, n_p, params)
-    return np.stack([x0, x1, x2, x3]), case
-
-
-def _case_wide(oracle, x0, v, rho, payload, params):
-    """Two stopping-sphere hits with wide projected separation."""
-    y1, y2 = payload
-    x1 = x0 + y1
-    x2 = x0 + y2
-    n_p = _plane_normal(x0, x1, x2)
-    r = rho * np.sin(PHI0)
-    x3 = _rim_vertex(oracle, x0, v, r, n_p, params)
-    return np.stack([x0, x1, x2, x3]), "wide_pair"
+            if axial:
+                return v, x2, r * u, "central_hit_a"
+            return v, x2, None, "central_hit_b"
+    raise RuntimeError(_NO_RIM_HIT)
 
 
 def _case_antipodal(oracle, x0, v, rho, y1, params):
     """Antipodal hits: rotate the outer conical cap away from the hit.
 
-    Returns (T, label) when subcase (a) or (b) stops the iteration, or
-    (None, rotated_axis) when the search must continue (subcase (c)); the
-    axis is rotated away from the hit's side, as seen from the cone half
-    that contains the hit.
+    Returns (axis, x2, label) when subcase (a) or (b) stops the iteration,
+    or (rotated_axis, None, None) when the search must continue (subcase
+    (c)); the axis is rotated away from the hit's side, as seen from the cone
+    half that contains the hit.
     """
     if (y1 @ v) < 0.0:
         v = -v
@@ -429,11 +407,7 @@ def _case_antipodal(oracle, x0, v, rho, y1, params):
                 hi, pt_hi = mid, pt
             else:
                 lo = mid
-        x2 = pt_hi
-        n_p = _plane_normal(x0, x0 + y1, x2)
-        r = rho * np.sin(PHI0)
-        x3 = _rim_vertex(oracle, x0, v, r, n_p, params)
-        return np.stack([x0, x0 + y1, x2, x3]), "antipodal_3a"
+        return v, pt_hi, "antipodal_3a"
 
     # subcase (b): forward annulus of the half-rotated cone
     v_star = _rotation(w, 0.5 * PHI0) @ v
@@ -444,13 +418,9 @@ def _case_antipodal(oracle, x0, v, rho, y1, params):
     okm = np.isfinite(ts)
     if okm.any():
         pick = int(np.argmin(np.where(okm, ts, np.inf)))
-        x2 = x0 + ts[pick] * dirs[pick]
-        n_p = _plane_normal(x0, x0 + y1, x2)
-        r = rho * np.sin(PHI0)
-        x3 = _rim_vertex(oracle, x0, v, r, n_p, params)
-        return np.stack([x0, x0 + y1, x2, x3]), "antipodal_3b"
+        return v, x0 + ts[pick] * dirs[pick], "antipodal_3b"
 
-    return None, v_star  # subcase (c): caller continues with this axis
+    return v_star, None, None  # subcase (c): caller continues with this axis
 
 
 # ---------------------------------------------------------------------------
@@ -469,12 +439,10 @@ def verify_projection(oracle, x0, r, witness_plane_normal, n_rays=1000,
     x0 = np.asarray(x0, dtype=float)
     v = np.asarray(witness_plane_normal, dtype=float)
     v = v / np.linalg.norm(v)
-    e1, e2 = geom.orthobasis(v)
     rng = substream(seed, _PROJ_TAG)
     rad = (r / np.sqrt(2.0)) * np.sqrt(rng.random(n_rays))
     psi = rng.random(n_rays) * 2.0 * np.pi
-    w = (x0[None] + rad[:, None] * (np.cos(psi)[:, None] * e1[None]
-                                    + np.sin(psi)[:, None] * e2[None]))
+    w = x0[None] + rad[:, None] * _circle(v, psi)
     limit = r * (1.0 + WITNESS_TOL)
     # all segments in one query; dirs = b - a, the bits of a segment_hits(a, b)
     origins = w - r * v[None]

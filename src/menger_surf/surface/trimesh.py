@@ -60,12 +60,12 @@ class TriMesh(AreaSampler):
         longest = edges.max(axis=-1)
         keep = areas > geom.TRI_DEGENERACY_REL * longest**2
         self.n_dropped = int(len(faces) - keep.sum())
+        if self.n_dropped == len(faces):  # the error alone, without a warning
+            raise ValueError("empty mesh after removing degenerate faces")
         if self.n_dropped:
             warnings.warn(f"dropped {self.n_dropped} zero-area faces")
             faces, tri, cross, areas = faces[keep], tri[keep], cross[keep], areas[keep]
             edges = edges[keep]
-        if len(faces) == 0:
-            raise ValueError("empty mesh after removing degenerate faces")
 
         self.vertices = vertices
         self.faces = faces
@@ -368,7 +368,8 @@ class TriMesh(AreaSampler):
 
 def _line_angle(v, axis):
     """Angle in [0, pi/2] between each row of v and the line through axis."""
-    return np.arctan2(np.linalg.norm(np.cross(v, axis), axis=1), np.abs(v @ axis))
+    cross = np.stack(geom.cross3(v.T, axis.tolist()), axis=1)
+    return np.arctan2(np.linalg.norm(cross, axis=1), np.abs(v @ axis))
 
 
 def _point_tri_sqdist(p, tri):

@@ -1,9 +1,16 @@
 import argparse
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from menger_surf import cli
 from menger_surf.surface import save_obj, shapes
@@ -229,11 +236,14 @@ class TestExitCodes:
         ("beta", "--patch-samples", "-5"),
         ("beta", "--grid-level", "-1"),
         ("density", "--depth", "-1"),
+        ("energy", "--samples", "500"),
+        ("scaling", "--samples", "999"),
         ("diverge", "--samples", "0"),
         ("diverge", "--samples", "-5"),
         ("minimize", "--iters", "0"),
         ("minimize", "--iters", "-5"),
         ("diverge", "--nmax", "0"),
+        ("diverge", "--nmax", "1"),
         ("minimize", "--p", "8"),
         ("minimize-area", "--p", "5"),
         ("minimize", "--mesh", "TRIANGLE"),
@@ -255,7 +265,7 @@ class TestExitCodes:
         assert err.startswith("menger-surf: ") and says in err
 
     @pytest.mark.parametrize("flag,cap", [("grid_level", 6), ("depth", 10),
-                                          ("nmax", 8)])
+                                          ("nmax", 8), ("threads", 256)])
     def test_integer_flag_caps(self, flag, cap):
         # through the validator alone: a run above a cap would exhaust memory
         cli._check_int_ranges(argparse.Namespace(**{flag: cap}))
@@ -267,3 +277,71 @@ class TestExitCodes:
         monkeypatch.setenv("MENGER_THREADS", "-3")
         assert cli.run(QUICK["energy"]) == 2
         assert "MENGER_THREADS" in capsys.readouterr().err
+
+    def test_degenerate_mesh_error_comes_alone(self, tmp_path):
+        # a real process, so that a warning would reach stderr as users see it
+        path = tmp_path / "deg.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 2 0 0\nf 1 2 3\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "menger_surf.cli", "energy", "--mesh",
+             str(path), "--p", "8", "--samples", "2000"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert "UserWarning" not in proc.stderr
+        assert proc.stderr == (f"menger-surf: {path}:1: empty mesh after "
+                               "removing degenerate faces\n")
+
+
+def _ints(most):
+    """Integer flag values up to most, with some below 1 and some not ints."""
+    return st.one_of(st.integers(-2, most).map(str),
+                     st.sampled_from(["", "x", "1.5", "1e3"]))
+
+
+_REALS = st.sampled_from(["-1", "0", "1e-9", "0.01", "0.5", "1", "9", "inf",
+                          "nan", "x"])
+_THREADS = _ints(2)
+
+# each subcommand at a small size (the last occurrence of a flag wins), and
+# the flags the fuzz may override
+FUZZ = {
+    "energy": (QUICK["energy"], {"--samples": _ints(2000), "--p": _REALS,
+                                 "--radius": _REALS, "--threads": _THREADS}),
+    "scaling": (QUICK["scaling"], {"--samples": _ints(2000), "--p": _REALS,
+                                   "--threads": _THREADS}),
+    "local-energy": (QUICK["local-energy"], {
+        "--samples": _ints(2000), "--patch-radius": _REALS,
+        "--threads": _THREADS}),
+    "diverge": (QUICK["diverge"] + ["--samples", "2000"], {
+        "--samples": _ints(2000), "--nmax": _ints(2), "--eps": _REALS,
+        "--threads": _THREADS}),
+    "beta": (QUICK["beta"], {"--patch-samples": _ints(500),
+                             "--grid-level": _ints(1)}),
+    "density": (QUICK["density"] + ["--depth", "3"], {
+        "--depth": _ints(3), "--patch-radius": _REALS}),
+    "oscillation": (QUICK["oscillation"], {"--pairs": _ints(100),
+                                           "--threads": _THREADS}),
+    "goodtetra": (QUICK["goodtetra"] + ["--rays", "64", "--proj-rays", "64"], {
+        "--rays": _ints(64), "--proj-rays": _ints(64), "--hit-tol": _REALS,
+        "--threads": _THREADS}),
+    "minimize": (["minimize", "--mesh", "MESH", "--mode", "energy", "--cap",
+                  "100", "--iters", "3", "--p", "9", "--seed", "0"], {
+        "--iters": _ints(5), "--p": _REALS, "--cap": _REALS,
+        "--mode": st.sampled_from(["energy", "area", "x"])}),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(FUZZ)))
+def test_fuzzed_flags_exit_cleanly(ico_obj, data, name):
+    base, flags = FUZZ[name]
+    argv = [ico_obj if a == "MESH" else a for a in base]
+    chosen = data.draw(st.lists(st.sampled_from(sorted(flags)), unique=True))
+    for flag in chosen:
+        argv += [flag, data.draw(flags[flag], label=flag)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -180,8 +180,10 @@ class TestDivergence:
             energy.divergence_study(0.5, 8.0, "geometric", 0.05, 3, 1000, 0)
         with pytest.raises(ValueError):
             energy.divergence_study(3.0, 8.0, "geometric", 1.5, 3, 1000, 0)
-        with pytest.raises(ValueError):
-            energy.divergence_study(3.0, 8.0, "geometric", 0.05, 9, 1000, 0)
+        for n_max in (1, 9):  # one scale fitted a slope through one point
+            with pytest.raises(ValueError, match="2..8"):
+                energy.divergence_study(3.0, 8.0, "geometric", 0.05, n_max,
+                                        1000, 0)
         for samples in (0, -5):  # -5 once ran 4091 samples per row
             with pytest.raises(ValueError, match="positive"):
                 energy.divergence_study(3.0, 8.0, "geometric", 0.05, 3,

@@ -237,3 +237,28 @@ class TestPerturbation:
             np.linalg.norm(shift, axis=2, keepdims=True), 1e-300)
         moved = quads + shift
         assert geom.classify_voluminous_batch(moved, eta / 2.0, 1.5 * d).all()
+
+
+class TestFrames:
+    @staticmethod
+    def np_orthobasis(v):
+        a = np.array([1.0, 0.0, 0.0]) if abs(v[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+        e1 = np.cross(v, a)
+        e1 /= np.linalg.norm(e1)
+        return e1, np.cross(v, e1)
+
+    def test_orthobasis_matches_np_cross_bits(self, rng):
+        v = rng.standard_normal((2000, 3))
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        # axes of both signs carry signed zeros; 0.9 is the switch point
+        edge = [[0.9, 0.0, np.sqrt(0.19)], [-0.9, np.sqrt(0.19), 0.0]]
+        for u in np.concatenate([v, np.eye(3), -np.eye(3), edge]):
+            got, want = geom.orthobasis(u), self.np_orthobasis(u)
+            assert [e.tobytes() for e in got] == [e.tobytes() for e in want]
+
+    def test_cross3_of_columns_matches_np_cross_bits(self, rng):
+        v = rng.standard_normal((500, 3))
+        v[:100, 1] = -0.0
+        axis = np.array([0.0, -0.6, 0.8])
+        got = np.stack(geom.cross3(v.T, axis.tolist()), axis=1)
+        assert got.tobytes() == np.cross(v, axis).tobytes()
