@@ -6,7 +6,8 @@ time goes to the diagnostic stream so the written document is bit-identical
 for identical configurations regardless of thread count.  All randomness
 flows from the single seed through counter-based streams.
 
-Exit codes: 0 success, 2 usage error, 1 runtime error.
+Exit codes: 0 success, 2 usage error (a mesh file that fails to parse is
+one), 1 runtime error.
 """
 
 import argparse
@@ -21,7 +22,7 @@ import numpy as np
 from . import __version__, analysis, energy, goodtetra, minimize
 from .integrand import IntegrandSpec, eval_integrand
 from .rng import substream
-from .surface import SurfaceOracle, SurfacePoint, sample_point
+from .surface import MeshParseError, SurfaceOracle, SurfacePoint, sample_point
 
 SUBCOMMANDS = ("integrand", "energy", "local-energy", "scaling", "diverge",
                "density", "beta", "oscillation", "goodtetra", "minimize")
@@ -473,7 +474,7 @@ def run(argv):
                 raise UsageError(f"MENGER_THREADS must lie in "
                                  f"{least}..{most}, got {threads}")
         config, results, table = _RUNNERS[args.subcommand](args, seed, threads)
-    except UsageError as exc:
+    except (UsageError, MeshParseError) as exc:  # a bad mesh file is bad input
         print(f"menger-surf: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, RuntimeError, FloatingPointError) as exc:

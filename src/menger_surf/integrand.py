@@ -131,28 +131,6 @@ def eval_batch(spec, P):
     P = np.asarray(P, dtype=float)
     if P.ndim != 3 or P.shape[1:] != (4, 3):
         raise ValueError("expected an (n, 4, 3) array of quadruples")
-    n = len(P)
-    if spec.kind == "menger":
-        P = _canonical_points(P)
-        volume, area, diam, hmin, coplanar = geom.tetra_quantities(P)
-        out = np.zeros(n)
-        ok = ~coplanar
-        out[ok] = volume[ok] / (area[ok] * diam[ok] ** 2)
-        return out
-    if spec.kind == "circumsphere":
-        P = _canonical_points(P)
-        radius, coplanar = geom.circumsphere_radius_batch(P)
-        out = np.zeros(n)
-        ok = ~coplanar & np.isfinite(radius) & (radius > 0.0)
-        out[ok] = 1.0 / radius[ok]
-        return out
-    if spec.kind == "scaled":
-        P = _canonical_points(P)
-        volume, area, diam, hmin, coplanar = geom.tetra_quantities(P)
-        out = np.zeros(n)
-        ok = ~coplanar
-        out[ok] = hmin[ok] / diam[ok] ** (2.0 + spec.s)
-        return out
     if spec.kind == "leger":
         base = _canonical_points(P[:, :3])
         x, y, z, xi = base[:, 0], base[:, 1], base[:, 2], P[:, 3]
@@ -169,11 +147,25 @@ def eval_batch(spec, P):
         dc = np.linalg.norm(xi - z, axis=1)
         m = _mean_batch(spec.mean, da, db, dc)
         ok = base_ok & (m > 0.0)
-        out = np.zeros(n)
+        out = np.zeros(len(P))
         dist = np.abs(np.einsum("ij,ij->i", xi[ok] - x[ok], cross[ok])) / ncross[ok]
         out[ok] = dist / m[ok] ** spec.alpha
         return out
-    raise ValueError(f"unknown integrand kind {spec.kind!r}")
+    # the symmetric kinds, on canonically ordered vertices
+    P = _canonical_points(P)
+    out = np.zeros(len(P))
+    if spec.kind == "circumsphere":
+        radius, coplanar = geom.circumsphere_radius_batch(P)
+        ok = ~coplanar & np.isfinite(radius) & (radius > 0.0)
+        out[ok] = 1.0 / radius[ok]
+        return out
+    volume, area, diam, hmin, coplanar = geom.tetra_quantities(P)
+    ok = ~coplanar
+    if spec.kind == "menger":
+        out[ok] = volume[ok] / (area[ok] * diam[ok] ** 2)
+    else:
+        out[ok] = hmin[ok] / diam[ok] ** (2.0 + spec.s)
+    return out
 
 
 def eval_integrand(spec, T):

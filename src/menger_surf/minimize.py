@@ -1,11 +1,12 @@
 """Desk-scale constrained optimization of the discrete curvature energy.
 
 The discrete energy lumps one third of each face area onto its vertices and
-sums weight-products times integrand^p over vertex quadruples.  Simulated
-annealing moves one vertex at a time; the area-capped variant re-projects to
-its area budget by uniform scaling (the energy of a scaled mesh follows the
-exact homogeneity factor, so projection costs nothing), the energy-capped
-variant rejects any state whose energy exceeds the cap.
+sums weight-products times integrand^p over vertex quadruples.  Both
+variational problems run one simulated-annealing loop that moves one vertex
+at a time and differs only in how it scores a state: the area-capped problem
+re-projects to its area budget by uniform scaling (the energy of a scaled
+mesh follows the exact homogeneity factor, so projection costs nothing), the
+energy-capped problem rejects any state whose energy exceeds the cap.
 """
 
 import itertools
@@ -132,57 +133,36 @@ class _EnergyTable:
         return undo
 
 
-def _anneal(mesh, p, iters, seed, mode, area_target=None, energy_cap=None):
-    config = DiscreteEnergyConfig(p=p)
+def _anneal(mesh, p, iters, seed, score, finish):
+    """Anneal one vertex at a time.  ``score(area, energy)`` gives a state's
+    (objective, constraint value, feasible); ``finish(table)`` gives the
+    final (mesh, objective, constraint value)."""
+    if iters < 0:
+        raise ValueError(f"iters must be at least 0, got {iters}")
     table = _EnergyTable(mesh.vertices, mesh.faces, p)
-    n_verts = len(table.verts)
     sigma0 = 0.02 * mesh.mean_edge
     temperature = 1.0
-    scale_exp = 8.0 - p  # energy of a lambda-scaled mesh is lambda^(8-p) E
 
-    area = table.area()
-    energy_raw = table.energy()
-    if mode == "energy":
-        s = np.sqrt(area_target / area)
-        objective = s**scale_exp * energy_raw
-        constraint = area_target
-        tau0 = 0.002 * (objective + 1e-300)
-    else:
-        if energy_raw > energy_cap:
-            raise ValueError("infeasible start: energy above the cap")
-        objective = area
-        constraint = energy_raw
-        tau0 = 0.002 * (area + 1e-300)
-
+    objective, constraint, feasible = score(table.area(), table.energy())
+    if not feasible:
+        raise ValueError("infeasible start: energy above the cap")
+    tau0 = 0.002 * (objective + 1e-300)
     audit = [(0, objective, constraint, True)]
-    best = objective
-    accepted = 0
+    best, accepted = objective, 0
 
     for it in range(1, iters + 1):
         rng = substream(seed, _ANNEAL_TAG, it)
-        vi = int(rng.integers(n_verts))
+        vi = int(rng.integers(len(table.verts)))
         step = rng.standard_normal(3) * (sigma0 * temperature)
         u = rng.random()
 
         undo = table.move(vi, table.verts[vi] + step)
-        new_area = table.area()
-        new_raw = table.energy()
-        ok = True
-        if mode == "energy":
-            s = np.sqrt(area_target / new_area)
-            new_obj = s**scale_exp * new_raw
-            new_constraint = area_target
-        else:
-            new_obj = new_area
-            new_constraint = new_raw
-            ok = new_raw <= energy_cap
+        new_obj, new_constraint, ok = score(table.area(), table.energy())
         if ok:
             delta = new_obj - objective
-            tau = tau0 * temperature
-            ok = delta <= 0.0 or u < np.exp(-delta / max(tau, 1e-300))
+            ok = delta <= 0.0 or u < np.exp(-delta / max(tau0 * temperature, 1e-300))
         if ok:
-            objective = new_obj
-            constraint = new_constraint
+            objective, constraint = new_obj, new_constraint
             best = min(best, objective)
             accepted += 1
         else:
@@ -191,26 +171,9 @@ def _anneal(mesh, p, iters, seed, mode, area_target=None, energy_cap=None):
         if it % 100 == 0:
             temperature *= 0.999
 
-    # materialize the final state; in energy mode project exactly onto the
-    # area target by uniform scaling about the vertex centroid, and re-sum
-    # the energy of the scaled vertices; in area mode the vertices are the
-    # table's own, whose energy it holds
-    verts = table.verts
-    if mode == "energy":
-        s = np.sqrt(area_target / table.area())
-        centroid = verts.mean(axis=0)
-        verts = centroid + s * (verts - centroid)
-    final = TriMesh(verts, mesh.faces)
-    final_energy = (discrete_energy(final, config)
-                    if mode == "energy" else table.energy())
-    final_area = float(tri_areas(verts[mesh.faces]).sum())
-    if mode == "energy":
-        objective, constraint = final_energy, final_area
-    else:
-        objective, constraint = final_area, final_energy
+    final, objective, constraint = finish(table)
     return OptimizerState(final, objective, constraint, temperature, iters,
-                          min(best, objective) if mode == "energy" else best,
-                          accepted, audit,
+                          min(best, objective), accepted, audit,
                           self_intersecting=has_self_intersections(final))
 
 
@@ -220,68 +183,80 @@ def minimize_energy_area_cap(mesh, p, area_cap, iters, seed):
     Growth lowers the energy (homogeneity degree 8 - p < 0), so the area
     constraint saturates; every state is projected onto the budget by uniform
     scaling, which multiplies the energy by the exact homogeneity factor.
+    The final state is scaled about its vertex centroid and re-summed.
     """
     if not area_cap > 0.0:
         raise ValueError("area cap must be positive")
+    config = DiscreteEnergyConfig(p=p)
     target = min(mesh.total_area, float(area_cap))
-    return _anneal(mesh, p, int(iters), seed, "energy", area_target=target)
+
+    def score(area, energy):
+        return np.sqrt(target / area) ** (8.0 - p) * energy, target, True
+
+    def finish(table):
+        s = np.sqrt(target / table.area())
+        centroid = table.verts.mean(axis=0)
+        final = TriMesh(centroid + s * (table.verts - centroid), mesh.faces)
+        return final, discrete_energy(final, config), float(final.face_areas.sum())
+
+    return _anneal(mesh, p, int(iters), seed, score, finish)
 
 
 def minimize_area_energy_cap(mesh, p, energy_cap, iters, seed):
     """Anneal the mesh area, rejecting states above the energy cap."""
-    return _anneal(mesh, p, int(iters), seed, "area", energy_cap=float(energy_cap))
+    DiscreteEnergyConfig(p=p)
+    cap = float(energy_cap)
+    if np.isnan(cap):
+        raise ValueError("energy cap must not be NaN")
+
+    def score(area, energy):
+        return area, energy, energy <= cap
+
+    def finish(table):
+        final = TriMesh(table.verts, mesh.faces)
+        return final, float(final.face_areas.sum()), table.energy()
+
+    return _anneal(mesh, p, int(iters), seed, score, finish)
 
 
-# ---------------------------------------------------------------------------
-# self-intersection report flag
-# ---------------------------------------------------------------------------
+_PAIR_ROWS = 256  # faces per row block of the candidate-pair search
+
 
 def has_self_intersections(mesh):
-    """True when a face edge pierces a non-adjacent face.
-
-    Edge-through-triangle covers every transversal face/face crossing;
-    exactly coplanar overlaps are not detected.  Report flag only.
-    """
-    tri = mesh.vertices[mesh.faces]
-    lo = tri.min(axis=1)
-    hi = tri.max(axis=1)
+    """True when a face edge crosses the inside of a face it shares no vertex
+    with, tested on the pairs whose closed boxes overlap, a row block at a
+    time.  This covers every transversal face/face crossing; exactly coplanar
+    overlaps are not detected.  Report flag only."""
+    faces = mesh.faces
+    tri = mesh.vertices[faces]
+    lo, hi = tri.min(axis=1).T, tri.max(axis=1).T
     m = len(tri)
-    pairs = []
-    for i in range(m):
-        overlap = np.all((lo[i] <= hi) & (lo <= hi[i]), axis=1)
-        overlap[:i + 1] = False
-        for j in np.nonzero(overlap)[0]:
-            if len(set(mesh.faces[i]) & set(mesh.faces[j])) == 0:
-                pairs.append((i, j))
-    if not pairs:
-        return False
-    for i, j in pairs:
-        if _edges_cross_tri(tri[i], tri[j]) or _edges_cross_tri(tri[j], tri[i]):
+    for start in range(0, m, _PAIR_ROWS):
+        rows = np.arange(start, min(start + _PAIR_ROWS, m))
+        near = rows[:, None] < np.arange(start, m)
+        for k in range(3):
+            near &= lo[k, rows, None] <= hi[k, start:]
+            near &= lo[k, start:] <= hi[k, rows, None]
+        i, j = np.argwhere(near).T + start
+        apart = ~(faces[i, :, None] == faces[j, None, :]).any(axis=(1, 2))
+        i, j = i[apart], j[apart]
+        if (_edges_cross(tri[i], tri[j]) | _edges_cross(tri[j], tri[i])).any():
             return True
     return False
 
 
-def _edges_cross_tri(tri_a, tri_b):
-    v0 = tri_b[0]
-    e1 = tri_b[1] - tri_b[0]
-    e2 = tri_b[2] - tri_b[0]
-    n = np.cross(e1, e2)
-    gram = np.array([[e1 @ e1, e1 @ e2], [e1 @ e2, e2 @ e2]])
-    det = np.linalg.det(gram)
-    if det <= 0.0:
-        return False
-    inv = np.linalg.inv(gram)
-    for k in range(3):
-        a = tri_a[k]
-        d = tri_a[(k + 1) % 3] - a
-        den = n @ d
-        if abs(den) < 1e-14 * (np.linalg.norm(n) * np.linalg.norm(d) + 1e-300):
-            continue
-        t = (n @ (v0 - a)) / den
-        if not 0.0 < t < 1.0:
-            continue
-        w = a + t * d - v0
-        uv = inv @ np.array([e1 @ w, e2 @ w])
-        if uv[0] > 1e-12 and uv[1] > 1e-12 and uv.sum() < 1.0 - 1e-12:
-            return True
-    return False
+def _edges_cross(a, b):
+    """Whether an edge of each triangle of stack ``a`` crosses the inside of
+    the matching triangle of ``b`` (Moller and Trumbore 1997): 0 < t < 1
+    along the edge and both barycentrics above 1e-12 with a sum below
+    1 - 1e-12.  Edges nearly parallel to the plane of ``b`` are skipped."""
+    e1, e2 = b[:, 1:2] - b[:, :1], b[:, 2:] - b[:, :1]
+    d = a[:, [1, 2, 0]] - a  # edge k runs from corner k to corner k + 1
+    s = a - b[:, :1]
+    pvec, q = np.cross(d, e2), np.cross(s, e1)
+    den = np.sum(e1 * pvec, axis=2)  # -n.d for the face normal n = e1 x e2
+    slack = np.linalg.norm(np.cross(e1, e2), axis=2) * np.linalg.norm(d, axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u, v, t = (np.sum(x * y, axis=2) / den for x, y in ((s, pvec), (d, q), (e2, q)))
+        hit = (0.0 < t) & (t < 1.0) & (u > 1e-12) & (v > 1e-12) & (u + v < 1.0 - 1e-12)
+    return (hit & (np.abs(den) >= 1e-14 * (slack + 1e-300))).any(axis=1)

@@ -63,6 +63,19 @@ QUICK = {
                   "--seed", "0"],
 }
 
+# mesh-reading runs without their --mesh flag
+MESH_RUNS = {
+    "energy": ["energy", "--p", "8", "--samples", "2000"],
+    "minimize": ["minimize", "--mode", "energy", "--cap", "100",
+                 "--iters", "3", "--p", "9"],
+}
+# files that fail to parse, and the line and message of the failure
+BAD_MESHES = {
+    "bad.obj": ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 x\n", "4: bad face index 'x'"),
+    "bad.off": ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n",
+                "6: face index 7 out of range"),
+}
+
 
 class TestDocuments:
     @pytest.mark.parametrize("name", sorted(QUICK))
@@ -287,10 +300,30 @@ class TestExitCodes:
             [sys.executable, "-m", "menger_surf.cli", "energy", "--mesh",
              str(path), "--p", "8", "--samples", "2000"],
             capture_output=True, text=True, env=env, timeout=60)
-        assert proc.returncode == 1
+        assert proc.returncode == 2
         assert "UserWarning" not in proc.stderr
         assert proc.stderr == (f"menger-surf: {path}:1: empty mesh after "
                                "removing degenerate faces\n")
+
+    @pytest.mark.parametrize("name", sorted(BAD_MESHES))
+    @pytest.mark.parametrize("subcommand", sorted(MESH_RUNS))
+    def test_malformed_mesh_file_is_a_usage_error(self, capsys, tmp_path,
+                                                  name, subcommand):
+        text, says = BAD_MESHES[name]
+        path = tmp_path / name
+        path.write_text(text)
+        argv = MESH_RUNS[subcommand] + ["--mesh", str(path)]
+        code, out = run_to_file(tmp_path, "doc.json", argv)
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == f"menger-surf: {path}:{says}\n"
+
+    @pytest.mark.parametrize("subcommand", sorted(MESH_RUNS))
+    def test_missing_mesh_file_is_a_runtime_error(self, capsys, tmp_path,
+                                                  subcommand):
+        argv = MESH_RUNS[subcommand] + ["--mesh", str(tmp_path / "none.obj")]
+        code, out = run_to_file(tmp_path, "doc.json", argv)
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err.startswith("menger-surf: ")
 
 
 def _ints(most):

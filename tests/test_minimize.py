@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from pytest import approx
 
+import anneal_oracle
 from menger_surf import energy, minimize
 from menger_surf.integrand import IntegrandSpec
 from menger_surf.rng import substream
@@ -9,6 +13,7 @@ from menger_surf.surface import SurfaceOracle, TriMesh, shapes
 
 P = 9.0
 CFG = minimize.DiscreteEnergyConfig(p=P)
+ANNEALERS = [minimize.minimize_energy_area_cap, minimize.minimize_area_energy_cap]
 
 
 def noisy_icosphere(scale=0.05, seed=5):
@@ -158,12 +163,118 @@ class TestAreaUnderEnergyCap:
             assert not acc
 
 
-@pytest.mark.parametrize("anneal", [minimize.minimize_energy_area_cap,
-                                    minimize.minimize_area_energy_cap])
+@pytest.mark.parametrize("anneal", ANNEALERS)
 @pytest.mark.parametrize("p", [5.0, 8.0])
 def test_subcritical_exponent_rejected(anneal, p):
     with pytest.raises(ValueError, match="p must exceed 8"):
         anneal(shapes.icosphere(0), p, 100.0, iters=3, seed=0)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("anneal", ANNEALERS)
+    def test_negative_iters_rejected(self, anneal):
+        with pytest.raises(ValueError, match="iters must be at least 0"):
+            anneal(shapes.icosphere(0), 9.0, 100.0, iters=-5, seed=0)
+
+    @pytest.mark.parametrize("anneal", ANNEALERS)
+    def test_zero_iters_keeps_the_start(self, anneal):
+        mesh = shapes.icosphere(0)
+        state = anneal(mesh, 9.0, 100.0, iters=0, seed=0)
+        assert state.iteration == 0 and state.accepted_moves == 0
+        assert len(state.audit) == 1
+
+    def test_nan_energy_cap_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            minimize.minimize_area_energy_cap(shapes.icosphere(0), 9.0,
+                                              float("nan"), iters=20, seed=0)
+
+
+def assert_same_state(a, b):
+    """Every OptimizerState field equal, the final mesh bit for bit."""
+    for f in dataclasses.fields(minimize.OptimizerState):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "mesh":
+            assert x.vertices.tobytes() == y.vertices.tobytes()
+            assert x.faces.tobytes() == y.faces.tobytes()
+        else:
+            assert x == y, f.name
+
+
+def _bench_inputs(seed):
+    """Inputs in the form of the anneal benchmark's: a noisy icosphere(1),
+    the ellipsoid and one annealer seed for each."""
+    rng = substream(seed)
+    base = shapes.icosphere(1)
+    noisy = TriMesh(base.vertices * (1.0 + 0.05 * rng.standard_normal((42, 1))),
+                    base.faces)
+    return (noisy, shapes.ellipsoid(1.3, 1.0, 0.8, 1),
+            int(rng.integers(2**62)), int(rng.integers(2**62)))
+
+
+class TestAnnealOracle:
+    """The annealers against the former mode-switching loop."""
+
+    @pytest.mark.parametrize("seed", [301, 302, 303])
+    def test_benchmark_inputs(self, seed):
+        noisy, ell, energy_seed, area_seed = _bench_inputs(seed)
+        target = noisy.total_area
+        assert_same_state(
+            minimize.minimize_energy_area_cap(noisy, P, target, 150, energy_seed),
+            anneal_oracle.minimize_energy_area_cap(noisy, P, target, 150,
+                                                   energy_seed))
+        cap = 3.0 * minimize.discrete_energy(ell, CFG)
+        assert_same_state(
+            minimize.minimize_area_energy_cap(ell, P, cap, 100, area_seed),
+            anneal_oracle.minimize_area_energy_cap(ell, P, cap, 100, area_seed))
+
+    def test_acceptance_inputs(self):
+        # the inputs of acceptance criterion 13
+        base = shapes.icosphere(1)
+        rng = substream(113)
+        noisy = TriMesh(base.vertices * (1.0 + 0.05 * rng.standard_normal(
+            (len(base.vertices), 1))), base.faces)
+        assert_same_state(
+            minimize.minimize_energy_area_cap(noisy, 9.0, noisy.total_area,
+                                              1500, 113),
+            anneal_oracle.minimize_energy_area_cap(noisy, 9.0, noisy.total_area,
+                                                   1500, 113))
+        ell = shapes.ellipsoid(1.3, 1.0, 0.8, subdivisions=1)
+        cap = 3.0 * minimize.discrete_energy(ell, CFG)
+        assert_same_state(
+            minimize.minimize_area_energy_cap(ell, 9.0, cap, 600, 114),
+            anneal_oracle.minimize_area_energy_cap(ell, 9.0, cap, 600, 114))
+
+    def test_cap_below_the_area_and_stalled_start(self):
+        mesh = shapes.icosphere(1)
+        assert_same_state(
+            minimize.minimize_energy_area_cap(mesh, P, 0.5 * mesh.total_area,
+                                              50, 3),
+            anneal_oracle.minimize_energy_area_cap(mesh, P,
+                                                   0.5 * mesh.total_area, 50, 3))
+        flat = shapes.flat_patch(1.0, 3)
+        assert_same_state(
+            minimize.minimize_area_energy_cap(flat, P, 0.0, 200, 6),
+            anneal_oracle.minimize_area_energy_cap(flat, P, 0.0, 200, 6))
+
+
+def _pair(a, b):
+    return TriMesh(np.array(a + b, dtype=float), np.array([[0, 1, 2], [3, 4, 5]]))
+
+
+FLAT = [[0, 0, 0], [2, 0, 0], [0, 2, 0]]
+PAIRS = {  # two faces without a shared vertex, and whether they cross
+    "edge-through-face": (_pair(FLAT, [[0.5, 0.5, -1], [0.5, 0.5, 1],
+                                       [3, 3, 0]]), True),
+    "touch-along-an-edge": (_pair(FLAT, [[0.2, 0.2, 0], [0.8, 0.2, 0],
+                                         [0.5, 0.2, 1]]), False),
+    "shared-edge-line": (_pair(FLAT, [[0.5, 0, 0], [1.5, 0, 0],
+                                      [1, 0, 1]]), False),
+    "vertex-on-face": (_pair(FLAT, [[0.5, 0.5, 0], [0.5, 0.5, 1],
+                                    [1, 0.5, 1]]), False),
+    "coplanar-overlap": (_pair(FLAT, [[0.5, 0.5, 0], [3, 0.5, 0],
+                                      [0.5, 3, 0]]), False),
+    "apart": (_pair(FLAT, [[0, 0, 1], [2, 0, 1], [0, 2, 1]]), False),
+}
 
 
 class TestSelfIntersectionFlag:
@@ -178,3 +289,32 @@ class TestSelfIntersectionFlag:
         faces = np.array([[0, 1, 2], [3, 4, 5]])
         mesh = TriMesh(verts, faces)
         assert minimize.has_self_intersections(mesh)
+
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    def test_face_pairs(self, name):
+        mesh, crosses = PAIRS[name]
+        assert minimize.has_self_intersections(mesh) == crosses
+        assert anneal_oracle.has_self_intersections(mesh) == crosses
+
+    def test_row_blocks(self, monkeypatch):
+        # a crossing pair split across row blocks, and one inside a block
+        mesh = PAIRS["edge-through-face"][0]
+        for rows in (1, 2):
+            monkeypatch.setattr(minimize, "_PAIR_ROWS", rows)
+            assert minimize.has_self_intersections(mesh)
+            assert not minimize.has_self_intersections(shapes.icosphere(1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(level=st.integers(0, 2), seed=st.integers(0, 2**32 - 1),
+           noise=st.sampled_from([0.0, 0.01, 0.1, 0.3, 0.6]))
+    @example(level=0, seed=14, noise=0.3)  # crossing
+    @example(level=1, seed=3, noise=0.3)  # crossing
+    @example(level=2, seed=13, noise=0.3)  # clean
+    def test_matches_the_face_pair_loop(self, level, seed, noise):
+        # vertices moved by noise times the mean edge in each coordinate
+        base = shapes.icosphere(level)
+        rng = np.random.default_rng(seed)
+        step = noise * base.mean_edge * rng.standard_normal(base.vertices.shape)
+        mesh = TriMesh(base.vertices + step, base.faces)
+        assert (minimize.has_self_intersections(mesh)
+                == anneal_oracle.has_self_intersections(mesh))
