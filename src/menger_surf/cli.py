@@ -6,8 +6,9 @@ time goes to the diagnostic stream so the written document is bit-identical
 for identical configurations regardless of thread count.  All randomness
 flows from the single seed through counter-based streams.
 
-Exit codes: 0 success, 2 usage error (a mesh file that fails to parse is
-one), 1 runtime error.
+Exit codes: 0 success, 2 usage error (a mesh file that fails to parse or is
+neither OBJ nor OFF is one, and so is a --point off the surface), 1 runtime
+error.
 """
 
 import argparse
@@ -28,6 +29,8 @@ SUBCOMMANDS = ("integrand", "energy", "local-energy", "scaling", "diverge",
                "density", "beta", "oscillation", "goodtetra", "minimize")
 
 _SKIP_ECHO = {"--output", "--threads", "--audit-out", "--mesh-out"}
+
+_MESH_FORMATS = ("obj", "off")
 
 # float flags that must be finite and positive in every subcommand that has them
 _POSITIVE_FLAGS = ("p", "radius", "major_radius", "minor_radius", "extent",
@@ -91,7 +94,7 @@ def _check_int_ranges(args):
 
 def _add_surface_flags(sp):
     sp.add_argument("--mesh", help="path to an OBJ/OFF mesh")
-    sp.add_argument("--mesh-format", choices=("obj", "off"))
+    sp.add_argument("--mesh-format", choices=_MESH_FORMATS)
     sp.add_argument("--analytic", choices=("sphere", "torus", "saddle", "capsule"))
     sp.add_argument("--radius", type=float, help="sphere/capsule radius")
     sp.add_argument("--major-radius", type=float)
@@ -100,11 +103,20 @@ def _add_surface_flags(sp):
     sp.add_argument("--length", type=float, help="capsule cylinder length")
 
 
+def _mesh_format(args):
+    """--mesh-format, or else the --mesh file's extension, which must be one
+    of the formats that --mesh-format accepts."""
+    fmt = args.mesh_format or str(args.mesh).rsplit(".", 1)[-1].lower()
+    if fmt not in _MESH_FORMATS:
+        raise UsageError(f"unknown mesh format {fmt!r}")
+    return fmt
+
+
 def _resolve_surface(args):
     if (args.mesh is None) == (args.analytic is None):
         raise UsageError("need exactly one surface source: --mesh or --analytic")
     if args.mesh is not None:
-        return SurfaceOracle.from_file(args.mesh, args.mesh_format)
+        return SurfaceOracle.from_file(args.mesh, _mesh_format(args))
     kind = args.analytic
     if kind == "sphere":
         if args.radius is None:
@@ -132,7 +144,12 @@ def _resolve_spec(args):
 
 def _resolve_point(args, oracle, seed):
     if getattr(args, "point", None) is not None:
-        return np.asarray(_floats(args.point, 3))
+        point = np.asarray(_floats(args.point, 3))
+        # density_quotient's on-surface tolerance
+        distance = oracle.surface_distance(point)
+        if distance > 1e-6 * (1.0 + oracle.diameter):
+            raise UsageError(f"--point lies {distance:.6g} off the surface")
+        return point
     if getattr(args, "seed_vertex", None) is not None:
         if not oracle.is_mesh:
             raise UsageError("--seed-vertex needs a mesh surface")
@@ -209,7 +226,7 @@ def build_parser():
 
     mz = common["minimize"]
     mz.add_argument("--mesh", required=True)
-    mz.add_argument("--mesh-format", choices=("obj", "off"))
+    mz.add_argument("--mesh-format", choices=_MESH_FORMATS)
     mz.add_argument("--mode", choices=("energy", "area"), required=True)
     mz.add_argument("--cap", type=float, required=True)
     mz.add_argument("--iters", type=int, required=True)
@@ -360,7 +377,7 @@ def _run_goodtetra(args, seed, threads):
 
 def _run_minimize(args, seed, threads):
     from .surface import load_mesh, save_obj
-    mesh = load_mesh(args.mesh, args.mesh_format)
+    mesh = load_mesh(args.mesh, _mesh_format(args))
     try:  # both annealers need p > 8 and a vertex count the energy can sum
         minimize.DiscreteEnergyConfig(p=args.p)
         minimize._combos(len(mesh.vertices))

@@ -22,6 +22,8 @@ PHI0 = np.pi / 4.0  # cone half-angle; the construction needs <= pi/4
 BISECTION_TOL = 1e-6  # relative gain or rotation step that ends a refinement
 MAX_ITERATIONS = 64  # cone growths before the search gives up
 WITNESS_TOL = 1e-3  # relative slack of verify_projection's witness ball
+SHELL_START = 1.0 / 64.0  # first coarse shell, in diameters past t_lo
+SHELL_GROWTH = 4.0  # shell factor after a coarse cast that hits nothing
 
 
 @dataclass
@@ -91,20 +93,37 @@ def _rotation(axis, angle):
 def _grow_cone(oracle, x0, v, t_lo, params):
     """First radius where the double cone around v meets the surface.
 
-    Casts a Fibonacci cover plus the exact rim ring, then refines the minimum
-    with shrinking direction caps until the radius improves by less than the
-    relative bisection tolerance.  Returns (rho, hit_points) where the hits
-    lie within hit_tolerance of the stopping sphere.
+    A coarse pass bounds the stopping radius from above, which lets the full
+    pass restrict its search band (and, for meshes, its face set).  On a mesh,
+    whose cast culls faces by distance, it casts in growing distance shells:
+    the first ends SHELL_START diameters past t_lo, and each cast that hits
+    nothing multiplies the shell by SHELL_GROWTH, up to twice the diameter
+    past t_lo.  Once a ray hits, the shell is widened once more if it stops
+    short of a coarse hit that the stopping sphere could keep.  A ray whose
+    first hit lies beyond the last shell counts as a miss, which changes
+    neither the bound nor the hits.  The full pass casts a Fibonacci cover
+    plus the exact rim ring, then refines the minimum with shrinking
+    direction caps until the radius improves by less than the relative
+    bisection tolerance.  Returns (rho, hit_points) where the hits lie within
+    hit_tolerance of the stopping sphere.
     """
-    t_hi = 2.0 * oracle.diameter + t_lo
+    t_far = 2.0 * oracle.diameter + t_lo
+    t_hi = t_far
     n_cap = params.ray_count // 4
     n_rim = params.ray_count // 4
-    # coarse pass bounds the stopping radius from above, which lets the full
-    # pass restrict its search band (and, for meshes, its face set)
     coarse = _double_cone_dirs(v, PHI0, 128, 64)
-    cts = oracle.band_min_hits(x0, coarse, t_lo, t_hi)
+    # an analytic backing solves every ray in full whatever the band
+    shell = t_lo + SHELL_START * oracle.diameter if oracle.is_mesh else t_far
+    cts = oracle.band_min_hits(x0, coarse, t_lo, shell)
+    while not np.isfinite(cts).any() and shell < t_far:
+        shell = min(SHELL_GROWTH * shell, t_far)
+        cts = oracle.band_min_hits(x0, coarse, t_lo, shell)
     if np.isfinite(cts).any():
         t_hi = float(np.min(cts)) * (1.0 + 4.0 * params.hit_tolerance)
+        # the hits kept below lie within rho * (1 + hit_tolerance), rho <= t_hi
+        reach = min(t_hi * (1.0 + params.hit_tolerance), t_far)
+        if reach > shell:
+            cts = oracle.band_min_hits(x0, coarse, t_lo, reach)
     dirs = _double_cone_dirs(v, PHI0, n_cap, n_rim)
     ts = oracle.band_min_hits(x0, dirs, t_lo, t_hi)
     if not np.isfinite(ts).any():

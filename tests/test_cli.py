@@ -325,6 +325,30 @@ class TestExitCodes:
         assert code == 1 and not out.exists()
         assert capsys.readouterr().err.startswith("menger-surf: ")
 
+    @pytest.mark.parametrize("subcommand", sorted(MESH_RUNS))
+    def test_unknown_mesh_extension_is_a_usage_error(self, capsys, tmp_path,
+                                                     ico_obj, subcommand):
+        # as --mesh-format ply would be: the file itself is a good OBJ
+        path = tmp_path / "noisy.ply"
+        path.write_text(Path(ico_obj).read_text())
+        argv = MESH_RUNS[subcommand] + ["--mesh", str(path)]
+        code, out = run_to_file(tmp_path, "doc.json", argv)
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == \
+            "menger-surf: unknown mesh format 'ply'\n"
+
+    @pytest.mark.parametrize("point,distance", [("5,0,0", "4"), ("0,0,0", "1")])
+    @pytest.mark.parametrize("name", ["beta", "density", "goodtetra",
+                                      "oscillation"])
+    def test_point_off_the_surface_is_a_usage_error(self, capsys, tmp_path,
+                                                    name, point, distance):
+        # the unit sphere's centre used to fail with "center has no normal"
+        argv = QUICK[name] + ["--point", point]  # the last occurrence wins
+        code, out = run_to_file(tmp_path, "doc.json", argv)
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == \
+            f"menger-surf: --point lies {distance} off the surface\n"
+
 
 def _ints(most):
     """Integer flag values up to most, with some below 1 and some not ints."""

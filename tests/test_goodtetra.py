@@ -1,10 +1,16 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from pytest import approx
 
 from menger_surf import geom, goodtetra
 from menger_surf.rng import substream
-from menger_surf.surface import SurfaceOracle, SurfacePoint
+from menger_surf.surface import SurfaceOracle, SurfacePoint, TriMesh, shapes
+
+import goodtetra_oracle
+from conftest import kink_box
 
 ETA_FLOOR = 1.0 / 100.0 - 0.005
 
@@ -217,3 +223,165 @@ class TestValidation:
         # fewer than 4 used to divide by zero inside the first cone growth
         with pytest.raises(ValueError, match="ray_count"):
             goodtetra.GoodTetraParams(ray_count=rays)
+
+
+# ---------------------------------------------------------------------------
+# the coarse pass in distance shells, against the one-band cone growth
+# ---------------------------------------------------------------------------
+
+SHELL_SETTINGS = settings(max_examples=30, deadline=None)
+SHELL_PARAMS = goodtetra.GoodTetraParams()
+
+
+def noisy_icosphere(level):
+    base = shapes.icosphere(level)
+    radial = 1.0 + 0.05 * substream(7).standard_normal((len(base.vertices), 1))
+    return SurfaceOracle.from_mesh(TriMesh(base.vertices * radial, base.faces))
+
+
+SHELL_SURFACES = {
+    "noisy2": lambda: noisy_icosphere(2),
+    "noisy3": lambda: noisy_icosphere(3),
+    "icosphere3": lambda: SurfaceOracle.from_mesh(shapes.icosphere(3)),
+    "kink_wide": lambda: SurfaceOracle.from_mesh(kink_box(n=24)),
+    "kink_central": lambda: SurfaceOracle.from_mesh(
+        kink_box(n=24, neg=(0.3, 60.0))),
+    "kink_3a": lambda: SurfaceOracle.from_mesh(kink_box(n=24, pos=(0.30, 77.0))),
+    "torus": lambda: SurfaceOracle.torus(2.0, 1.0),
+    "torus_mesh": lambda: SurfaceOracle.from_mesh(
+        shapes.torus_mesh(2.0, 1.0, 48, 24)),
+    "capsule": lambda: SurfaceOracle.capsule(10.0, 0.2),
+    "capsule_mesh": lambda: SurfaceOracle.from_mesh(
+        shapes.capsule_mesh(10.0, 0.2, 16, 32)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def shell_oracle(name):
+    return SHELL_SURFACES[name]()
+
+
+def seed_on(oracle, k):
+    """A point of the surface: a mesh vertex, or a sampled analytic point."""
+    if oracle.is_mesh:
+        verts = oracle.backing.vertices
+        return verts[k % len(verts)]
+    return oracle.sample_points(substream(k), 1)[0]
+
+
+def cone_growths(oracle, x0, v, t_lo):
+    """(rho, hits) or the error of the search's and the oracle's growth."""
+    out = []
+    for grow in (goodtetra._grow_cone, goodtetra_oracle.grow_cone):
+        try:
+            out.append(grow(oracle, x0, v, t_lo, SHELL_PARAMS))
+        except RuntimeError as exc:
+            out.append(str(exc))
+    return out
+
+
+def assert_same_growth(new, old):
+    if isinstance(old, str):
+        assert new == old
+        return
+    assert new[0] == old[0]
+    assert new[1].shape == old[1].shape
+    assert new[1].tobytes() == old[1].tobytes()
+
+
+unit_axes = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda a: np.linalg.norm(a) > 0.1)
+
+
+@SHELL_SETTINGS
+@given(name=st.sampled_from(sorted(SHELL_SURFACES)),
+       k=st.integers(0, 10**6), axis=unit_axes, tilt=st.floats(0.0, 1.0),
+       t_lo=st.sampled_from([1e-7, 0.05, 0.3]))
+def test_shell_pass_matches_one_band(name, k, axis, tilt, t_lo):
+    oracle = shell_oracle(name)
+    x0 = seed_on(oracle, k)
+    # axes from the surface normal (the search's first growth) to arbitrary
+    v = (1.0 - tilt) * oracle.normal_at(x0) + tilt * np.asarray(axis)
+    if np.linalg.norm(v) < 1e-3:
+        v = np.asarray(axis)
+    v = v / np.linalg.norm(v)
+    new, old = cone_growths(oracle, x0, v, t_lo * oracle.diameter)
+    assert_same_growth(new, old)
+
+
+@pytest.mark.parametrize("name", ["noisy2", "torus"])
+def test_cone_that_meets_nothing(name):
+    # from far out along the axis the surface lies beyond 2 * diameter + t_lo
+    oracle = shell_oracle(name)
+    v = np.array([0.0, 0.0, 1.0])
+    new, old = cone_growths(oracle, -10.0 * oracle.diameter * v, v, 1e-7)
+    assert new == old == "cone growth found no surface hit"
+
+
+class Recorder:
+    """An oracle that records the (ray count, tmax) of each banded cast."""
+
+    def __init__(self, oracle):
+        self.oracle, self.casts = oracle, []
+
+    def __getattr__(self, name):
+        return getattr(self.oracle, name)
+
+    def band_min_hits(self, origin, dirs, tmin, tmax):
+        self.casts.append((len(dirs), tmax))
+        return self.oracle.band_min_hits(origin, dirs, tmin, tmax)
+
+
+def boundary_growth(x0, axis, eps):
+    """Growths from x0 inside icosphere(3) whose second coarse shell ends at
+    (1 + eps) times the least coarse hit, and the search's coarse shells."""
+    oracle = shell_oracle("icosphere3")
+    x0 = np.asarray(x0, dtype=float)
+    v = np.asarray(axis) / np.linalg.norm(axis)
+    coarse = goodtetra._double_cone_dirs(v, goodtetra.PHI0, 128, 64)
+    m = float(np.min(oracle.band_min_hits(x0, coarse, 0.0, oracle.diameter)))
+    t_lo = m * (1.0 + eps) / goodtetra.SHELL_GROWTH \
+        - goodtetra.SHELL_START * oracle.diameter
+    recorder = Recorder(oracle)
+    new = goodtetra._grow_cone(recorder, x0, v, t_lo, SHELL_PARAMS)
+    old = goodtetra_oracle.grow_cone(oracle, x0, v, t_lo, SHELL_PARAMS)
+    return new, old, [tmax for n, tmax in recorder.casts if n == len(coarse)]
+
+
+@SHELL_SETTINGS
+@given(direction=unit_axes, offset=st.floats(0.0, 0.4), axis=unit_axes,
+       eps=st.floats(-2e-3, 8e-3))
+def test_least_hit_at_a_shell_boundary(direction, offset, axis, eps):
+    x0 = offset * np.asarray(direction) / np.linalg.norm(direction)
+    new, old, _ = boundary_growth(x0, axis, eps)
+    assert_same_growth(new, old)
+
+
+def test_shell_short_of_the_tolerance_band_recasts():
+    # from the centre, many coarse rays hit within the tolerance band of the
+    # least hit; the second shell ends inside that band, so the pass recasts
+    tol = SHELL_PARAMS.hit_tolerance
+    new, old, shells = boundary_growth(np.zeros(3), (0.1, 0.5, 1.0), tol / 2.0)
+    assert_same_growth(new, old)
+    assert len(shells) == 3
+    assert shells[2] > shells[1] > shells[0]
+
+
+def test_wide_pair_box_tests_half_the_pairs(monkeypatch):
+    oracle = SurfaceOracle.from_mesh(kink_box())
+    kernel = TriMesh._ray_block
+    pairs = []
+
+    def counted(self, origins, dirs, faces):
+        t, ok = kernel(self, origins, dirs, faces)
+        pairs[-1] += t.size
+        return t, ok
+
+    monkeypatch.setattr(TriMesh, "_ray_block", counted)
+    x0, v = np.zeros(3), np.array([0.0, 0.0, -1.0])
+    t_lo = 1e-7 * oracle.diameter
+    params = goodtetra.GoodTetraParams()
+    for grow in (goodtetra_oracle.grow_cone, goodtetra._grow_cone):
+        pairs.append(0)
+        grow(oracle, x0, v, t_lo, params)
+    assert pairs[1] <= 0.5 * pairs[0]
