@@ -22,12 +22,6 @@ class DensityReport:
     passes_lower_bound: bool   # quotient >= pi/2
     error_bound: float
 
-    def to_dict(self):
-        return {"center": list(map(float, self.center)), "radius": self.radius,
-                "patch_area": self.patch_area, "quotient": self.quotient,
-                "passes_lower_bound": bool(self.passes_lower_bound),
-                "error_bound": self.error_bound}
-
 
 @dataclass
 class BetaReport:
@@ -37,21 +31,12 @@ class BetaReport:
     best_normal: np.ndarray
     grid_level: int
 
-    def to_dict(self):
-        return {"center": list(map(float, self.center)), "radius": self.radius,
-                "beta": self.beta, "best_normal": list(map(float, self.best_normal)),
-                "grid_level": self.grid_level}
-
 
 @dataclass
 class HolderFit:
     exponent: float
     log_constant: float
     r_squared: float
-
-    def to_dict(self):
-        return {"exponent": self.exponent, "log_constant": self.log_constant,
-                "r_squared": self.r_squared}
 
 
 def exponents(p):

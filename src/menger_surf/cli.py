@@ -6,17 +6,24 @@ time goes to the diagnostic stream so the written document is bit-identical
 for identical configurations regardless of thread count.  All randomness
 flows from the single seed through counter-based streams.
 
+A document's results are the fields of the study's result.  Only this module
+forms documents, and every CSV table, the audit too, has one writer.
+
 Exit codes: 0 success, 2 usage error (a mesh file that fails to parse or is
-neither OBJ nor OFF is one, and so is a --point off the surface), 1 runtime
-error.
+neither OBJ nor OFF is one, and so are a --point off the surface, surface
+parameters that give no surface or no finite area, and a bad --integrand
+spec), 1 runtime error (an arithmetic overflow or a numpy RuntimeWarning is
+one).
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -31,6 +38,10 @@ SUBCOMMANDS = ("integrand", "energy", "local-energy", "scaling", "diverge",
 _SKIP_ECHO = {"--output", "--threads", "--audit-out", "--mesh-out"}
 
 _MESH_FORMATS = ("obj", "off")
+
+# each --analytic kind and the flags of its SurfaceOracle constructor, in order
+_ANALYTIC = {"sphere": ("radius",), "torus": ("major_radius", "minor_radius"),
+             "saddle": ("extent",), "capsule": ("length", "radius")}
 
 # float flags that must be finite and positive in every subcommand that has them
 _POSITIVE_FLAGS = ("p", "radius", "major_radius", "minor_radius", "extent",
@@ -50,10 +61,6 @@ _INT_RANGES = {"threads": (1, 256), "rays": (4, math.inf),
 
 class UsageError(Exception):
     pass
-
-
-def _fmt(x):
-    return format(float(x), ".17g")
 
 
 def _floats(text, n=None):
@@ -95,7 +102,7 @@ def _check_int_ranges(args):
 def _add_surface_flags(sp):
     sp.add_argument("--mesh", help="path to an OBJ/OFF mesh")
     sp.add_argument("--mesh-format", choices=_MESH_FORMATS)
-    sp.add_argument("--analytic", choices=("sphere", "torus", "saddle", "capsule"))
+    sp.add_argument("--analytic", choices=tuple(_ANALYTIC))
     sp.add_argument("--radius", type=float, help="sphere/capsule radius")
     sp.add_argument("--major-radius", type=float)
     sp.add_argument("--minor-radius", type=float)
@@ -117,22 +124,16 @@ def _resolve_surface(args):
         raise UsageError("need exactly one surface source: --mesh or --analytic")
     if args.mesh is not None:
         return SurfaceOracle.from_file(args.mesh, _mesh_format(args))
-    kind = args.analytic
-    if kind == "sphere":
-        if args.radius is None:
-            raise UsageError("--analytic sphere needs --radius")
-        return SurfaceOracle.sphere(args.radius)
-    if kind == "torus":
-        if args.major_radius is None or args.minor_radius is None:
-            raise UsageError("--analytic torus needs --major-radius and --minor-radius")
-        return SurfaceOracle.torus(args.major_radius, args.minor_radius)
-    if kind == "saddle":
-        if args.extent is None:
-            raise UsageError("--analytic saddle needs --extent")
-        return SurfaceOracle.saddle(args.extent)
-    if args.length is None or args.radius is None:
-        raise UsageError("--analytic capsule needs --length and --radius")
-    return SurfaceOracle.capsule(args.length, args.radius)
+    kind, names = args.analytic, _ANALYTIC[args.analytic]
+    values = [getattr(args, name) for name in names]
+    if None in values:
+        raise UsageError(f"--analytic {kind} needs " + " and ".join(
+            "--" + name.replace("_", "-") for name in names))
+    try:
+        return getattr(SurfaceOracle, kind)(*values)
+    except (ValueError, ArithmeticError, RuntimeWarning) as exc:
+        # no such surface, or one whose size overflows a float
+        raise UsageError(f"--analytic {kind}: {exc}") from None
 
 
 def _resolve_spec(args):
@@ -202,24 +203,20 @@ def build_parser():
     common["diverge"].add_argument("--mean", default="geometric",
                                    choices=("geometric", "arithmetic", "min", "max"))
 
-    common["density"].add_argument("--point")
-    common["density"].add_argument("--seed-vertex", type=int)
+    for name in ("density", "beta", "oscillation", "goodtetra"):
+        common[name].add_argument("--point")
+        common[name].add_argument("--seed-vertex", type=int)
+
     common["density"].add_argument("--patch-radius", type=float, required=True)
     common["density"].add_argument("--depth", type=int, default=8)
 
-    common["beta"].add_argument("--point")
-    common["beta"].add_argument("--seed-vertex", type=int)
     common["beta"].add_argument("--patch-radius", type=float, required=True)
     common["beta"].add_argument("--patch-samples", type=int, default=4000)
     common["beta"].add_argument("--grid-level", type=int, default=1)
 
-    common["oscillation"].add_argument("--point")
-    common["oscillation"].add_argument("--seed-vertex", type=int)
     common["oscillation"].add_argument("--scales", required=True)
     common["oscillation"].add_argument("--pairs", type=int, default=400)
 
-    common["goodtetra"].add_argument("--point")
-    common["goodtetra"].add_argument("--seed-vertex", type=int)
     common["goodtetra"].add_argument("--rays", type=int, default=4096)
     common["goodtetra"].add_argument("--hit-tol", type=float, default=1e-3)
     common["goodtetra"].add_argument("--proj-rays", type=int, default=800)
@@ -236,18 +233,54 @@ def build_parser():
     return ap
 
 
+def _document(value):
+    """A result as document values: a dataclass becomes a dict of its fields,
+    lists and tuples become lists, and numpy arrays and scalars Python ones.
+    A value with its own ``to_dict`` (an ``IntegrandSpec``) uses it."""
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if dataclasses.is_dataclass(value):
+        return {f.name: _document(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [_document(v) for v in value]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return value
+
+
+def _cell(value):
+    """One CSV cell: booleans in lower case, integers and text as they are,
+    other numbers at 17 significant digits."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, (int, str)):
+        return str(value)
+    return format(float(value), ".17g")
+
+
+def _csv(header, rows):
+    """The CSV text of a table, one line per row of values."""
+    lines = [",".join(header)]
+    lines += [",".join(map(_cell, _document(row))) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _named(results, *names):
+    """The one-row table of the named fields of a results dict."""
+    return names, [[results[name] for name in names]]
+
+
 # ---------------------------------------------------------------------------
-# subcommand runners: return (config_dict, results_dict, csv_table)
+# subcommand runners: return (config_dict, results_dict, (header, rows))
 # ---------------------------------------------------------------------------
 
 def _run_integrand(args, seed, threads):
     spec = _resolve_spec(args)
     T = np.asarray(_floats(args.tetra, 12)).reshape(4, 3)
-    value = eval_integrand(spec, T)
+    results = {"value": eval_integrand(spec, T)}
     config = {"spec": spec.to_dict(), "tetra": T.tolist()}
-    results = {"value": value}
-    table = (["value"], [[_fmt(value)]])
-    return config, results, table
+    return config, results, _named(results, "value")
 
 
 def _run_energy(args, seed, threads):
@@ -257,10 +290,8 @@ def _run_energy(args, seed, threads):
                              threads=threads)
     config = {"surface": oracle.describe(), "spec": spec.to_dict(),
               "p": args.p, "samples": args.samples}
-    results = est.to_dict()
-    table = (["value", "std_error", "n_samples"],
-             [[_fmt(est.value), _fmt(est.std_error), str(est.n_samples)]])
-    return config, results, table
+    results = _document(est)
+    return config, results, _named(results, "value", "std_error", "n_samples")
 
 
 def _run_local_energy(args, seed, threads):
@@ -272,10 +303,8 @@ def _run_local_energy(args, seed, threads):
     config = {"surface": oracle.describe(), "spec": spec.to_dict(),
               "p": args.p, "samples": args.samples, "center": center,
               "patch_radius": args.patch_radius}
-    results = est.to_dict()
-    table = (["value", "std_error", "n_samples"],
-             [[_fmt(est.value), _fmt(est.std_error), str(est.n_samples)]])
-    return config, results, table
+    results = _document(est)
+    return config, results, _named(results, "value", "std_error", "n_samples")
 
 
 def _run_scaling(args, seed, threads):
@@ -285,11 +314,10 @@ def _run_scaling(args, seed, threads):
                                 threads=threads)
     config = {"spec": spec.to_dict(), "p": args.p, "samples": args.samples,
               "radii": radii}
-    results = {"rows": [r.to_dict() for r in rows]}
     table = (["radius", "value", "std_error", "normalized"],
-             [[_fmt(r.radius), _fmt(r.estimate.value),
-               _fmt(r.estimate.std_error), _fmt(r.normalized)] for r in rows])
-    return config, results, table
+             [[r.radius, r.estimate.value, r.estimate.std_error, r.normalized]
+              for r in rows])
+    return config, {"rows": _document(rows)}, table
 
 
 def _run_diverge(args, seed, threads):
@@ -298,11 +326,10 @@ def _run_diverge(args, seed, threads):
                                           seed, threads=threads)
     config = {"alpha": args.alpha, "p": args.p, "mean": args.mean,
               "eps": args.eps, "nmax": args.nmax, "samples": args.samples}
-    results = {"rows": [r.to_dict() for r in rows], "fitted_slope": slope,
+    results = {"rows": _document(rows), "fitted_slope": slope,
                "predicted_slope": 12.0 + (1.0 - args.alpha) * args.p}
     table = (["n", "r_n", "patch_integral", "std_error", "fitted_slope"],
-             [[str(r.n), _fmt(r.r_n), _fmt(r.patch_integral),
-               _fmt(r.std_error), _fmt(slope)] for r in rows])
+             [[r.n, r.r_n, r.patch_integral, r.std_error, slope] for r in rows])
     return config, results, table
 
 
@@ -313,12 +340,9 @@ def _run_density(args, seed, threads):
                                     args.depth)
     config = {"surface": oracle.describe(), "point": point.tolist(),
               "patch_radius": args.patch_radius, "depth": args.depth}
-    results = rep.to_dict()
-    table = (["radius", "patch_area", "quotient", "passes_lower_bound",
-              "error_bound"],
-             [[_fmt(rep.radius), _fmt(rep.patch_area), _fmt(rep.quotient),
-               str(rep.passes_lower_bound).lower(), _fmt(rep.error_bound)]])
-    return config, results, table
+    results = _document(rep)
+    return config, results, _named(results, "radius", "patch_area", "quotient",
+                                   "passes_lower_bound", "error_bound")
 
 
 def _run_beta(args, seed, threads):
@@ -330,10 +354,8 @@ def _run_beta(args, seed, threads):
               "patch_radius": args.patch_radius,
               "patch_samples": args.patch_samples,
               "grid_level": args.grid_level}
-    results = rep.to_dict()
-    table = (["radius", "beta", "grid_level"],
-             [[_fmt(rep.radius), _fmt(rep.beta), str(rep.grid_level)]])
-    return config, results, table
+    results = _document(rep)
+    return config, results, _named(results, "radius", "beta", "grid_level")
 
 
 def _run_oscillation(args, seed, threads):
@@ -342,15 +364,12 @@ def _run_oscillation(args, seed, threads):
     scales = _positive("--scales", _floats(args.scales))
     profile = analysis.normal_oscillation_profile(oracle, point, scales,
                                                   args.pairs, seed)
-    fit = analysis.holder_exponent_fit(profile) if len(profile) >= 3 else None
     config = {"surface": oracle.describe(), "point": point.tolist(),
               "scales": scales, "pairs": args.pairs}
-    results = {"profile": [[d, o] for d, o in profile]}
-    if fit is not None:
-        results["fit"] = fit.to_dict()
-    table = (["scale", "max_oscillation"],
-             [[_fmt(d), _fmt(o)] for d, o in profile])
-    return config, results, table
+    results = {"profile": _document(profile)}
+    if len(profile) >= 3:
+        results["fit"] = _document(analysis.holder_exponent_fit(profile))
+    return config, results, (["scale", "max_oscillation"], profile)
 
 
 def _run_goodtetra(args, seed, threads):
@@ -366,13 +385,10 @@ def _run_goodtetra(args, seed, threads):
     config = {"surface": oracle.describe(), "point": point.tolist(),
               "rays": args.rays, "hit_tol": args.hit_tol,
               "proj_rays": args.proj_rays}
-    results = res.to_dict()
-    results["projection_fraction"] = frac
-    table = (["stopping_distance", "case_label", "eta_achieved", "iterations",
-              "projection_fraction"],
-             [[_fmt(res.stopping_distance), res.case_label,
-               _fmt(res.eta_achieved), str(res.iterations), _fmt(frac)]])
-    return config, results, table
+    results = {**_document(res), "projection_fraction": frac}
+    return config, results, _named(
+        results, "stopping_distance", "case_label", "eta_achieved",
+        "iterations", "projection_fraction")
 
 
 def _run_minimize(args, seed, threads):
@@ -389,11 +405,10 @@ def _run_minimize(args, seed, threads):
     else:
         state = minimize.minimize_area_energy_cap(mesh, args.p, args.cap,
                                                   args.iters, seed)
+    table = (["iteration", "objective", "constraint_value", "accepted"],
+             state.audit)
     if args.audit_out:
-        with open(args.audit_out, "w", encoding="utf-8") as fh:
-            fh.write("iteration,objective,constraint_value,accepted\n")
-            for it, ob, cv, acc in state.audit:
-                fh.write(f"{it},{_fmt(ob)},{_fmt(cv)},{str(bool(acc)).lower()}\n")
+        _emit(args.audit_out, _csv(*table))
     if args.mesh_out:
         save_obj(args.mesh_out, state.mesh.vertices, state.mesh.faces)
     config = {"mesh": args.mesh, "mode": args.mode, "cap": args.cap,
@@ -404,9 +419,6 @@ def _run_minimize(args, seed, threads):
                "iterations": state.iteration,
                "accepted_moves": state.accepted_moves,
                "self_intersecting": bool(state.self_intersecting)}
-    table = (["iteration", "objective", "constraint_value", "accepted"],
-             [[str(it), _fmt(ob), _fmt(cv), str(bool(acc)).lower()]
-              for it, ob, cv, acc in state.audit])
     return config, results, table
 
 
@@ -440,19 +452,13 @@ def _echo_argv(argv):
     return out
 
 
-def _emit(args, document, table):
-    if args.format == "json":
-        payload = json.dumps(document, sort_keys=True, indent=2) + "\n"
+def _emit(path, text):
+    """Write text to the file at path, or to stdout when path is None."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     else:
-        header, rows = table
-        lines = [",".join(header)]
-        lines += [",".join(row) for row in rows]
-        payload = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+        sys.stdout.write(text)
 
 
 def _env_int(name):
@@ -490,11 +496,15 @@ def run(argv):
             if not least <= threads <= most:
                 raise UsageError(f"MENGER_THREADS must lie in "
                                  f"{least}..{most}, got {threads}")
-        config, results, table = _RUNNERS[args.subcommand](args, seed, threads)
+        with warnings.catch_warnings():  # e.g. numpy's overflow warnings
+            warnings.simplefilter("error", RuntimeWarning)
+            config, results, table = _RUNNERS[args.subcommand](args, seed,
+                                                               threads)
     except (UsageError, MeshParseError) as exc:  # a bad mesh file is bad input
         print(f"menger-surf: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, RuntimeError, FloatingPointError) as exc:
+    except (ValueError, OSError, RuntimeError, ArithmeticError,
+            RuntimeWarning) as exc:
         print(f"menger-surf: {exc}", file=sys.stderr)
         return 1
     elapsed_ms = (time.monotonic() - t0) * 1000.0
@@ -506,7 +516,10 @@ def run(argv):
         "results": results,
         "version": __version__,
     }
-    _emit(args, document, table)
+    if args.format == "json":
+        _emit(args.output, json.dumps(document, sort_keys=True, indent=2) + "\n")
+    else:
+        _emit(args.output, _csv(*table))
     # timing stays on the diagnostic stream so the document is reproducible
     print(f"menger-surf: {args.subcommand} finished in {elapsed_ms:.1f} ms",
           file=sys.stderr)

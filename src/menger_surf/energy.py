@@ -32,21 +32,12 @@ class EnergyEstimate:
     p: float
     spec: IntegrandSpec
 
-    def to_dict(self):
-        return {"value": self.value, "std_error": self.std_error,
-                "n_samples": self.n_samples, "seed": self.seed,
-                "p": self.p, "spec": self.spec.to_dict()}
-
 
 @dataclass
 class ScalingRow:
     radius: float
     estimate: EnergyEstimate
     normalized: float
-
-    def to_dict(self):
-        return {"radius": self.radius, "estimate": self.estimate.to_dict(),
-                "normalized": self.normalized}
 
 
 @dataclass
@@ -55,11 +46,6 @@ class DivergenceRow:
     r_n: float
     patch_integral: float
     std_error: float
-
-    def to_dict(self):
-        return {"n": self.n, "r_n": self.r_n,
-                "patch_integral": self.patch_integral,
-                "std_error": self.std_error}
 
 
 def _merge_stats(a, b):

@@ -50,16 +50,6 @@ class GoodTetraResult:
     first_hit_radius: float
     radii: list                   # stopping radius of every growth step
 
-    def to_dict(self):
-        return {"vertices": self.vertices.tolist(),
-                "stopping_distance": self.stopping_distance,
-                "case_label": self.case_label,
-                "eta_achieved": self.eta_achieved,
-                "iterations": self.iterations,
-                "witness_plane_normal": self.witness_plane_normal.tolist(),
-                "first_hit_radius": self.first_hit_radius,
-                "radii": [float(r) for r in self.radii]}
-
 
 # ---------------------------------------------------------------------------
 # direction sets

@@ -12,7 +12,8 @@ to a nonnegative number and all returning 0 on degenerate input:
 """
 
 import json
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,6 +37,13 @@ class IntegrandSpec:
     s: float = None
 
     def __post_init__(self):
+        for name in ("alpha", "s"):  # ints stay legal, bools do not
+            value = getattr(self, name)
+            if value is not None and (
+                    isinstance(value, bool)
+                    or not isinstance(value, (int, float))
+                    or not abs(value) <= sys.float_info.max):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.kind not in KINDS:
             raise ValueError(f"unknown integrand kind {self.kind!r}")
         if self.kind == "leger":
@@ -68,6 +76,11 @@ class IntegrandSpec:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ValueError(f"expected a JSON object, got {d!r}")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown keys {unknown}")
         return cls(kind=d.get("kind"), mean=d.get("mean"),
                    alpha=d.get("alpha"), s=d.get("s"))
 

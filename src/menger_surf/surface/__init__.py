@@ -77,8 +77,9 @@ class SurfaceOracle:
     def __init__(self, backing):
         self.backing = backing
         self.total_area = float(backing.total_area)
-        if not self.total_area > 0.0:
-            raise ValueError("surface has no area")
+        if not 0.0 < self.total_area < np.inf:
+            raise ValueError(f"surface area must be finite and positive, "
+                             f"got {self.total_area!r}")
         self._mesh = None
 
     # -- constructors ---------------------------------------------------------

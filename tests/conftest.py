@@ -7,6 +7,14 @@ from menger_surf import geom
 from menger_surf.rng import substream
 from menger_surf.surface import SurfaceOracle, shapes
 
+# --integrand texts that are not an object, have a parameter that is not a
+# finite int or float, or have an unknown key
+BAD_SPECS = ['[1]', '"menger"', '{"kind":"scaled","s":"x"}',
+             '{"kind":"leger","mean":"min","alpha":"3"}',
+             '{"kind":"scaled","s":Infinity}',
+             '{"kind":"leger","mean":"min","alpha":1e400}',
+             '{"kind":"scaled","s":true}', '{"kind":"menger","extra":1}']
+
 
 def random_tetrahedra(rng, n, clearance=1e-6):
     """(n,4,3) quadruples uniform in the unit cube, kept clearly non-flat."""

@@ -12,6 +12,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import BAD_SPECS
 from menger_surf import cli
 from menger_surf.surface import save_obj, shapes
 
@@ -138,6 +139,15 @@ class TestDocuments:
 
 
 class TestCsv:
+    def test_audit_is_the_csv_document(self, tmp_path, ico_obj):
+        audit = tmp_path / "audit.csv"
+        argv = ["minimize", "--mesh", ico_obj, "--mode", "energy", "--cap",
+                "100", "--iters", "20", "--p", "9", "--seed", "2"]
+        code, out = run_to_file(tmp_path, "doc.csv", argv + [
+            "--format", "csv", "--audit-out", str(audit)])
+        assert code == 0
+        assert audit.read_bytes() == out.read_bytes()
+
     def test_scaling_csv(self, tmp_path):
         code, out = run_to_file(tmp_path, "s.csv",
                                 QUICK["scaling"] + ["--format", "csv"])
@@ -209,6 +219,36 @@ class TestExitCodes:
         assert cli.run(["energy", "--analytic", "sphere", "--radius", "1",
                         "--integrand", '{"kind":"nope"}', "--p", "8",
                         "--samples", "2000"]) == 2
+
+    @pytest.mark.parametrize("spec", BAD_SPECS)
+    def test_bad_integrand_spec_is_a_usage_error(self, capsys, spec):
+        code = cli.run(QUICK["integrand"] + ["--integrand", spec])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert err.startswith("menger-surf: bad integrand spec: ")
+
+    @pytest.mark.parametrize("code,argv", [
+        (2, ["energy", "--analytic", "sphere", "--radius", "1e200"]),
+        (2, ["energy", "--analytic", "saddle", "--extent", "1e200"]),
+        (2, ["energy", "--analytic", "capsule", "--length", "1e300",
+             "--radius", "1e300"]),
+        (2, ["energy", "--analytic", "torus", "--major-radius", "1e200",
+             "--minor-radius", "1e199"]),
+        (2, ["energy", "--analytic", "torus", "--major-radius", "1",
+             "--minor-radius", "2"]),
+        (1, ["energy", "--analytic", "sphere", "--radius", "1e100"]),
+        (1, ["scaling", "--radii", "1e200"]),
+        (1, ["density", "--analytic", "sphere", "--radius", "1", "--point",
+             "0,0,1", "--patch-radius", "1e200", "--depth", "3"]),
+    ], ids=["sphere", "saddle", "capsule", "torus-area", "torus-order",
+            "energy-overflow", "scaling-overflow", "density-overflow"])
+    def test_huge_or_impossible_surface(self, capsys, tmp_path, code, argv):
+        if argv[0] != "density":
+            argv = argv + ["--p", "8", "--samples", "2000"]
+        got, out = run_to_file(tmp_path, "doc.json", argv + ["--seed", "0"])
+        err = capsys.readouterr().err
+        assert got == code and not out.exists()
+        assert err.startswith("menger-surf: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("var", ["MENGER_SEED", "MENGER_THREADS"])
     def test_non_integer_environment(self, capsys, monkeypatch, var):
@@ -356,15 +396,19 @@ def _ints(most):
                      st.sampled_from(["", "x", "1.5", "1e3"]))
 
 
-_REALS = st.sampled_from(["-1", "0", "1e-9", "0.01", "0.5", "1", "9", "inf",
-                          "nan", "x"])
+_REALS = st.sampled_from(["-1", "0", "1e-9", "0.01", "0.5", "1", "9", "1e200",
+                          "inf", "nan", "x"])
 _THREADS = _ints(2)
+GOOD_SPECS = ['{"kind":"menger"}', '{"kind":"leger","mean":"min","alpha":3}',
+              '{"kind":"scaled","s":0.5}']
 
 # each subcommand at a small size (the last occurrence of a flag wins), and
 # the flags the fuzz may override
 FUZZ = {
     "energy": (QUICK["energy"], {"--samples": _ints(2000), "--p": _REALS,
-                                 "--radius": _REALS, "--threads": _THREADS}),
+                                 "--radius": _REALS, "--threads": _THREADS,
+                                 "--integrand": st.sampled_from(
+                                     GOOD_SPECS + BAD_SPECS)}),
     "scaling": (QUICK["scaling"], {"--samples": _ints(2000), "--p": _REALS,
                                    "--threads": _THREADS}),
     "local-energy": (QUICK["local-energy"], {

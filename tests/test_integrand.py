@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from conftest import random_tetrahedra, voluminous_tetrahedra, wide_base_tetrahedra
+from conftest import (BAD_SPECS, random_tetrahedra, voluminous_tetrahedra,
+                      wide_base_tetrahedra)
 from kernel_oracle import menger_cross_form_batch
 from menger_surf import geom
 from menger_surf.integrand import (IntegrandSpec, eval_batch, eval_integrand,
@@ -45,8 +46,15 @@ class TestSpec:
     def test_json_round_trip(self):
         for spec in (MENGER, CIRCUM,
                      IntegrandSpec(kind="leger", mean="min", alpha=2.5),
-                     IntegrandSpec(kind="scaled", s=0.25)):
+                     IntegrandSpec(kind="leger", mean="min", alpha=3),
+                     IntegrandSpec(kind="scaled", s=0.25),
+                     IntegrandSpec(kind="scaled", s=1)):
             assert IntegrandSpec.from_json(spec.to_json()) == spec
+
+    @pytest.mark.parametrize("text", BAD_SPECS)
+    def test_bad_json_rejected(self, text):
+        with pytest.raises(ValueError):
+            IntegrandSpec.from_json(text)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
