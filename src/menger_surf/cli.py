@@ -57,6 +57,10 @@ _INT_RANGES = {"threads": (1, 256), "rays": (4, math.inf),
                "pairs": (1, math.inf), "patch_samples": (1, math.inf),
                "iters": (1, math.inf), "grid_level": (0, 6), "depth": (0, 10),
                "nmax": (2, 8)}
+# real flags and the open intervals they must lie in: divergence_study's
+# ranges, and goodtetra.GoodTetraParams' bound on --hit-tol
+_REAL_RANGES = {"eps": (0.0, 1.0), "alpha": (1.0, math.inf),
+                "hit_tol": (0.0, goodtetra.PHI0 / 4.0)}
 
 
 class UsageError(Exception):
@@ -86,8 +90,8 @@ def _positive(flag, vals):
     return vals
 
 
-def _check_int_ranges(args):
-    """Raise UsageError for an integer flag outside its range."""
+def _check_ranges(args):
+    """Raise UsageError for an integer or real flag outside its range."""
     ranges = dict(_INT_RANGES)
     if getattr(args, "subcommand", None) in ("energy", "scaling"):
         ranges["samples"] = (energy.MIN_SAMPLES, math.inf)  # estimate_mp's
@@ -95,6 +99,12 @@ def _check_int_ranges(args):
         value = getattr(args, name, None)
         if value is not None and not least <= value <= most:
             bound = f"at least {least}" if value < least else f"at most {most}"
+            raise UsageError(f"--{name.replace('_', '-')} must be {bound}, "
+                             f"got {value}")
+    for name, (lower, upper) in _REAL_RANGES.items():
+        value = getattr(args, name, None)
+        if value is not None and not lower < value < upper:
+            bound = f"above {lower}" if value <= lower else f"below {upper}"
             raise UsageError(f"--{name.replace('_', '-')} must be {bound}, "
                              f"got {value}")
 
@@ -484,7 +494,7 @@ def run(argv):
             value = getattr(args, name, None)
             if value is not None:
                 _positive("--" + name.replace("_", "-"), [value])
-        _check_int_ranges(args)
+        _check_ranges(args)
         seed = args.seed
         if seed is None:
             seed = _env_int("MENGER_SEED")

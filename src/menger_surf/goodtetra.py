@@ -32,8 +32,10 @@ class GoodTetraParams:
     ray_count: int = 4096
 
     def __post_init__(self):
-        if not self.hit_tolerance > 0.0:
-            raise ValueError("hit_tolerance must be positive")
+        # from PHI0 / 4 on, the central test cone 0.75 PHI0 + hit_tolerance
+        # covers the search cone PHI0, and every hit is central
+        if not 0.0 < self.hit_tolerance < PHI0 / 4.0:
+            raise ValueError("hit_tolerance must lie in (0, PHI0 / 4)")
         # a cone growth casts ray_count // 4 rays on its cap and on its rim
         if self.ray_count < 4:
             raise ValueError("ray_count must be at least 4")

@@ -11,11 +11,12 @@ random streams are caller-owned and never stored.
 Every backing answers one batched ray query, ``ray_hits(origins, dirs, tmin,
 tmax)``: all hits t in [tmin, tmax] of the rays origins + t * dirs[i], as
 (ray index, t) pairs, for one shared origin (3,) or one origin per ray
-(k, 3).  The oracle reduces it to banded first hits (``band_min_hits``, a
-shared origin), the sorted hit points of one segment (``segment_hits``, a
-one-row per-ray origin, so that the rim probes of a search leave the face
-view of its seed point in place) and, on meshes, the parity votes of the
-inside test.
+(k, 3).  The analytic backings solve it for all rays at once, with no
+per-ray path.  The oracle reduces it to banded first hits
+(``band_min_hits``, a shared origin), the sorted hit points of one segment
+(``segment_hits``, a one-row per-ray origin, so that the rim probes of a
+search leave the face view of its seed point in place) and, on meshes, the
+parity votes of the inside test.
 
 Every backing samples area-uniformly by ``sample(rng, n, ball=None)``.  A
 ball (center, radius) changes no random draw, so the generator ends in the

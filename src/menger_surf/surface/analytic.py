@@ -4,7 +4,8 @@ Each kind provides area-exact sampling, closed-form ray intersection
 (``ray_hits``: every hit of a batch of rays within a parameter band),
 normals, an inside test when the surface bounds a volume, and a triangulated
 stand-in via ``tessellate`` for the face-based diagnostics.  Normals point
-into the bounded component (inward) where one exists.
+into the bounded component (inward) where one exists.  Every ``ray_hits``
+solves its whole batch on one root path, with no per-ray fallback.
 """
 
 import numpy as np
@@ -20,8 +21,9 @@ _BLOCK = 4096
 def _solve_quadratic_batch(A, B, C):
     """Stable roots of A t^2 + B t + C = 0, vectorized.
 
-    Returns (t1, t2, valid) with t1 <= t2; linear equations fill both slots
-    with the single root; no real root -> valid False.
+    Returns a (k, 2) table of roots, ascending in each row, and the (k, 2)
+    mask of the real ones; a linear equation fills both slots with its
+    single root.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -38,9 +40,16 @@ def _solve_quadratic_batch(A, B, C):
     r1 = np.where(lin, tlin, r1)
     r2 = np.where(lin, tlin, r2)
     valid = valid | (lin & np.isfinite(r1))
-    t1 = np.minimum(r1, r2)
-    t2 = np.maximum(r1, r2)
-    return t1, t2, valid
+    ts = np.stack([np.minimum(r1, r2), np.maximum(r1, r2)], axis=1)
+    return ts, np.stack([valid, valid], axis=1)
+
+
+def _sphere_roots(o, dirs, radius):
+    """``_solve_quadratic_batch`` for |o + t dirs[i]| = radius, with one
+    origin (3,) or one per ray (k, 3) relative to the centre."""
+    return _solve_quadratic_batch(
+        np.einsum("ij,ij->i", dirs, dirs), _origin_dots(2.0 * dirs, o),
+        _dots(o, o) - radius**2)
 
 
 def _origin_dots(dirs, o):
@@ -113,11 +122,8 @@ class Sphere(AreaSampler):
 
     def ray_hits(self, origins, dirs, tmin, tmax):
         o = np.asarray(origins, dtype=float) - self.center
-        dirs = np.asarray(dirs, dtype=float)
-        t1, t2, valid = _solve_quadratic_batch(
-            np.einsum("ij,ij->i", dirs, dirs), _origin_dots(2.0 * dirs, o),
-            _dots(o, o) - self.radius**2)
-        return _hits(np.stack([t1, t2], axis=1), valid[:, None], tmin, tmax)
+        return _hits(*_sphere_roots(o, np.asarray(dirs, dtype=float),
+                                    self.radius), tmin, tmax)
 
     def inside(self, p):
         return bool(np.linalg.norm(np.asarray(p, dtype=float) - self.center)
@@ -214,36 +220,16 @@ class Torus(AreaSampler):
         q = x * x + y * y + z * z + self.R**2 - self.r**2
         return q * q - 4.0 * self.R**2 * (x * x + y * y)
 
-    def _segment_roots(self, a, d):
-        # (|p|^2 + R^2 - r^2)^2 = 4 R^2 (px^2 + py^2) as a quartic in t
-        q = np.array([a @ a + self.R**2 - self.r**2, 2.0 * (a @ d), d @ d])
-        w = np.array([a[0]**2 + a[1]**2,
-                      2.0 * (a[0] * d[0] + a[1] * d[1]),
-                      d[0]**2 + d[1]**2])
-        poly = np.convolve(q, q)
-        poly[:3] -= 4.0 * self.R**2 * w
-        # highest-degree first for np.roots
-        coeffs = poly[::-1]
-        lead = np.max(np.abs(coeffs)) + 1e-300
-        nz = np.nonzero(np.abs(coeffs) > 1e-14 * lead)[0]
-        if len(nz) == 0 or len(coeffs) - nz[0] <= 1:
-            return np.empty(0)
-        roots = np.roots(coeffs[nz[0]:])
-        real = roots[np.abs(roots.imag) < 1e-8 * (1.0 + np.abs(roots.real))].real
-        return self._polish(a, np.tile(d, (len(real), 1)), real)
-
     def _ray_roots(self, a, dirs):
         """Polished real roots of every ray's quartic, as (ray index, t).
 
-        ``a`` is one origin (3,) or one per ray (k, 3).  The batched form of
-        ``_segment_roots``: the same coefficients, the same companion matrices
-        as ``np.roots`` (a zero constant term deflates to a lower degree plus
-        a root at 0), one stacked ``eigvals`` call per degree and one Newton
-        polish for all roots.  Rays whose leading coefficient is negligible
-        take the per-ray path.
+        ``a`` is one origin (3,) or one per ray (k, 3).  The roots are those
+        of ``np.roots`` on the coefficients from the first one above 1e-14
+        times the largest, found by one stacked ``eigvals`` call per
+        (leading skip, trailing zeros) group and one Newton polish for all.
         """
-        # 1-D dots and pow squares, as _segment_roots forms them, so that
-        # both paths agree to the bit
+        # in the bits of np.convolve on 1-D dots and pow squares
+        # (tests/torus_oracle.py)
         ad, dd, dxy = _dots(a, dirs), _dots(dirs, dirs), _squares_xy(dirs)
         q0 = _dots(a, a) + self.R**2 - self.r**2
         q1 = 2.0 * ad
@@ -255,18 +241,20 @@ class Torus(AreaSampler):
             q0 * q1 + q1 * q0
             - k * (2.0 * (a[..., 0] * dirs[:, 0] + a[..., 1] * dirs[:, 1])),
             q0 * q0 - k * _squares_xy(a)), axis=1)
-        lead = np.max(np.abs(coeffs), axis=1) + 1e-300
-        quartic = np.abs(coeffs[:, 0]) > 1e-14 * lead
-        # exact trailing zeros deflate, as in np.roots
+        lead = np.max(np.abs(coeffs), axis=1, keepdims=True) + 1e-300
+        big = np.abs(coeffs) > 1e-14 * lead
+        # no root where only the constant coefficient, or none, is above it
+        skip = np.where(big.any(axis=1), np.argmax(big, axis=1), 4)
         zeros = np.argmax(coeffs[:, ::-1] != 0.0, axis=1)
 
         rays, ts = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-        for z in np.unique(zeros[quartic]):
-            sel = np.nonzero(quartic & (zeros == z))[0]
-            deg = 4 - z
+        for s, z in sorted(set(zip(skip[skip < 4], zeros[skip < 4]))):
+            sel = np.nonzero((skip == s) & (zeros == z))[0]
+            deg = 4 - s - z
             if deg:
+                c = coeffs[sel, s:]
                 comp = np.zeros((len(sel), deg, deg))
-                comp[:, 0] = -coeffs[sel, 1:deg + 1] / coeffs[sel, :1]
+                comp[:, 0] = -c[:, 1:deg + 1] / c[:, :1]
                 comp[:, 1:, :-1] += np.eye(deg - 1)
                 roots = np.linalg.eigvals(comp)
                 real = np.abs(roots.imag) < 1e-8 * (1.0 + np.abs(roots.real))
@@ -276,13 +264,8 @@ class Torus(AreaSampler):
             rays.append(np.repeat(sel, z))
             ts.append(np.zeros(len(sel) * z))
         rays = np.concatenate(rays)
-        ts = self._polish(a if a.ndim == 1 else a[rays], dirs[rays],
-                          np.concatenate(ts))
-        for i in np.nonzero(~quartic)[0]:
-            t = self._segment_roots(a if a.ndim == 1 else a[i], dirs[i])
-            rays = np.concatenate([rays, np.full(len(t), i)])
-            ts = np.concatenate([ts, t])
-        return rays, ts
+        return rays, self._polish(a if a.ndim == 1 else a[rays], dirs[rays],
+                                  np.concatenate(ts))
 
     def _polish(self, a, dirs, t):
         """Safeguarded polish: three Newton steps on the implicit form along
@@ -388,11 +371,10 @@ class SaddlePatch(AreaSampler):
         c2 = dirs[:, 0] * dirs[:, 1]
         c1 = o[..., 0] * dirs[:, 1] + o[..., 1] * dirs[:, 0] - dirs[:, 2]
         c0 = o[..., 0] * o[..., 1] - o[..., 2]
-        t1, t2, valid = _solve_quadratic_batch(c2, c1, c0)
-        ts = np.stack([t1, t2], axis=1)
+        ts, valid = _solve_quadratic_batch(c2, c1, c0)
         p = o[..., None, :] + ts[..., None] * dirs[:, None]
         on_patch = (np.abs(p[..., 0]) <= self.L) & (np.abs(p[..., 1]) <= self.L)
-        return _hits(ts, valid[:, None] & np.isfinite(ts) & on_patch, tmin, tmax)
+        return _hits(ts, valid & np.isfinite(ts) & on_patch, tmin, tmax)
 
     def inside(self, p):
         raise ValueError("no interior")
@@ -478,32 +460,21 @@ class Capsule(AreaSampler):
     def ray_hits(self, origins, dirs, tmin, tmax):
         o = np.asarray(origins, dtype=float)
         dirs = np.asarray(dirs, dtype=float)
-        cands = np.full((len(dirs), 6), np.inf)
-        # wall
-        A = dirs[:, 0]**2 + dirs[:, 1]**2
-        B = 2.0 * (o[..., 0] * dirs[:, 0] + o[..., 1] * dirs[:, 1])
-        C = _squares_xy(o) - self.radius**2
-        t1, t2, valid = _solve_quadratic_batch(A, B, C)
-        for col, t in ((0, t1), (1, t2)):
-            tf = np.where(np.isfinite(t), t, 0.0)
-            z = o[..., 2] + tf * dirs[:, 2]
-            ok = valid & np.isfinite(t) & (np.abs(z) <= self.half)
-            cands[:, col] = np.where(ok, t, np.inf)
-        # caps
-        for col, sign in ((2, 1.0), (4, -1.0)):
-            cz = sign * self.half
-            oz = o.copy()
-            oz[..., 2] -= cz
-            A = np.einsum("ij,ij->i", dirs, dirs)
-            B = _origin_dots(2.0 * dirs, oz)
-            C = _dots(oz, oz) - self.radius**2
-            t1, t2, valid = _solve_quadratic_batch(A, B, C)
-            for dcol, t in ((0, t1), (1, t2)):
-                tf = np.where(np.isfinite(t), t, 0.0)
-                z = o[..., 2] + tf * dirs[:, 2]
-                ok = valid & np.isfinite(t) & (sign * (z - cz) >= -1e-12)
-                cands[:, col + dcol] = np.where(ok, t, np.inf)
-        return _hits(cands, np.isfinite(cands), tmin, tmax)
+        # the roots on the wall (columns 0-1), the top cap (2-3) and the
+        # bottom cap (4-5), each kept if its point lies on that part
+        roots = [_solve_quadratic_batch(
+            dirs[:, 0]**2 + dirs[:, 1]**2,
+            2.0 * (o[..., 0] * dirs[:, 0] + o[..., 1] * dirs[:, 1]),
+            _squares_xy(o) - self.radius**2)]
+        roots += [_sphere_roots(o - (0.0, 0.0, cz), dirs, self.radius)
+                  for cz in (self.half, -self.half)]
+        ts = np.concatenate([t for t, _ in roots], axis=1)
+        ok = np.concatenate([v for _, v in roots], axis=1) & np.isfinite(ts)
+        z = o[..., 2, None] + np.where(ok, ts, 0.0) * dirs[:, 2, None]
+        ok[:, :2] &= np.abs(z[:, :2]) <= self.half
+        ok[:, 2:4] &= z[:, 2:4] - self.half >= -1e-12
+        ok[:, 4:] &= z[:, 4:] + self.half <= 1e-12
+        return _hits(ts, ok, tmin, tmax)
 
     def inside(self, p):
         p = np.asarray(p, dtype=float)

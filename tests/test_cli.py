@@ -270,12 +270,20 @@ class TestExitCodes:
          "--iters", "3", "--p", "9"],
         ["minimize", "--mesh", "MESH", "--mode", "area", "--cap", "nan",
          "--iters", "3", "--p", "9"],
+        QUICK["diverge"] + ["--eps", "2"],
+        QUICK["diverge"] + ["--eps", "1"],
+        QUICK["diverge"] + ["--alpha", "0.5"],
+        QUICK["diverge"] + ["--alpha", "1"],
+        QUICK["goodtetra"] + ["--hit-tol", "0.2"],
+        QUICK["goodtetra"] + ["--hit-tol", "5"],
+        QUICK["goodtetra"] + ["--hit-tol", "1e200"],
     ], ids=["p-nan", "radius-inf", "patch-radius-nan", "radii-empty",
-            "energy-cap-nan", "area-cap-nan"])
+            "energy-cap-nan", "area-cap-nan", "eps-2", "eps-1", "alpha-0.5",
+            "alpha-1", "hit-tol-0.2", "hit-tol-5", "hit-tol-1e200"])
     def test_non_finite_or_empty_input(self, capsys, ico_obj, argv):
         argv = [ico_obj if a == "MESH" else a for a in argv]
         assert cli.run(argv + ["--seed", "0"]) == 2
-        assert capsys.readouterr().err.startswith("menger-surf: ")
+        assert capsys.readouterr().err.startswith("menger-surf: --")
 
     @pytest.mark.parametrize("name,flag,value", [
         ("energy", "--threads", "0"),
@@ -321,10 +329,10 @@ class TestExitCodes:
                                           ("nmax", 8), ("threads", 256)])
     def test_integer_flag_caps(self, flag, cap):
         # through the validator alone: a run above a cap would exhaust memory
-        cli._check_int_ranges(argparse.Namespace(**{flag: cap}))
+        cli._check_ranges(argparse.Namespace(**{flag: cap}))
         for value in (cap + 1, 10**6):
             with pytest.raises(cli.UsageError, match="at most"):
-                cli._check_int_ranges(argparse.Namespace(**{flag: value}))
+                cli._check_ranges(argparse.Namespace(**{flag: value}))
 
     def test_negative_thread_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("MENGER_THREADS", "-3")

@@ -215,8 +215,12 @@ class TestValidation:
             goodtetra.find_good_tetra(saddle, sp)
 
     def test_param_validation(self):
-        with pytest.raises(ValueError):
-            goodtetra.GoodTetraParams(hit_tolerance=0.0)
+        # from PHI0 / 4 on, every hit would classify as central
+        for tol in (0.0, goodtetra.PHI0 / 4.0, 5.0, 1e200):
+            with pytest.raises(ValueError, match="hit_tolerance"):
+                goodtetra.GoodTetraParams(hit_tolerance=tol)
+        goodtetra.GoodTetraParams(
+            hit_tolerance=np.nextafter(goodtetra.PHI0 / 4.0, 0.0))
 
     @pytest.mark.parametrize("rays", [0, 3])
     def test_too_few_rays_rejected(self, rays):

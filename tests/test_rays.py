@@ -12,6 +12,7 @@ from menger_surf import geom, goodtetra
 from menger_surf.rng import substream
 from menger_surf.surface import SurfaceOracle, TriMesh, shapes, trimesh
 from menger_surf.surface.analytic import Capsule, SaddlePatch, Sphere, Torus
+from torus_oracle import capsule_ray_hits, segment_roots, sphere_ray_hits
 
 RAY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -31,6 +32,9 @@ meshes = st.builds(mesh, st.sampled_from(["ico", "kink"]), st.integers(0, 3))
 unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(
     lambda v: np.linalg.norm(v) > 0.1).map(lambda v: v / np.linalg.norm(v))
 caps = st.floats(-6.0, np.log10(np.pi / 4.0)).map(lambda e: 10.0**e)
+# direction lengths down to where a torus quartic's leading coefficient
+# drops below 1e-14 times its largest
+scales = st.floats(-7.0, 0.0).map(lambda e: 10.0**e)
 
 
 def every_face(m):
@@ -188,7 +192,7 @@ def torus_origins():
 def per_ray_band_min(origin, dirs, tmin, tmax):
     out = np.full(len(dirs), np.inf)
     for i, d in enumerate(dirs):
-        ts = TORUS._segment_roots(origin, d)
+        ts = segment_roots(TORUS, origin, d)
         ts = ts[(ts >= tmin) & (ts <= tmax)]
         if len(ts):
             out[i] = ts.min()
@@ -196,17 +200,29 @@ def per_ray_band_min(origin, dirs, tmin, tmax):
 
 
 @RAY_SETTINGS
-@given(origin=torus_origins(), axis=unit_vectors, cap=caps,
+@given(origin=torus_origins(), axis=unit_vectors, cap=caps, scale=scales,
        double=st.booleans(), n=st.integers(1, 64),
        band=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 8.0)))
-def test_torus_band_min_hits_matches_per_ray_roots(origin, axis, cap, double,
-                                                   n, band):
-    dirs = geom.cap_fibonacci(axis, cap, n)
+def test_torus_band_min_hits_matches_per_ray_roots(origin, axis, cap, scale,
+                                                   double, n, band):
+    dirs = geom.cap_fibonacci(axis, cap, n) * scale
     if double:
         dirs = np.concatenate([dirs, -dirs])
-    tmin, tmax = band[0] * band[1], band[1]
+    # the same stretch of each ray, whatever the direction length
+    tmin, tmax = band[0] * band[1] / scale, band[1] / scale
     assert np.array_equal(TORUS_ORACLE.band_min_hits(origin, dirs, tmin, tmax),
                           per_ray_band_min(origin, dirs, tmin, tmax))
+
+
+@RAY_SETTINGS
+@given(origin=torus_origins(), axis=unit_vectors, cap=caps, scale=scales,
+       n=st.integers(1, 64))
+def test_torus_roots_match_per_ray_roots(origin, axis, cap, scale, n):
+    dirs = geom.cap_fibonacci(axis, cap, n) * scale
+    rays, ts = TORUS._ray_roots(origin, dirs)
+    for i, d in enumerate(dirs):
+        assert np.array_equal(np.sort(ts[rays == i]),
+                              np.sort(segment_roots(TORUS, origin, d)))
 
 
 def test_torus_batch_keeps_per_ray_rounding():
@@ -229,6 +245,34 @@ def test_torus_zero_constant_term_deflates():
     rays, ts = TORUS._ray_roots(origin, np.array([[-1.0, 0.0, 0.0]]))
     assert list(rays) == [0, 0, 0, 0]
     assert np.sort(ts) == approx([0.0, 2.0, 4.0, 6.0], abs=1e-12)
+
+
+@pytest.mark.parametrize("origin", [EXACT_ON_TORUS[0],
+                                    np.array([0.5, 1.0, 3.0])],
+                         ids=["on", "off"])
+def test_torus_zero_direction_has_no_roots(origin):
+    # every coefficient is zero on the torus, all but the constant one off it
+    dirs = np.zeros((2, 3))
+    rays, ts = TORUS._ray_roots(origin, dirs)
+    assert len(rays) == len(ts) == 0
+    assert len(segment_roots(TORUS, origin, dirs[0])) == 0
+    assert (TORUS_ORACLE.band_min_hits(origin, dirs, 0.0, np.inf)
+            == np.inf).all()
+
+
+def test_torus_negligible_leading_coefficient_deflates(monkeypatch):
+    # a segment of length 2e-6 across the torus at (3, 0, 0): its quartic's
+    # leading coefficient is ~1e-23 against a largest of ~1e-4, so the
+    # companion matrix is the cubic's
+    eigvals, sizes = np.linalg.eigvals, []
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda m: sizes.append(m.shape[-1]) or eigvals(m))
+    a, b = np.array([3.0 + 1e-6, 0.0, 0.0]), np.array([3.0 - 1e-6, 0.0, 0.0])
+    hits = TORUS_ORACLE.segment_hits(a, b)
+    assert sizes == [3]
+    assert hits == approx(np.array([[3.0, 0.0, 0.0]]), abs=1e-12)
+    _, ts = TORUS._ray_roots(a, (b - a)[None])
+    assert np.array_equal(np.sort(ts), np.sort(segment_roots(TORUS, a, b - a)))
 
 
 def unculled(m):
@@ -313,6 +357,34 @@ def test_each_ray_equals_its_row_in_a_batch(backing, seed, n, band):
     for i in range(n):
         one = backing.ray_hits(origins[i:i + 1], dirs[i:i + 1], *band)
         assert_same_pairs(one, (ray[ray == i] - i, t[ray == i]))
+
+
+QUADRIC_ORACLES = [(Sphere(1.3, center=(0.2, -0.1, 0.3)), sphere_ray_hits),
+                   (Capsule(3.0, 0.5), capsule_ray_hits)]
+
+
+def pair_multiset(pairs):
+    ray, t = pairs
+    order = np.lexsort((t, ray))
+    return ray[order], t[order]
+
+
+@RAY_SETTINGS
+@given(quadric=st.sampled_from(QUADRIC_ORACLES), seed=st.integers(0, 2**32),
+       n=st.integers(1, 40), shared_origin=st.booleans(),
+       vertical=st.floats(0.0, 1.0), band=bands)
+def test_sphere_and_capsule_match_their_former_bodies(quadric, seed, n,
+                                                      shared_origin, vertical,
+                                                      band):
+    backing, former = quadric
+    origins, dirs = ray_batch(seed, n)
+    if shared_origin:
+        origins = origins[0]
+    # a share of the rays parallel to the capsule's axis, where the wall's
+    # quadratic has A = 0
+    dirs[np.random.default_rng(seed).random(n) < vertical, :2] = 0.0
+    assert_same_pairs(pair_multiset(backing.ray_hits(origins, dirs, *band)),
+                      pair_multiset(former(backing, origins, dirs, *band)))
 
 
 @RAY_SETTINGS
