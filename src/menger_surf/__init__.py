@@ -9,6 +9,7 @@ mesh optimization.
 __version__ = "0.1.0"
 
 from .geom import (
+    InputError,
     SimplexMeasures,
     circumradius_triangle,
     circumsphere_radius,

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geom
+from .geom import InputError, as_point, finite_in, integer_in
 from .rng import blocks, substream
 from .surface.trimesh import _point_tri_sqdist
 
@@ -45,8 +46,7 @@ def exponents(p):
     kappa = (p - 8)/(p + 16) governs the first-pass tangent-plane estimate,
     lambda = 1 - 8/p the optimal one; 0 < kappa < lambda < 1 for all p > 8.
     """
-    if not p > 8.0:
-        raise ValueError("p must exceed 8")
+    finite_in(p, "p", 8)
     kappa = (p - 8.0) / (p + 16.0)
     lam = 1.0 - 8.0 / p
     assert 0.0 < kappa < lam < 1.0
@@ -59,12 +59,10 @@ def balance_epsilon(eta, p, d, E):
     c1(eta, p) = eta^(-3p) (18*10^4)^p; the solution is monotone increasing
     in both d and E, so boxes get flatter as the scale shrinks.
     """
-    if not (0.0 < eta < 1.0):
-        raise ValueError("eta must lie in (0, 1)")
-    if not p > 8.0:
-        raise ValueError("p must exceed 8")
-    if not (d > 0.0 and E > 0.0):
-        raise ValueError("d and E must be positive")
+    finite_in(eta, "eta", 0, 1)
+    finite_in(p, "p", 8)
+    finite_in(d, "d", 0)
+    finite_in(E, "E", 0)
     log_c1 = p * (np.log(18e4) - 3.0 * np.log(eta))
     log_eps = (log_c1 + np.log(E) + (p - 8.0) * np.log(d)) / (16.0 + p)
     return float(np.exp(log_eps))
@@ -78,15 +76,14 @@ def density_quotient(oracle, x, radius, depth=8):
     """Area of the patch inside B(x, radius) over radius^2.
 
     Faces fully inside the ball count exactly; straddling faces are
-    quadrisected ``depth`` times, and surviving leaves count half their area
-    when their centroid is inside.  The reported error bound is
+    quadrisected ``depth`` times (at most 10: each step doubles the
+    straddling faces), and surviving leaves count half their area when their
+    centroid is inside.  The reported error bound is
     (initially straddling area) * 2^-depth.
     """
-    x = np.asarray(x, dtype=float)
-    if not radius > 0.0:
-        raise ValueError("radius must be positive")
-    if oracle.surface_distance(x) > 1e-6 * (1.0 + oracle.diameter):
-        raise ValueError("x is not on the surface")
+    x = oracle.point_on_surface(x, "x")
+    finite_in(radius, "radius", 0)
+    depth = integer_in(depth, "depth", 0, 10)
     mesh = oracle.tessellate()
     tri = mesh.vertices[mesh.faces]
 
@@ -182,9 +179,9 @@ def _ball_points(oracle, x, r, need, stream, block, budget, threads=1):
 
 def patch_samples(oracle, x, r, n_patch, seed=0):
     """Up to n_patch area-uniform samples of the patch inside B(x, r)."""
-    if n_patch < 1:
-        raise ValueError("need a positive patch sample count")
-    x = np.asarray(x, dtype=float)
+    x = as_point(x, "x")
+    finite_in(r, "r", 0)
+    n_patch = integer_in(n_patch, "n_patch", 1)
     return _ball_points(oracle, x, r, n_patch, (seed, _PATCH_TAG), 8192,
                         400)[0][:n_patch]
 
@@ -194,12 +191,12 @@ def beta_number(oracle, x, r, n_patch=4000, grid_level=1, seed=0):
 
     The infimum over planes is approximated from above by a nested
     direction-grid search (500 * 4^k Fibonacci directions for k = 0..level,
-    so a finer level can only lower the value), plus the patch SVD normal
-    and one refinement pass around the best direction.
+    so a finer level can only lower the value; the cap of 6 bounds time and
+    memory), plus the patch SVD normal and one refinement pass around the
+    best direction.
     """
-    x = np.asarray(x, dtype=float)
-    if not r > 0.0:
-        raise ValueError("radius must be positive")
+    x = oracle.point_on_surface(x, "x")
+    grid_level = integer_in(grid_level, "grid_level", 0, 6)
     pts = patch_samples(oracle, x, r, n_patch, seed)
     if len(pts) == 0:
         raise ValueError("empty patch")
@@ -213,7 +210,7 @@ def beta_number(oracle, x, r, n_patch=4000, grid_level=1, seed=0):
 
     # levels are cumulative (each adds its grid and a refinement around the
     # running best), so a finer grid_level can only lower the reported value
-    for k in range(int(grid_level) + 1):
+    for k in range(grid_level + 1):
         dirs = _fibonacci_directions(500 * 4**k)
         vals = _max_abs_dot(dirs, rel)
         i = int(np.argmin(vals))
@@ -227,8 +224,7 @@ def beta_number(oracle, x, r, n_patch=4000, grid_level=1, seed=0):
         if rvals[i] < best_val:
             best_dir, best_val = refine[i], float(rvals[i])
 
-    return BetaReport(x, float(r), float(best_val / r), best_dir,
-                      int(grid_level))
+    return BetaReport(x, float(r), float(best_val / r), best_dir, grid_level)
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +241,14 @@ def normal_oscillation_profile(oracle, x, scales, pairs_per_scale=400, seed=0):
     fewer pairs (on torus(2, 1) at (3, 0, 0) the scale 0.05 collects 109-138
     of 400 at seeds 1-3); a scale that collects none raises ValueError.
     """
-    if pairs_per_scale < 1:
-        raise ValueError("need a positive pair count")
-    x = np.asarray(x, dtype=float)
-    scales = sorted(float(s) for s in scales)
-    if any(s > oracle.diameter for s in scales):
-        raise ValueError("scale exceeds surface diameter")
+    x = oracle.point_on_surface(x, "x")
+    scales = sorted(finite_in(s, "scales", 0) for s in scales)
+    if not scales:
+        raise InputError("scales must be a non-empty list")
+    if scales[-1] > oracle.diameter:
+        raise InputError(f"scales must not exceed the surface diameter "
+                         f"{oracle.diameter}, got {scales[-1]}")
+    integer_in(pairs_per_scale, "pairs_per_scale", 1)
     n0 = oracle.normal_at(x)
 
     def work(k, si, d):
@@ -279,13 +277,11 @@ def normal_oscillation_profile(oracle, x, scales, pairs_per_scale=400, seed=0):
 
 def holder_exponent_fit(profile):
     """Least-squares fit of log(osc) = exponent * log(d) + log_constant."""
-    profile = [(float(d), float(o)) for d, o in profile]
+    profile = [(finite_in(d, "profile scales", 0),
+                finite_in(o, "profile oscillations", 0, closed=True))
+               for d, o in profile]
     if len(profile) < 3:
-        raise ValueError("need at least 3 points")
-    if any(d <= 0.0 for d, _ in profile):
-        raise ValueError("scales must be positive")
-    if any(o < 0.0 for _, o in profile):
-        raise ValueError("oscillations must be nonnegative")
+        raise InputError("profile needs at least 3 points")
     if all(o == 0.0 for _, o in profile):
         return HolderFit(0.0, -np.inf, 1.0)
     if any(o <= 0.0 for _, o in profile):

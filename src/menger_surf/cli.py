@@ -9,11 +9,12 @@ flows from the single seed through counter-based streams.
 A document's results are the fields of the study's result.  Only this module
 forms documents, and every CSV table, the audit too, has one writer.
 
-Exit codes: 0 success, 2 usage error (a mesh file that fails to parse or is
-neither OBJ nor OFF is one, and so are a --point off the surface, surface
-parameters that give no surface or no finite area, and a bad --integrand
-spec), 1 runtime error (an arithmetic overflow or a numpy RuntimeWarning is
-one).
+Exit codes: 0 success, 2 any ``InputError`` (an argument that the library
+or this module refuses: a flag out of range, a --point off the surface, a
+mesh file that fails to parse or is neither OBJ nor OFF, surface parameters
+that give no surface or no finite area, a bad --integrand spec), 1 runtime
+error (an arithmetic overflow or a numpy RuntimeWarning is one).  The library
+checks the arguments it takes; this module checks only its own flags.
 """
 
 import argparse
@@ -28,9 +29,10 @@ import warnings
 import numpy as np
 
 from . import __version__, analysis, energy, goodtetra, minimize
+from .geom import InputError
 from .integrand import IntegrandSpec, eval_integrand
 from .rng import substream
-from .surface import MeshParseError, SurfaceOracle, SurfacePoint, sample_point
+from .surface import SurfaceOracle, SurfacePoint, sample_point
 
 SUBCOMMANDS = ("integrand", "energy", "local-energy", "scaling", "diverge",
                "density", "beta", "oscillation", "goodtetra", "minimize")
@@ -43,69 +45,34 @@ _MESH_FORMATS = ("obj", "off")
 _ANALYTIC = {"sphere": ("radius",), "torus": ("major_radius", "minor_radius"),
              "saddle": ("extent",), "capsule": ("length", "radius")}
 
-# float flags that must be finite and positive in every subcommand that has them
-_POSITIVE_FLAGS = ("p", "radius", "major_radius", "minor_radius", "extent",
-                   "length", "patch_radius", "cap", "alpha", "eps", "hit_tol")
-# integer flags and their (least, greatest) values.  --rays has the floor
-# that goodtetra.GoodTetraParams checks for ray_count.  Each --grid-level step
-# quadruples beta's directions and each --depth step doubles density's
-# straddling faces; the caps bound time and memory.  A wave of the block
-# driver starts one OS thread per block, so --threads has a cap too.
-# diverge's --nmax is divergence_study's own range.
-_INT_RANGES = {"threads": (1, 256), "rays": (4, math.inf),
-               "proj_rays": (1, math.inf), "samples": (1, math.inf),
-               "pairs": (1, math.inf), "patch_samples": (1, math.inf),
-               "iters": (1, math.inf), "grid_level": (0, 6), "depth": (0, 10),
-               "nmax": (2, 8)}
-# real flags and the open intervals they must lie in: divergence_study's
-# ranges, and goodtetra.GoodTetraParams' bound on --hit-tol
-_REAL_RANGES = {"eps": (0.0, 1.0), "alpha": (1.0, math.inf),
-                "hit_tol": (0.0, goodtetra.PHI0 / 4.0)}
-
-
-class UsageError(Exception):
-    pass
+# the integer flags this module checks itself, and their (least, greatest)
+# values; the library checks every other argument.  --threads: every
+# subcommand takes it, also those that start no worker, and a wave of the
+# block driver starts one OS thread per block, hence the cap.  --iters: the
+# annealers accept 0, which only scores the start mesh, but a minimize run
+# must move.  --proj-rays: verify_projection checks its ray count only after
+# the search has run, and a failed search would then hide a bad count.
+_INT_RANGES = {"threads": (1, 256), "iters": (1, math.inf),
+               "proj_rays": (1, math.inf)}
 
 
 def _floats(text, n=None):
     try:
         vals = [float(v) for v in str(text).split(",") if v != ""]
     except ValueError:
-        raise UsageError(f"expected comma-separated numbers, got {text!r}")
+        raise InputError(f"expected comma-separated numbers, got {text!r}")
     if n is not None and len(vals) != n:
-        raise UsageError(f"expected {n} comma-separated numbers, got {text!r}")
-    if not all(map(math.isfinite, vals)):
-        raise UsageError(f"expected finite numbers, got {text!r}")
-    return vals
-
-
-def _positive(flag, vals):
-    """The values of a flag, which must be a non-empty list of finite
-    positive numbers."""
-    if not vals:
-        raise UsageError(f"{flag} needs at least one number")
-    for v in vals:
-        if not (math.isfinite(v) and v > 0.0):
-            raise UsageError(f"{flag} must be finite and positive, got {v!r}")
+        raise InputError(f"expected {n} comma-separated numbers, got {text!r}")
     return vals
 
 
 def _check_ranges(args):
-    """Raise UsageError for an integer or real flag outside its range."""
-    ranges = dict(_INT_RANGES)
-    if getattr(args, "subcommand", None) in ("energy", "scaling"):
-        ranges["samples"] = (energy.MIN_SAMPLES, math.inf)  # estimate_mp's
-    for name, (least, most) in ranges.items():
+    """Raise InputError for an integer flag outside its range."""
+    for name, (least, most) in _INT_RANGES.items():
         value = getattr(args, name, None)
         if value is not None and not least <= value <= most:
             bound = f"at least {least}" if value < least else f"at most {most}"
-            raise UsageError(f"--{name.replace('_', '-')} must be {bound}, "
-                             f"got {value}")
-    for name, (lower, upper) in _REAL_RANGES.items():
-        value = getattr(args, name, None)
-        if value is not None and not lower < value < upper:
-            bound = f"above {lower}" if value <= lower else f"below {upper}"
-            raise UsageError(f"--{name.replace('_', '-')} must be {bound}, "
+            raise InputError(f"--{name.replace('_', '-')} must be {bound}, "
                              f"got {value}")
 
 
@@ -120,54 +87,40 @@ def _add_surface_flags(sp):
     sp.add_argument("--length", type=float, help="capsule cylinder length")
 
 
-def _mesh_format(args):
-    """--mesh-format, or else the --mesh file's extension, which must be one
-    of the formats that --mesh-format accepts."""
-    fmt = args.mesh_format or str(args.mesh).rsplit(".", 1)[-1].lower()
-    if fmt not in _MESH_FORMATS:
-        raise UsageError(f"unknown mesh format {fmt!r}")
-    return fmt
-
-
 def _resolve_surface(args):
     if (args.mesh is None) == (args.analytic is None):
-        raise UsageError("need exactly one surface source: --mesh or --analytic")
+        raise InputError("need exactly one surface source: --mesh or --analytic")
     if args.mesh is not None:
-        return SurfaceOracle.from_file(args.mesh, _mesh_format(args))
+        return SurfaceOracle.from_file(args.mesh, args.mesh_format)
     kind, names = args.analytic, _ANALYTIC[args.analytic]
     values = [getattr(args, name) for name in names]
     if None in values:
-        raise UsageError(f"--analytic {kind} needs " + " and ".join(
+        raise InputError(f"--analytic {kind} needs " + " and ".join(
             "--" + name.replace("_", "-") for name in names))
     try:
         return getattr(SurfaceOracle, kind)(*values)
     except (ValueError, ArithmeticError, RuntimeWarning) as exc:
         # no such surface, or one whose size overflows a float
-        raise UsageError(f"--analytic {kind}: {exc}") from None
+        raise InputError(f"--analytic {kind}: {exc}") from None
 
 
 def _resolve_spec(args):
     try:
         return IntegrandSpec.from_json(args.integrand)
     except (ValueError, KeyError) as exc:
-        raise UsageError(f"bad integrand spec: {exc}")
+        raise InputError(f"bad integrand spec: {exc}")
 
 
 def _resolve_point(args, oracle, seed):
     if getattr(args, "point", None) is not None:
-        point = np.asarray(_floats(args.point, 3))
-        # density_quotient's on-surface tolerance
-        distance = oracle.surface_distance(point)
-        if distance > 1e-6 * (1.0 + oracle.diameter):
-            raise UsageError(f"--point lies {distance:.6g} off the surface")
-        return point
+        return oracle.point_on_surface(_floats(args.point, 3), "--point")
     if getattr(args, "seed_vertex", None) is not None:
         if not oracle.is_mesh:
-            raise UsageError("--seed-vertex needs a mesh surface")
+            raise InputError("--seed-vertex needs a mesh surface")
         mesh = oracle.backing
         vi = int(args.seed_vertex)
         if not 0 <= vi < len(mesh.vertices):
-            raise UsageError(f"--seed-vertex {vi} out of range "
+            raise InputError(f"--seed-vertex {vi} out of range "
                              f"(mesh has {len(mesh.vertices)} vertices)")
         return mesh.vertices[vi]
     return sample_point(oracle, substream(seed, 0x504F494E)).position
@@ -319,7 +272,7 @@ def _run_local_energy(args, seed, threads):
 
 def _run_scaling(args, seed, threads):
     spec = _resolve_spec(args)
-    radii = _positive("--radii", _floats(args.radii))
+    radii = _floats(args.radii)
     rows = energy.scaling_study(spec, args.p, radii, args.samples, seed,
                                 threads=threads)
     config = {"spec": spec.to_dict(), "p": args.p, "samples": args.samples,
@@ -371,7 +324,7 @@ def _run_beta(args, seed, threads):
 def _run_oscillation(args, seed, threads):
     oracle = _resolve_surface(args)
     point = _resolve_point(args, oracle, seed)
-    scales = _positive("--scales", _floats(args.scales))
+    scales = _floats(args.scales)
     profile = analysis.normal_oscillation_profile(oracle, point, scales,
                                                   args.pairs, seed)
     config = {"surface": oracle.describe(), "point": point.tolist(),
@@ -403,12 +356,7 @@ def _run_goodtetra(args, seed, threads):
 
 def _run_minimize(args, seed, threads):
     from .surface import load_mesh, save_obj
-    mesh = load_mesh(args.mesh, _mesh_format(args))
-    try:  # both annealers need p > 8 and a vertex count the energy can sum
-        minimize.DiscreteEnergyConfig(p=args.p)
-        minimize._combos(len(mesh.vertices))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    mesh = load_mesh(args.mesh, args.mesh_format)
     if args.mode == "energy":
         state = minimize.minimize_energy_area_cap(mesh, args.p, args.cap,
                                                   args.iters, seed)
@@ -477,7 +425,7 @@ def _env_int(name):
     try:
         return int(raw)
     except ValueError:
-        raise UsageError(f"{name} must be an integer, got {raw!r}") from None
+        raise InputError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def run(argv):
@@ -490,10 +438,6 @@ def run(argv):
 
     t0 = time.monotonic()
     try:
-        for name in _POSITIVE_FLAGS:
-            value = getattr(args, name, None)
-            if value is not None:
-                _positive("--" + name.replace("_", "-"), [value])
         _check_ranges(args)
         seed = args.seed
         if seed is None:
@@ -504,13 +448,13 @@ def run(argv):
             threads = (_env_int("MENGER_THREADS")
                        or min(os.cpu_count() or 1, most))
             if not least <= threads <= most:
-                raise UsageError(f"MENGER_THREADS must lie in "
+                raise InputError(f"MENGER_THREADS must lie in "
                                  f"{least}..{most}, got {threads}")
         with warnings.catch_warnings():  # e.g. numpy's overflow warnings
             warnings.simplefilter("error", RuntimeWarning)
             config, results, table = _RUNNERS[args.subcommand](args, seed,
                                                                threads)
-    except (UsageError, MeshParseError) as exc:  # a bad mesh file is bad input
+    except InputError as exc:  # a bad mesh file is bad input too
         print(f"menger-surf: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, RuntimeError, ArithmeticError,

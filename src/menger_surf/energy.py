@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import _ball_points
-from .geom import orthobasis
+from .geom import InputError, as_point, finite_in, integer_in, orthobasis
 from .integrand import IntegrandSpec, eval_batch
 from .rng import CHUNK, blocks, substream
 from .surface import SurfaceOracle
@@ -103,11 +103,8 @@ def estimate_mp(oracle, spec, p, n, seed, threads=1):
 
     All four points of every quadruple are independent area-uniform draws.
     """
-    n = int(n)
-    if n < MIN_SAMPLES:
-        raise ValueError("need at least 10^3 samples")
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    n = integer_in(n, "n", MIN_SAMPLES)
+    finite_in(p, "p", 1, closed=True)
 
     def draw_values(k, m):
         rng = substream(seed, _ENERGY_TAG, k)
@@ -130,14 +127,10 @@ def local_energy(oracle, center, radius, spec, p, n, seed, threads=1):
     fraction q raised to the 4th power.  The draws run in blocks on
     ``threads`` workers; the estimate does not depend on their number.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("need a positive sample count")
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if not radius > 0.0:
-        raise ValueError("radius must be positive")
-    center = np.asarray(center, dtype=float)
+    n = integer_in(n, "n", 1)
+    finite_in(p, "p", 1, closed=True)
+    finite_in(radius, "radius", 0)
+    center = as_point(center, "center")
 
     block = 4 * CHUNK
     # blocks of up to 200 draws per needed point, and at least 10^6 draws
@@ -165,10 +158,11 @@ def scaling_study(spec, p, radii, n, seed, threads=1):
     constant in rho by exact homogeneity, so at p = 8 the raw values already
     agree across radii up to Monte-Carlo error.
     """
+    radii = [finite_in(rho, "radii", 0) for rho in radii]
+    if not radii:
+        raise InputError("radii must be a non-empty list")
     rows = []
     for i, rho in enumerate(radii):
-        if not rho > 0.0:
-            raise ValueError("radii must be positive")
         est = estimate_mp(SurfaceOracle.sphere(rho), spec, p, n,
                           seed=substream(seed, 2, i).integers(2**63),
                           threads=threads)
@@ -182,12 +176,9 @@ def stopping_radius_r0(E, p, alpha):
     Below this radius every surface of energy at most E has patch density
     quotient at least pi/2.
     """
-    if not E > 0.0:
-        raise ValueError("E must be positive")
-    if not p > 8.0:
-        raise ValueError("supercritical exponent required")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    finite_in(E, "E", 0)
+    finite_in(p, "p", 8)  # supercritical
+    finite_in(alpha, "alpha", 0, 1)
     return float((alpha ** (5.0 * p) / E) ** (1.0 / (p - 8.0)))
 
 
@@ -240,18 +231,15 @@ def divergence_study(alpha, p, mean, eps, n_max, samples, seed, threads=1):
     (alpha - 1) p >= 12, where the exponent 12 + (1 - alpha) p is negative,
     from the convergent one.
     """
-    if not alpha > 1.0:
-        raise ValueError("alpha must exceed 1")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    if not 2 <= int(n_max) <= 8:  # the slope needs two scales
-        raise ValueError("n_max must lie in 2..8")
-    if int(samples) < 1:
-        raise ValueError("need a positive sample count")
+    finite_in(alpha, "alpha", 1)
+    finite_in(p, "p", 0)
+    finite_in(eps, "eps", 0, 1)
+    n_max = integer_in(n_max, "n_max", 2, 8)  # the slope needs two scales
+    samples = integer_in(samples, "samples", 1)
     spec = IntegrandSpec(kind="leger", mean=mean, alpha=float(alpha))
 
     rows = []
-    for n_idx in range(1, int(n_max) + 1):
+    for n_idx in range(1, n_max + 1):
         r_n = 2.0 ** (-2 * n_idx)
         centers = _cap_centers(r_n)
         c = eps * r_n**2

@@ -14,6 +14,7 @@ predicate stays invariant under rescaling:
 """
 
 import itertools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -24,17 +25,54 @@ TET_COPLANARITY_REL = 1e-12
 _PERMS4 = np.array(list(itertools.permutations(range(4))))
 
 
-def as_point(p):
+class InputError(ValueError):
+    """An argument outside what a public function accepts.  The message
+    names the argument; failures of a valid call raise other errors."""
+
+
+def finite_in(value, name, low, high=math.inf, closed=False):
+    """float(value), which must be finite and lie in (low, high), or in
+    [low, high) when closed."""
+    value = float(value)
+    if not (math.isfinite(value) and value < high
+            and (low <= value if closed else low < value)):
+        raise InputError(f"{name} must be a finite number in "
+                         f"{'[' if closed else '('}{low}, {high}), got {value!r}")
+    return value
+
+
+def integer_in(value, name, least, most=math.inf):
+    """int(value), which must be an integer in [least, most]."""
+    try:
+        ok = int(value) == value and least <= value <= most
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise InputError(f"{name} must be an integer in [{least}, {most}"
+                         f"{')' if most == math.inf else ']'}, got {value!r}")
+    return int(value)
+
+
+def as_point(p, name="point"):
     p = np.asarray(p, dtype=float).reshape(3)
     if not np.all(np.isfinite(p)):
-        raise ValueError("non-finite coordinates")
+        raise InputError(f"{name} has non-finite coordinates")
     return p
+
+
+def unit_vector(v, name):
+    """The finite, non-zero vector v scaled to unit length."""
+    v = as_point(v, name)
+    norm = np.linalg.norm(v)
+    if norm == 0.0:
+        raise InputError(f"{name} must be non-zero")
+    return v / norm
 
 
 def as_tetra(T):
     T = np.asarray(T, dtype=float).reshape(4, 3)
     if not np.all(np.isfinite(T)):
-        raise ValueError("non-finite coordinates")
+        raise InputError("T has non-finite coordinates")
     return T
 
 
@@ -157,10 +195,10 @@ def simplex_measures(T):
 def circumradius_triangle(x, y, z):
     """Circumcircle radius |x-y||x-z||y-z| / (4 Area).
 
-    Raises ValueError("degenerate triangle") for collinear or coincident
-    points (area below the relative tolerance).
+    Raises InputError for collinear or coincident points (area below the
+    relative tolerance).
     """
-    x, y, z = as_point(x), as_point(y), as_point(z)
+    x, y, z = as_point(x, "x"), as_point(y, "y"), as_point(z, "z")
     a = np.linalg.norm(x - y)
     b = np.linalg.norm(x - z)
     c = np.linalg.norm(y - z)
@@ -168,7 +206,7 @@ def circumradius_triangle(x, y, z):
     area = 0.5 * np.linalg.norm(cross)
     longest = max(a, b, c)
     if area < TRI_DEGENERACY_REL * longest**2 or longest == 0.0:
-        raise ValueError("degenerate triangle")
+        raise InputError("x, y, z: degenerate triangle")
     return float(a * b * c / (4.0 * area))
 
 
@@ -194,11 +232,11 @@ def circumsphere_radius_batch(P):
 
 
 def circumsphere_radius(T):
-    """Circumsphere radius of one tetrahedron; ValueError("coplanar") if flat."""
+    """Circumsphere radius of one tetrahedron; InputError if it is flat."""
     T = as_tetra(T)
     r, coplanar = circumsphere_radius_batch(T[None])
     if coplanar[0]:
-        raise ValueError("coplanar")
+        raise InputError("T: coplanar")
     return float(r[0])
 
 
@@ -208,13 +246,13 @@ def circumsphere_radius(T):
 
 def point_plane_distance(p, a, b, c):
     """Unsigned distance from p to the affine plane through a, b, c."""
-    p, a, b, c = as_point(p), as_point(a), as_point(b), as_point(c)
+    p, a, b, c = (as_point(v, name) for v, name in zip((p, a, b, c), "pabc"))
     cross = np.cross(b - a, c - a)
     nrm = np.linalg.norm(cross)
     longest = max(np.linalg.norm(b - a), np.linalg.norm(c - a),
                   np.linalg.norm(c - b))
     if 0.5 * nrm < TRI_DEGENERACY_REL * longest**2 or longest == 0.0:
-        raise ValueError("degenerate plane")
+        raise InputError("a, b, c: degenerate plane")
     return float(abs((p - a) @ cross) / nrm)
 
 
@@ -236,7 +274,7 @@ def angle_between(u, v):
     v = np.asarray(v, dtype=float)
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
-        raise ValueError("zero vector has no direction")
+        raise InputError("u, v: zero vector has no direction")
     c = np.clip((u @ v) / (nu * nv), -1.0, 1.0)
     return float(np.arccos(c))
 
@@ -293,8 +331,8 @@ def classify_voluminous(T, theta, d):
     base angle at x0 in [theta, pi - theta]; distance of x3 from the base
     plane >= theta*d.
     """
-    if not (0.0 < theta < 1.0) or d <= 0.0:
-        raise ValueError("need theta in (0,1) and d > 0")
+    finite_in(theta, "theta", 0, 1)
+    finite_in(d, "d", 0)
     T = as_tetra(T)
     return bool(classify_voluminous_batch(T[None], theta, d)[0])
 
@@ -318,8 +356,8 @@ def classify_voluminous_batch(P, theta, d):
 
 def classify_wide(tri, theta, d):
     """True iff the triple is (theta, d)-wide (voluminous conditions (i)-(iii))."""
-    if not (0.0 < theta < 1.0) or d <= 0.0:
-        raise ValueError("need theta in (0,1) and d > 0")
+    finite_in(theta, "theta", 0, 1)
+    finite_in(d, "d", 0)
     tri = np.asarray(tri, dtype=float).reshape(3, 3)
     return bool(classify_wide_batch(tri[None], theta, d)[0])
 
@@ -351,9 +389,9 @@ def slanted_constants(phi0, phi1):
     c1(phi0) = (1/16) sin(2 phi0).
     """
     if not (0.0 < phi0 < np.pi / 2):
-        raise ValueError("phi0 must lie in (0, pi/2)")
+        raise InputError("phi0 must lie in (0, pi/2)")
     if not (0.0 < phi1 < np.pi):
-        raise ValueError("phi1 must lie in (0, pi)")
+        raise InputError("phi1 must lie in (0, pi)")
     c0 = 0.5 * (1.0 - np.cos(phi1 / 2.0)) * np.sin(2.0 * phi0)
     c1 = np.sin(2.0 * phi0) / 16.0
     return SlantedConstants(float(c0), float(c1))
@@ -369,7 +407,7 @@ def perturbation_radius(eta):
     sufficient, not tight.
     """
     if not (0.0 < eta <= 0.5):
-        raise ValueError("eta must lie in (0, 1/2]")
+        raise InputError("eta must lie in (0, 1/2]")
     return float(min(eta**5 / 10.0, eta**7 / 36.0))
 
 
@@ -380,5 +418,5 @@ def perturbation_alpha(eta):
     alpha(eta)*d stays (eta/2, 3d/2)-voluminous.
     """
     if not (0.0 < eta <= 0.5):
-        raise ValueError("eta must lie in (0, 1/2]")
+        raise InputError("eta must lie in (0, 1/2]")
     return float(min(eta / 20.0, perturbation_radius(eta)) / 2.0)

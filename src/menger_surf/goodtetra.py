@@ -34,11 +34,9 @@ class GoodTetraParams:
     def __post_init__(self):
         # from PHI0 / 4 on, the central test cone 0.75 PHI0 + hit_tolerance
         # covers the search cone PHI0, and every hit is central
-        if not 0.0 < self.hit_tolerance < PHI0 / 4.0:
-            raise ValueError("hit_tolerance must lie in (0, PHI0 / 4)")
+        geom.finite_in(self.hit_tolerance, "hit_tolerance", 0, PHI0 / 4.0)
         # a cone growth casts ray_count // 4 rays on its cap and on its rim
-        if self.ray_count < 4:
-            raise ValueError("ray_count must be at least 4")
+        geom.integer_in(self.ray_count, "ray_count", 4)
 
 
 @dataclass
@@ -281,10 +279,9 @@ def find_good_tetra(oracle, seed_point, params=None):
     """
     params = params or GoodTetraParams()
     if not oracle.has_interior():
-        raise ValueError("no interior")
-    x0 = np.asarray(seed_point.position, dtype=float)
-    v = np.asarray(seed_point.normal, dtype=float)
-    v = v / np.linalg.norm(v)
+        raise geom.InputError("oracle has no interior")
+    x0 = oracle.point_on_surface(seed_point.position, "seed_point.position")
+    v = geom.unit_vector(seed_point.normal, "seed_point.normal")
 
     t_lo = max(1e-7 * oracle.diameter, 0.0)
     first_hit = None
@@ -447,9 +444,10 @@ def verify_projection(oracle, x0, r, witness_plane_normal, n_rays=1000,
     perpendicular to the plane; a hit counts when it lies in
     B(x0, r (1 + WITNESS_TOL)).
     """
-    x0 = np.asarray(x0, dtype=float)
-    v = np.asarray(witness_plane_normal, dtype=float)
-    v = v / np.linalg.norm(v)
+    x0 = geom.as_point(x0, "x0")
+    geom.finite_in(r, "r", 0)
+    v = geom.unit_vector(witness_plane_normal, "witness_plane_normal")
+    geom.integer_in(n_rays, "n_rays", 1)
     rng = substream(seed, _PROJ_TAG)
     rad = (r / np.sqrt(2.0)) * np.sqrt(rng.random(n_rays))
     psi = rng.random(n_rays) * 2.0 * np.pi

@@ -43,24 +43,24 @@ class IntegrandSpec:
                     isinstance(value, bool)
                     or not isinstance(value, (int, float))
                     or not abs(value) <= sys.float_info.max):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+                raise geom.InputError(f"{name} must be a finite number, got {value!r}")
         if self.kind not in KINDS:
-            raise ValueError(f"unknown integrand kind {self.kind!r}")
+            raise geom.InputError(f"unknown integrand kind {self.kind!r}")
         if self.kind == "leger":
             if self.mean not in MEANS:
-                raise ValueError(f"leger kind needs a mean from {MEANS}")
+                raise geom.InputError(f"leger kind needs a mean from {MEANS}")
             if self.alpha is None or not self.alpha > 1.0:
-                raise ValueError("leger kind needs alpha > 1")
+                raise geom.InputError("leger kind needs alpha > 1")
             if self.s is not None:
-                raise ValueError("parameter s is only for the scaled kind")
+                raise geom.InputError("parameter s is only for the scaled kind")
         elif self.kind == "scaled":
             if self.s is None or not self.s > 0.0:
-                raise ValueError("scaled kind needs s > 0")
+                raise geom.InputError("scaled kind needs s > 0")
             if self.mean is not None or self.alpha is not None:
-                raise ValueError("mean/alpha are only for the leger kind")
+                raise geom.InputError("mean/alpha are only for the leger kind")
         else:
             if self.mean is not None or self.alpha is not None or self.s is not None:
-                raise ValueError(f"kind {self.kind!r} takes no parameters")
+                raise geom.InputError(f"kind {self.kind!r} takes no parameters")
 
     def to_dict(self):
         out = {"kind": self.kind}
@@ -77,10 +77,10 @@ class IntegrandSpec:
     @classmethod
     def from_dict(cls, d):
         if not isinstance(d, dict):
-            raise ValueError(f"expected a JSON object, got {d!r}")
+            raise geom.InputError(f"expected a JSON object, got {d!r}")
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
-            raise ValueError(f"unknown keys {unknown}")
+            raise geom.InputError(f"unknown keys {unknown}")
         return cls(kind=d.get("kind"), mean=d.get("mean"),
                    alpha=d.get("alpha"), s=d.get("s"))
 
@@ -131,7 +131,7 @@ def _mean_batch(name, a, b, c):
         return np.minimum(a, np.minimum(b, c))
     if name == "max":
         return np.maximum(a, np.maximum(b, c))
-    raise ValueError(f"unknown mean {name!r}")
+    raise geom.InputError(f"unknown mean {name!r}")
 
 
 def mean_value(name, a, b, c):
@@ -143,7 +143,7 @@ def eval_batch(spec, P):
     """Evaluate the integrand on a (n, 4, 3) stack of quadruples."""
     P = np.asarray(P, dtype=float)
     if P.ndim != 3 or P.shape[1:] != (4, 3):
-        raise ValueError("expected an (n, 4, 3) array of quadruples")
+        raise geom.InputError("P must be an (n, 4, 3) array of quadruples")
     if spec.kind == "leger":
         base = _canonical_points(P[:, :3])
         x, y, z, xi = base[:, 0], base[:, 1], base[:, 2], P[:, 3]
@@ -195,9 +195,8 @@ def lemma_bounds(theta, kappa, d):
     least kappa*d from the base plane has K > theta^3 kappa / (2500 d).
     """
     if not (0.0 < theta < 1.0):
-        raise ValueError("theta must lie in (0, 1)")
+        raise geom.InputError("theta must lie in (0, 1)")
     if not (0.0 < kappa <= 1.0):
-        raise ValueError("kappa must lie in (0, 1]")
-    if not d > 0.0:
-        raise ValueError("d must be positive")
+        raise geom.InputError("kappa must lie in (0, 1]")
+    geom.finite_in(d, "d", 0)
     return LemmaBounds(theta**4 / (2500.0 * d), theta**3 * kappa / (2500.0 * d))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import tri_areas
+from .geom import InputError, finite_in, integer_in, tri_areas
 from .integrand import IntegrandSpec, eval_batch
 from .rng import substream
 from .surface.trimesh import TriMesh
@@ -30,8 +30,7 @@ class DiscreteEnergyConfig:
     p: float
 
     def __post_init__(self):
-        if not self.p > 8.0:
-            raise ValueError(f"p must exceed 8, got {self.p}")
+        finite_in(self.p, "p", 8)
 
 
 @dataclass
@@ -71,10 +70,10 @@ def _combos(n):
     """The 4-subsets of range(n) as rows, their four index columns and, for
     each vertex, the rows that contain it."""
     if n < 4:
-        raise ValueError(f"the discrete energy needs at least 4 vertices, "
-                         f"got {n}")
+        raise InputError(f"mesh: the discrete energy needs at least 4 "
+                         f"vertices, got {n}")
     if n > MAX_EXHAUSTIVE_VERTICES:
-        raise ValueError(f"vertex budget exceeded for exhaustive mode "
+        raise InputError(f"mesh: vertex budget exceeded for exhaustive mode "
                          f"({n} > {MAX_EXHAUSTIVE_VERTICES})")
     if n not in _combo_cache:
         combos = np.array(list(itertools.combinations(range(n), 4)), dtype=np.int64)
@@ -137,15 +136,14 @@ def _anneal(mesh, p, iters, seed, score, finish):
     """Anneal one vertex at a time.  ``score(area, energy)`` gives a state's
     (objective, constraint value, feasible); ``finish(table)`` gives the
     final (mesh, objective, constraint value)."""
-    if iters < 0:
-        raise ValueError(f"iters must be at least 0, got {iters}")
+    iters = integer_in(iters, "iters", 0)
     table = _EnergyTable(mesh.vertices, mesh.faces, p)
     sigma0 = 0.02 * mesh.mean_edge
     temperature = 1.0
 
     objective, constraint, feasible = score(table.area(), table.energy())
-    if not feasible:
-        raise ValueError("infeasible start: energy above the cap")
+    if not feasible:  # the start mesh and the cap admit no state
+        raise InputError("infeasible start: energy above energy_cap")
     tau0 = 0.002 * (objective + 1e-300)
     audit = [(0, objective, constraint, True)]
     best, accepted = objective, 0
@@ -185,10 +183,9 @@ def minimize_energy_area_cap(mesh, p, area_cap, iters, seed):
     scaling, which multiplies the energy by the exact homogeneity factor.
     The final state is scaled about its vertex centroid and re-summed.
     """
-    if not area_cap > 0.0:
-        raise ValueError("area cap must be positive")
+    area_cap = finite_in(area_cap, "area_cap", 0)
     config = DiscreteEnergyConfig(p=p)
-    target = min(mesh.total_area, float(area_cap))
+    target = min(mesh.total_area, area_cap)
 
     def score(area, energy):
         return np.sqrt(target / area) ** (8.0 - p) * energy, target, True
@@ -199,15 +196,13 @@ def minimize_energy_area_cap(mesh, p, area_cap, iters, seed):
         final = TriMesh(centroid + s * (table.verts - centroid), mesh.faces)
         return final, discrete_energy(final, config), float(final.face_areas.sum())
 
-    return _anneal(mesh, p, int(iters), seed, score, finish)
+    return _anneal(mesh, p, iters, seed, score, finish)
 
 
 def minimize_area_energy_cap(mesh, p, energy_cap, iters, seed):
     """Anneal the mesh area, rejecting states above the energy cap."""
     DiscreteEnergyConfig(p=p)
-    cap = float(energy_cap)
-    if np.isnan(cap):
-        raise ValueError("energy cap must not be NaN")
+    cap = finite_in(energy_cap, "energy_cap", 0, closed=True)
 
     def score(area, energy):
         return area, energy, energy <= cap
@@ -216,7 +211,7 @@ def minimize_area_energy_cap(mesh, p, energy_cap, iters, seed):
         final = TriMesh(table.verts, mesh.faces)
         return final, float(final.face_areas.sum()), table.energy()
 
-    return _anneal(mesh, p, int(iters), seed, score, finish)
+    return _anneal(mesh, p, iters, seed, score, finish)
 
 
 _PAIR_ROWS = 256  # faces per row block of the candidate-pair search

@@ -10,6 +10,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .geom import integer_in
+
 # Quadruples (or points, or triples) per chunk in all MC estimators.
 CHUNK = 4096
 
@@ -47,7 +49,7 @@ def blocks(work, count, threads=1):
     serial loop yields, and at most ``threads - 1`` further blocks ran for
     nothing.
     """
-    if not threads or threads < 2:
+    if integer_in(threads, "threads", 1) == 1:
         yield from map(work, range(count))
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:

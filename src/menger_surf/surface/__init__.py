@@ -40,6 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..geom import InputError, as_point
 from .analytic import Capsule, SaddlePatch, Sphere, Torus
 from .io import MeshParseError, load_obj, load_off, save_obj, save_off
 from .trimesh import TriMesh
@@ -55,8 +56,8 @@ def load_mesh(path, format=None):
     """Load an OBJ or OFF file into a TriMesh.
 
     ``format`` is "obj" or "off"; when omitted it is taken from the file
-    extension.  A file that does not parse, or whose faces are all
-    degenerate, raises ``MeshParseError``.
+    extension.  Another format raises ``InputError``, and a file that does
+    not parse, or whose faces are all degenerate, ``MeshParseError``.
     """
     if format is None:
         format = str(path).rsplit(".", 1)[-1].lower()
@@ -65,7 +66,7 @@ def load_mesh(path, format=None):
     elif format == "off":
         vertices, faces = load_off(path)
     else:
-        raise ValueError(f"unknown mesh format {format!r}")
+        raise InputError(f"unknown mesh format {format!r}")
     try:
         return TriMesh(vertices, faces)
     except ValueError as exc:  # the parsers leave only "every face degenerate"
@@ -79,7 +80,7 @@ class SurfaceOracle:
         self.backing = backing
         self.total_area = float(backing.total_area)
         if not 0.0 < self.total_area < np.inf:
-            raise ValueError(f"surface area must be finite and positive, "
+            raise InputError(f"surface area must be finite and positive, "
                              f"got {self.total_area!r}")
         self._mesh = None
 
@@ -166,6 +167,15 @@ class SurfaceOracle:
 
     def surface_distance(self, p):
         return self.backing.surface_distance(p)
+
+    def point_on_surface(self, p, name):
+        """p as a point, which must be finite and lie within 1e-6 (1 +
+        diameter) of the surface; else InputError naming the argument."""
+        p = as_point(p, name)
+        distance = self.surface_distance(p)
+        if distance > 1e-6 * (1.0 + self.diameter):
+            raise InputError(f"{name} lies {distance:.6g} off the surface")
+        return p
 
     def tessellate(self):
         """The backing's triangulated stand-in, built once per oracle."""

@@ -90,9 +90,7 @@ def _hits(ts, ok, tmin, tmax):
 
 class Sphere(AreaSampler):
     def __init__(self, radius, center=(0.0, 0.0, 0.0)):
-        if not radius > 0.0:
-            raise ValueError("radius must be positive")
-        self.radius = float(radius)
+        self.radius = geom.finite_in(radius, "radius", 0)
         self.center = np.asarray(center, dtype=float)
         self.total_area = 4.0 * np.pi * self.radius**2
         self.diameter = 2.0 * self.radius
@@ -136,7 +134,7 @@ class Sphere(AreaSampler):
         w = np.asarray(p, dtype=float) - self.center
         nrm = np.linalg.norm(w)
         if nrm == 0.0:
-            raise ValueError("center has no normal")
+            raise geom.InputError("p is the center, which has no normal")
         return -w / nrm
 
     def surface_distance(self, p):
@@ -157,10 +155,8 @@ class Torus(AreaSampler):
     """Torus of revolution about the z axis: major radius R, minor radius r."""
 
     def __init__(self, major_radius, minor_radius):
-        if not (major_radius > minor_radius > 0.0):
-            raise ValueError("need major_radius > minor_radius > 0")
-        self.R = float(major_radius)
-        self.r = float(minor_radius)
+        self.r = geom.finite_in(minor_radius, "minor_radius", 0)
+        self.R = geom.finite_in(major_radius, "major_radius", self.r)
         self.total_area = 4.0 * np.pi**2 * self.R * self.r
         self.diameter = 2.0 * (self.R + self.r)
 
@@ -301,12 +297,13 @@ class Torus(AreaSampler):
         p = np.asarray(p, dtype=float)
         rho = np.hypot(p[0], p[1])
         if rho == 0.0:
-            raise ValueError("axis point has no torus normal")
+            raise geom.InputError("p lies on the axis, which has no torus normal")
         ring = np.array([self.R * p[0] / rho, self.R * p[1] / rho, 0.0])
         w = p - ring
         nrm = np.linalg.norm(w)
         if nrm == 0.0:
-            raise ValueError("tube center has no normal")
+            raise geom.InputError("p lies on the tube's center circle, which has "
+                                  "no normal")
         return -w / nrm
 
     def surface_distance(self, p):
@@ -325,9 +322,7 @@ class SaddlePatch(AreaSampler):
     """Graph of f(x, y) = x*y over the square [-L, L]^2.  Open: no interior."""
 
     def __init__(self, extent):
-        if not extent > 0.0:
-            raise ValueError("extent must be positive")
-        self.L = float(extent)
+        self.L = geom.finite_in(extent, "extent", 0)
         self.total_area = self._area()
         zspan = 2.0 * self.L**2
         self.diameter = float(np.sqrt(8.0 * self.L**2 + zspan**2))
@@ -388,10 +383,12 @@ class SaddlePatch(AreaSampler):
         return np.array([-y, -x, 1.0]) / nrm
 
     def surface_distance(self, p):
-        # first-order approximation |z - xy| / |grad|; used only as an
-        # on-surface sanity check, never in the estimators
+        # first-order approximation |z - xy| / |grad|, combined with the xy
+        # distance to the square off it; used only as an on-surface check,
+        # never in the estimators
         x, y, z = (float(v) for v in p)
-        return abs(z - x * y) / np.sqrt(1.0 + x * x + y * y)
+        off = np.hypot(max(abs(x) - self.L, 0.0), max(abs(y) - self.L, 0.0))
+        return float(np.hypot(abs(z - x * y) / np.sqrt(1.0 + x * x + y * y), off))
 
     def tessellate(self):
         return shapes.graph_mesh(lambda x, y: x * y, self.L, 128)
@@ -404,10 +401,8 @@ class Capsule(AreaSampler):
     """Cylinder of given length about the z axis capped by two hemispheres."""
 
     def __init__(self, length, radius):
-        if not (length > 0.0 and radius > 0.0):
-            raise ValueError("length and radius must be positive")
-        self.length = float(length)
-        self.radius = float(radius)
+        self.length = geom.finite_in(length, "length", 0)
+        self.radius = geom.finite_in(radius, "radius", 0)
         self.half = self.length / 2.0
         self.cyl_area = 2.0 * np.pi * self.radius * self.length
         self.cap_area = 4.0 * np.pi * self.radius**2
@@ -490,7 +485,7 @@ class Capsule(AreaSampler):
         w = p - np.array([0.0, 0.0, z])
         nrm = np.linalg.norm(w)
         if nrm == 0.0:
-            raise ValueError("axis point has no normal")
+            raise geom.InputError("p lies on the axis, which has no normal")
         return -w / nrm
 
     def surface_distance(self, p):

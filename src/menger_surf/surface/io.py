@@ -8,8 +8,10 @@ Polygon faces are fan-triangulated.  Both formats are whitespace-tolerant.
 
 import numpy as np
 
+from ..geom import InputError
 
-class MeshParseError(ValueError):
+
+class MeshParseError(InputError):
     def __init__(self, path, line_no, message):
         super().__init__(f"{path}:{line_no}: {message}")
         self.path = path

@@ -42,13 +42,13 @@ class TriMesh(AreaSampler):
         vertices = np.asarray(vertices, dtype=float)
         faces = np.asarray(faces, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 3:
-            raise ValueError("vertices must be (n, 3)")
+            raise geom.InputError("vertices must be (n, 3)")
         if faces.ndim != 2 or faces.shape[1] != 3:
-            raise ValueError("faces must be (m, 3) vertex indices")
+            raise geom.InputError("faces must be (m, 3) vertex indices")
         if len(faces) and (faces.min() < 0 or faces.max() >= len(vertices)):
-            raise ValueError("face index out of range")
+            raise geom.InputError("faces: face index out of range")
         if not np.all(np.isfinite(vertices)):
-            raise ValueError("non-finite vertex coordinates")
+            raise geom.InputError("vertices: non-finite vertex coordinates")
 
         tri = vertices[faces]
         cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
@@ -61,7 +61,7 @@ class TriMesh(AreaSampler):
         keep = areas > geom.TRI_DEGENERACY_REL * longest**2
         self.n_dropped = int(len(faces) - keep.sum())
         if self.n_dropped == len(faces):  # the error alone, without a warning
-            raise ValueError("empty mesh after removing degenerate faces")
+            raise geom.InputError("empty mesh after removing degenerate faces")
         if self.n_dropped:
             warnings.warn(f"dropped {self.n_dropped} zero-area faces")
             faces, tri, cross, areas = faces[keep], tri[keep], cross[keep], areas[keep]
@@ -317,9 +317,15 @@ class TriMesh(AreaSampler):
         return self.vertex_normals[int(np.argmin(np.einsum("ij,ij->i", d, d)))].copy()
 
     def surface_distance(self, p):
-        """Distance from p to the mesh (exact point-triangle distances)."""
-        return float(np.sqrt(_point_tri_sqdist(np.asarray(p, dtype=float),
-                                               self._tri).min()))
+        """Distance from p to the mesh: exact point-triangle distances to the
+        faces whose padded box can hold the nearest point.  A face's distance
+        is at least its least box distance and every face's at most its
+        greatest, so the nearest face has a least box distance no greater
+        than the smallest greatest one; the relative slack covers rounding."""
+        p = np.asarray(p, dtype=float)
+        near, far = self.box_distances(p)
+        tri = self._tri[near <= far.min() * (1.0 + 1e-12)]
+        return float(np.sqrt(_point_tri_sqdist(p, tri).min()))
 
     def _face_block(self, face_idx):
         """(m, kernel arrays of the m faces padded to a multiple of _COL_BLOCK)."""

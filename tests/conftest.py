@@ -1,5 +1,7 @@
 """Shared fixtures and structured-tetrahedron generators."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,11 @@ BAD_SPECS = ['[1]', '"menger"', '{"kind":"scaled","s":"x"}',
              '{"kind":"scaled","s":Infinity}',
              '{"kind":"leger","mean":"min","alpha":1e400}',
              '{"kind":"scaled","s":true}', '{"kind":"menger","extra":1}']
+
+
+def exactly(message):
+    """A ``pytest.raises`` pattern that matches the whole message alone."""
+    return "^" + re.escape(message) + "$"
 
 
 def random_tetrahedra(rng, n, clearance=1e-6):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from pytest import approx
 
-from menger_surf import analysis, geom
+from conftest import exactly
+from menger_surf import InputError, analysis, geom
 from menger_surf.surface import SurfaceOracle, shapes
 
 
@@ -87,7 +88,8 @@ class TestDensity:
             assert abs(rep.patch_area - exact) <= rep.error_bound + 2e-4
 
     def test_off_surface_rejected(self, unit_sphere):
-        with pytest.raises(ValueError, match="not on the surface"):
+        with pytest.raises(InputError,
+                           match=exactly("x lies 0.5 off the surface")):
             analysis.density_quotient(unit_sphere, [0.0, 0.0, 1.5], 0.3)
 
 
@@ -119,13 +121,16 @@ class TestBeta:
         assert vals[2] <= vals[1] + 1e-15
 
     def test_empty_patch_rejected(self, unit_sphere):
-        with pytest.raises(ValueError, match="empty patch"):
-            analysis.beta_number(unit_sphere, [0.0, 0.0, 5.0], 0.1, 100, 0)
+        # an outcome, not bad input: no draw lands within 1e-7 of the point
+        with pytest.raises(ValueError, match="empty patch") as info:
+            analysis.beta_number(unit_sphere, [0.0, 0.0, 1.0], 1e-7, 100, 0)
+        assert not isinstance(info.value, InputError)
 
     @pytest.mark.parametrize("n_patch", [0, -5])
     def test_patch_sample_count_below_one(self, unit_sphere, n_patch):
         # a negative count once sliced all but the last points of a block
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(InputError, match=exactly(
+                f"n_patch must be an integer in [1, inf), got {n_patch}")):
             analysis.patch_samples(unit_sphere, [0.0, 0.0, 1.0], 0.3, n_patch)
 
 
@@ -157,18 +162,21 @@ class TestOscillation:
     def test_empty_scale_is_an_error_not_flat(self, unit_sphere):
         # 400 blocks of 4096 draws expect ~0.08 points at distance
         # [0.00025, 0.0005] of x; reporting 0.0 would read as a flat patch
-        with pytest.raises(ValueError, match="scale 0.0005"):
+        with pytest.raises(ValueError, match="scale 0.0005") as info:
             analysis.normal_oscillation_profile(unit_sphere, [0, 0, 1],
                                                 [0.0005, 0.001], 400, seed=0)
+        assert not isinstance(info.value, InputError)  # an outcome
 
     @pytest.mark.parametrize("pairs", [0, -4])
     def test_pair_count_below_one(self, unit_sphere, pairs):
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(InputError, match=exactly(
+                f"pairs_per_scale must be an integer in [1, inf), got {pairs}")):
             analysis.normal_oscillation_profile(unit_sphere, [0, 0, 1],
                                                 [0.1, 0.2], pairs, seed=0)
 
     def test_scale_beyond_diameter(self, unit_sphere):
-        with pytest.raises(ValueError, match="exceeds"):
+        with pytest.raises(InputError, match=exactly(
+                "scales must not exceed the surface diameter 2.0, got 3.0")):
             analysis.normal_oscillation_profile(unit_sphere, [0, 0, 1],
                                                 [0.5, 3.0], 100, seed=0)
 

@@ -13,8 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import BAD_SPECS
-from menger_surf import cli
+from menger_surf import InputError, SurfaceOracle, analysis, cli, energy
 from menger_surf.surface import save_obj, shapes
+
+
+HIT_TOL = ("hit_tolerance must be a finite number in (0, 0.19634954084936207), "
+           "got ")
 
 
 def run_to_file(tmp_path, name, argv):
@@ -75,6 +79,55 @@ BAD_MESHES = {
     "bad.obj": ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 x\n", "4: bad face index 'x'"),
     "bad.off": ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n",
                 "6: face index 7 out of range"),
+}
+
+
+# each flag value below its floor, and the message that refuses it
+BELOW_FLOOR = {
+    ("energy", "--threads", "0"):
+        "--threads must be at least 1, got 0",
+    ("energy", "--threads", "-3"):
+        "--threads must be at least 1, got -3",
+    ("goodtetra", "--rays", "0"):
+        "ray_count must be an integer in [4, inf), got 0",
+    ("goodtetra", "--rays", "3"):
+        "ray_count must be an integer in [4, inf), got 3",
+    ("goodtetra", "--proj-rays", "0"):
+        "--proj-rays must be at least 1, got 0",
+    ("oscillation", "--pairs", "0"):
+        "pairs_per_scale must be an integer in [1, inf), got 0",
+    ("oscillation", "--pairs", "-4"):
+        "pairs_per_scale must be an integer in [1, inf), got -4",
+    ("beta", "--patch-samples", "0"):
+        "n_patch must be an integer in [1, inf), got 0",
+    ("beta", "--patch-samples", "-5"):
+        "n_patch must be an integer in [1, inf), got -5",
+    ("beta", "--grid-level", "-1"):
+        "grid_level must be an integer in [0, 6], got -1",
+    ("density", "--depth", "-1"):
+        "depth must be an integer in [0, 10], got -1",
+    ("energy", "--samples", "500"):
+        "n must be an integer in [1000, inf), got 500",
+    ("scaling", "--samples", "999"):
+        "n must be an integer in [1000, inf), got 999",
+    ("diverge", "--samples", "0"):
+        "samples must be an integer in [1, inf), got 0",
+    ("diverge", "--samples", "-5"):
+        "samples must be an integer in [1, inf), got -5",
+    ("minimize", "--iters", "0"):
+        "--iters must be at least 1, got 0",
+    ("minimize", "--iters", "-5"):
+        "--iters must be at least 1, got -5",
+    ("diverge", "--nmax", "0"):
+        "n_max must be an integer in [2, 8], got 0",
+    ("diverge", "--nmax", "1"):
+        "n_max must be an integer in [2, 8], got 1",
+    ("minimize", "--p", "8"):
+        "p must be a finite number in (8, inf), got 8.0",
+    ("minimize-area", "--p", "5"):
+        "p must be a finite number in (8, inf), got 5.0",
+    ("minimize", "--mesh", "TRIANGLE"):
+        "mesh: the discrete energy needs at least 4 vertices, got 3",
 }
 
 
@@ -258,59 +311,46 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("menger-surf: ") and var in err
 
-    @pytest.mark.parametrize("argv", [
-        ["energy", "--analytic", "sphere", "--radius", "1", "--p", "nan",
-         "--samples", "2000"],
-        ["energy", "--analytic", "sphere", "--radius", "inf", "--p", "8",
-         "--samples", "2000"],
-        ["local-energy", "--analytic", "sphere", "--radius", "1", "--center",
-         "0,0,1", "--patch-radius", "nan", "--p", "8", "--samples", "2000"],
-        ["scaling", "--p", "8", "--radii", "", "--samples", "2000"],
-        ["minimize", "--mesh", "MESH", "--mode", "energy", "--cap", "nan",
-         "--iters", "3", "--p", "9"],
-        ["minimize", "--mesh", "MESH", "--mode", "area", "--cap", "nan",
-         "--iters", "3", "--p", "9"],
-        QUICK["diverge"] + ["--eps", "2"],
-        QUICK["diverge"] + ["--eps", "1"],
-        QUICK["diverge"] + ["--alpha", "0.5"],
-        QUICK["diverge"] + ["--alpha", "1"],
-        QUICK["goodtetra"] + ["--hit-tol", "0.2"],
-        QUICK["goodtetra"] + ["--hit-tol", "5"],
-        QUICK["goodtetra"] + ["--hit-tol", "1e200"],
+    @pytest.mark.parametrize("argv,says", [
+        (["energy", "--analytic", "sphere", "--radius", "1", "--p", "nan",
+          "--samples", "2000"], "p must be a finite number in [1, inf), got nan"),
+        (["energy", "--analytic", "sphere", "--radius", "inf", "--p", "8",
+          "--samples", "2000"], "--analytic sphere: radius must be a finite "
+                                "number in (0, inf), got inf"),
+        (["local-energy", "--analytic", "sphere", "--radius", "1", "--center",
+          "0,0,1", "--patch-radius", "nan", "--p", "8", "--samples", "2000"],
+         "radius must be a finite number in (0, inf), got nan"),
+        (["scaling", "--p", "8", "--radii", "", "--samples", "2000"],
+         "radii must be a non-empty list"),
+        (["minimize", "--mesh", "MESH", "--mode", "energy", "--cap", "nan",
+          "--iters", "3", "--p", "9"],
+         "area_cap must be a finite number in (0, inf), got nan"),
+        (["minimize", "--mesh", "MESH", "--mode", "area", "--cap", "nan",
+          "--iters", "3", "--p", "9"],
+         "energy_cap must be a finite number in [0, inf), got nan"),
+        (QUICK["diverge"] + ["--eps", "2"],
+         "eps must be a finite number in (0, 1), got 2.0"),
+        (QUICK["diverge"] + ["--eps", "1"],
+         "eps must be a finite number in (0, 1), got 1.0"),
+        (QUICK["diverge"] + ["--alpha", "0.5"],
+         "alpha must be a finite number in (1, inf), got 0.5"),
+        (QUICK["diverge"] + ["--alpha", "1"],
+         "alpha must be a finite number in (1, inf), got 1.0"),
+        (QUICK["goodtetra"] + ["--hit-tol", "0.2"], f"{HIT_TOL}0.2"),
+        (QUICK["goodtetra"] + ["--hit-tol", "5"], f"{HIT_TOL}5.0"),
+        (QUICK["goodtetra"] + ["--hit-tol", "1e200"], f"{HIT_TOL}1e+200"),
     ], ids=["p-nan", "radius-inf", "patch-radius-nan", "radii-empty",
             "energy-cap-nan", "area-cap-nan", "eps-2", "eps-1", "alpha-0.5",
             "alpha-1", "hit-tol-0.2", "hit-tol-5", "hit-tol-1e200"])
-    def test_non_finite_or_empty_input(self, capsys, ico_obj, argv):
+    def test_non_finite_or_empty_input(self, capsys, ico_obj, argv, says):
         argv = [ico_obj if a == "MESH" else a for a in argv]
         assert cli.run(argv + ["--seed", "0"]) == 2
-        assert capsys.readouterr().err.startswith("menger-surf: --")
+        assert capsys.readouterr().err == f"menger-surf: {says}\n"
 
-    @pytest.mark.parametrize("name,flag,value", [
-        ("energy", "--threads", "0"),
-        ("energy", "--threads", "-3"),
-        ("goodtetra", "--rays", "0"),
-        ("goodtetra", "--rays", "3"),
-        ("goodtetra", "--proj-rays", "0"),
-        ("oscillation", "--pairs", "0"),
-        ("oscillation", "--pairs", "-4"),
-        ("beta", "--patch-samples", "0"),
-        ("beta", "--patch-samples", "-5"),
-        ("beta", "--grid-level", "-1"),
-        ("density", "--depth", "-1"),
-        ("energy", "--samples", "500"),
-        ("scaling", "--samples", "999"),
-        ("diverge", "--samples", "0"),
-        ("diverge", "--samples", "-5"),
-        ("minimize", "--iters", "0"),
-        ("minimize", "--iters", "-5"),
-        ("diverge", "--nmax", "0"),
-        ("diverge", "--nmax", "1"),
-        ("minimize", "--p", "8"),
-        ("minimize-area", "--p", "5"),
-        ("minimize", "--mesh", "TRIANGLE"),
-    ])
+    @pytest.mark.parametrize("name,flag,value", list(BELOW_FLOOR))
     def test_integer_flag_below_floor(self, capsys, tmp_path, ico_obj, name,
                                       flag, value):
+        says = BELOW_FLOOR[name, flag, value]
         mode = "area" if name == "minimize-area" else "energy"
         base = QUICK.get(name) or [
             "minimize", "--mesh", ico_obj, "--mode", mode, "--cap", "100",
@@ -321,18 +361,33 @@ class TestExitCodes:
         argv = base + [flag, value]  # the last occurrence wins
         code, out = run_to_file(tmp_path, "bad.json", argv)
         assert code == 2 and not out.exists()
-        err = capsys.readouterr().err
-        says = "must exceed 8" if flag == "--p" else "at least"
-        assert err.startswith("menger-surf: ") and says in err
+        assert capsys.readouterr().err == f"menger-surf: {says}\n"
 
     @pytest.mark.parametrize("flag,cap", [("grid_level", 6), ("depth", 10),
                                           ("nmax", 8), ("threads", 256)])
     def test_integer_flag_caps(self, flag, cap):
-        # through the validator alone: a run above a cap would exhaust memory
-        cli._check_ranges(argparse.Namespace(**{flag: cap}))
+        # the library owns the first three caps, this module the thread cap;
+        # a run above a cap would exhaust memory or start thousands of threads
+        sphere = SurfaceOracle.sphere(1.0)
+        check, says = {
+            "grid_level": (lambda v: analysis.beta_number(
+                sphere, [0, 0, 1], 0.3, 20, v), "grid_level must be an "
+                "integer in [0, 6], got {}"),
+            "depth": (lambda v: analysis.density_quotient(
+                sphere, [0, 0, 1], 0.01, v), "depth must be an integer in "
+                "[0, 10], got {}"),
+            "nmax": (lambda v: energy.divergence_study(
+                3.0, 3.0, "geometric", 0.05, v, 1, 0), "n_max must be an "
+                "integer in [2, 8], got {}"),
+            "threads": (lambda v: cli._check_ranges(
+                argparse.Namespace(threads=v)), "--threads must be at most "
+                "256, got {}"),
+        }[flag]
+        check(cap)
         for value in (cap + 1, 10**6):
-            with pytest.raises(cli.UsageError, match="at most"):
-                cli._check_ranges(argparse.Namespace(**{flag: value}))
+            with pytest.raises(InputError) as info:
+                check(value)
+            assert str(info.value) == says.format(value)
 
     def test_negative_thread_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("MENGER_THREADS", "-3")

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from menger_surf import energy
+from conftest import exactly
+from menger_surf import InputError, energy
 from menger_surf.integrand import IntegrandSpec
 from menger_surf.rng import substream
 from menger_surf.surface import SurfaceOracle, TriMesh
@@ -89,13 +90,15 @@ class TestLocalEnergy:
         assert np.all((errors > 0.5 * spread) & (errors < 2.0 * spread))
 
     def test_patch_too_small(self, unit_sphere):
-        with pytest.raises(ValueError, match="patch too small"):
+        with pytest.raises(ValueError, match="patch too small") as info:
             energy.local_energy(unit_sphere, [0, 0, 1], 1e-4, MENGER, 8.0,
                                 5000, seed=0)
+        assert not isinstance(info.value, InputError)  # an outcome
 
     def test_subunit_exponent_rejected(self, unit_sphere):
         # the same floor as estimate_mp
-        with pytest.raises(ValueError, match="p must be >= 1"):
+        with pytest.raises(InputError, match=exactly(
+                "p must be a finite number in [1, inf), got 0.5")):
             energy.local_energy(unit_sphere, [0, 0, 1], 0.5, MENGER, 0.5,
                                 2000, seed=0)
 
@@ -138,7 +141,8 @@ class TestStoppingRadius:
         assert all(b < a for a, b in zip(r, r[1:]))
 
     def test_subcritical_rejected(self):
-        with pytest.raises(ValueError, match="supercritical"):
+        with pytest.raises(InputError, match=exactly(
+                "p must be a finite number in (8, inf), got 8.0")):
             energy.stopping_radius_r0(1.0, 8.0, 0.1)
 
 
@@ -181,11 +185,13 @@ class TestDivergence:
         with pytest.raises(ValueError):
             energy.divergence_study(3.0, 8.0, "geometric", 1.5, 3, 1000, 0)
         for n_max in (1, 9):  # one scale fitted a slope through one point
-            with pytest.raises(ValueError, match="2..8"):
+            with pytest.raises(InputError, match=exactly(
+                    f"n_max must be an integer in [2, 8], got {n_max}")):
                 energy.divergence_study(3.0, 8.0, "geometric", 0.05, n_max,
                                         1000, 0)
         for samples in (0, -5):  # -5 once ran 4091 samples per row
-            with pytest.raises(ValueError, match="positive"):
+            with pytest.raises(InputError, match=exactly(
+                    f"samples must be an integer in [1, inf), got {samples}")):
                 energy.divergence_study(3.0, 8.0, "geometric", 0.05, 3,
                                         samples, 0)
 

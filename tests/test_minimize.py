@@ -6,7 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 from pytest import approx
 
 import anneal_oracle
-from menger_surf import energy, minimize
+from conftest import exactly
+from menger_surf import InputError, energy, minimize
 from menger_surf.integrand import IntegrandSpec
 from menger_surf.rng import substream
 from menger_surf.surface import SurfaceOracle, TriMesh, shapes
@@ -166,14 +167,16 @@ class TestAreaUnderEnergyCap:
 @pytest.mark.parametrize("anneal", ANNEALERS)
 @pytest.mark.parametrize("p", [5.0, 8.0])
 def test_subcritical_exponent_rejected(anneal, p):
-    with pytest.raises(ValueError, match="p must exceed 8"):
+    with pytest.raises(InputError, match=exactly(
+            f"p must be a finite number in (8, inf), got {p}")):
         anneal(shapes.icosphere(0), p, 100.0, iters=3, seed=0)
 
 
 class TestInputChecks:
     @pytest.mark.parametrize("anneal", ANNEALERS)
     def test_negative_iters_rejected(self, anneal):
-        with pytest.raises(ValueError, match="iters must be at least 0"):
+        with pytest.raises(InputError, match=exactly(
+                "iters must be an integer in [0, inf), got -5")):
             anneal(shapes.icosphere(0), 9.0, 100.0, iters=-5, seed=0)
 
     @pytest.mark.parametrize("anneal", ANNEALERS)
@@ -184,7 +187,8 @@ class TestInputChecks:
         assert len(state.audit) == 1
 
     def test_nan_energy_cap_rejected(self):
-        with pytest.raises(ValueError, match="NaN"):
+        with pytest.raises(InputError, match=exactly(
+                "energy_cap must be a finite number in [0, inf), got nan")):
             minimize.minimize_area_energy_cap(shapes.icosphere(0), 9.0,
                                               float("nan"), iters=20, seed=0)
 

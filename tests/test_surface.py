@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from pytest import approx
 
+from conftest import exactly, kink_box
+from menger_surf import InputError
 from menger_surf.rng import substream
 from menger_surf.surface import (MeshParseError, SurfaceOracle, TriMesh,
                                  load_mesh, load_obj, load_off, sample_point,
                                  save_obj, save_off, shapes)
+from menger_surf.surface.trimesh import _point_tri_sqdist
 
 CUBE_OBJ = """# unit cube
 v 0 0 0
@@ -337,7 +340,33 @@ class TestTessellation:
         assert oracle.tessellate() is oracle.tessellate()
 
 
+# small meshes of each kind the searches run on: closed, holed and kinked
+DISTANCE_MESHES = {"icosphere": shapes.icosphere(2),
+                   "torus": shapes.torus_mesh(2.0, 1.0, 24, 12),
+                   "kink": kink_box(n=8, neg=(0.3, 80.0), pos=(0.5, 60.0))}
+
+
+class TestSurfaceDistance:
+    @settings(max_examples=80, deadline=None)
+    @given(name=st.sampled_from(sorted(DISTANCE_MESHES)),
+           vertex=st.integers(0, 10**6),
+           offset=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+           scale=st.sampled_from([0.0, 1e-9, 1e-3, 1.0, 1e3]))
+    def test_culled_distance_is_the_full_scan(self, name, vertex, offset,
+                                              scale):
+        # near a vertex (on the surface at scale 0), beside it and far away
+        mesh = DISTANCE_MESHES[name]
+        p = mesh.vertices[vertex % len(mesh.vertices)] + scale * np.array(offset)
+        full = float(np.sqrt(_point_tri_sqdist(p, mesh._tri).min()))
+        assert mesh.surface_distance(p) == full
+
+
 class TestOracleValidation:
+    def test_mesh_errors_are_input_errors(self, tmp_path):
+        assert issubclass(MeshParseError, InputError)
+        with pytest.raises(InputError, match=exactly("unknown mesh format 'ply'")):
+            load_mesh(tmp_path / "noisy.ply")
+
     def test_from_mesh_type_check(self):
         with pytest.raises(TypeError):
             SurfaceOracle.from_mesh("not a mesh")
