@@ -12,6 +12,8 @@ from .surface.trimesh import _point_tri_sqdist
 
 _PATCH_TAG = 0x50415443
 _OSC_TAG = 0x4F534349
+# blocks a patch rejection loop reads at most, so that an empty patch ends
+MAX_BLOCKS = 256
 
 
 @dataclass
@@ -157,11 +159,12 @@ def _max_abs_dot(dirs, rel):
     return out
 
 
-def _ball_points(oracle, x, r, need, stream, block, budget, threads=1):
+def _ball_points(oracle, x, r, need, stream, block, threads=1):
     """Surface points in B(x, r) by rejection, and the number of blocks drawn.
 
-    Block k draws ``block`` ball-culled points from ``substream(*stream, k)``;
-    blocks are read until ``need`` points are kept or ``budget`` are drawn."""
+    Block k draws ``block`` points of the oracle's cover of the ball from
+    ``substream(*stream, k)`` and keeps those in the ball; blocks are read
+    until ``need`` points are kept or ``MAX_BLOCKS`` are drawn."""
     def work(k):
         pts = oracle.sample_points(substream(*stream, k), block, (x, r))
         d = pts - x
@@ -169,21 +172,23 @@ def _ball_points(oracle, x, r, need, stream, block, budget, threads=1):
 
     kept = []
     have = 0
-    for pts in blocks(work, budget, threads):
+    for pts in blocks(work, MAX_BLOCKS, threads):
         kept.append(pts)
         have += len(pts)
         if have >= need:
             break
-    return np.concatenate(kept) if kept else np.empty((0, 3)), len(kept)
+    return np.concatenate(kept), len(kept)
 
 
 def patch_samples(oracle, x, r, n_patch, seed=0):
-    """Up to n_patch area-uniform samples of the patch inside B(x, r)."""
+    """Up to n_patch area-uniform samples of the patch inside B(x, r); fewer
+    only when the patch holds too little of the oracle's cover of the ball
+    (such as none, for a centre off the surface)."""
     x = as_point(x, "x")
     finite_in(r, "r", 0)
     n_patch = integer_in(n_patch, "n_patch", 1)
-    return _ball_points(oracle, x, r, n_patch, (seed, _PATCH_TAG), 8192,
-                        400)[0][:n_patch]
+    return _ball_points(oracle, x, r, n_patch, (seed, _PATCH_TAG),
+                        8192)[0][:n_patch]
 
 
 def beta_number(oracle, x, r, n_patch=4000, grid_level=1, seed=0):
@@ -236,10 +241,11 @@ def normal_oscillation_profile(oracle, x, scales, pairs_per_scale=400, seed=0):
 
     For each scale d the angle is maximized over sampled surface points y
     with |y - x| in [d/2, d]; the max (not the mean) matches the sup-type
-    oscillation bounds.  Each scale stops after pairs_per_scale pairs or 400
-    blocks of 4096 draws, whichever comes first, so small scales may collect
-    fewer pairs (on torus(2, 1) at (3, 0, 0) the scale 0.05 collects 109-138
-    of 400 at seeds 1-3); a scale that collects none raises ValueError.
+    oscillation bounds.  Each scale draws blocks of 4096 points of the
+    oracle's cover of B(x, d) until it has pairs_per_scale pairs or has drawn
+    ``MAX_BLOCKS`` blocks; every pair of a block counts, so a scale may
+    collect more pairs than asked.  A scale that collects none (a patch that
+    misses the annulus) raises ValueError.
     """
     x = oracle.point_on_surface(x, "x")
     scales = sorted(finite_in(s, "scales", 0) for s in scales)
@@ -263,7 +269,7 @@ def normal_oscillation_profile(oracle, x, scales, pairs_per_scale=400, seed=0):
     for si, d in enumerate(scales):
         collected = 0
         max_osc = 0.0
-        for count, osc in blocks(lambda k: work(k, si, d), 400):
+        for count, osc in blocks(lambda k: work(k, si, d), MAX_BLOCKS):
             collected += count
             max_osc = max(max_osc, osc)
             if collected >= pairs_per_scale:

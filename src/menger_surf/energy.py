@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import _ball_points
-from .geom import InputError, as_point, finite_in, integer_in, orthobasis
+from .geom import InputError, as_point, finite_in, integer_in, sample_cap
 from .integrand import IntegrandSpec, eval_batch
 from .rng import CHUNK, blocks, substream
 from .surface import SurfaceOracle
@@ -119,13 +119,18 @@ def estimate_mp(oracle, spec, p, n, seed, threads=1):
 def local_energy(oracle, center, radius, spec, p, n, seed, threads=1):
     """Energy restricted to the patch inside B(center, radius).
 
-    Quadruples are drawn by rejection from global area-uniform sampling; the
-    patch area is estimated from the acceptance fraction q of the same stream,
-    and the estimate is (patch_area)^4 * mean over accepted quadruples.  Its
-    error bar covers both factors by the delta method: the squared relative
-    error of the mean, plus 16 (1 - q) / (q * drawn) for the binomial
-    fraction q raised to the 4th power.  The draws run in blocks on
-    ``threads`` workers; the estimate does not depend on their number.
+    Quadruples are drawn by rejection from the oracle's cover of the ball, a
+    region of area A_c around the patch (``SurfaceOracle.cover_area``).  The
+    patch area is estimated as A_c * q, where q is the fraction of the cover
+    draws of the same stream that land in the ball, and the estimate is
+    (A_c q)^4 * mean over accepted quadruples.  Its error bar covers both
+    factors by the delta method: the squared relative error of the mean, plus
+    16 (1 - q) / (q * drawn) for the binomial fraction q raised to the 4th
+    power.  A_c is exact, and q is of order one for a centre on the surface,
+    so the area term stays small however small the patch.  The draws run in
+    blocks on ``threads`` workers; the estimate does not depend on their
+    number.  A patch that holds fewer than 100 points after the block bound
+    (a centre off the surface) raises ValueError.
     """
     n = integer_in(n, "n", 1)
     finite_in(p, "p", 1, closed=True)
@@ -133,10 +138,8 @@ def local_energy(oracle, center, radius, spec, p, n, seed, threads=1):
     center = as_point(center, "center")
 
     block = 4 * CHUNK
-    # blocks of up to 200 draws per needed point, and at least 10^6 draws
-    budget = -(-max(200 * 4 * n, 10**6) // block)
     pts, n_blocks = _ball_points(oracle, center, radius, 4 * n,
-                                 (seed, _ENERGY_TAG, 1), block, budget, threads)
+                                 (seed, _ENERGY_TAG, 1), block, threads)
     if len(pts) < 100:
         raise ValueError("patch too small for requested n")
     n_quads = min(n, len(pts) // 4)
@@ -144,7 +147,7 @@ def local_energy(oracle, center, radius, spec, p, n, seed, threads=1):
     mean, stderr = _mean_and_stderr(_moments(eval_batch(spec, quads) ** p))
     drawn = n_blocks * block
     q = len(pts) / drawn
-    a4 = (oracle.total_area * q) ** 4
+    a4 = (oracle.cover_area((center, radius)) * q) ** 4
     value = a4 * mean
     area_rel = 4.0 * np.sqrt((1.0 - q) / (q * drawn))
     return EnergyEstimate(value, float(np.hypot(a4 * stderr, value * area_rel)),
@@ -200,26 +203,6 @@ def cap_area(chordal_radius):
     return np.pi * chordal_radius**2
 
 
-def sample_cap(center, chordal_radius, rng, n):
-    """Area-uniform points of the unit-sphere cap |y - center| <= chordal_radius.
-
-    The polar offset 1 - cos(theta) is drawn directly (uniform in the cap
-    height), avoiding any cancellation for caps far below float resolution
-    around 1.0.
-    """
-    mu = np.asarray(center, dtype=float)
-    mu = mu / np.linalg.norm(mu)
-    hmax = 0.5 * chordal_radius**2  # cap height; area-uniform in height
-    one_minus_cos = rng.random(n) * hmax
-    psi = rng.random(n) * 2.0 * np.pi
-    sin_t = np.sqrt(one_minus_cos * (2.0 - one_minus_cos))
-    e1, e2 = orthobasis(mu)
-    disp = (-one_minus_cos[:, None] * mu[None]
-            + (sin_t * np.cos(psi))[:, None] * e1[None]
-            + (sin_t * np.sin(psi))[:, None] * e2[None])
-    return mu[None] + disp
-
-
 def divergence_study(alpha, p, mean, eps, n_max, samples, seed, threads=1):
     """Patch energies of the non-symmetric integrand on shrinking sphere caps.
 
@@ -249,7 +232,7 @@ def divergence_study(alpha, p, mean, eps, n_max, samples, seed, threads=1):
             quads = np.empty((m, 4, 3))
             for slot, ctr in enumerate(centers):
                 rng = substream(seed, _CAP_TAG, n_idx, slot, k)
-                quads[:, slot] = sample_cap(ctr, c, rng, m)
+                quads[:, slot] = sample_cap(ctr, 0.5 * c**2, rng, m)
             quads[:, 3] = _XI
             return eval_batch(spec, quads) ** p
 

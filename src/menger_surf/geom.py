@@ -279,14 +279,6 @@ def angle_between(u, v):
     return float(np.arccos(c))
 
 
-def ball_reach(ball, diameter):
-    """(center, reach) of a ball (center, radius) padded for rounding: a
-    sampler may drop a draw whose point is provably farther than reach, since
-    no rounded test of |point - center| <= radius can then accept it."""
-    center = np.asarray(ball[0], dtype=float)
-    return center, ball[1] * (1.0 + 1e-9) + 1e-12 * (np.abs(center).max() + diameter)
-
-
 # ---------------------------------------------------------------------------
 # direction frames and caps
 # ---------------------------------------------------------------------------
@@ -318,6 +310,26 @@ def cap_fibonacci(v, phi, n):
     return (z[:, None] * v[None]
             + (s * np.cos(psi))[:, None] * e1[None]
             + (s * np.sin(psi))[:, None] * e2[None])
+
+
+def sample_cap(axis, height, rng, n):
+    """n area-uniform unit vectors w of the cap 1 - w.mu <= height, where mu
+    is axis scaled to unit length (height 2 is the whole sphere).
+
+    The polar offset 1 - cos(theta) is drawn directly (uniform in the cap
+    height, by Archimedes), avoiding any cancellation for caps far below
+    float resolution around 1.0.
+    """
+    mu = np.asarray(axis, dtype=float)
+    mu = mu / np.linalg.norm(mu)
+    one_minus_cos = rng.random(n) * height
+    psi = rng.random(n) * 2.0 * np.pi
+    sin_t = np.sqrt(one_minus_cos * (2.0 - one_minus_cos))
+    e1, e2 = orthobasis(mu)
+    disp = (-one_minus_cos[:, None] * mu[None]
+            + (sin_t * np.cos(psi))[:, None] * e1[None]
+            + (sin_t * np.sin(psi))[:, None] * e2[None])
+    return mu[None] + disp
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,13 @@ class IntegrandSpec:
 
     @classmethod
     def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
+        """The spec of a JSON object text; InputError for text that is not
+        JSON, with the parser's message."""
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise geom.InputError(str(exc)) from None
+        return cls.from_dict(d)
 
 
 # comparators (i, j) of the sorting networks on 3 and 4 elements

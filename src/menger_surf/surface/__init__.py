@@ -18,13 +18,19 @@ per-ray path.  The oracle reduces it to banded first hits
 search leave the face view of its seed point in place) and, on meshes, the
 parity votes of the inside test.
 
-Every backing samples area-uniformly by ``sample(rng, n, ball=None)``.  A
-ball (center, radius) changes no random draw, so the generator ends in the
-same state: the sampler drops, before forming any point, the draws that
-provably land farther than radius from center (up to a padding for rounding,
-``geom.ball_reach``) and returns the other rows of ``sample(rng, n)``, bit for
-bit and in draw order.  Callers that keep only the points of a patch apply
-their own exact test to what comes back.
+Every backing samples area-uniformly by ``sample(rng, n, ball=None)``.  With
+a ball (center, radius) it returns n area-uniform draws on the backing's
+cover of the ball: a region of the surface that holds every surface point of
+the ball, of exact area ``cover_area(ball)``.  The cover is a cap on the
+sphere, a product of a major-angle arc and a minor-angle arc on the torus, a
+z band on the capsule, an xy box on the saddle and the faces whose boxes
+reach the ball on a mesh.  A cover is empty (area 0, and the sampler returns
+no rows) only where the ball misses the surface.  Callers that keep only the
+points of a patch apply their own exact test to what comes back, and the
+fraction they keep, times ``cover_area``, estimates the patch area.  The
+oracle checks its arguments once per call: InputError for a count that is
+not an integer >= 0, or a ball whose centre is not finite or whose radius is
+not finite and positive.
 
 ``sample_points(rng, n, ball=None)`` is the points-only path for callers that
 need no normals (the Monte-Carlo estimators and the patch samples).  It makes
@@ -40,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..geom import InputError, as_point
+from ..geom import InputError, as_point, finite_in, integer_in
 from .analytic import Capsule, SaddlePatch, Sphere, Torus
 from .io import MeshParseError, load_obj, load_off, save_obj, save_off
 from .trimesh import TriMesh
@@ -120,13 +126,18 @@ class SurfaceOracle:
 
     def sample(self, rng, n, ball=None):
         """n area-uniform draws as (points, normals); with a ball (center,
-        radius), only the rows that can land in it (module docstring)."""
-        return self.backing.sample(rng, n, ball)
+        radius), draws on the backing's cover of it (module docstring)."""
+        return self.backing.sample(rng, integer_in(n, "n", 0), _checked(ball))
 
     def sample_points(self, rng, n, ball=None):
         """The points of ``sample(rng, n, ball)``, bit for bit, without forming
         any normal (module docstring)."""
-        return self.backing.sample_points(rng, n, ball)
+        return self.backing.sample_points(rng, integer_in(n, "n", 0),
+                                          _checked(ball))
+
+    def cover_area(self, ball):
+        """Exact area of the region that ``sample(rng, n, ball)`` draws from."""
+        return float(self.backing.cover_area(_checked(ball)))
 
     def ray_hits(self, origins, dirs, tmin, tmax):
         return self.backing.ray_hits(origins, dirs, tmin, tmax)
@@ -189,6 +200,14 @@ class SurfaceOracle:
     @property
     def is_mesh(self):
         return isinstance(self.backing, TriMesh)
+
+
+def _checked(ball):
+    """None, or the ball as (finite centre (3,), finite radius > 0); else
+    InputError naming the ball."""
+    if ball is None:
+        return None
+    return as_point(ball[0], "ball centre"), finite_in(ball[1], "ball radius", 0)
 
 
 def sample_point(oracle, rng):

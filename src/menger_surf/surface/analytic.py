@@ -1,6 +1,7 @@
 """Closed-form surfaces: sphere, torus, saddle patch, capsule.
 
-Each kind provides area-exact sampling, closed-form ray intersection
+Each kind provides area-exact sampling, on the whole surface or on a cover
+of a ball (``cover_area`` gives its exact area), closed-form ray intersection
 (``ray_hits``: every hit of a batch of rays within a parameter band),
 normals, an inside test when the surface bounds a volume, and a triangulated
 stand-in via ``tessellate`` for the face-based diagnostics.  Normals point
@@ -81,6 +82,17 @@ def _squares_xy(v):
     return np.asarray(sq[..., 0] + sq[..., 1], dtype=float)
 
 
+def _arc(center, chord, reach):
+    """(start, width) of the angles t with chord * sin(|t - center| / 2) <=
+    reach, widened by 1e-9 for rounding; all of [0, 2 pi) when that reaches
+    past pi."""
+    if reach < chord:
+        half = 2.0 * np.arcsin(reach / chord) + 1e-9
+        if half < np.pi:
+            return center - half, 2.0 * half
+    return 0.0, 2.0 * np.pi
+
+
 def _hits(ts, ok, tmin, tmax):
     """The (ray, t) pairs of a (k, c) table of candidate roots that hold."""
     ray, col = divmod(np.flatnonzero(ok & (ts >= tmin) & (ts <= tmax)),
@@ -96,17 +108,32 @@ class Sphere(AreaSampler):
         self.diameter = 2.0 * self.radius
 
     def _draw(self, rng, n, ball):
-        """The x, y and z arrays of the outward unit vectors (s cos phi,
-        s sin phi, z)."""
+        """The x, y and z arrays of the outward unit vectors: (s cos phi,
+        s sin phi, z) on the whole sphere, or the cap that covers the ball."""
+        if ball is not None:
+            axis, height = self._cap(ball)
+            return tuple(geom.sample_cap(axis, height, rng,
+                                         n if height > 0.0 else 0).T)
         # Archimedes: z uniform on [-rho, rho] is area-uniform
         z = rng.random(n) * 2.0 - 1.0
         phi = rng.random(n) * 2.0 * np.pi
-        if ball is not None:
-            x, reach = geom.ball_reach(ball, self.diameter)
-            keep = np.abs(self.center[2] + self.radius * z - x[2]) <= reach
-            z, phi = z[keep], phi[keep]
         s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
         return s * np.cos(phi), s * np.sin(phi), z
+
+    def _cap(self, ball):
+        """Axis and height 1 - cos(theta) of the cap of outward unit vectors
+        w whose points center + radius w lie in the ball (center, reach)."""
+        v = ball[0] - self.center
+        d = np.linalg.norm(v)
+        if d == 0.0:
+            return np.array([0.0, 0.0, 1.0]), 2.0 if ball[1] >= self.radius else 0.0
+        # |p - x|^2 = radius^2 + d^2 - 2 radius d cos(theta)
+        h = (ball[1]**2 - (self.radius - d)**2) / (2.0 * self.radius * d)
+        return v, min(max(h, 0.0), 2.0)
+
+    def cover_area(self, ball):
+        """Area of the cap that ``sample`` draws from for this ball."""
+        return 2.0 * np.pi * self.radius**2 * self._cap(ball)[1]
 
     def _points(self, *w):
         pts = np.empty((len(w[2]), 3))
@@ -160,24 +187,59 @@ class Torus(AreaSampler):
         self.total_area = 4.0 * np.pi**2 * self.R * self.r
         self.diameter = 2.0 * (self.R + self.r)
 
-    def _minor_angles(self, rng, n):
-        """n minor angles v and their cosines, by rejection with weight
-        (R + r cos v)/(R + r): exact area measure r (R + r cos v) du dv.
+    def _arcs(self, ball):
+        """The (start, width) arcs of the major angle u and the minor angle v
+        that hold every torus point of the ball (center, reach); whole
+        circles without a ball."""
+        if ball is None:
+            return (0.0, 2.0 * np.pi), (0.0, 2.0 * np.pi)
+        x, reach = ball
+        rho = np.hypot(x[0], x[1])
+        # |p - x| >= 2 sqrt(rho_p rho_x) sin(|u - u_x| / 2), rho_p >= R - r
+        major = _arc(np.arctan2(x[1], x[0]),
+                     2.0 * np.sqrt((self.R - self.r) * rho), reach)
+        # in its meridian plane x lies delta from the tube's centre circle:
+        # |p - x| >= 2 sqrt(r delta) sin(|v - v_x| / 2)
+        delta = np.hypot(rho - self.R, x[2])
+        minor = _arc(np.arctan2(x[2], rho - self.R),
+                     2.0 * np.sqrt(self.r * delta), reach)
+        return major, minor
+
+    def _minor_mass(self, start, width):
+        """The integral of R + r cos v over the arc [start, start + width],
+        with sin b - sin a = 2 cos((a + b) / 2) sin((b - a) / 2)."""
+        return (self.R * width
+                + 2.0 * self.r * np.cos(start + width / 2.0) * np.sin(width / 2.0))
+
+    def cover_area(self, ball):
+        """Area r du (R dv + r (sin v_hi - sin v_lo)) of the arcs' product."""
+        (_, du), (v0, dv) = self._arcs(ball)
+        return self.r * du * self._minor_mass(v0, dv)
+
+    def _minor_angles(self, rng, n, start, width):
+        """n minor angles v on the arc [start, start + width] and their
+        cosines, by rejection with weight (R + r cos v) over its largest value
+        on the arc: exact area measure r (R + r cos v) du dv.
 
         Every block draws its proposals and test values in full, but tests
         proposals only up to the n-th acceptance: a slice at a time, each
         slice as long as the missing acceptances need on average.
         """
-        rate = self.R / (self.R + self.r)  # mean acceptance
+        end = start + width
+        # cos v peaks at 1 where the arc holds a multiple of 2 pi, else at an end
+        peak = (1.0 if np.ceil(start / (2.0 * np.pi)) * 2.0 * np.pi <= end
+                else max(np.cos(start), np.cos(end)))
+        wmax = self.R + self.r * peak
+        rate = self._minor_mass(start, width) / (width * wmax)  # mean acceptance
         v, cv, have = [np.empty(0)], [np.empty(0)], 0
         while have < n:
-            prop = rng.random(_BLOCK) * 2.0 * np.pi
+            prop = rng.random(_BLOCK) * width + start
             test = rng.random(_BLOCK)
             lo = 0
             while lo < _BLOCK and have < n:
                 hi = min(_BLOCK, lo + int((n - have) / rate) + 1)
                 c = np.cos(prop[lo:hi])
-                acc = test[lo:hi] <= (self.R + self.r * c) / (self.R + self.r)
+                acc = test[lo:hi] <= (self.R + self.r * c) / wmax
                 v.append(prop[lo:hi][acc])
                 cv.append(c[acc])
                 have += len(cv[-1])
@@ -185,18 +247,11 @@ class Torus(AreaSampler):
         return np.concatenate(v)[:n], np.concatenate(cv)[:n]
 
     def _draw(self, rng, n, ball):
-        """cos u, sin u, cos v, sin v of the major angles u and minor angles v."""
-        v, cv = self._minor_angles(rng, n)
-        u = rng.random(n) * 2.0 * np.pi
-        if ball is not None:
-            # |p - x| >= 2 sqrt(rho_p rho_x) sin(|u - u_x| / 2), rho_p >= R - r
-            x, reach = geom.ball_reach(ball, self.diameter)
-            chord = 2.0 * np.sqrt((self.R - self.r) * np.hypot(x[0], x[1]))
-            if reach < chord:
-                # | |u - (u_x + pi)| - pi | is the wrapped angle from u to u_x
-                off = np.abs(np.abs(u - (np.arctan2(x[1], x[0]) + np.pi)) - np.pi)
-                keep = off <= 2.0 * np.arcsin(reach / chord) + 1e-9
-                u, v, cv = u[keep], v[keep], cv[keep]
+        """cos u, sin u, cos v, sin v of the major angles u, uniform on their
+        arc, and the minor angles v on theirs (``_arcs``)."""
+        (u0, du), (v0, dv) = self._arcs(ball)
+        v, cv = self._minor_angles(rng, n, v0, dv)
+        u = rng.random(n) * du + u0
         return np.cos(u), np.sin(u), cv, np.sin(v)
 
     def _points(self, cu, su, cv, sv):
@@ -323,33 +378,51 @@ class SaddlePatch(AreaSampler):
 
     def __init__(self, extent):
         self.L = geom.finite_in(extent, "extent", 0)
-        self.total_area = self._area()
+        self.total_area = self._area(*self._box(None))
         zspan = 2.0 * self.L**2
         self.diameter = float(np.sqrt(8.0 * self.L**2 + zspan**2))
 
-    def _area(self):
-        # Gauss-Legendre quadrature of sqrt(1 + x^2 + y^2); the integrand is
-        # analytic, so 64 nodes per axis are far beyond float accuracy
-        x, wx = np.polynomial.legendre.leggauss(64)
-        x = x * self.L
-        wx = wx * self.L
-        X, Y = np.meshgrid(x, x, indexing="ij")
-        W = np.outer(wx, wx)
+    def _box(self, ball):
+        """Centre and half-widths (2,) of the xy box within reach of the ball
+        (center, reach) on each axis, clipped to the square; the square
+        without a ball.  A half-width <= 0 means the box is empty."""
+        if ball is None:
+            return np.zeros(2), np.full(2, self.L)
+        x, reach = ball
+        lo = np.maximum(x[:2] - reach, -self.L)
+        hi = np.minimum(x[:2] + reach, self.L)
+        return (lo + hi) / 2.0, (hi - lo) / 2.0
+
+    def _area(self, mid, half):
+        """The area over the box: Gauss-Legendre quadrature of sqrt(1 + x^2 +
+        y^2); the integrand is analytic, so 64 nodes per axis are far beyond
+        float accuracy."""
+        t, wt = np.polynomial.legendre.leggauss(64)
+        X, Y = np.meshgrid(t * half[0] + mid[0], t * half[1] + mid[1],
+                           indexing="ij")
+        W = np.outer(wt * half[0], wt * half[1])
         return float(np.sum(W * np.sqrt(1.0 + X**2 + Y**2)))
 
+    def cover_area(self, ball):
+        """Area of the patch over the box that ``sample`` draws from."""
+        mid, half = self._box(ball)
+        return self._area(mid, half) if np.all(half > 0.0) else 0.0
+
     def _draw(self, rng, n, ball):
-        """The (x, y) coordinates, by rejection with the area element."""
-        wmax = np.sqrt(1.0 + 2.0 * self.L**2)
+        """The (x, y) coordinates on the box (``_box``), by rejection with the
+        area element over its largest value there."""
+        mid, half = self._box(ball)
+        if not np.all(half > 0.0):
+            n = 0
+        far = np.maximum(np.abs(mid - half), np.abs(mid + half))
+        wmax = np.sqrt(1.0 + (far[0]**2 + far[1]**2))
         xy = np.empty((0, 2))
         while len(xy) < n:
-            prop = (rng.random((_BLOCK, 2)) * 2.0 - 1.0) * self.L
+            prop = (rng.random((_BLOCK, 2)) * 2.0 - 1.0) * half + mid
             w = np.sqrt(1.0 + prop[:, 0]**2 + prop[:, 1]**2) / wmax
             acc = rng.random(_BLOCK) <= w
             xy = np.concatenate([xy, prop[acc]])
         xy = xy[:n]
-        if ball is not None:
-            c, reach = geom.ball_reach(ball, self.diameter)
-            xy = xy[np.all(np.abs(xy - c[:2]) <= reach, axis=1)]
         return xy[:, 0], xy[:, 1]
 
     def _points(self, x, y):
@@ -413,41 +486,65 @@ class Capsule(AreaSampler):
         """The apex of the +z end cap, a convenient seed point."""
         return np.array([0.0, 0.0, self.half + self.radius])
 
+    def _band(self, ball):
+        """The heights (lo, hi) of the capsule points within reach of the
+        ball (center, reach) in z; the whole capsule without a ball.  Every
+        height carries the same area 2 pi radius per unit (Archimedes on the
+        caps), so the band's area is 2 pi radius (hi - lo)."""
+        end = self.half + self.radius
+        if ball is None:
+            return -end, end
+        z, reach = ball[0][2], ball[1]
+        return max(z - reach, -end), min(z + reach, end)
+
+    def cover_area(self, ball):
+        """Area of the z band that ``sample`` draws from."""
+        lo, hi = self._band(ball)
+        return 2.0 * np.pi * self.radius * max(hi - lo, 0.0)
+
     def _draw(self, rng, n, ball):
-        """cos phi, sin phi, the height h and the wall mask of every row, and
-        for the cap rows whether they lie on the top cap and their outward
-        unit vectors about the cap centres."""
-        u = rng.random(n) * self.total_area
-        phi = rng.random(n) * 2.0 * np.pi
-        h = rng.random(n)
-        cyl = u < self.cyl_area
-        if ball is not None:
-            x, reach = geom.ball_reach(ball, self.diameter)
-            top = np.where(u < self.cyl_area + self.cap_area / 2.0, 1.0, -1.0)
-            z = np.where(cyl, (h - 0.5) * self.length, top * (self.half + self.radius * h))
-            keep = np.abs(z - x[2]) <= reach
-            u, phi, h, cyl = u[keep], phi[keep], h[keep], cyl[keep]
+        """cos phi, sin phi, the wall height z and the wall mask of every row,
+        and for the cap rows whether they lie on the top cap and their
+        outward unit vectors about the cap centres.
+
+        The whole capsule picks wall or cap by area and then a height; a band
+        (``_band``) draws the height uniformly.
+        """
+        if ball is None:
+            u = rng.random(n) * self.total_area
+            phi = rng.random(n) * 2.0 * np.pi
+            h = rng.random(n)
+            cyl = u < self.cyl_area
+            z = (h - 0.5) * self.length
+            # end caps: split the remaining area evenly, hemisphere z-uniform
+            cap = ~cyl
+            top = u[cap] < self.cyl_area + self.cap_area / 2.0
+            zc = h[cap]  # uniform in [0, 1] -> hemisphere by Archimedes
+        else:
+            lo, hi = self._band(ball)
+            z = rng.random(n if hi > lo else 0) * (hi - lo) + lo
+            phi = rng.random(len(z)) * 2.0 * np.pi
+            cyl = np.abs(z) <= self.half
+            cap = ~cyl
+            top = z[cap] > 0.0
+            zc = (np.abs(z[cap]) - self.half) / self.radius
         c, s = np.cos(phi), np.sin(phi)
-        # end caps: split the remaining area evenly, hemisphere z-uniform
-        cap = ~cyl
-        top = u[cap] < self.cyl_area + self.cap_area / 2.0
-        zc = h[cap]  # uniform in [0, 1] -> hemisphere by Archimedes
         sc = np.sqrt(np.maximum(1.0 - zc * zc, 0.0))
         w = np.stack([sc * c[cap], sc * s[cap], np.where(top, zc, -zc)], axis=-1)
-        return c, s, h, cyl, top, w
+        return c, s, z, cyl, top, w
 
-    def _points(self, c, s, h, cyl, top, w):
-        pts = np.empty((len(h), 3))
+    def _points(self, c, s, z, cyl, top, w):
+        pts = np.empty((len(z), 3))
         # cylinder wall
-        z = (h[cyl] - 0.5) * self.length
-        pts[cyl] = np.stack([self.radius * c[cyl], self.radius * s[cyl], z], axis=-1)
+        pts[cyl] = np.stack([self.radius * c[cyl], self.radius * s[cyl], z[cyl]],
+                            axis=-1)
         centers = np.zeros((len(w), 3))
         centers[:, 2] = np.where(top, self.half, -self.half)
         pts[~cyl] = centers + self.radius * w
         return pts
 
-    def _normals(self, c, s, h, cyl, top, w):
-        normals = np.empty((len(h), 3))
+    def _normals(self, c, s, z, cyl, top, w):
+        normals = np.empty((len(z), 3))
         normals[cyl] = np.stack([-c[cyl], -s[cyl], np.zeros(int(cyl.sum()))], axis=-1)
         normals[~cyl] = -w
         return normals

@@ -20,8 +20,9 @@ _ICO_FACES = np.array([
 ], dtype=np.int64)
 
 
-def icosphere(subdivisions, radius=1.0):
-    """Geodesic sphere: icosahedron subdivided and projected to the sphere."""
+def _icosphere_arrays(subdivisions):
+    """Vertices (on the unit sphere) and faces of the icosahedron subdivided
+    ``subdivisions`` times, each new vertex projected to the sphere."""
     verts = [v / np.linalg.norm(v) for v in _ICO_VERTS]
     faces = [tuple(f) for f in _ICO_FACES]
     for _ in range(subdivisions):
@@ -40,13 +41,19 @@ def icosphere(subdivisions, radius=1.0):
             ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
             new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
         faces = new_faces
-    return TriMesh(radius * np.asarray(verts), np.asarray(faces, dtype=np.int64))
+    return np.asarray(verts), np.asarray(faces, dtype=np.int64)
+
+
+def icosphere(subdivisions, radius=1.0):
+    """Geodesic sphere: icosahedron subdivided and projected to the sphere."""
+    verts, faces = _icosphere_arrays(subdivisions)
+    return TriMesh(radius * verts, faces)
 
 
 def ellipsoid(a, b, c, subdivisions=3):
     """Icosphere stretched to half-axes (a, b, c)."""
-    mesh = icosphere(subdivisions)
-    return TriMesh(mesh.vertices * np.array([a, b, c]), mesh.faces)
+    verts, faces = _icosphere_arrays(subdivisions)
+    return TriMesh(verts * np.array([a, b, c]), faces)
 
 
 def graph_mesh(fn, extent, n=64):

@@ -159,16 +159,31 @@ class TriMesh(AreaSampler):
     # -- sampling ---------------------------------------------------------------
 
     def _draw(self, rng, n, ball):
-        """Face indices and barycentric draws (sqrt r1, r2); with a ball, only
-        the draws on faces whose boxes reach it."""
-        fi = self._face_at(rng.random(n) * self.total_area)
-        r1 = rng.random(n)
-        r2 = rng.random(n)
-        if ball is not None:
-            c, reach = geom.ball_reach(ball, self.diameter)
-            keep = (self.box_distances(c)[0] <= reach)[fi]
-            fi, r1, r2 = fi[keep], r1[keep], r2[keep]
+        """Face indices and barycentric draws (sqrt r1, r2); with a ball, on
+        the faces whose boxes reach it (``_near_faces``)."""
+        if ball is None:
+            fi = self._face_at(rng.random(n) * self.total_area)
+        else:
+            near, cum = self._near_faces(ball)
+            fi = near[:0]
+            if len(near):
+                u = rng.random(n) * cum[-1]
+                fi = near[np.minimum(np.searchsorted(cum, u), len(near) - 1)]
+        r1 = rng.random(len(fi))
+        r2 = rng.random(len(fi))
         return fi, np.sqrt(r1), r2
+
+    def _near_faces(self, ball):
+        """The faces whose padded boxes come within reach of the ball
+        (center, reach), and the cumulative table of their areas, built per
+        call."""
+        near = np.flatnonzero(self.box_distances(ball[0])[0] <= ball[1])
+        return near, np.cumsum(self.face_areas[near])
+
+    def cover_area(self, ball):
+        """Area of the faces that ``sample`` draws from for this ball."""
+        cum = self._near_faces(ball)[1]
+        return float(cum[-1]) if len(cum) else 0.0
 
     def _face_at(self, u):
         """The first face whose cumulative area reaches u, for u in

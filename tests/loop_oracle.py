@@ -4,16 +4,19 @@ Each function is a former loop body: the chunked statistics of
 ``estimate_mp`` and ``divergence_study`` (fixed chunk sizes, a thread pool
 over every chunk at once, then the pairwise merge), the ``while`` loop of
 ``local_energy`` (which ran on one thread whatever ``threads`` said), the
-block loop of ``patch_samples`` and the 400-block loop of each scale of
-``normal_oscillation_profile``.  The functions on the driver must return
-their results bit for bit at every thread count (``tests/test_blocks.py``).
+block loop of ``patch_samples`` and the block loop of each scale of
+``normal_oscillation_profile``.  The patch loops read at most
+``analysis.MAX_BLOCKS`` blocks of the oracle's cover of the ball, and
+``local_energy`` takes its patch area from ``cover_area``, as the functions
+on the driver do.  Those must return their results bit for bit at every
+thread count (``tests/test_blocks.py``).
 """
 
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from menger_surf.analysis import _OSC_TAG, _PATCH_TAG
+from menger_surf.analysis import _OSC_TAG, _PATCH_TAG, MAX_BLOCKS
 from menger_surf.energy import (_ENERGY_TAG, EnergyEstimate, _mean_and_stderr,
                                 _merge_stats)
 from menger_surf.integrand import eval_batch
@@ -59,9 +62,8 @@ def local_energy(oracle, center, radius, spec, p, n, seed):
     accepted = []
     drawn = 0
     block = 4 * CHUNK
-    budget = max(200 * need, 10**6)
     k = 0
-    while sum(len(a) for a in accepted) < need and drawn < budget:
+    while sum(len(a) for a in accepted) < need and k < MAX_BLOCKS:
         rng = substream(seed, _ENERGY_TAG, 1, k)
         pts = oracle.sample_points(rng, block, (center, radius))
         drawn += block
@@ -81,7 +83,7 @@ def local_energy(oracle, center, radius, spec, p, n, seed):
     mean_c = float(vals.mean())
     dev = vals - mean_c
     mean, stderr = _mean_and_stderr((n_quads, mean_c, float(dev @ dev)))
-    a4 = (oracle.total_area * q) ** 4
+    a4 = (oracle.cover_area((center, radius)) * q) ** 4
     value = a4 * mean
     area_rel = 4.0 * np.sqrt((1.0 - q) / (q * drawn))
     return EnergyEstimate(value, float(np.hypot(a4 * stderr, value * area_rel)),
@@ -92,8 +94,7 @@ def patch_samples(oracle, x, r, n_patch, seed=0):
     x = np.asarray(x, dtype=float)
     pts = []
     have = 0
-    budget = 400
-    for k in range(budget):
+    for k in range(MAX_BLOCKS):
         rng = substream(seed, _PATCH_TAG, k)
         block = oracle.sample_points(rng, 8192, (x, r))
         d = block - x
@@ -114,7 +115,7 @@ def normal_oscillation_profile(oracle, x, scales, pairs_per_scale=400, seed=0):
     for si, d in enumerate(scales):
         collected = 0
         max_osc = 0.0
-        for k in range(400):
+        for k in range(MAX_BLOCKS):
             rng = substream(seed, _OSC_TAG, si, k)
             pts, normals = oracle.sample(rng, 4096, (x, d))
             dist = np.linalg.norm(pts - x, axis=1)

@@ -1,34 +1,33 @@
 """The samplers that the shared draw cores replaced, kept as oracles.
 
-Each function is the former ``sample(rng, n, ball)`` body of one backing,
-with ``self`` renamed ``surf``.  They stack whole (n, 3) arrays, gather the
-(n, 3, 3) face corners, look faces up by ``np.searchsorted`` and test every
-proposal of a rejection block.  The backings' ``sample`` and
-``sample_points`` must return their rows bit for bit and leave the generator
-in the same state (``tests/test_sampling.py``).
+Each function is the former whole-surface ``sample(rng, n)`` body of one
+backing, with ``self`` renamed ``surf``.  They stack whole (n, 3) arrays,
+gather the (n, 3, 3) face corners, look faces up by ``np.searchsorted`` and
+test every proposal of a rejection block.  The backings' ``sample`` and
+``sample_points`` without a ball must return their rows bit for bit and leave
+the generator in the same state (``tests/test_sampling.py``).
+
+``patch`` is the reference for the samplers with a ball: the whole-surface
+sample, culled by the exact ball test.  The local samplers must match it in
+distribution on the patch.
 """
 
 import numpy as np
 
-from menger_surf import geom
 from menger_surf.surface import TriMesh
 from menger_surf.surface.analytic import Capsule, SaddlePatch, Sphere, Torus
 
 
-def sphere(surf, rng, n, ball=None):
+def sphere(surf, rng, n):
     # Archimedes: z uniform on [-rho, rho] is area-uniform
     z = rng.random(n) * 2.0 - 1.0
     phi = rng.random(n) * 2.0 * np.pi
-    if ball is not None:
-        x, reach = geom.ball_reach(ball, surf.diameter)
-        keep = np.abs(surf.center[2] + surf.radius * z - x[2]) <= reach
-        z, phi = z[keep], phi[keep]
     s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
     w = np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
     return surf.center + surf.radius * w, -w
 
 
-def torus(surf, rng, n, ball=None):
+def torus(surf, rng, n):
     # minor angle by rejection with weight (R + r cos v)/(R + r): exact
     # area measure r (R + r cos v) du dv
     v = np.empty(0)
@@ -38,15 +37,6 @@ def torus(surf, rng, n, ball=None):
         v = np.concatenate([v, prop[acc]])
     v = v[:n]
     u = rng.random(n) * 2.0 * np.pi
-    if ball is not None:
-        # |p - x| >= 2 sqrt(rho_p rho_x) sin(|u - u_x| / 2), rho_p >= R - r
-        x, reach = geom.ball_reach(ball, surf.diameter)
-        chord = 2.0 * np.sqrt((surf.R - surf.r) * np.hypot(x[0], x[1]))
-        if reach < chord:
-            # | |u - (u_x + pi)| - pi | is the wrapped angle from u to u_x
-            off = np.abs(np.abs(u - (np.arctan2(x[1], x[0]) + np.pi)) - np.pi)
-            keep = off <= 2.0 * np.arcsin(reach / chord) + 1e-9
-            u, v = u[keep], v[keep]
     cu, su = np.cos(u), np.sin(u)
     cv, sv = np.cos(v), np.sin(v)
     pts = np.stack([(surf.R + surf.r * cv) * cu,
@@ -56,7 +46,7 @@ def torus(surf, rng, n, ball=None):
     return pts, -outward
 
 
-def saddle(surf, rng, n, ball=None):
+def saddle(surf, rng, n):
     wmax = np.sqrt(1.0 + 2.0 * surf.L**2)
     xy = np.empty((0, 2))
     while len(xy) < n:
@@ -65,9 +55,6 @@ def saddle(surf, rng, n, ball=None):
         acc = rng.random(4096) <= w
         xy = np.concatenate([xy, prop[acc]])
     xy = xy[:n]
-    if ball is not None:
-        c, reach = geom.ball_reach(ball, surf.diameter)
-        xy = xy[np.all(np.abs(xy - c[:2]) <= reach, axis=1)]
     x, y = xy[:, 0], xy[:, 1]
     pts = np.stack([x, y, x * y], axis=-1)
     nrm = np.sqrt(1.0 + x**2 + y**2)
@@ -75,17 +62,11 @@ def saddle(surf, rng, n, ball=None):
     return pts, normals
 
 
-def capsule(surf, rng, n, ball=None):
+def capsule(surf, rng, n):
     u = rng.random(n) * surf.total_area
     phi = rng.random(n) * 2.0 * np.pi
     h = rng.random(n)
     cyl = u < surf.cyl_area
-    if ball is not None:
-        x, reach = geom.ball_reach(ball, surf.diameter)
-        top = np.where(u < surf.cyl_area + surf.cap_area / 2.0, 1.0, -1.0)
-        z = np.where(cyl, (h - 0.5) * surf.length, top * (surf.half + surf.radius * h))
-        keep = np.abs(z - x[2]) <= reach
-        u, phi, h, cyl = u[keep], phi[keep], h[keep], cyl[keep]
     pts = np.empty((len(u), 3))
     normals = np.empty((len(u), 3))
     c, s = np.cos(phi), np.sin(phi)
@@ -106,15 +87,11 @@ def capsule(surf, rng, n, ball=None):
     return pts, normals
 
 
-def mesh(surf, rng, n, ball=None):
+def mesh(surf, rng, n):
     u = rng.random(n) * surf.total_area
     fi = np.minimum(np.searchsorted(surf.cum_areas, u), len(surf.faces) - 1)
     r1 = rng.random(n)
     r2 = rng.random(n)
-    if ball is not None:
-        c, reach = geom.ball_reach(ball, surf.diameter)
-        keep = (surf.box_distances(c)[0] <= reach)[fi]
-        fi, r1, r2 = fi[keep], r1[keep], r2[keep]
     r1 = np.sqrt(r1)
     tri = surf._tri[fi]
     pts = ((1.0 - r1)[:, None] * tri[:, 0]
@@ -127,6 +104,14 @@ ORACLES = {Sphere: sphere, Torus: torus, SaddlePatch: saddle,
            Capsule: capsule, TriMesh: mesh}
 
 
-def sample(surf, rng, n, ball=None):
-    """The former ``surf.sample(rng, n, ball)`` of any backing."""
-    return ORACLES[type(surf)](surf, rng, n, ball)
+def sample(surf, rng, n):
+    """The former ``surf.sample(rng, n)`` of any backing."""
+    return ORACLES[type(surf)](surf, rng, n)
+
+
+def patch(surf, rng, n, ball):
+    """The points of n whole-surface draws that lie in the ball (center,
+    radius), by the exact test of the patch callers."""
+    pts = sample(surf, rng, n)[0]
+    d = pts - ball[0]
+    return pts[np.einsum("ij,ij->i", d, d) <= ball[1] ** 2]

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,10 +123,24 @@ class TestBeta:
         assert vals[2] <= vals[1] + 1e-15
 
     def test_empty_patch_rejected(self, unit_sphere):
-        # an outcome, not bad input: no draw lands within 1e-7 of the point
+        # an outcome, not bad input: the point passes as on the surface, but
+        # its ball of radius 1e-7 misses the sphere 2e-6 away
         with pytest.raises(ValueError, match="empty patch") as info:
-            analysis.beta_number(unit_sphere, [0.0, 0.0, 1.0], 1e-7, 100, 0)
+            analysis.beta_number(unit_sphere, [0.0, 0.0, 1.000002], 1e-7, 100, 0)
         assert not isinstance(info.value, InputError)
+
+    def test_small_torus_patch_fills(self, torus_2_1):
+        # the cover of B(x, 1e-3) holds ~half its draws in the ball, where
+        # whole-surface draws once kept none of 400 blocks
+        x = np.array([3.0, 0.0, 0.0])
+        best = np.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            pts = analysis.patch_samples(torus_2_1, x, 1e-3, 4000, seed=1)
+            best = min(best, time.perf_counter() - t0)
+        assert len(pts) == 4000
+        assert np.all(np.linalg.norm(pts - x, axis=1) <= 1e-3)
+        assert best <= 0.02
 
     @pytest.mark.parametrize("n_patch", [0, -5])
     def test_patch_sample_count_below_one(self, unit_sphere, n_patch):
@@ -132,6 +148,22 @@ class TestBeta:
         with pytest.raises(InputError, match=exactly(
                 f"n_patch must be an integer in [1, inf), got {n_patch}")):
             analysis.patch_samples(unit_sphere, [0.0, 0.0, 1.0], 0.3, n_patch)
+
+
+class _AnnulusCounter(SurfaceOracle):
+    """An oracle that counts, per ball radius d, the sampled points at
+    distance [d/2, d] from the ball's centre."""
+
+    def __init__(self, backing):
+        super().__init__(backing)
+        self.pairs = {}
+
+    def sample(self, rng, n, ball=None):
+        pts, normals = super().sample(rng, n, ball)
+        dist = np.linalg.norm(pts - ball[0], axis=1)
+        inside = (dist >= ball[1] / 2.0) & (dist <= ball[1])
+        self.pairs[ball[1]] = self.pairs.get(ball[1], 0) + int(inside.sum())
+        return pts, normals
 
 
 class TestOscillation:
@@ -159,12 +191,19 @@ class TestOscillation:
         for p in (9.0, 16.0, 24.0):
             assert fit.exponent >= analysis.exponents(p)["lambda"]
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_small_scale_collects_every_pair(self, torus_2_1, seed):
+        oracle = _AnnulusCounter(torus_2_1.backing)
+        analysis.normal_oscillation_profile(oracle, [3.0, 0.0, 0.0],
+                                            [0.05, 0.1, 0.2], 400, seed)
+        assert all(oracle.pairs[d] >= 400 for d in (0.05, 0.1, 0.2))
+
     def test_empty_scale_is_an_error_not_flat(self, unit_sphere):
-        # 400 blocks of 4096 draws expect ~0.08 points at distance
-        # [0.00025, 0.0005] of x; reporting 0.0 would read as a flat patch
-        with pytest.raises(ValueError, match="scale 0.0005") as info:
-            analysis.normal_oscillation_profile(unit_sphere, [0, 0, 1],
-                                                [0.0005, 0.001], 400, seed=0)
+        # the point passes as on the surface, but the sphere lies 2e-6 away,
+        # past the scale 1e-6; reporting 0.0 would read as a flat patch
+        with pytest.raises(ValueError, match="scale 1e-06") as info:
+            analysis.normal_oscillation_profile(unit_sphere, [0, 0, 1.000002],
+                                                [1e-6, 0.001], 400, seed=0)
         assert not isinstance(info.value, InputError)  # an outcome
 
     @pytest.mark.parametrize("pairs", [0, -4])

@@ -262,10 +262,10 @@ class TestExitCodes:
                         "--samples", "2000"]) == 1
 
     def test_infeasible_parameters(self, capsys):
-        # supercritical exponent required for the stopping radius inside
-        # density? use local-energy with a hopeless patch instead
+        # a run that fails on valid input: local-energy with a ball that
+        # misses the surface, so its patch is empty
         assert cli.run(["local-energy", "--analytic", "sphere", "--radius",
-                        "1", "--center", "0,0,1", "--patch-radius", "1e-5",
+                        "1", "--center", "0,0,1.001", "--patch-radius", "1e-5",
                         "--p", "8", "--samples", "2000", "--seed", "0"]) == 1
 
     def test_bad_integrand_json(self, capsys):

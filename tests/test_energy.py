@@ -80,18 +80,32 @@ class TestLocalEnergy:
                                   60000, seed=5)
         assert 0.0 < loc.value < glob.value
 
-    def test_error_bar_covers_the_patch_area(self, unit_sphere):
-        # the circumsphere integrand is constant on the sphere, so the
-        # estimate spreads over seeds only through its estimated patch area
-        ests = [energy.local_energy(unit_sphere, [0, 0, 1], 0.5, CIRCUM, 4.0,
-                                    2000, seed) for seed in range(8)]
+    def test_error_bar_covers_the_patch_area(self):
+        # the circumsphere integrand is constant on a unit sphere, so on a
+        # patch of a unit end cap the estimate spreads over seeds only through
+        # its estimated patch area: the capsule's z band covers the ball with
+        # four times its area (a sphere's cap would cover it exactly)
+        capsule = SurfaceOracle.capsule(2.0, 1.0)
+        ests = [energy.local_energy(capsule, capsule.backing.tip(), 0.5, CIRCUM,
+                                    4.0, 2000, seed) for seed in range(8)]
         spread = np.std([e.value for e in ests], ddof=1)
         errors = np.array([e.std_error for e in ests])
         assert np.all((errors > 0.5 * spread) & (errors < 2.0 * spread))
 
+    def test_sphere_patch_area_is_exact(self, unit_sphere):
+        # the cap of a ball about a point of the unit sphere is the patch, of
+        # area pi r^2 (Archimedes), and the circumsphere integrand is 1 there
+        for r in (0.5, 0.05, 0.005):
+            exact = (np.pi * r * r) ** 4
+            for seed in range(20):
+                est = energy.local_energy(unit_sphere, [0, 0, 1], r, CIRCUM,
+                                          4.0, 2000, seed)
+                assert abs(est.value - exact) <= 4.0 * est.std_error, (r, seed)
+
     def test_patch_too_small(self, unit_sphere):
+        # a centre 1e-3 off the sphere: its ball of radius 1e-4 misses it
         with pytest.raises(ValueError, match="patch too small") as info:
-            energy.local_energy(unit_sphere, [0, 0, 1], 1e-4, MENGER, 8.0,
+            energy.local_energy(unit_sphere, [0, 0, 1.001], 1e-4, MENGER, 8.0,
                                 5000, seed=0)
         assert not isinstance(info.value, InputError)  # an outcome
 
@@ -164,16 +178,16 @@ class TestDivergence:
     def test_plane_stays_far_from_apex(self):
         # the mechanism: triples in the shrunken caps span planes that stay
         # at distance >= r_n/4 from the apex
-        from menger_surf.energy import _cap_centers, sample_cap
+        from menger_surf.energy import _cap_centers
         from menger_surf import geom
         rng = substream(77)
         for n in range(1, 6):
             r_n = 2.0 ** (-2 * n)
-            c = 0.05 * r_n**2
+            height = 0.5 * (0.05 * r_n**2) ** 2  # of the chordal radius
             a, b, cc = _cap_centers(r_n)
-            xs = sample_cap(a, c, rng, 2000)
-            ys = sample_cap(b, c, rng, 2000)
-            zs = sample_cap(cc, c, rng, 2000)
+            xs = geom.sample_cap(a, height, rng, 2000)
+            ys = geom.sample_cap(b, height, rng, 2000)
+            zs = geom.sample_cap(cc, height, rng, 2000)
             xi = np.array([0.0, 0.0, 1.0])
             for i in range(0, 2000, 97):
                 d = geom.point_plane_distance(xi, xs[i], ys[i], zs[i])

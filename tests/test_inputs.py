@@ -93,6 +93,9 @@ PROBES = {
     "saddle-off-patch": (  # on the graph z = xy, but outside its square
         "x lies 4 off the surface", analysis.density_quotient,
         SurfaceOracle.saddle(1.0), [5.0, 0.0, 0.0], 0.3),
+    "sample-negative-n": (
+        "n must be an integer in [0, inf), got -1", SPHERE.sample,
+        np.random.default_rng(0), -1),
     "patch-negative-r": (
         "r must be a finite number in (0, inf), got -1.0",
         analysis.patch_samples, SPHERE, POLE, -1.0, 100),
@@ -112,6 +115,7 @@ POINTS = [[NAN, 0.0, 1.0], [0.0, INF, 1.0]]
 ON_SURFACE = POINTS + [[0.0, 0.0, 3.0], [0.0, 0.0, 0.0]]  # for the unit sphere
 VECTORS = [[0.0, 0.0, 0.0], [NAN, 0.0, 1.0]]
 LISTS = [[], [NAN], [-1.0], [0.0], [INF]]
+BALLS = [(p, 0.3) for p in POINTS] + [(POLE, r) for r in REALS]
 
 
 def _search(a):
@@ -177,6 +181,14 @@ API = {
         SPHERE, a["x"], a["scales"], a["pairs_per_scale"]),
         {"x": (POLE, ON_SURFACE), "scales": ([0.2, 0.4], LISTS + [[3.0]]),
          "pairs_per_scale": (20, COUNTS)}),
+    "sample": (lambda a: SPHERE.sample(np.random.default_rng(0), a["n"],
+                                       a["ball"]),
+               {"n": (20, [-1, 2.5, "3"]), "ball": ((POLE, 0.3), BALLS)}),
+    "sample_points": (lambda a: SPHERE.sample_points(
+        np.random.default_rng(0), a["n"], a["ball"]),
+        {"n": (20, [-1, 2.5, "3"]), "ball": ((POLE, 0.3), BALLS)}),
+    "cover_area": (lambda a: SPHERE.cover_area(a["ball"]),
+                   {"ball": ((POLE, 0.3), BALLS)}),
     "holder_exponent_fit": (lambda a: analysis.holder_exponent_fit(
         a["profile"]),
         {"profile": ([(0.1, 0.1), (0.2, 0.3), (0.4, 0.5)],

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from conftest import (BAD_SPECS, random_tetrahedra, voluminous_tetrahedra,
-                      wide_base_tetrahedra)
+from conftest import (BAD_SPECS, exactly, random_tetrahedra,
+                      voluminous_tetrahedra, wide_base_tetrahedra)
 from kernel_oracle import menger_cross_form_batch
-from menger_surf import geom
+from menger_surf import InputError, geom
 from menger_surf.integrand import (IntegrandSpec, eval_batch, eval_integrand,
                                    lemma_bounds, mean_value)
 
@@ -55,6 +55,12 @@ class TestSpec:
     def test_bad_json_rejected(self, text):
         with pytest.raises(ValueError):
             IntegrandSpec.from_json(text)
+
+    def test_unparsable_json_is_input_error(self):
+        with pytest.raises(InputError, match=exactly(
+                "Expecting property name enclosed in double quotes: "
+                "line 1 column 2 (char 1)")):
+            IntegrandSpec.from_json('{bad')
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
-"""Samplers against the bodies they replaced, and ball-culled sampling
-against the full sample it culls."""
+"""Whole-surface samplers against the bodies they replaced, and the samplers
+of a ball's cover against the whole-surface sample culled to the ball."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -61,47 +62,14 @@ def _center(surf, pts, where, r, seed):
 
 
 @SAMPLE_SETTINGS
-@given(kind=st.sampled_from(BACKINGS),
-       where=st.sampled_from(["on", "near", "edge", "box"]),
-       rel_radius=st.floats(-6.0, 0.0).map(lambda e: 10.0**e),
-       n=st.integers(1, 3000), seed=st.integers(0, 2**32))
-def test_ball_keeps_full_sample_rows(kind, where, rel_radius, n, seed):
+@given(kind=st.sampled_from(BACKINGS), n=st.integers(0, 9000),
+       seed=st.integers(0, 2**32))
+def test_samplers_match_oracle(kind, n, seed):
     surf = backing(kind)
-    # radii from 1e-6 of three diameters up to three diameters
-    r = 3.0 * surf.diameter * rel_radius
-    full, ball = substream(seed, 3), substream(seed, 3)
-    pts, nrm = surf.sample(full, n)
-    x = _center(surf, pts, where, r, seed)
-    bpts, bnrm = surf.sample(ball, n, (x, r))
-    # the same draws: the generator ends in the same state
-    assert np.array_equal(full.random(4), ball.random(4))
-    row = {p.tobytes(): i for i, p in enumerate(pts)}
-    rows = np.array([row[p.tobytes()] for p in bpts], dtype=np.int64)
-    assert np.all(np.diff(rows) > 0)
-    assert np.array_equal(pts[rows], bpts) and np.array_equal(nrm[rows], bnrm)
-    # every row a caller's own test would accept survives the cull
-    d = pts - x
-    near = ((np.einsum("ij,ij->i", d, d) <= r * r)
-            | (np.linalg.norm(d, axis=1) <= r))
-    assert np.isin(np.flatnonzero(near), rows).all()
-
-
-@SAMPLE_SETTINGS
-@given(kind=st.sampled_from(BACKINGS),
-       where=st.sampled_from(["none", "on", "near", "edge", "box"]),
-       rel_radius=st.floats(-6.0, 0.0).map(lambda e: 10.0**e),
-       n=st.integers(0, 9000), seed=st.integers(0, 2**32))
-def test_samplers_match_oracle(kind, where, rel_radius, n, seed):
-    surf = backing(kind)
-    ball = None
-    if where != "none":
-        r = 3.0 * surf.diameter * rel_radius
-        pts = sample_oracle.sample(surf, substream(seed, 5), 64)[0]
-        ball = (_center(surf, pts, where, r, seed), r)
     ref_rng, both_rng, pts_rng = (substream(seed, 4) for _ in range(3))
-    ref_pts, ref_nrm = sample_oracle.sample(surf, ref_rng, n, ball)
-    got_pts, got_nrm = surf.sample(both_rng, n, ball)
-    only_pts = surf.sample_points(pts_rng, n, ball)
+    ref_pts, ref_nrm = sample_oracle.sample(surf, ref_rng, n)
+    got_pts, got_nrm = surf.sample(both_rng, n)
+    only_pts = surf.sample_points(pts_rng, n)
     for got in (got_pts, got_nrm, only_pts):
         assert got.shape == ref_pts.shape and got.dtype == np.float64
     assert np.array_equal(got_pts, ref_pts) and np.array_equal(got_nrm, ref_nrm)
@@ -110,6 +78,142 @@ def test_samplers_match_oracle(kind, where, rel_radius, n, seed):
     end = ref_rng.random(4)
     assert np.array_equal(both_rng.random(4), end)
     assert np.array_equal(pts_rng.random(4), end)
+
+
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 20000])
+def test_full_circle_torus_draws_unchanged(n):
+    """The minor-angle rejection on the arc [0, 2 pi) with peak weight R + r
+    makes the draws of the former whole-torus sampler, so every whole-surface
+    estimate keeps its bits."""
+    surf = backing("torus")
+    ref_rng, rng = substream(n, 6), substream(n, 6)
+    want = sample_oracle.torus(surf, ref_rng, n)[0]
+    (u0, du), (v0, dv) = surf._arcs(None)
+    assert (u0, du, v0, dv) == (0.0, 2.0 * np.pi, 0.0, 2.0 * np.pi)
+    assert np.array_equal(surf.sample_points(rng, n), want)
+    assert np.array_equal(rng.random(4), ref_rng.random(4))
+
+
+def _gauss_legendre(f, a, b, nodes=96):
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    half = (b - a) / 2.0
+    return float(np.sum(w * half * f(a + half + t * half)))
+
+
+def _cover_closed_form(surf, x, r):
+    """The area of the cover of B(x, r) by a formula or a quadrature of its
+    own: the patch area on the sphere (the cover is the patch), Archimedes on
+    the capsule, a 96-node quadrature of the
+    area element on the torus and the saddle, the face sum on a mesh."""
+    if isinstance(surf, Sphere):
+        d = np.linalg.norm(x - surf.center)
+        rho = surf.radius
+        if d == 0.0:
+            return surf.total_area if r >= rho else 0.0
+        # the sphere's area inside a ball whose centre is d from its centre
+        area = np.pi * rho * (r**2 - (rho - d) ** 2) / d
+        return min(max(area, 0.0), surf.total_area)
+    if isinstance(surf, Torus):
+        (_, du), (v0, dv) = surf._arcs((x, r))
+        return du * _gauss_legendre(
+            lambda t: surf.r * (surf.R + surf.r * np.cos(v0 + t)), 0.0, dv)
+    if isinstance(surf, Capsule):
+        top = surf.half + surf.radius
+        return 2.0 * np.pi * surf.radius * max(
+            min(x[2] + r, top) - max(x[2] - r, -top), 0.0)
+    if isinstance(surf, SaddlePatch):
+        lo = np.maximum(x[:2] - r, -surf.L)
+        hi = np.minimum(x[:2] + r, surf.L)
+        if np.any(hi <= lo):
+            return 0.0
+        t, w = np.polynomial.legendre.leggauss(96)
+        half = (hi - lo) / 2.0
+        xs, ys = (lo + half)[:, None] + t * half[:, None]
+        return float(np.sum(np.outer(w * half[0], w * half[1])
+                            * np.sqrt(1.0 + xs[:, None]**2 + ys[None] ** 2)))
+    return math.fsum(surf.face_areas[surf.box_distances(x)[0] <= r])
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(BACKINGS),
+       where=st.sampled_from(["on", "near", "edge", "box"]),
+       rel_radius=st.floats(-6.0, 0.5).map(lambda e: 10.0**e),
+       seed=st.integers(0, 2**32))
+def test_cover_area_matches_closed_form(kind, where, rel_radius, seed):
+    surf = backing(kind)
+    # radii from 1e-6 of a diameter up to about three diameters
+    r = rel_radius * surf.diameter
+    x = _center(surf, sample_oracle.sample(surf, substream(seed, 11), 64)[0],
+                where, r, seed)
+    want = _cover_closed_form(surf, x, r)
+    got = surf.cover_area((x, r))
+    assert abs(got - want) <= 1e-12 * want, (got, want)
+    assert got <= surf.total_area * (1.0 + 1e-12)
+    if got == 0.0:  # an empty cover: no draw at all
+        assert len(surf.sample_points(substream(seed, 12), 100, (x, r))) == 0
+
+
+def test_whole_cover_is_the_surface():
+    for kind in BACKINGS:
+        surf = backing(kind)
+        big = (np.zeros(3) + 0.5, 4.0 * surf.diameter)
+        assert surf.cover_area(big) == pytest.approx(surf.total_area, rel=1e-12)
+
+
+def _chi2_quantile(df, z):
+    """Upper quantile of the chi-square law with df degrees of freedom at the
+    standard normal quantile z (Wilson and Hilferty 1931)."""
+    a = 2.0 / (9.0 * df)
+    return df * (1.0 - a + z * np.sqrt(a)) ** 3
+
+
+# the two-sample goodness-of-fit tests reject at level 1e-6 (z = 4.753)
+GOF_Z = 4.753
+
+
+def _same_law(a, b, x, r, min_count=25):
+    """Two-sample chi-square test that the patch points a and b of B(x, r)
+    come from one law, over 4 shells of equal area in |p - x|^2 times the 8
+    octants of p - x; bins with fewer than min_count points in all are
+    pooled.  Returns (statistic, critical value at level 1e-6)."""
+    def bins(p):
+        d = p - x
+        shell = np.minimum((4.0 * np.einsum("ij,ij->i", d, d) / r**2).astype(int), 3)
+        octant = (d > 0.0) @ np.array([1, 2, 4])
+        return np.bincount(8 * shell + octant, minlength=32)
+
+    ca, cb = bins(a), bins(b)
+    small = ca + cb < min_count
+    ca = np.append(ca[~small], ca[small].sum())
+    cb = np.append(cb[~small], cb[small].sum())
+    keep = ca + cb > 0
+    ca, cb = ca[keep], cb[keep]
+    na, nb = ca.sum(), cb.sum()
+    stat = float(np.sum((ca * np.sqrt(nb / na) - cb * np.sqrt(na / nb)) ** 2
+                        / (ca + cb)))
+    return stat, _chi2_quantile(max(len(ca) - 1, 1), GOF_Z)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(BACKINGS), rel_radius=st.floats(0.1, 0.4),
+       offset=st.floats(0.0, 0.3), seed=st.integers(0, 2**32))
+def test_local_sampler_is_area_uniform(kind, rel_radius, offset, seed):
+    """The draws of a ball's cover that land in the ball follow the law of
+    the whole-surface draws that land in it (``sample_oracle.patch``)."""
+    surf = backing(kind)
+    rng = np.random.default_rng(seed)
+    r = rel_radius * surf.diameter
+    x = (sample_oracle.sample(surf, substream(seed, 7), 1)[0][0]
+         + offset * r * rng.standard_normal(3) / np.sqrt(3.0))
+    pts = surf.sample_points(substream(seed, 9), 4000, (x, r))
+    d = pts - x
+    got = pts[np.einsum("ij,ij->i", d, d) <= r * r]
+    ref = sample_oracle.patch(surf, substream(seed, 10), 200000, (x, r))
+    assert len(pts) == 4000
+    if len(ref) < 100:  # a patch too small for the reference to judge
+        return
+    stat, critical = _same_law(got, ref, x, r)
+    assert stat <= critical, (stat, critical, len(got), len(ref))
 
 
 def test_sample_points_forms_no_normal(monkeypatch):
@@ -183,21 +287,29 @@ def test_guide_lookup_equals_searchsorted(kind, size, seed):
 
 @pytest.mark.parametrize("kind", BACKINGS)
 def test_small_ball_culls_most_draws(kind):
+    """The cover of a small ball leaves out most of the surface before any
+    draw, and the n draws on it reach the ball."""
     surf = backing(kind)
     x = surf.sample(substream(0, 1), 1)[0][0]
-    pts, _ = surf.sample(substream(0, 2), 4096, (x, 0.05 * surf.diameter))
-    assert 0 < len(pts) < 4096 // 2
+    ball = (x, 0.05 * surf.diameter)
+    pts, _ = surf.sample(substream(0, 2), 4096, ball)
+    d = np.linalg.norm(pts - x, axis=1)
+    assert len(pts) == 4096 and np.any(d <= ball[1])
+    assert 0.0 < surf.cover_area(ball) < surf.total_area / 2.0
 
 
 class FullSampler(SurfaceOracle):
-    """Reference oracle: ignores the ball, so every caller filters the full
-    sample(rng, n) with its own exact test."""
+    """Reference oracle: its cover of every ball is the whole surface, so
+    every caller filters the full sample(rng, n) with its own exact test."""
 
     def sample(self, rng, n, ball=None):
         return self.backing.sample(rng, n)
 
     def sample_points(self, rng, n, ball=None):
         return self.backing.sample(rng, n)[0]
+
+    def cover_area(self, ball):
+        return self.total_area
 
 
 def _outcome(fn):
@@ -212,40 +324,39 @@ caller_kinds = st.sampled_from(["sphere", "torus", "thin-hole torus",
 
 
 @CALLER_SETTINGS
-@given(kind=caller_kinds, rel_radius=st.floats(0.01, 0.4),
+@given(kind=caller_kinds, rel_radius=st.floats(0.1, 0.4),
        seed=st.integers(0, 2**32))
 def test_patch_samples_match_full_sample(kind, rel_radius, seed):
+    """The patch samples from the cover follow the law of those culled from
+    whole-surface draws, and the cover fills every request."""
     surf = backing(kind)
     x = surf.sample(substream(seed, 1), 1)[0][0]
     r = rel_radius * surf.diameter
     got = analysis.patch_samples(SurfaceOracle(surf), x, r, 3000, seed)
     ref = analysis.patch_samples(FullSampler(surf), x, r, 3000, seed)
-    assert len(got) > 0 and np.array_equal(got, ref)
+    assert len(got) == 3000
+    stat, critical = _same_law(got, ref, x, r)
+    assert stat <= critical, (stat, critical, len(ref))
+
+
+CIRCUM = IntegrandSpec("circumsphere")
 
 
 @CALLER_SETTINGS
-@given(kind=caller_kinds, rel_radius=st.floats(0.005, 0.4),
+@given(kind=caller_kinds, rel_radius=st.floats(0.05, 0.4),
        seed=st.integers(0, 2**32))
 def test_local_energy_matches_full_sample(kind, rel_radius, seed):
+    """The estimate from the cover, with patch area cover_area * q, agrees
+    with the one from whole-surface draws within 4 combined error bars."""
     surf = backing(kind)
     x = surf.sample(substream(seed, 1), 1)[0][0]
     r = rel_radius * surf.diameter
-    spec = IntegrandSpec("menger")
-    got = _outcome(lambda: energy.local_energy(SurfaceOracle(surf), x, r, spec,
-                                               8.0, 200, seed))
-    ref = _outcome(lambda: energy.local_energy(FullSampler(surf), x, r, spec,
-                                               8.0, 200, seed))
-    assert got == ref
-
-
-@CALLER_SETTINGS
-@given(kind=caller_kinds, seed=st.integers(0, 2**32))
-def test_oscillation_matches_full_sample(kind, seed):
-    surf = backing(kind)
-    x = surf.sample(substream(seed, 1), 1)[0][0]
-    scales = [f * surf.diameter for f in (0.02, 0.05, 0.1, 0.3)]
-    got = _outcome(lambda: analysis.normal_oscillation_profile(
-        SurfaceOracle(surf), x, scales, 100, seed))
-    ref = _outcome(lambda: analysis.normal_oscillation_profile(
-        FullSampler(surf), x, scales, 100, seed))
-    assert got == ref
+    got = energy.local_energy(SurfaceOracle(surf), x, r, CIRCUM, 1.0, 500,
+                              seed)
+    ref = _outcome(lambda: energy.local_energy(FullSampler(surf), x, r, CIRCUM,
+                                               1.0, 500, seed))
+    assert got.n_samples == 500
+    if isinstance(ref, str):  # too few whole-surface draws landed
+        return
+    assert abs(got.value - ref.value) <= 4.0 * np.hypot(got.std_error,
+                                                        ref.std_error)
