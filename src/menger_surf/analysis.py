@@ -82,30 +82,41 @@ def density_quotient(oracle, x, radius, depth=8):
     straddling faces), and surviving leaves count half their area when their
     centroid is inside.  The reported error bound is
     (initially straddling area) * 2^-depth.
+
+    Only the faces whose padded box reaches the ball are classified, and
+    their corners decide most of them: all three corners in the closed ball
+    make a face inside, some in and some out make it straddle.  A face with
+    no corner in misses the ball when its corner bound (``_corner_bound``)
+    exceeds r^2 by the rounding slack (``CORNER_SLACK``); the exact
+    point-triangle distance runs only on the faces with no corner in whose
+    bound does not.  The children of a quadrisection reuse their parent's
+    squared corner distances and those of its three edge midpoints.
     """
     x = oracle.point_on_surface(x, "x")
     finite_in(radius, "radius", 0)
     depth = integer_in(depth, "depth", 0, 10)
     mesh = oracle.tessellate()
-    tri = mesh.vertices[mesh.faces]
+    tri = mesh.vertices[mesh.faces[mesh.box_distances(x)[0] <= radius]]
+    work = _face_columns(tri, x)
+    # every child lies in the hull of its top-level face
+    slack = CORNER_SLACK * (_size2(x, tri) + radius * radius)
 
     area_in = 0.0
-    inside, straddle = _classify_tris(tri, x, radius)
-    area_in += geom.tri_areas(tri[inside]).sum()
-    straddle_area0 = float(geom.tri_areas(tri[straddle]).sum())
-    work = tri[straddle]
+    inside, straddle = _classify(work, x, radius, slack)
+    area_in += _areas(work[:9, inside]).sum()
+    work = work[:, straddle]
+    straddle_area0 = float(_areas(work).sum())
     for _ in range(depth):
-        if len(work) == 0:
+        if work.shape[1] == 0:
             break
-        work = _quadrisect(work)
-        inside, straddle = _classify_tris(work, x, radius)
-        area_in += geom.tri_areas(work[inside]).sum()
-        work = work[straddle]
-    if len(work):
-        centroids = work.mean(axis=1)
-        d = centroids - x
-        in_c = np.einsum("ij,ij->i", d, d) <= radius * radius
-        area_in += 0.5 * geom.tri_areas(work[in_c]).sum()
+        work = _children(work, x)
+        inside, straddle = _classify(work, x, radius, slack)
+        area_in += _areas(work[:9, inside]).sum()
+        work = work[:, straddle]
+    if work.shape[1]:
+        centroids = (work[0:3] + work[3:6] + work[6:9]) / 3.0
+        in_c = _sqdist(centroids, x) <= radius * radius
+        area_in += 0.5 * _areas(work[:9, in_c]).sum()
 
     quotient = float(area_in) / radius**2
     return DensityReport(x, float(radius), float(area_in), quotient,
@@ -113,29 +124,87 @@ def density_quotient(oracle, x, radius, depth=8):
                          straddle_area0 * 2.0 ** (-depth))
 
 
-def _classify_tris(tri, x, radius):
-    """Masks (fully inside ball, straddling) for a (m,3,3) stack."""
-    if len(tri) == 0:
-        empty = np.zeros(0, dtype=bool)
-        return empty, empty
-    d = tri - x[None, None, :]
-    vert_in = np.einsum("mvj,mvj->mv", d, d) <= radius * radius
-    inside = vert_in.all(axis=1)
-    touching = np.sqrt(_point_tri_sqdist(x, tri)) <= radius
-    straddle = touching & ~inside
-    return inside, straddle
+# Rounding slack of the corner bound, relative to the squared size of the
+# coordinates (``_size2``): on a well-shaped face the bound and the exact
+# distance each round by some 1e-15 of it.  ``density_quotient`` adds r^2 to
+# the size, so that a face the bound rules out lies more than r^2 (1 + 1e-10)
+# from x in squared distance, whose square root rounds above r.
+CORNER_SLACK = 1e-10
 
 
-def _quadrisect(tri):
-    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
-    ab = 0.5 * (a + b)
-    bc = 0.5 * (b + c)
-    ca = 0.5 * (c + a)
-    return np.concatenate([
-        np.stack([a, ab, ca], axis=1),
-        np.stack([ab, b, bc], axis=1),
-        np.stack([ca, bc, c], axis=1),
-        np.stack([ab, bc, ca], axis=1)])
+def _face_columns(tri, x):
+    """One column per face of the (m,3,3) stack: the coordinates of its
+    corners a, b and c, then their squared distances to x."""
+    work = np.empty((12, len(tri)))
+    work[:9] = tri.reshape(-1, 9).T
+    work[9:] = [_sqdist(work[k:k + 3], x) for k in (0, 3, 6)]
+    return work
+
+
+def _sqdist(p, x):
+    """|p - x|^2 for the column triple p, with einsum's bits."""
+    d = geom._sub(p, x)
+    return geom._dot(d, d)
+
+
+def _size2(x, tri):
+    """An upper bound on the squared norm of x and of every corner in tri."""
+    return 3.0 * max(np.abs(x).max(), np.abs(tri).max(initial=0.0)) ** 2
+
+
+def _areas(cols):
+    return geom.corner_areas(cols[0:3].T, cols[3:6].T, cols[6:9].T)
+
+
+def _corner_bound(cols):
+    """A lower bound on the squared distance from x to each face column.
+
+    For p = sum_i l_i v_i on the face, |p - x|^2 = sum_i l_i |v_i - x|^2 -
+    sum_{i<j} l_i l_j |v_i - v_j|^2, and sum_{i<j} l_i l_j <= 1/3, so the
+    squared distance is at least min_i |v_i - x|^2 - max_{i<j} |v_i - v_j|^2 / 3.
+    """
+    a, b, c = cols[0:3], cols[3:6], cols[6:9]
+    e2 = np.maximum(np.maximum(_sqdist(a, b), _sqdist(b, c)), _sqdist(c, a))
+    return np.minimum(np.minimum(cols[9], cols[10]), cols[11]) - e2 / 3.0
+
+
+def _classify(work, x, radius, slack):
+    """Indices of the face columns fully inside the ball, and of those that
+    straddle it, in column order."""
+    r2 = radius * radius
+    ina, inb, inc = work[9] <= r2, work[10] <= r2, work[11] <= r2
+    inside = ina & inb & inc
+    touch = ina | inb | inc
+    straddle = touch & ~inside
+    out = np.flatnonzero(~touch)
+    near = out[_corner_bound(work[:, out]) <= r2 + slack]
+    if len(near):
+        tri = work[:9, near].T.reshape(-1, 3, 3)
+        straddle[near] = np.sqrt(_point_tri_sqdist(x, tri)) <= radius
+    return np.flatnonzero(inside), np.flatnonzero(straddle)
+
+
+# the corners of the four children, in blocks: the a-, b- and c-corner
+# children, then the middle one (a point is a, b, c or the midpoint ab, bc,
+# ca).  The area sums add the children in this order, as they always have,
+# so every report keeps its bits.
+_CHILDREN = ((0, 3, 5), (3, 1, 4), (5, 4, 2), (3, 4, 5))
+
+
+def _children(work, x):
+    """The face columns of the four children of each column of work."""
+    m = work.shape[1]
+    a, b, c = work[0:3], work[3:6], work[6:9]
+    mids = [0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)]
+    points = [a, b, c] + mids
+    dists = [work[9], work[10], work[11]] + [_sqdist(p, x) for p in mids]
+    out = np.empty((12, 4 * m))
+    for k, child in enumerate(_CHILDREN):
+        cols = out[:, k * m:(k + 1) * m]
+        for j, i in enumerate(child):
+            cols[3 * j:3 * j + 3] = points[i]
+            cols[9 + j] = dists[i]
+    return out
 
 
 # ---------------------------------------------------------------------------

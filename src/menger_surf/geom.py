@@ -54,7 +54,10 @@ def integer_in(value, name, least, most=math.inf):
 
 
 def as_point(p, name="point"):
-    p = np.asarray(p, dtype=float).reshape(3)
+    try:
+        p = np.asarray(p, dtype=float).reshape(3)
+    except (TypeError, ValueError):
+        raise InputError(f"{name} must be a point of 3 coordinates") from None
     if not np.all(np.isfinite(p)):
         raise InputError(f"{name} has non-finite coordinates")
     return p
@@ -177,7 +180,12 @@ def tetra_quantities(P):
 def tri_areas(tri):
     """Areas of a (m,3,3) stack of triangles."""
     tri = np.asarray(tri, dtype=float)
-    return 0.5 * np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1)
+    return corner_areas(tri[:, 0], tri[:, 1], tri[:, 2])
+
+
+def corner_areas(a, b, c):
+    """Areas of the triangles whose corners are the rows of three (m,3) arrays."""
+    return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
 
 
 def simplex_measures(T):

@@ -174,7 +174,7 @@ class SurfaceOracle:
         return self.backing.has_interior()
 
     def normal_at(self, p):
-        return self.backing.normal_at(p)
+        return self.backing.normal_at(as_point(p, "p"))
 
     def surface_distance(self, p):
         return self.backing.surface_distance(p)

@@ -1,13 +1,17 @@
+import dataclasses
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from pytest import approx
 
+import density_oracle
 from conftest import exactly
 from menger_surf import InputError, analysis, geom
-from menger_surf.surface import SurfaceOracle, shapes
+from menger_surf.rng import substream
+from menger_surf.surface import SurfaceOracle, sample_point, shapes
+from menger_surf.surface.trimesh import _point_tri_sqdist
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +97,124 @@ class TestDensity:
         with pytest.raises(InputError,
                            match=exactly("x lies 0.5 off the surface")):
             analysis.density_quotient(unit_sphere, [0.0, 0.0, 1.5], 0.3)
+
+
+@pytest.fixture(scope="module")
+def density_surfaces():
+    return {"sphere": SurfaceOracle.sphere(1.0),
+            "icosphere3": SurfaceOracle.from_mesh(shapes.icosphere(3)),
+            "torus": SurfaceOracle.torus(2.0, 1.0),
+            "saddle": SurfaceOracle.saddle(1.0)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(["sphere", "icosphere3", "torus", "saddle"]),
+       seed=st.integers(0, 2**32 - 1), at_vertex=st.booleans(),
+       t=st.floats(0.0, 1.0), depth=st.integers(0, 10))
+@example(name="sphere", seed=0, at_vertex=False, t=1.0, depth=10)
+def test_density_matches_oracle(density_surfaces, name, seed, at_vertex, t,
+                                depth):
+    """Every DensityReport equals the former exhaustive classification's,
+    field for field: centres on the surface or at a tessellation vertex, r
+    log-uniform in [1e-3, 1.2 diameter].  Depths past 7 run on the smaller
+    balls only (each level doubles the straddling faces), apart from the
+    sphere's r = 1.9 at depth 10."""
+    oracle = density_surfaces[name]
+    rng = substream(seed)
+    if at_vertex:
+        vertices = oracle.tessellate().vertices
+        x = vertices[rng.integers(len(vertices))]
+    else:
+        x = sample_point(oracle, rng).position
+    r = 1e-3 * (1.2 * oracle.diameter / 1e-3) ** t
+    if name == "sphere" and t == 1.0:
+        r = 1.9
+    elif r > 0.1 * oracle.diameter:
+        depth = min(depth, 7)
+    got = analysis.density_quotient(oracle, x, r, depth)
+    want = density_oracle.density_quotient(oracle, x, r, depth)
+    for field in dataclasses.fields(want):
+        assert np.all(getattr(got, field.name) == getattr(want, field.name)), field
+
+
+def _triangle(corners, shape, t, tiny):
+    """A (3,3) triangle from three drawn corners: as drawn, a sliver (c
+    within ``tiny`` of the line ab), collinear, or with a repeated corner."""
+    a, b, c = np.array(corners, dtype=float).reshape(3, 3)
+    if shape == "sliver":
+        c = a + t * (b - a) + tiny * (c - a)
+    elif shape == "collinear":
+        c = a + t * (b - a)
+    elif shape == "repeated":
+        c = a
+    return np.array([a, b, c])
+
+
+COORDS = st.lists(st.floats(-10.0, 10.0), min_size=9, max_size=9)
+SHAPES = st.sampled_from(["free", "sliver", "collinear", "repeated"])
+POINT = st.lists(st.floats(-20.0, 20.0), min_size=3, max_size=3)
+
+
+EQUILATERAL = [1.0, 0.0, 0.0, -0.5, 0.75**0.5, 0.0, -0.5, -(0.75**0.5), 0.0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(corners=COORDS, shape=SHAPES, t=st.floats(-1.0, 2.0),
+       tiny=st.floats(1e-17, 1e-6), point=POINT,
+       where=st.sampled_from(["drawn", "edge", "centroid"]),
+       s=st.floats(0.0, 1.0), scale=st.sampled_from([1e-4, 1.0, 1e3]))
+@example(corners=EQUILATERAL, shape="free", t=0.0, tiny=1e-17,
+         point=[0.0, 0.0, 0.0], where="centroid", s=0.0, scale=1.0)
+def test_corner_bound_is_below_exact_distance(corners, shape, t, tiny, point,
+                                              where, s, scale):
+    """The exact squared distance is never below the corner bound minus its
+    rounding slack, on slivers and degenerate triangles too, and for a point
+    on an edge or next to the centroid, where the bound is tight on an
+    equilateral triangle."""
+    tri = scale * _triangle(corners, shape, t, tiny)
+    x = scale * np.array(point)
+    if where == "edge":
+        x = tri[0] + s * (tri[1] - tri[0])
+    elif where == "centroid":
+        x = tri.mean(axis=0) + 1e-3 * s * x
+    lower = analysis._corner_bound(analysis._face_columns(tri[None], x))[0]
+    slack = analysis.CORNER_SLACK * analysis._size2(x, tri)
+    assert _point_tri_sqdist(x, tri[None])[0] >= lower - slack
+
+
+# the least area / longest edge^2 of a face for which the former exact test
+# sees every corner of the closed ball; the thinnest tessellation face
+# (capsule(2, 0.5)) has 0.024.  On slivers the exact distance can err by
+# ~1e-10 of the coordinates, past a corner that lies just as close to the
+# sphere, so there the former code could drop a face that meets the ball.
+WELL_SHAPED = 1e-4
+# the least radius, relative to the coordinates, for which it does: the
+# exact test's closest point alone rounds by ~1e-16 of them
+RESOLVED = 1e-9
+
+
+@settings(max_examples=400, deadline=None)
+@given(corners=COORDS, point=POINT, near=st.sampled_from([None, 1e-3, 1e-8]),
+       k=st.integers(0, 2), grow=st.sampled_from([0.0, 1e-12, 0.5]),
+       scale=st.sampled_from([1e-4, 1.0, 1e3]))
+def test_corner_in_ball_passes_exact_test(corners, point, near, k, grow,
+                                          scale):
+    """A well-shaped face with a corner in the closed ball of a resolved
+    radius passes the former exact test sqrt(d^2) <= r, also with that corner
+    on the sphere and the centre next to it."""
+    tri = scale * np.array(corners, dtype=float).reshape(3, 3)
+    longest = max(np.linalg.norm(tri[i] - tri[j])
+                  for i, j in ((0, 1), (1, 2), (2, 0)))
+    assume(geom.tri_areas(tri[None])[0] > WELL_SHAPED * longest**2)
+    x = scale * np.array(point)
+    if near is not None:
+        x = tri[k] + near * x
+    d2 = analysis._face_columns(tri[None], x)[9 + k, 0]
+    r = np.sqrt(d2) * (1.0 + grow)
+    if d2 > r * r:
+        r = np.nextafter(r, np.inf)
+    assume(r > RESOLVED * np.sqrt(analysis._size2(x, tri)))
+    assert np.sqrt(_point_tri_sqdist(x, tri[None])[0]) <= r
 
 
 class TestBeta:

@@ -96,6 +96,13 @@ PROBES = {
     "sample-negative-n": (
         "n must be an integer in [0, inf), got -1", SPHERE.sample,
         np.random.default_rng(0), -1),
+    "normal-nan": (
+        "p has non-finite coordinates", SPHERE.normal_at, [NAN, 0.0, 1.0]),
+    "normal-nan-mesh": (  # the nearest-vertex search once picked a vertex
+        "p has non-finite coordinates", SurfaceOracle.from_mesh(ICO0).normal_at,
+        [NAN, 0.0, 1.0]),
+    "normal-2-vector": (
+        "p must be a point of 3 coordinates", SPHERE.normal_at, [0.0, 1.0]),
     "patch-negative-r": (
         "r must be a finite number in (0, inf), got -1.0",
         analysis.patch_samples, SPHERE, POLE, -1.0, 100),
