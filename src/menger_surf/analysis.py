@@ -211,14 +211,6 @@ def _children(work, x):
 # Jones beta numbers by direction-grid search
 # ---------------------------------------------------------------------------
 
-def _fibonacci_directions(n):
-    i = np.arange(n)
-    z = 1.0 - (2.0 * i + 1.0) / n
-    phi = i * np.pi * (3.0 - np.sqrt(5.0))
-    s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
-
-
 def _max_abs_dot(dirs, rel):
     """max_i |rel_i . dir| for each direction, 512 directions per product."""
     out = np.empty(len(dirs))
@@ -285,7 +277,7 @@ def beta_number(oracle, x, r, n_patch=4000, grid_level=1, seed=0):
     # levels are cumulative (each adds its grid and a refinement around the
     # running best), so a finer grid_level can only lower the reported value
     for k in range(grid_level + 1):
-        dirs = _fibonacci_directions(500 * 4**k)
+        dirs = np.stack(geom.fibonacci_columns(2.0, 500 * 4**k), axis=-1)
         vals = _max_abs_dot(dirs, rel)
         i = int(np.argmin(vals))
         if vals[i] < best_val:

@@ -330,7 +330,7 @@ def _run_oscillation(args, seed, threads):
     config = {"surface": oracle.describe(), "point": point.tolist(),
               "scales": scales, "pairs": args.pairs}
     results = {"profile": _document(profile)}
-    if len(profile) >= 3:
+    if len(profile) >= 3 and any(osc > 0.0 for _, osc in profile):
         results["fit"] = _document(analysis.holder_exponent_fit(profile))
     return config, results, (["scale", "max_oscillation"], profile)
 
@@ -454,6 +454,18 @@ def run(argv):
             warnings.simplefilter("error", RuntimeWarning)
             config, results, table = _RUNNERS[args.subcommand](args, seed,
                                                                threads)
+        if args.format == "csv":
+            text = _csv(*table)
+        else:  # a non-finite value raises ValueError: it is not JSON
+            document = {
+                "command": [args.subcommand] + _echo_argv(argv[1:]),
+                "config": config,
+                "seed": int(seed),
+                "results": results,
+                "version": __version__,
+            }
+            text = json.dumps(document, sort_keys=True, indent=2,
+                              allow_nan=False) + "\n"
     except InputError as exc:  # a bad mesh file is bad input too
         print(f"menger-surf: {exc}", file=sys.stderr)
         return 2
@@ -463,17 +475,7 @@ def run(argv):
         return 1
     elapsed_ms = (time.monotonic() - t0) * 1000.0
 
-    document = {
-        "command": [args.subcommand] + _echo_argv(argv[1:]),
-        "config": config,
-        "seed": int(seed),
-        "results": results,
-        "version": __version__,
-    }
-    if args.format == "json":
-        _emit(args.output, json.dumps(document, sort_keys=True, indent=2) + "\n")
-    else:
-        _emit(args.output, _csv(*table))
+    _emit(args.output, text)
     # timing stays on the diagnostic stream so the document is reproducible
     print(f"menger-surf: {args.subcommand} finished in {elapsed_ms:.1f} ms",
           file=sys.stderr)

@@ -48,7 +48,8 @@ def integer_in(value, name, least, most=math.inf):
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
-        raise InputError(f"{name} must be an integer in [{least}, {most}"
+        raise InputError(f"{name} must be an integer in "
+                         f"{'(' if least == -math.inf else '['}{least}, {most}"
                          f"{')' if most == math.inf else ']'}, got {value!r}")
     return int(value)
 
@@ -115,11 +116,6 @@ def _sub(a, b):
     return a[0] - b[0], a[1] - b[1], a[2] - b[2]
 
 
-def _cross(a, b):
-    """np.cross's formula on column triples."""
-    return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
-
-
 def _dot(a, b):
     """Dot product of column triples in the order einsum sums a length-3 axis."""
     return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
@@ -133,8 +129,8 @@ def _tetra_chunk(P):
     """
     x = [(P[:, i, 0], P[:, i, 1], P[:, i, 2]) for i in range(4)]
     z1, z2, z3 = _sub(x[1], x[0]), _sub(x[2], x[0]), _sub(x[3], x[0])
-    c12, c23, c13 = _cross(z1, z2), _cross(z2, z3), _cross(z1, z3)
-    c_far = _cross(_sub(z2, z1), _sub(z3, z2))
+    c12, c23, c13 = cross3(z1, z2), cross3(z2, z3), cross3(z1, z3)
+    c_far = cross3(_sub(z2, z1), _sub(z3, z2))
 
     triple = _dot(z3, c12)
     volume = np.abs(triple) / 6.0
@@ -307,17 +303,23 @@ def orthobasis(v):
     return e1, np.array(cross3(v, e1.tolist()))
 
 
+def fibonacci_columns(height, n):
+    """The x, y and z columns of n Fibonacci directions (Gonzalez, Math.
+    Geosci. 2010) covering the cap 1 - z <= height about +z (height 2 is
+    the whole sphere)."""
+    i = np.arange(n)
+    z = 1.0 - height * (i + 0.5) / n
+    psi = i * np.pi * (3.0 - np.sqrt(5.0))
+    s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    return s * np.cos(psi), s * np.sin(psi), z
+
+
 def cap_fibonacci(v, phi, n):
     """n Fibonacci directions covering the solid cap of angular radius phi
     around the unit vector v."""
     e1, e2 = orthobasis(v)
-    i = np.arange(n)
-    z = 1.0 - (1.0 - np.cos(phi)) * (i + 0.5) / n
-    psi = i * np.pi * (3.0 - np.sqrt(5.0))
-    s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    return (z[:, None] * v[None]
-            + (s * np.cos(psi))[:, None] * e1[None]
-            + (s * np.sin(psi))[:, None] * e2[None])
+    x, y, z = fibonacci_columns(1.0 - np.cos(phi), n)
+    return z[:, None] * v[None] + x[:, None] * e1[None] + y[:, None] * e2[None]
 
 
 def sample_cap(axis, height, rng, n):

@@ -10,6 +10,7 @@ energy-capped problem rejects any state whose energy exceeds the cap.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,6 +138,7 @@ def _anneal(mesh, p, iters, seed, score, finish):
     (objective, constraint value, feasible); ``finish(table)`` gives the
     final (mesh, objective, constraint value)."""
     iters = integer_in(iters, "iters", 0)
+    seed = integer_in(seed, "seed", -math.inf)  # iters = 0 never draws
     table = _EnergyTable(mesh.vertices, mesh.faces, p)
     sigma0 = 0.02 * mesh.mean_edge
     temperature = 1.0

@@ -6,6 +6,7 @@ Every Monte-Carlo and rejection loop in this package reads its blocks from
 depends only on the seed and the request, never on the worker count.
 """
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -32,12 +33,14 @@ def substream(seed, *path):
 
     The mapping is a pure function of its arguments, so any chunk of any
     study can be regenerated in isolation.  Philox is counter-based; streams
-    with distinct keys are independent.
+    with distinct keys are independent.  A seed that is not an integer
+    raises InputError.
     """
+    seed = integer_in(seed, "seed", -math.inf)
     acc = _GAMMA
     for part in path:
         acc = _mix64((acc + (int(part) & _MASK) + _GAMMA) & _MASK)
-    key = np.array([int(seed) & _MASK, acc], dtype=np.uint64)
+    key = np.array([seed & _MASK, acc], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -18,28 +18,28 @@ per-ray path.  The oracle reduces it to banded first hits
 search leave the face view of its seed point in place) and, on meshes, the
 parity votes of the inside test.
 
-Every backing samples area-uniformly by ``sample(rng, n, ball=None)``.  With
-a ball (center, radius) it returns n area-uniform draws on the backing's
-cover of the ball: a region of the surface that holds every surface point of
-the ball, of exact area ``cover_area(ball)``.  The cover is a cap on the
-sphere, a product of a major-angle arc and a minor-angle arc on the torus, a
-z band on the capsule, an xy box on the saddle and the faces whose boxes
-reach the ball on a mesh.  A cover is empty (area 0, and the sampler returns
-no rows) only where the ball misses the surface.  Callers that keep only the
-points of a patch apply their own exact test to what comes back, and the
-fraction they keep, times ``cover_area``, estimates the patch area.  The
-oracle checks its arguments once per call: InputError for a count that is
-not an integer >= 0, or a ball whose centre is not finite or whose radius is
-not finite and positive.
+The oracle samples area-uniformly through one draw core per backing:
+``backing._draw(rng, n, ball)`` makes every random draw of n samples and
+returns their per-row parameters p, from which ``backing._points(*p)`` and
+``backing._normals(*p)`` form the rows.  ``sample(rng, n, ball=None)``
+composes all three.  ``sample_points(rng, n, ball=None)``, for callers that
+need no normals, composes ``_draw`` and ``_points`` alone: the same draws,
+the same end state of the generator and the rows of ``sample(rng, n,
+ball)[0]`` bit for bit, without forming a normal or passing through
+``sample``.
 
-``sample_points(rng, n, ball=None)`` is the points-only path for callers that
-need no normals (the Monte-Carlo estimators and the patch samples).  It makes
-the same draws, leaves the generator in the same state and returns the rows
-of ``sample(rng, n, ball)[0]`` bit for bit, but forms no normal: each backing
-has one draw core that both paths share (``sampler.AreaSampler``), and the
-oracle's ``sample_points`` never goes through its ``sample``.  Meshes look up
-the face of each area draw in a guide table and form points one coordinate
-column at a time from per-corner coordinate arrays.
+Without a ball the draws are area-uniform on the whole surface.  With a ball
+(center, radius) they are area-uniform on the backing's cover of the ball: a
+region of the surface that holds every surface point of the ball, of exact
+area ``cover_area(ball)``.  The cover is a cap on the sphere, a product of a
+major-angle arc and a minor-angle arc on the torus, a z band on the capsule,
+an xy box on the saddle and the faces whose boxes reach the ball on a mesh.
+A cover is empty (area 0, and the draw returns no rows) only where the ball
+misses the surface.  Callers that keep only the points of a patch apply their
+own exact test to what comes back, and the fraction they keep, times
+``cover_area``, estimates the patch area.  The oracle checks its arguments
+once per call: InputError for a count that is not an integer >= 0, or a
+ball whose centre is not finite or whose radius is not finite and positive.
 """
 
 from typing import NamedTuple
@@ -127,13 +127,14 @@ class SurfaceOracle:
     def sample(self, rng, n, ball=None):
         """n area-uniform draws as (points, normals); with a ball (center,
         radius), draws on the backing's cover of it (module docstring)."""
-        return self.backing.sample(rng, integer_in(n, "n", 0), _checked(ball))
+        p = self.backing._draw(rng, integer_in(n, "n", 0), _checked(ball))
+        return self.backing._points(*p), self.backing._normals(*p)
 
     def sample_points(self, rng, n, ball=None):
         """The points of ``sample(rng, n, ball)``, bit for bit, without forming
         any normal (module docstring)."""
-        return self.backing.sample_points(rng, integer_in(n, "n", 0),
-                                          _checked(ball))
+        return self.backing._points(*self.backing._draw(
+            rng, integer_in(n, "n", 0), _checked(ball)))
 
     def cover_area(self, ball):
         """Exact area of the region that ``sample(rng, n, ball)`` draws from."""

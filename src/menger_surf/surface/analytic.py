@@ -13,7 +13,6 @@ import numpy as np
 
 from .. import geom
 from . import shapes
-from .sampler import AreaSampler
 
 # proposals per block of the rejection samplers
 _BLOCK = 4096
@@ -100,7 +99,7 @@ def _hits(ts, ok, tmin, tmax):
     return ray, ts[ray, col]
 
 
-class Sphere(AreaSampler):
+class Sphere:
     def __init__(self, radius, center=(0.0, 0.0, 0.0)):
         self.radius = geom.finite_in(radius, "radius", 0)
         self.center = np.asarray(center, dtype=float)
@@ -132,7 +131,7 @@ class Sphere(AreaSampler):
         return v, min(max(h, 0.0), 2.0)
 
     def cover_area(self, ball):
-        """Area of the cap that ``sample`` draws from for this ball."""
+        """Area of the cap that ``_draw`` draws from for this ball."""
         return 2.0 * np.pi * self.radius**2 * self._cap(ball)[1]
 
     def _points(self, *w):
@@ -178,7 +177,7 @@ class Sphere(AreaSampler):
         return {"kind": "sphere", "radius": self.radius}
 
 
-class Torus(AreaSampler):
+class Torus:
     """Torus of revolution about the z axis: major radius R, minor radius r."""
 
     def __init__(self, major_radius, minor_radius):
@@ -373,7 +372,7 @@ class Torus(AreaSampler):
         return {"kind": "torus", "major_radius": self.R, "minor_radius": self.r}
 
 
-class SaddlePatch(AreaSampler):
+class SaddlePatch:
     """Graph of f(x, y) = x*y over the square [-L, L]^2.  Open: no interior."""
 
     def __init__(self, extent):
@@ -404,7 +403,7 @@ class SaddlePatch(AreaSampler):
         return float(np.sum(W * np.sqrt(1.0 + X**2 + Y**2)))
 
     def cover_area(self, ball):
-        """Area of the patch over the box that ``sample`` draws from."""
+        """Area of the patch over the box that ``_draw`` draws from."""
         mid, half = self._box(ball)
         return self._area(mid, half) if np.all(half > 0.0) else 0.0
 
@@ -470,7 +469,7 @@ class SaddlePatch(AreaSampler):
         return {"kind": "saddle", "extent": self.L}
 
 
-class Capsule(AreaSampler):
+class Capsule:
     """Cylinder of given length about the z axis capped by two hemispheres."""
 
     def __init__(self, length, radius):
@@ -498,7 +497,7 @@ class Capsule(AreaSampler):
         return max(z - reach, -end), min(z + reach, end)
 
     def cover_area(self, ball):
-        """Area of the z band that ``sample`` draws from."""
+        """Area of the z band that ``_draw`` draws from."""
         lo, hi = self._band(ball)
         return 2.0 * np.pi * self.radius * max(hi - lo, 0.0)
 

@@ -56,21 +56,24 @@ def ellipsoid(a, b, c, subdivisions=3):
     return TriMesh(verts * np.array([a, b, c]), faces)
 
 
+def _grid_faces(ids, mirror=False):
+    """Two triangles per cell of an (a+1, b+1) array of vertex ids, cells in
+    row order: (v00, v10, v11) and (v00, v11, v01) with v_ij the corner
+    ids[row + i, col + j], or with v01 and v10 swapped when mirrored."""
+    v00, v01, v10, v11 = ids[:-1, :-1], ids[:-1, 1:], ids[1:, :-1], ids[1:, 1:]
+    if mirror:
+        v01, v10 = v10, v01
+    return np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
+
+
 def graph_mesh(fn, extent, n=64):
     """Triangulated graph of z = fn(x, y) over [-extent, extent]^2."""
     xs = np.linspace(-extent, extent, n + 1)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     Z = fn(X, Y)
     verts = np.stack([X.ravel(), Y.ravel(), np.asarray(Z).ravel()], axis=-1)
-    faces = []
-    for i in range(n):
-        for j in range(n):
-            v00 = i * (n + 1) + j
-            v01 = v00 + 1
-            v10 = v00 + (n + 1)
-            v11 = v10 + 1
-            faces += [(v00, v10, v11), (v00, v11, v01)]
-    return TriMesh(verts, np.asarray(faces, dtype=np.int64))
+    ids = np.arange((n + 1) ** 2, dtype=np.int64).reshape(n + 1, n + 1)
+    return TriMesh(verts, _grid_faces(ids))
 
 
 def flat_patch(extent, n=32):
@@ -85,15 +88,8 @@ def torus_mesh(R, r, nu=192, nv=96):
     verts = np.stack([(R + r * np.cos(V)) * np.cos(U),
                       (R + r * np.cos(V)) * np.sin(U),
                       r * np.sin(V)], axis=-1).reshape(-1, 3)
-    faces = []
-    for i in range(nu):
-        for j in range(nv):
-            a = i * nv + j
-            b = ((i + 1) % nu) * nv + j
-            a2 = i * nv + (j + 1) % nv
-            b2 = ((i + 1) % nu) * nv + (j + 1) % nv
-            faces += [(a, b, b2), (a, b2, a2)]
-    return TriMesh(verts, np.asarray(faces, dtype=np.int64))
+    ids = np.arange(nu * nv, dtype=np.int64).reshape(nu, nv)
+    return TriMesh(verts, _grid_faces(np.pad(ids, ((0, 1), (0, 1)), mode="wrap")))
 
 
 def capsule_mesh(length, radius, n_profile=64, n_around=128):
@@ -120,20 +116,12 @@ def capsule_mesh(length, radius, n_profile=64, n_around=128):
     south = np.array([[0.0, 0.0, -half - radius]])
     north = np.array([[0.0, 0.0, half + radius]])
     verts = np.concatenate([south, ring_verts, north])
-    si, ni = 0, len(verts) - 1
-
-    def rv(i, k):
-        return 1 + i * n_around + (k % n_around)
-
-    faces = []
-    for k in range(n_around):  # south fan
-        faces.append((si, rv(0, k + 1), rv(0, k)))
-    for i in range(m - 1):
-        for k in range(n_around):
-            a, b = rv(i, k), rv(i, k + 1)
-            c, d = rv(i + 1, k), rv(i + 1, k + 1)
-            faces += [(a, b, d), (a, d, c)]
-    for k in range(n_around):  # north fan
-        faces.append((ni, rv(m - 1, k), rv(m - 1, k + 1)))
-    return TriMesh(verts, np.asarray(faces, dtype=np.int64))
-
+    # ring i, azimuth k: vertex 1 + i n_around + k, the first azimuth repeated
+    rings = np.pad(1 + np.arange(m * n_around, dtype=np.int64).reshape(m, n_around),
+                   ((0, 0), (0, 1)), mode="wrap")
+    fan = np.zeros(n_around, dtype=np.int64)
+    faces = np.concatenate([
+        np.stack([fan, rings[0, 1:], rings[0, :-1]], axis=-1),  # south fan
+        _grid_faces(rings, mirror=True),
+        np.stack([fan + len(verts) - 1, rings[-1, :-1], rings[-1, 1:]], axis=-1)])
+    return TriMesh(verts, faces)

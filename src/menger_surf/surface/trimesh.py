@@ -5,7 +5,6 @@ import warnings
 import numpy as np
 
 from .. import geom
-from .sampler import AreaSampler
 
 # fixed, axis-avoiding directions for the parity votes (deterministic runs)
 _PARITY_DIRS = np.array([
@@ -28,7 +27,7 @@ CHUNK_PAIRS = 1 << 16
 _GUIDE_STEPS = 4
 
 
-class TriMesh(AreaSampler):
+class TriMesh:
     """Immutable triangle mesh with area tables, face boxes and oriented normals.
 
     ``ray_hits`` tests only the faces that can matter (see there).  Stored
@@ -181,7 +180,7 @@ class TriMesh(AreaSampler):
         return near, np.cumsum(self.face_areas[near])
 
     def cover_area(self, ball):
-        """Area of the faces that ``sample`` draws from for this ball."""
+        """Area of the faces that ``_draw`` draws from for this ball."""
         cum = self._near_faces(ball)[1]
         return float(cum[-1]) if len(cum) else 0.0
 

@@ -372,7 +372,7 @@ def _beta_directions(count, rel):
         return np.linalg.svd(rel, full_matrices=False)[2][-1:]
     if count == 600:
         return geom.cap_fibonacci(np.array([0.0, 0.6, 0.8]), 0.1, 600)
-    return analysis._fibonacci_directions(count)
+    return np.stack(geom.fibonacci_columns(2.0, count), axis=-1)
 
 
 def _check_one_product(count, n_points, seed):

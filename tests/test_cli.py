@@ -141,6 +141,33 @@ class TestDocuments:
         assert doc["seed"] == int(dict(zip(QUICK[name], QUICK[name][1:]))
                                   .get("--seed", 0))
 
+    def test_flat_oscillation_document_is_json(self, tmp_path):
+        """A flat patch has oscillation 0 at every scale: the document omits
+        the fit, whose log constant would be -inf, and stays strict JSON."""
+        mesh = shapes.flat_patch(1.0, 8)
+        path = tmp_path / "flat.obj"
+        save_obj(path, mesh.vertices, mesh.faces)
+        code, out = run_to_file(tmp_path, "flat.json", [
+            "oscillation", "--mesh", str(path), "--point", "0,0,0",
+            "--scales", "0.1,0.2,0.4", "--pairs", "50", "--seed", "1"])
+        assert code == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        doc = json.loads(out.read_text(), parse_constant=refuse)
+        validate("oscillation", doc)
+        assert [osc for _, osc in doc["results"]["profile"]] == [0.0] * 3
+        assert "fit" not in doc["results"]
+
+    def test_non_finite_result_exits_1(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setitem(cli._RUNNERS, "energy", lambda args, seed, threads:
+                            ({}, {"value": float("-inf")}, ([], [])))
+        code, out = run_to_file(tmp_path, "inf.json", QUICK["energy"])
+        assert code == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("menger-surf: ") and "Traceback" not in err
+
     def test_minimize_document(self, tmp_path, ico_obj):
         audit = tmp_path / "audit.csv"
         mesh_out = tmp_path / "final.obj"

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import exactly
 from menger_surf import InputError, analysis, energy, geom, goodtetra, minimize
 from menger_surf.integrand import IntegrandSpec, lemma_bounds
+from menger_surf.rng import substream
 from menger_surf.surface import SurfaceOracle, SurfacePoint, shapes
 
 NAN, INF = float("nan"), float("inf")
@@ -261,3 +262,37 @@ def test_public_api_refuses_bad_arguments(data, name):
     assert bad is None, f"{bad}={values[bad]!r} was accepted"
     assert _finite(result)
 
+
+
+# every seed enters through rng.substream; the annealer checks it before it
+# builds its table, since a run of 0 iterations never draws
+SEEDED = {
+    "estimate_mp": lambda seed: energy.estimate_mp(SPHERE, MENGER, 8.0, 1000,
+                                                   seed),
+    "beta_number": lambda seed: analysis.beta_number(SPHERE, POLE, 0.3, 50, 0,
+                                                     seed),
+    "verify_projection": lambda seed: goodtetra.verify_projection(
+        SPHERE, POLE, 0.5, POLE, 16, seed),
+    "minimize_energy_area_cap": lambda seed: minimize.minimize_energy_area_cap(
+        ICO0, 9.0, 10.0, 0, seed),
+}
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.7, NAN, INF, "abc", "3", None])
+@pytest.mark.parametrize("name", sorted(SEEDED))
+def test_non_integer_seed_is_refused(name, seed):
+    refused(f"seed must be an integer in (-inf, inf), got {seed!r}",
+            SEEDED[name], seed)
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED))
+def test_integer_seeds_keep_their_streams(name):
+    """Negative, numpy and large integer seeds stay legal, and a seed keys
+    its streams modulo 2**64, as it always has."""
+    for seed in (-3, np.int64(-3), 2**64 - 3, 2**70 + 5):
+        want = substream(int(seed) % 2**64, 1, 2).random(4)
+        assert np.array_equal(substream(seed, 1, 2).random(4), want)
+    a, b = SEEDED[name](-3), SEEDED[name](np.int64(-3))
+    if isinstance(a, minimize.OptimizerState):  # its repr names the mesh object
+        a, b = (a.audit, a.mesh.vertices.tolist()), (b.audit, b.mesh.vertices.tolist())
+    assert repr(a) == repr(b)

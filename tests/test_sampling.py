@@ -56,7 +56,7 @@ def _center(surf, pts, where, r, seed):
         return p + rng.uniform(-1.0, 1.0, 3) * 10.0 ** rng.uniform(-8.0, 0.0)
     if where == "edge":
         return p + r * np.eye(3)[rng.integers(3)] * rng.choice([-1.0, 1.0])
-    box = surf.sample(substream(seed, 2), 64)[0]
+    box = SurfaceOracle(surf).sample(substream(seed, 2), 64)[0]
     lo, hi = box.min(axis=0), box.max(axis=0)
     return lo + (hi - lo) * rng.random(3)
 
@@ -68,8 +68,8 @@ def test_samplers_match_oracle(kind, n, seed):
     surf = backing(kind)
     ref_rng, both_rng, pts_rng = (substream(seed, 4) for _ in range(3))
     ref_pts, ref_nrm = sample_oracle.sample(surf, ref_rng, n)
-    got_pts, got_nrm = surf.sample(both_rng, n)
-    only_pts = surf.sample_points(pts_rng, n)
+    got_pts, got_nrm = SurfaceOracle(surf).sample(both_rng, n)
+    only_pts = SurfaceOracle(surf).sample_points(pts_rng, n)
     for got in (got_pts, got_nrm, only_pts):
         assert got.shape == ref_pts.shape and got.dtype == np.float64
     assert np.array_equal(got_pts, ref_pts) and np.array_equal(got_nrm, ref_nrm)
@@ -90,7 +90,7 @@ def test_full_circle_torus_draws_unchanged(n):
     want = sample_oracle.torus(surf, ref_rng, n)[0]
     (u0, du), (v0, dv) = surf._arcs(None)
     assert (u0, du, v0, dv) == (0.0, 2.0 * np.pi, 0.0, 2.0 * np.pi)
-    assert np.array_equal(surf.sample_points(rng, n), want)
+    assert np.array_equal(SurfaceOracle(surf).sample_points(rng, n), want)
     assert np.array_equal(rng.random(4), ref_rng.random(4))
 
 
@@ -150,7 +150,8 @@ def test_cover_area_matches_closed_form(kind, where, rel_radius, seed):
     assert abs(got - want) <= 1e-12 * want, (got, want)
     assert got <= surf.total_area * (1.0 + 1e-12)
     if got == 0.0:  # an empty cover: no draw at all
-        assert len(surf.sample_points(substream(seed, 12), 100, (x, r))) == 0
+        assert len(SurfaceOracle(surf).sample_points(substream(seed, 12), 100,
+                                                     (x, r))) == 0
 
 
 def test_whole_cover_is_the_surface():
@@ -205,7 +206,7 @@ def test_local_sampler_is_area_uniform(kind, rel_radius, offset, seed):
     r = rel_radius * surf.diameter
     x = (sample_oracle.sample(surf, substream(seed, 7), 1)[0][0]
          + offset * r * rng.standard_normal(3) / np.sqrt(3.0))
-    pts = surf.sample_points(substream(seed, 9), 4000, (x, r))
+    pts = SurfaceOracle(surf).sample_points(substream(seed, 9), 4000, (x, r))
     d = pts - x
     got = pts[np.einsum("ij,ij->i", d, d) <= r * r]
     ref = sample_oracle.patch(surf, substream(seed, 10), 200000, (x, r))
@@ -290,9 +291,9 @@ def test_small_ball_culls_most_draws(kind):
     """The cover of a small ball leaves out most of the surface before any
     draw, and the n draws on it reach the ball."""
     surf = backing(kind)
-    x = surf.sample(substream(0, 1), 1)[0][0]
+    x = SurfaceOracle(surf).sample(substream(0, 1), 1)[0][0]
     ball = (x, 0.05 * surf.diameter)
-    pts, _ = surf.sample(substream(0, 2), 4096, ball)
+    pts, _ = SurfaceOracle(surf).sample(substream(0, 2), 4096, ball)
     d = np.linalg.norm(pts - x, axis=1)
     assert len(pts) == 4096 and np.any(d <= ball[1])
     assert 0.0 < surf.cover_area(ball) < surf.total_area / 2.0
@@ -303,10 +304,10 @@ class FullSampler(SurfaceOracle):
     every caller filters the full sample(rng, n) with its own exact test."""
 
     def sample(self, rng, n, ball=None):
-        return self.backing.sample(rng, n)
+        return super().sample(rng, n)
 
     def sample_points(self, rng, n, ball=None):
-        return self.backing.sample(rng, n)[0]
+        return super().sample(rng, n)[0]
 
     def cover_area(self, ball):
         return self.total_area
@@ -330,7 +331,7 @@ def test_patch_samples_match_full_sample(kind, rel_radius, seed):
     """The patch samples from the cover follow the law of those culled from
     whole-surface draws, and the cover fills every request."""
     surf = backing(kind)
-    x = surf.sample(substream(seed, 1), 1)[0][0]
+    x = SurfaceOracle(surf).sample(substream(seed, 1), 1)[0][0]
     r = rel_radius * surf.diameter
     got = analysis.patch_samples(SurfaceOracle(surf), x, r, 3000, seed)
     ref = analysis.patch_samples(FullSampler(surf), x, r, 3000, seed)
@@ -349,7 +350,7 @@ def test_local_energy_matches_full_sample(kind, rel_radius, seed):
     """The estimate from the cover, with patch area cover_area * q, agrees
     with the one from whole-surface draws within 4 combined error bars."""
     surf = backing(kind)
-    x = surf.sample(substream(seed, 1), 1)[0][0]
+    x = SurfaceOracle(surf).sample(substream(seed, 1), 1)[0][0]
     r = rel_radius * surf.diameter
     got = energy.local_energy(SurfaceOracle(surf), x, r, CIRCUM, 1.0, 500,
                               seed)

@@ -206,7 +206,7 @@ class TestSampling:
         mesh = TriMesh(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], float),
                        np.array([[0, 1, 2]]))
         rng = substream(5, 1)
-        pts, _ = mesh.sample(rng, 2000)
+        pts, _ = SurfaceOracle(mesh).sample(rng, 2000)
         assert (pts[:, 2] == 0).all()
         assert (pts[:, 0] >= -1e-12).all() and (pts[:, 1] >= -1e-12).all()
         assert (pts[:, 0] + pts[:, 1] <= 1 + 1e-12).all()
