@@ -330,8 +330,10 @@ def _run_oscillation(args, seed, threads):
     config = {"surface": oracle.describe(), "point": point.tolist(),
               "scales": scales, "pairs": args.pairs}
     results = {"profile": _document(profile)}
-    if len(profile) >= 3 and any(osc > 0.0 for _, osc in profile):
-        results["fit"] = _document(analysis.holder_exponent_fit(profile))
+    # fit only the scales with positive oscillation, when 3 or more have it
+    positive = [(d, osc) for d, osc in profile if osc > 0.0]
+    if len(positive) >= 3:
+        results["fit"] = _document(analysis.holder_exponent_fit(positive))
     return config, results, (["scale", "max_oscillation"], profile)
 
 

@@ -9,7 +9,8 @@ the Monte-Carlo layers.
 Degeneracy is always measured relative to the simplex scale so that every
 predicate stays invariant under rescaling:
 
-* a triangle is degenerate when ``area < 1e-14 * longest_edge**2``;
+* a triangle is non-degenerate when ``area >= 1e-14 * longest_edge**2`` and
+  ``longest_edge > 0`` (``triangles``, the one place that applies it);
 * a quadruple is coplanar when ``min_height < 1e-12 * diameter``.
 """
 
@@ -78,6 +79,14 @@ def as_tetra(T):
     if not np.all(np.isfinite(T)):
         raise InputError("T has non-finite coordinates")
     return T
+
+
+def as_points(v, name):
+    """v as a (k, 3) array of finite floats."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 3 or not np.all(np.isfinite(v)):
+        raise InputError(f"{name} must be a (k, 3) array of finite numbers")
+    return v
 
 
 class SimplexMeasures(NamedTuple):
@@ -180,8 +189,24 @@ def tri_areas(tri):
 
 
 def corner_areas(a, b, c):
-    """Areas of the triangles whose corners are the rows of three (m,3) arrays."""
+    """Areas of the triangles whose corners are the rows of three (m,3) arrays:
+    the bits of ``triangles(a, b, c).area``, without its edges and mask."""
     return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+
+
+def triangles(a, b, c):
+    """(cross, area, edges, ok) of the triangles whose corners are the rows
+    of three (m,3) arrays: (b - a) x (c - a), the area, the (m,3) edge
+    lengths |b - a|, |c - a|, |c - b| and the non-degenerate rows (module
+    docstring)."""
+    ab, ac = b - a, c - a
+    cross = np.cross(ab, ac)
+    area = 0.5 * np.linalg.norm(cross, axis=1)
+    edges = np.stack([np.linalg.norm(ab, axis=1), np.linalg.norm(ac, axis=1),
+                      np.linalg.norm(c - b, axis=1)], axis=-1)
+    longest = edges.max(axis=-1)
+    ok = (area >= TRI_DEGENERACY_REL * longest**2) & (longest > 0.0)
+    return cross, area, edges, ok
 
 
 def simplex_measures(T):
@@ -203,15 +228,11 @@ def circumradius_triangle(x, y, z):
     relative tolerance).
     """
     x, y, z = as_point(x, "x"), as_point(y, "y"), as_point(z, "z")
-    a = np.linalg.norm(x - y)
-    b = np.linalg.norm(x - z)
-    c = np.linalg.norm(y - z)
-    cross = np.cross(y - x, z - x)
-    area = 0.5 * np.linalg.norm(cross)
-    longest = max(a, b, c)
-    if area < TRI_DEGENERACY_REL * longest**2 or longest == 0.0:
+    _, area, edges, ok = triangles(x[None], y[None], z[None])
+    if not ok[0]:
         raise InputError("x, y, z: degenerate triangle")
-    return float(a * b * c / (4.0 * area))
+    a, b, c = edges[0]
+    return float(a * b * c / (4.0 * area[0]))
 
 
 def _circumsphere_chunk(P):
@@ -251,13 +272,10 @@ def circumsphere_radius(T):
 def point_plane_distance(p, a, b, c):
     """Unsigned distance from p to the affine plane through a, b, c."""
     p, a, b, c = (as_point(v, name) for v, name in zip((p, a, b, c), "pabc"))
-    cross = np.cross(b - a, c - a)
-    nrm = np.linalg.norm(cross)
-    longest = max(np.linalg.norm(b - a), np.linalg.norm(c - a),
-                  np.linalg.norm(c - b))
-    if 0.5 * nrm < TRI_DEGENERACY_REL * longest**2 or longest == 0.0:
+    cross, area, _, ok = triangles(a[None], b[None], c[None])
+    if not ok[0]:
         raise InputError("a, b, c: degenerate plane")
-    return float(abs((p - a) @ cross) / nrm)
+    return float(abs((p - a) @ cross[0]) / (2.0 * area[0]))
 
 
 def tetra_distance(T, T2):
@@ -367,12 +385,11 @@ def classify_voluminous_batch(P, theta, d):
     for i in (0, 1, 2):
         ok &= _norm(P[:, i] - P[:, 3]) >= theta * d
 
-    cross = np.cross(P[:, 1] - x0, P[:, 2] - x0)
-    ncross = _norm(cross)
-    base_ok = ncross > 0.0
+    cross, area, _, base_ok = triangles(x0, P[:, 1], P[:, 2])
     dist = np.zeros(len(P))
     w = P[:, 3] - x0
-    dist[base_ok] = np.abs(np.einsum("ij,ij->i", w[base_ok], cross[base_ok])) / ncross[base_ok]
+    dist[base_ok] = (np.abs(np.einsum("ij,ij->i", w[base_ok], cross[base_ok]))
+                     / (2.0 * area[base_ok]))
     return ok & base_ok & (dist >= theta * d)
 
 

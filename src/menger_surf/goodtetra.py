@@ -244,11 +244,10 @@ def _rim_vertex(oracle, x0, v, r, plane_normal, params, first=None):
 
 
 def _plane_normal(x0, p1, p2):
-    n = np.cross(p1 - x0, p2 - x0)
-    nrm = np.linalg.norm(n)
-    if nrm == 0.0:
+    cross, area, _, ok = geom.triangles(x0[None], p1[None], p2[None])
+    if not ok[0]:
         raise RuntimeError("selected vertices are collinear with the seed")
-    return n / nrm
+    return cross[0] / (2.0 * area[0])
 
 
 def _eta_achieved(T, d_s):
@@ -322,13 +321,18 @@ def find_good_tetra(oracle, seed_point, params=None):
                        "(insufficient resolution or non-admissible surface)")
 
 
-def _project_unit(y, v, rho):
+def _hit_frame(y, v, tol):
+    """The frame of a hit y seen along the unit axis v: (v turned toward y,
+    the unit part u of y across it, v x u, whether ``orthobasis`` stood in
+    for u because that part is shorter than tol)."""
+    if (y @ v) < 0.0:
+        v = -v
     w = y - (y @ v) * v
     nrm = np.linalg.norm(w)
-    if nrm < 1e-12 * rho:
-        e1, _ = geom.orthobasis(v)
-        return e1
-    return w / nrm
+    if nrm < tol:
+        return (v, *geom.orthobasis(v), True)
+    u = w / nrm
+    return v, u, np.array(geom.cross3(v, u)), False
 
 
 def _case_central(oracle, x0, v, r, y1, params):
@@ -338,16 +342,7 @@ def _case_central(oracle, x0, v, r, y1, params):
     Returns (axis, x2, first, label); for a hit on the axis, ``first`` is the
     rim point that the fourth vertex's scan tries first, else None.
     """
-    if (y1 @ v) < 0.0:
-        v = -v
-    w = y1 - (y1 @ v) * v
-    axial = np.linalg.norm(w) < params.hit_tolerance * r
-    if axial:
-        u, e2 = geom.orthobasis(v)
-    else:
-        u = w / np.linalg.norm(w)
-        e2 = np.cross(v, u)
-
+    v, u, e2, axial = _hit_frame(y1, v, params.hit_tolerance * r)
     z2 = -r * e2
     for f in _RIM_FACTORS:
         a, b = _rim_segments(x0, v, f * z2,
@@ -370,10 +365,8 @@ def _case_antipodal(oracle, x0, v, rho, y1, params):
     (c)); the axis is rotated away from the hit's side, as seen from the cone
     half that contains the hit.
     """
-    if (y1 @ v) < 0.0:
-        v = -v
-    u = _project_unit(y1, v, rho)
-    w = np.cross(u, v)
+    v, _, vu, _ = _hit_frame(y1, v, 1e-12 * rho)
+    w = -vu  # u x v, the axis that turns v away from the hit
 
     n_scan = 64
     band_lo = 0.5 * rho * (1.0 - params.hit_tolerance)

@@ -153,21 +153,15 @@ def eval_batch(spec, P):
     if spec.kind == "leger":
         base = _canonical_points(P[:, :3])
         x, y, z, xi = base[:, 0], base[:, 1], base[:, 2], P[:, 3]
-        cross = np.cross(y - x, z - x)
-        ncross = np.sqrt(np.einsum("ij,ij->i", cross, cross))
-        edges = np.stack([np.linalg.norm(y - x, axis=1),
-                          np.linalg.norm(z - x, axis=1),
-                          np.linalg.norm(z - y, axis=1)], axis=-1)
-        longest = edges.max(axis=-1)
-        base_ok = 0.5 * ncross >= geom.TRI_DEGENERACY_REL * longest**2
-        base_ok &= longest > 0.0
+        cross, area, _, base_ok = geom.triangles(x, y, z)
         da = np.linalg.norm(xi - x, axis=1)
         db = np.linalg.norm(xi - y, axis=1)
         dc = np.linalg.norm(xi - z, axis=1)
         m = _mean_batch(spec.mean, da, db, dc)
         ok = base_ok & (m > 0.0)
         out = np.zeros(len(P))
-        dist = np.abs(np.einsum("ij,ij->i", xi[ok] - x[ok], cross[ok])) / ncross[ok]
+        dist = (np.abs(np.einsum("ij,ij->i", xi[ok] - x[ok], cross[ok]))
+                / (2.0 * area[ok]))
         out[ok] = dist / m[ok] ** spec.alpha
         return out
     # the symmetric kinds, on canonically ordered vertices

@@ -39,14 +39,16 @@ misses the surface.  Callers that keep only the points of a patch apply their
 own exact test to what comes back, and the fraction they keep, times
 ``cover_area``, estimates the patch area.  The oracle checks its arguments
 once per call: InputError for a count that is not an integer >= 0, or a
-ball whose centre is not finite or whose radius is not finite and positive.
+ball whose centre is not finite or whose radius is not finite and positive;
+so do ``band_min_hits`` and ``segment_hits`` for their points, directions
+and band.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from ..geom import InputError, as_point, finite_in, integer_in
+from ..geom import InputError, as_point, as_points, finite_in, integer_in
 from .analytic import Capsule, SaddlePatch, Sphere, Torus
 from .io import MeshParseError, load_obj, load_off, save_obj, save_off
 from .trimesh import TriMesh
@@ -146,8 +148,13 @@ class SurfaceOracle:
     def band_min_hits(self, origin, dirs, tmin, tmax):
         """Per-ray smallest hit parameter within [tmin, tmax] (inf for none).
 
-        Hits below tmin do not occlude the band.
+        Hits below tmin do not occlude the band.  tmin must be finite and
+        tmax at least tmin (it may be inf).
         """
+        origin, dirs = as_point(origin, "origin"), as_points(dirs, "dirs")
+        tmin = finite_in(tmin, "tmin", -np.inf)
+        if not tmin <= float(tmax):
+            raise InputError(f"tmax must be a number in [tmin, inf], got {tmax!r}")
         out = np.full(len(dirs), np.inf)
         ray, t = self.ray_hits(origin, dirs, tmin, tmax)
         np.minimum.at(out, ray, t)
@@ -159,8 +166,8 @@ class SurfaceOracle:
         Hits closer than 1e-12 in the segment parameter count once (a ray
         through a shared mesh edge meets both faces).
         """
-        a = np.asarray(a, dtype=float)
-        d = np.asarray(b, dtype=float) - a
+        a = as_point(a, "a")
+        d = as_point(b, "b") - a
         # one per-ray origin: a mesh keeps the face view of a search's seed
         _, t = self.ray_hits(a[None], d[None], -1e-12, 1.0 + 1e-12)
         t = np.sort(t)

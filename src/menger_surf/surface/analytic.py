@@ -25,9 +25,6 @@ def _solve_quadratic_batch(A, B, C):
     mask of the real ones; a linear equation fills both slots with its
     single root.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    C = np.asarray(C, dtype=float)
     lin = np.abs(A) < 1e-300
     disc = B * B - 4.0 * A * C
     valid = (disc >= 0.0) & ~lin
@@ -44,41 +41,17 @@ def _solve_quadratic_batch(A, B, C):
     return ts, np.stack([valid, valid], axis=1)
 
 
+def _dot(u, w):
+    """u @ w over the last axis, row by row, for broadcast operands."""
+    return np.einsum("...i,...i->...", u, w)
+
+
 def _sphere_roots(o, dirs, radius):
     """``_solve_quadratic_batch`` for |o + t dirs[i]| = radius, with one
-    origin (3,) or one per ray (k, 3) relative to the centre."""
-    return _solve_quadratic_batch(
-        np.einsum("ij,ij->i", dirs, dirs), _origin_dots(2.0 * dirs, o),
-        _dots(o, o) - radius**2)
-
-
-def _origin_dots(dirs, o):
-    """dirs[i] @ o, or dirs[i] @ o[i] for per-ray origins (k, 3).
-
-    Always in the bits of a matrix-vector product of two or more rows: a
-    one-row product takes another BLAS path, so it is padded, and per-ray
-    origins run one two-row product each.
-    """
-    if o.ndim == 2:
-        return (np.stack([dirs, dirs], axis=1) @ o[:, :, None])[:, 0, 0]
-    if len(dirs) == 1:
-        return (np.concatenate([dirs, dirs]) @ o)[:1]
-    return dirs @ o
-
-
-def _dots(u, w):
-    """u @ w row by row for (3,) or (k, 3) operands, in the bits of a 1-D dot."""
-    if u.ndim == w.ndim == 1:
-        return u @ w
-    u, w = np.broadcast_arrays(u, w)
-    return (u[:, None, :] @ w[:, :, None])[:, 0, 0]
-
-
-def _squares_xy(v):
-    """v_x**2 + v_y**2 per row of v, squared by C ``pow`` as numpy scalars are;
-    ``np.square`` (x * x) differs from it in the last bit on ~0.1 % of inputs."""
-    sq = np.asarray(v, dtype=object)[..., :2] ** 2
-    return np.asarray(sq[..., 0] + sq[..., 1], dtype=float)
+    origin or one per ray relative to the centre; on (..., 2) operands,
+    the circle of the xy plane."""
+    return _solve_quadratic_batch(_dot(dirs, dirs), _dot(2.0 * dirs, o),
+                                  _dot(o, o) - radius**2)
 
 
 def _arc(center, chord, reach):
@@ -266,9 +239,11 @@ class Torus:
         return -np.stack([cv * cu, cv * su, sv], axis=-1)
 
     def _implicit(self, p):
+        """(|p|^2 + R^2 - r^2)^2 - 4 R^2 (x^2 + y^2), zero on the torus, and
+        its inner term q = |p|^2 + R^2 - r^2."""
         x, y, z = p[..., 0], p[..., 1], p[..., 2]
         q = x * x + y * y + z * z + self.R**2 - self.r**2
-        return q * q - 4.0 * self.R**2 * (x * x + y * y)
+        return q * q - 4.0 * self.R**2 * (x * x + y * y), q
 
     def _ray_roots(self, a, dirs):
         """Polished real roots of every ray's quartic, as (ray index, t).
@@ -278,10 +253,9 @@ class Torus:
         times the largest, found by one stacked ``eigvals`` call per
         (leading skip, trailing zeros) group and one Newton polish for all.
         """
-        # in the bits of np.convolve on 1-D dots and pow squares
-        # (tests/torus_oracle.py)
-        ad, dd, dxy = _dots(a, dirs), _dots(dirs, dirs), _squares_xy(dirs)
-        q0 = _dots(a, a) + self.R**2 - self.r**2
+        ad, dd = _dot(a, dirs), _dot(dirs, dirs)
+        dxy = dirs[:, 0] * dirs[:, 0] + dirs[:, 1] * dirs[:, 1]
+        q0 = _dot(a, a) + self.R**2 - self.r**2
         q1 = 2.0 * ad
         k = 4.0 * self.R**2
         coeffs = np.stack(np.broadcast_arrays(
@@ -290,7 +264,8 @@ class Torus:
             q0 * dd + q1 * q1 + dd * q0 - k * dxy,
             q0 * q1 + q1 * q0
             - k * (2.0 * (a[..., 0] * dirs[:, 0] + a[..., 1] * dirs[:, 1])),
-            q0 * q0 - k * _squares_xy(a)), axis=1)
+            q0 * q0 - k * (a[..., 0] * a[..., 0] + a[..., 1] * a[..., 1])),
+            axis=1)
         lead = np.max(np.abs(coeffs), axis=1, keepdims=True) + 1e-300
         big = np.abs(coeffs) > 1e-14 * lead
         # no root where only the constant coefficient, or none, is above it
@@ -322,12 +297,11 @@ class Torus:
         a + t * dirs[i] (a shared or one origin per root) for each root t[i]."""
         for _ in range(3):
             p = a + t[:, None] * dirs
-            f = self._implicit(p)
+            f, q = self._implicit(p)
             x, y, z = p[:, 0], p[:, 1], p[:, 2]
-            qv = x * x + y * y + z * z + self.R**2 - self.r**2
-            grad = np.stack([4.0 * x * qv - 8.0 * self.R**2 * x,
-                             4.0 * y * qv - 8.0 * self.R**2 * y,
-                             4.0 * z * qv], axis=-1)
+            grad = np.stack([4.0 * x * q - 8.0 * self.R**2 * x,
+                             4.0 * y * q - 8.0 * self.R**2 * y,
+                             4.0 * z * q], axis=-1)
             df = np.einsum("ij,ij->i", grad, dirs)
             step = np.where(np.abs(df) > 1e-300, f / np.where(df == 0, 1.0, df), 0.0)
             t = t - np.clip(step, -0.1, 0.1)
@@ -553,10 +527,7 @@ class Capsule:
         dirs = np.asarray(dirs, dtype=float)
         # the roots on the wall (columns 0-1), the top cap (2-3) and the
         # bottom cap (4-5), each kept if its point lies on that part
-        roots = [_solve_quadratic_batch(
-            dirs[:, 0]**2 + dirs[:, 1]**2,
-            2.0 * (o[..., 0] * dirs[:, 0] + o[..., 1] * dirs[:, 1]),
-            _squares_xy(o) - self.radius**2)]
+        roots = [_sphere_roots(o[..., :2], dirs[:, :2], self.radius)]
         roots += [_sphere_roots(o - (0.0, 0.0, cz), dirs, self.radius)
                   for cz in (self.half, -self.half)]
         ts = np.concatenate([t for t, _ in roots], axis=1)

@@ -38,26 +38,15 @@ class TriMesh:
     """
 
     def __init__(self, vertices, faces):
-        vertices = np.asarray(vertices, dtype=float)
+        vertices = geom.as_points(vertices, "vertices")
         faces = np.asarray(faces, dtype=np.int64)
-        if vertices.ndim != 2 or vertices.shape[1] != 3:
-            raise geom.InputError("vertices must be (n, 3)")
         if faces.ndim != 2 or faces.shape[1] != 3:
             raise geom.InputError("faces must be (m, 3) vertex indices")
         if len(faces) and (faces.min() < 0 or faces.max() >= len(vertices)):
             raise geom.InputError("faces: face index out of range")
-        if not np.all(np.isfinite(vertices)):
-            raise geom.InputError("vertices: non-finite vertex coordinates")
 
         tri = vertices[faces]
-        cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-        areas = geom.tri_areas(tri)
-        edges = np.stack([
-            np.linalg.norm(tri[:, 1] - tri[:, 0], axis=1),
-            np.linalg.norm(tri[:, 2] - tri[:, 0], axis=1),
-            np.linalg.norm(tri[:, 2] - tri[:, 1], axis=1)], axis=-1)
-        longest = edges.max(axis=-1)
-        keep = areas > geom.TRI_DEGENERACY_REL * longest**2
+        cross, areas, edges, keep = geom.triangles(tri[:, 0], tri[:, 1], tri[:, 2])
         self.n_dropped = int(len(faces) - keep.sum())
         if self.n_dropped == len(faces):  # the error alone, without a warning
             raise geom.InputError("empty mesh after removing degenerate faces")

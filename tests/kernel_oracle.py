@@ -86,7 +86,7 @@ def eval_batch(spec, P):
         base = canonical_points(P[:, :3])
         x, y, z, xi = base[:, 0], base[:, 1], base[:, 2], P[:, 3]
         cross = np.cross(y - x, z - x)
-        ncross = np.sqrt(np.einsum("ij,ij->i", cross, cross))
+        ncross = np.linalg.norm(cross, axis=1)
         edges = np.stack([np.linalg.norm(y - x, axis=1),
                           np.linalg.norm(z - x, axis=1),
                           np.linalg.norm(z - y, axis=1)], axis=-1)

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -9,6 +10,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -160,6 +162,30 @@ class TestDocuments:
         assert [osc for _, osc in doc["results"]["profile"]] == [0.0] * 3
         assert "fit" not in doc["results"]
 
+    def test_oscillation_fits_its_positive_scales(self, tmp_path):
+        """A patch flat near the point and bent further out has oscillation 0
+        at the smallest scale: the fit leaves that scale out, and the
+        document omits it while fewer than 3 positive scales remain."""
+        mesh = shapes.graph_mesh(lambda x, y: np.maximum(x - 0.15, 0.0)**2,
+                                 1.0, 32)
+        path = tmp_path / "bend.obj"
+        save_obj(path, mesh.vertices, mesh.faces)
+        argv = ["oscillation", "--mesh", str(path), "--point", "0,0,0",
+                "--pairs", "50", "--seed", "1"]
+        for scales, fitted in (("0.1,0.2,0.4", False),
+                               ("0.1,0.2,0.4,0.6", True)):
+            code, out = run_to_file(tmp_path, "bend.json",
+                                    argv + ["--scales", scales])
+            assert code == 0
+            doc = json.loads(out.read_text())
+            validate("oscillation", doc)
+            profile = doc["results"]["profile"]
+            assert profile[0][1] == 0.0
+            assert ("fit" in doc["results"]) == fitted
+            if fitted:
+                fit = analysis.holder_exponent_fit(profile[1:])
+                assert doc["results"]["fit"] == dataclasses.asdict(fit)
+
     def test_non_finite_result_exits_1(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setitem(cli._RUNNERS, "energy", lambda args, seed, threads:
                             ({}, {"value": float("-inf")}, ([], [])))
@@ -249,8 +275,7 @@ class TestCsv:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("name", ["energy", "scaling", "diverge",
-                                      "local-energy"])
+    @pytest.mark.parametrize("name", sorted(QUICK))
     def test_thread_count_invariance(self, tmp_path, name):
         outs = []
         for t in (1, 4, 8):

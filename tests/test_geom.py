@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from pytest import approx
 
 import kernel_oracle
 from conftest import random_rotations, random_tetrahedra, voluminous_tetrahedra
-from menger_surf import geom
+from menger_surf import InputError, geom
+from menger_surf.surface import TriMesh
 
 REG_TET = np.array([
     [0.0, 0.0, 0.0],
@@ -123,6 +127,60 @@ class TestPointPlane:
     def test_degenerate_plane(self):
         with pytest.raises(ValueError, match="degenerate plane"):
             geom.point_plane_distance([0, 0, 1], [0, 0, 0], [1, 0, 0], [2, 0, 0])
+
+
+# dyadic coordinates, so that scaling by 2**k is exact and never underflows
+coords = st.integers(-640, 640).map(lambda i: i / 64.0)
+points = st.tuples(coords, coords, coords).map(np.array)
+
+
+@st.composite
+def corner_triples(draw):
+    """The corners of a general, a nearly collinear or a one-point triangle."""
+    a, b = draw(points), draw(points)
+    kind = draw(st.sampled_from(["general", "sliver", "point"]))
+    if kind == "general":
+        return a, b, draw(points)
+    if kind == "point":
+        return a, a, a
+    # off the line through a and b by 1e-20 to 1e-4, across the threshold
+    along, off = draw(coords), 10.0 ** draw(st.floats(-20.0, -4.0))
+    return a, b, a + along * (b - a) + off * draw(points)
+
+
+class TestTriangles:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(corner_triples(), min_size=1, max_size=6),
+           k=st.integers(-30, 30))
+    def test_one_degeneracy_rule(self, rows, k):
+        a, b, c = (np.array(col) for col in zip(*rows))
+        ok = geom.triangles(a, b, c)[3]
+        scaled = geom.triangles(a * 2.0**k, b * 2.0**k, c * 2.0**k)[3]
+        assert np.array_equal(scaled, ok)
+        for i, keep in enumerate(ok):
+            calls = (lambda: geom.circumradius_triangle(a[i], b[i], c[i]),
+                     lambda: geom.point_plane_distance(a[i], a[i], b[i], c[i]))
+            for call in calls:
+                if keep:
+                    call()
+                else:
+                    with pytest.raises(InputError, match="degenerate"):
+                        call()
+        m = len(rows)
+        faces = np.arange(3 * m).reshape(3, m).T
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "dropped .* zero-area faces")
+            if not ok.any():
+                with pytest.raises(InputError, match="empty mesh"):
+                    TriMesh(np.concatenate([a, b, c]), faces)
+                return
+            mesh = TriMesh(np.concatenate([a, b, c]), faces)
+        assert mesh.n_dropped == m - ok.sum()
+
+    def test_area_has_corner_areas_bits(self, rng):
+        a, b, c = rng.standard_normal((3, 1000, 3))
+        assert np.array_equal(geom.triangles(a, b, c)[1],
+                              geom.corner_areas(a, b, c))
 
 
 class TestTetraDistance:

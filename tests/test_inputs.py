@@ -107,6 +107,15 @@ PROBES = {
     "patch-negative-r": (
         "r must be a finite number in (0, inf), got -1.0",
         analysis.patch_samples, SPHERE, POLE, -1.0, 100),
+    "band-inverted": (  # returned [inf inf]
+        "tmax must be a number in [tmin, inf], got -1.0", SPHERE.band_min_hits,
+        np.zeros(3), np.ones((2, 3)), 1.0, -1.0),
+    "band-2-vector-origin": (  # numpy's "operands could not be broadcast"
+        "origin must be a point of 3 coordinates", SPHERE.band_min_hits,
+        np.zeros(2), np.ones((2, 3)), 0.0, 1.0),
+    "segment-nan": (  # returned []
+        "b has non-finite coordinates", SPHERE.segment_hits, np.zeros(3),
+        [NAN, 0.0, 0.0]),
 }
 
 
@@ -205,6 +214,15 @@ API = {
                       [(0.1, 0.1), (INF, 0.3), (0.4, 0.5)],
                       [(0.1, -0.1), (0.2, 0.3), (0.4, 0.5)],
                       [(0.0, 0.1), (0.2, 0.3), (0.4, 0.5)]])}),
+    "band_min_hits": (lambda a: SPHERE.band_min_hits(
+        a["origin"], a["dirs"], a["tmin"], a["tmax"]),
+        {"origin": (np.zeros(3), POINTS + [[0.0, 1.0]]),
+         "dirs": (np.eye(3), [np.ones(3), np.ones((2, 2)), [[NAN, 0.0, 1.0]],
+                              [[0.0, INF, 1.0]]]),
+         "tmin": (0.5, [NAN, INF, -INF]), "tmax": (2.0, [NAN, -INF, 0.0])}),
+    "segment_hits": (lambda a: SPHERE.segment_hits(a["a"], a["b"]),
+                     {"a": (np.zeros(3), POINTS + [[0.0, 1.0]]),
+                      "b": (POLE, POINTS + [[0.0, 1.0]])}),
     "find_good_tetra": (_search, {
         "seed_point.position": (POLE, ON_SURFACE),
         "seed_point.normal": (POLE, VECTORS),

@@ -227,7 +227,8 @@ def test_torus_roots_match_per_ray_roots(origin, axis, cap, scale, n):
 
 def test_torus_batch_keeps_per_ray_rounding():
     # rays whose libm square d[0]**2 differs from d[0] * d[0] in the last
-    # bit, which moves the first hit by an ulp
+    # bit, which moves the first hit by an ulp: the batch and the per-ray
+    # roots must square alike
     cases = [([-1.9588128824443378, -0.7475168052714901, 0.3748572069461935],
               [0.38231912738393503, -0.698761714081058, 0.6046190137358304]),
              ([3.0, 0.0, 0.0],
@@ -241,7 +242,7 @@ def test_torus_batch_keeps_per_ray_rounding():
 def test_torus_zero_constant_term_deflates():
     # np.roots drops the zero root before solving; so must the batch
     origin = EXACT_ON_TORUS[0]
-    assert TORUS._implicit(origin) == 0.0
+    assert TORUS._implicit(origin)[0] == 0.0
     rays, ts = TORUS._ray_roots(origin, np.array([[-1.0, 0.0, 0.0]]))
     assert list(rays) == [0, 0, 0, 0]
     assert np.sort(ts) == approx([0.0, 2.0, 4.0, 6.0], abs=1e-12)

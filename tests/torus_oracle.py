@@ -10,21 +10,26 @@ coefficient to: ``np.roots`` on the quartic from its first coefficient above
 ``Sphere.ray_hits`` and ``Capsule.ray_hits`` bodies, each with its own
 sphere quadratic.  ``self`` is renamed ``surf`` throughout.  The backings
 must give the same roots and (ray, t) pairs bit for bit
-(``tests/test_rays.py``).
+(``tests/test_rays.py``), so the dot products of whole vectors here are
+the backings' row-wise ``einsum`` and every square is x * x.
 """
 
 import numpy as np
 
-from menger_surf.surface.analytic import (_dots, _hits, _origin_dots,
-                                          _squares_xy)
+from menger_surf.surface.analytic import _hits
+
+
+def _dot(u, w):
+    return np.einsum("...i,...i->...", u, w)
 
 
 def segment_roots(surf, a, d):
     # (|p|^2 + R^2 - r^2)^2 = 4 R^2 (px^2 + py^2) as a quartic in t
-    q = np.array([a @ a + surf.R**2 - surf.r**2, 2.0 * (a @ d), d @ d])
-    w = np.array([a[0]**2 + a[1]**2,
+    q = np.array([_dot(a, a) + surf.R**2 - surf.r**2, 2.0 * _dot(a, d),
+                  _dot(d, d)])
+    w = np.array([a[0] * a[0] + a[1] * a[1],
                   2.0 * (a[0] * d[0] + a[1] * d[1]),
-                  d[0]**2 + d[1]**2])
+                  d[0] * d[0] + d[1] * d[1]])
     poly = np.convolve(q, q)
     poly[:3] -= 4.0 * surf.R**2 * w
     # highest-degree first for np.roots
@@ -68,8 +73,7 @@ def sphere_ray_hits(surf, origins, dirs, tmin, tmax):
     o = np.asarray(origins, dtype=float) - surf.center
     dirs = np.asarray(dirs, dtype=float)
     t1, t2, valid = solve_quadratic_batch(
-        np.einsum("ij,ij->i", dirs, dirs), _origin_dots(2.0 * dirs, o),
-        _dots(o, o) - surf.radius**2)
+        _dot(dirs, dirs), _dot(2.0 * dirs, o), _dot(o, o) - surf.radius**2)
     return _hits(np.stack([t1, t2], axis=1), valid[:, None], tmin, tmax)
 
 
@@ -78,9 +82,9 @@ def capsule_ray_hits(surf, origins, dirs, tmin, tmax):
     dirs = np.asarray(dirs, dtype=float)
     cands = np.full((len(dirs), 6), np.inf)
     # wall
-    A = dirs[:, 0]**2 + dirs[:, 1]**2
+    A = dirs[:, 0] * dirs[:, 0] + dirs[:, 1] * dirs[:, 1]
     B = 2.0 * (o[..., 0] * dirs[:, 0] + o[..., 1] * dirs[:, 1])
-    C = _squares_xy(o) - surf.radius**2
+    C = o[..., 0] * o[..., 0] + o[..., 1] * o[..., 1] - surf.radius**2
     t1, t2, valid = solve_quadratic_batch(A, B, C)
     for col, t in ((0, t1), (1, t2)):
         tf = np.where(np.isfinite(t), t, 0.0)
@@ -92,9 +96,9 @@ def capsule_ray_hits(surf, origins, dirs, tmin, tmax):
         cz = sign * surf.half
         oz = o.copy()
         oz[..., 2] -= cz
-        A = np.einsum("ij,ij->i", dirs, dirs)
-        B = _origin_dots(2.0 * dirs, oz)
-        C = _dots(oz, oz) - surf.radius**2
+        A = _dot(dirs, dirs)
+        B = _dot(2.0 * dirs, oz)
+        C = _dot(oz, oz) - surf.radius**2
         t1, t2, valid = solve_quadratic_batch(A, B, C)
         for dcol, t in ((0, t1), (1, t2)):
             tf = np.where(np.isfinite(t), t, 0.0)
