@@ -37,11 +37,17 @@ an xy box on the saddle and the faces whose boxes reach the ball on a mesh.
 A cover is empty (area 0, and the draw returns no rows) only where the ball
 misses the surface.  Callers that keep only the points of a patch apply their
 own exact test to what comes back, and the fraction they keep, times
-``cover_area``, estimates the patch area.  The oracle checks its arguments
-once per call: InputError for a count that is not an integer >= 0, or a
-ball whose centre is not finite or whose radius is not finite and positive;
-so do ``band_min_hits`` and ``segment_hits`` for their points, directions
-and band.
+``cover_area``, estimates the patch area.
+
+The oracle checks every argument once per call, and the backings take what
+it passes on as it is: InputError for a count that is not an integer >= 0,
+a ball whose centre is not finite or whose radius is not finite and
+positive, a query point p of ``inside``, ``normal_at`` or
+``surface_distance`` that is not a finite point (3,), and for ``ray_hits``
+origins that are not one finite point or one per ray, directions that are
+not a finite (k, 3) array, a tmin that is not finite or a tmax below it.
+``band_min_hits`` checks its one origin and ``segment_hits`` its ends, and
+both leave the rest to ``ray_hits``.
 """
 
 from typing import NamedTuple
@@ -143,20 +149,27 @@ class SurfaceOracle:
         return float(self.backing.cover_area(_checked(ball)))
 
     def ray_hits(self, origins, dirs, tmin, tmax):
-        return self.backing.ray_hits(origins, dirs, tmin, tmax)
-
-    def band_min_hits(self, origin, dirs, tmin, tmax):
-        """Per-ray smallest hit parameter within [tmin, tmax] (inf for none).
-
-        Hits below tmin do not occlude the band.  tmin must be finite and
-        tmax at least tmin (it may be inf).
-        """
-        origin, dirs = as_point(origin, "origin"), as_points(dirs, "dirs")
+        """Every hit t in [tmin, tmax] of the rays origins + t * dirs[i], as
+        (ray index, t) pairs (module docstring).  origins is one finite point
+        (3,) or one per ray (k, 3), dirs a finite (k, 3) array, tmin finite
+        and tmax at least tmin (it may be inf)."""
+        dirs = as_points(dirs, "dirs")
+        origins = (as_points(origins, "origins") if np.ndim(origins) == 2
+                   else as_point(origins, "origins"))
+        if origins.ndim == 2 and len(origins) != len(dirs):
+            raise InputError(f"origins must be one point or one per ray, got "
+                             f"{len(origins)} for {len(dirs)} rays")
         tmin = finite_in(tmin, "tmin", -np.inf)
         if not tmin <= float(tmax):
             raise InputError(f"tmax must be a number in [tmin, inf], got {tmax!r}")
+        return self.backing.ray_hits(origins, dirs, tmin, tmax)
+
+    def band_min_hits(self, origin, dirs, tmin, tmax):
+        """Per-ray smallest hit parameter within [tmin, tmax] (inf for none),
+        from one shared origin; ``ray_hits`` checks the rest.  Hits below
+        tmin do not occlude the band."""
+        ray, t = self.ray_hits(as_point(origin, "origin"), dirs, tmin, tmax)
         out = np.full(len(dirs), np.inf)
-        ray, t = self.ray_hits(origin, dirs, tmin, tmax)
         np.minimum.at(out, ray, t)
         return out
 
@@ -176,7 +189,7 @@ class SurfaceOracle:
         return a[None] + t[keep, None] * d[None]
 
     def inside(self, p):
-        return self.backing.inside(p)
+        return self.backing.inside(as_point(p, "p"))
 
     def has_interior(self):
         return self.backing.has_interior()
@@ -185,13 +198,13 @@ class SurfaceOracle:
         return self.backing.normal_at(as_point(p, "p"))
 
     def surface_distance(self, p):
-        return self.backing.surface_distance(p)
+        return self.backing.surface_distance(as_point(p, "p"))
 
     def point_on_surface(self, p, name):
         """p as a point, which must be finite and lie within 1e-6 (1 +
         diameter) of the surface; else InputError naming the argument."""
         p = as_point(p, name)
-        distance = self.surface_distance(p)
+        distance = self.backing.surface_distance(p)
         if distance > 1e-6 * (1.0 + self.diameter):
             raise InputError(f"{name} lies {distance:.6g} off the surface")
         return p

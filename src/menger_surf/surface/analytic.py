@@ -7,6 +7,10 @@ normals, an inside test when the surface bounds a volume, and a triangulated
 stand-in via ``tessellate`` for the face-based diagnostics.  Normals point
 into the bounded component (inward) where one exists.  Every ``ray_hits``
 solves its whole batch on one root path, with no per-ray fallback.
+
+Sphere, capsule and torus are tubes (``_Tube``): they answer ``inside``,
+``normal_at`` and ``surface_distance`` from the nearest point of their core.
+Point queries take the finite (3,) array that the oracle has checked.
 """
 
 import numpy as np
@@ -72,7 +76,34 @@ def _hits(ts, ok, tmin, tmax):
     return ray, ts[ray, col]
 
 
-class Sphere:
+class _Tube:
+    """The points at distance ``radius`` from a core: the sphere's centre,
+    the capsule's axis segment or the torus's centre circle.  Each point
+    query works from ``_core(p)``: the nearest core point to p, and whether
+    it is the only one.  Where it is not, or p lies on the core, p has no
+    normal."""
+
+    def inside(self, p):
+        return bool(np.linalg.norm(p - self._core(p)[0]) < self.radius)
+
+    def has_interior(self):
+        return True
+
+    def normal_at(self, p):
+        core, unique = self._core(p)
+        w = p - core
+        nrm = np.linalg.norm(w)
+        if nrm == 0.0 or not unique:
+            raise geom.InputError(f"p {self._SINGULAR}, which has no normal")
+        return -w / nrm
+
+    def surface_distance(self, p):
+        return float(abs(np.linalg.norm(p - self._core(p)[0]) - self.radius))
+
+
+class Sphere(_Tube):
+    _SINGULAR = "is the center"
+
     def __init__(self, radius, center=(0.0, 0.0, 0.0)):
         self.radius = geom.finite_in(radius, "radius", 0)
         self.center = np.asarray(center, dtype=float)
@@ -117,28 +148,12 @@ class Sphere:
     def _normals(self, *w):
         return -np.stack(w, axis=-1)
 
+    def _core(self, p):
+        return self.center, True
+
     def ray_hits(self, origins, dirs, tmin, tmax):
-        o = np.asarray(origins, dtype=float) - self.center
-        return _hits(*_sphere_roots(o, np.asarray(dirs, dtype=float),
-                                    self.radius), tmin, tmax)
-
-    def inside(self, p):
-        return bool(np.linalg.norm(np.asarray(p, dtype=float) - self.center)
-                    < self.radius)
-
-    def has_interior(self):
-        return True
-
-    def normal_at(self, p):
-        w = np.asarray(p, dtype=float) - self.center
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            raise geom.InputError("p is the center, which has no normal")
-        return -w / nrm
-
-    def surface_distance(self, p):
-        return float(abs(np.linalg.norm(np.asarray(p, dtype=float) - self.center)
-                         - self.radius))
+        return _hits(*_sphere_roots(origins - self.center, dirs, self.radius),
+                     tmin, tmax)
 
     def tessellate(self):
         mesh = shapes.icosphere(5, radius=self.radius)
@@ -150,8 +165,11 @@ class Sphere:
         return {"kind": "sphere", "radius": self.radius}
 
 
-class Torus:
+class Torus(_Tube):
     """Torus of revolution about the z axis: major radius R, minor radius r."""
+
+    _SINGULAR = "lies on the axis or the tube's center circle"
+    radius = property(lambda self: self.r)  # the tube radius, as _Tube reads it
 
     def __init__(self, major_radius, minor_radius):
         self.r = geom.finite_in(minor_radius, "minor_radius", 0)
@@ -308,36 +326,16 @@ class Torus:
         return t
 
     def ray_hits(self, origins, dirs, tmin, tmax):
-        rays, ts = self._ray_roots(np.asarray(origins, dtype=float),
-                                   np.asarray(dirs, dtype=float))
+        rays, ts = self._ray_roots(origins, dirs)
         band = (ts >= tmin) & (ts <= tmax)
         return rays[band], ts[band]
 
-    def inside(self, p):
-        p = np.asarray(p, dtype=float)
-        rho = np.hypot(p[0], p[1])
-        return bool((rho - self.R)**2 + p[2]**2 < self.r**2)
-
-    def has_interior(self):
-        return True
-
-    def normal_at(self, p):
-        p = np.asarray(p, dtype=float)
+    def _core(self, p):
+        """R (x, y, 0) / rho; on the axis every circle point is nearest."""
         rho = np.hypot(p[0], p[1])
         if rho == 0.0:
-            raise geom.InputError("p lies on the axis, which has no torus normal")
-        ring = np.array([self.R * p[0] / rho, self.R * p[1] / rho, 0.0])
-        w = p - ring
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            raise geom.InputError("p lies on the tube's center circle, which has "
-                                  "no normal")
-        return -w / nrm
-
-    def surface_distance(self, p):
-        p = np.asarray(p, dtype=float)
-        rho = np.hypot(p[0], p[1])
-        return float(abs(np.hypot(rho - self.R, p[2]) - self.r))
+            return np.array([self.R, 0.0, 0.0]), False
+        return np.array([self.R * p[0] / rho, self.R * p[1] / rho, 0.0]), True
 
     def tessellate(self):
         return shapes.torus_mesh(self.R, self.r, 192, 96)
@@ -405,9 +403,7 @@ class SaddlePatch:
         nrm = np.sqrt(1.0 + x**2 + y**2)
         return np.stack([-y / nrm, -x / nrm, 1.0 / nrm], axis=-1)
 
-    def ray_hits(self, origins, dirs, tmin, tmax):
-        o = np.asarray(origins, dtype=float)
-        dirs = np.asarray(dirs, dtype=float)
+    def ray_hits(self, o, dirs, tmin, tmax):
         # x(t) y(t) - z(t) = 0 is quadratic in the ray parameter
         c2 = dirs[:, 0] * dirs[:, 1]
         c1 = o[..., 0] * dirs[:, 1] + o[..., 1] * dirs[:, 0] - dirs[:, 2]
@@ -424,9 +420,7 @@ class SaddlePatch:
         return False
 
     def normal_at(self, p):
-        x, y = float(p[0]), float(p[1])
-        nrm = np.sqrt(1.0 + x * x + y * y)
-        return np.array([-y, -x, 1.0]) / nrm
+        return self._normals(p[:1], p[1:2])[0]
 
     def surface_distance(self, p):
         # first-order approximation |z - xy| / |grad|, combined with the xy
@@ -443,8 +437,10 @@ class SaddlePatch:
         return {"kind": "saddle", "extent": self.L}
 
 
-class Capsule:
+class Capsule(_Tube):
     """Cylinder of given length about the z axis capped by two hemispheres."""
+
+    _SINGULAR = "lies on the axis segment"
 
     def __init__(self, length, radius):
         self.length = geom.finite_in(length, "length", 0)
@@ -522,9 +518,7 @@ class Capsule:
         normals[~cyl] = -w
         return normals
 
-    def ray_hits(self, origins, dirs, tmin, tmax):
-        o = np.asarray(origins, dtype=float)
-        dirs = np.asarray(dirs, dtype=float)
+    def ray_hits(self, o, dirs, tmin, tmax):
         # the roots on the wall (columns 0-1), the top cap (2-3) and the
         # bottom cap (4-5), each kept if its point lies on that part
         roots = [_sphere_roots(o[..., :2], dirs[:, :2], self.radius)]
@@ -538,27 +532,8 @@ class Capsule:
         ok[:, 4:] &= z[:, 4:] + self.half <= 1e-12
         return _hits(ts, ok, tmin, tmax)
 
-    def inside(self, p):
-        p = np.asarray(p, dtype=float)
-        z = np.clip(p[2], -self.half, self.half)
-        return bool(np.linalg.norm(p - np.array([0.0, 0.0, z])) < self.radius)
-
-    def has_interior(self):
-        return True
-
-    def normal_at(self, p):
-        p = np.asarray(p, dtype=float)
-        z = np.clip(p[2], -self.half, self.half)
-        w = p - np.array([0.0, 0.0, z])
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            raise geom.InputError("p lies on the axis, which has no normal")
-        return -w / nrm
-
-    def surface_distance(self, p):
-        p = np.asarray(p, dtype=float)
-        z = np.clip(p[2], -self.half, self.half)
-        return float(abs(np.linalg.norm(p - np.array([0.0, 0.0, z])) - self.radius))
+    def _core(self, p):
+        return np.array([0.0, 0.0, np.clip(p[2], -self.half, self.half)]), True
 
     def tessellate(self):
         return shapes.capsule_mesh(self.length, self.radius, 64, 128)

@@ -219,8 +219,6 @@ class TriMesh:
         bounding box of all segments; otherwise all of them.  A ray's hits
         have the same bits whichever faces are tested.
         """
-        origins = np.asarray(origins, dtype=float)
-        dirs = np.asarray(dirs, dtype=float)
         no_hits = np.empty(0, dtype=np.int64), np.empty(0)
         if len(dirs) == 0:
             return no_hits
@@ -298,7 +296,7 @@ class TriMesh:
 
     def inside(self, p):
         """Ray-parity membership with 3 fixed directions and majority vote."""
-        return bool(self._inside_all(np.asarray(p, dtype=float)[None])[0])
+        return bool(self._inside_all(p[None])[0])
 
     def _inside_all(self, points):
         """``inside`` for each row of points, from one batch of parity rays."""
@@ -315,7 +313,6 @@ class TriMesh:
 
     def normal_at(self, p):
         """Oriented normal of the vertex nearest to p."""
-        p = np.asarray(p, dtype=float)
         d = self.vertices - p
         return self.vertex_normals[int(np.argmin(np.einsum("ij,ij->i", d, d)))].copy()
 
@@ -325,7 +322,6 @@ class TriMesh:
         is at least its least box distance and every face's at most its
         greatest, so the nearest face has a least box distance no greater
         than the smallest greatest one; the relative slack covers rounding."""
-        p = np.asarray(p, dtype=float)
         near, far = self.box_distances(p)
         tri = self._tri[near <= far.min() * (1.0 + 1e-12)]
         return float(np.sqrt(_point_tri_sqdist(p, tri).min()))
@@ -346,11 +342,10 @@ class TriMesh:
         (k, m); the parallel test is scale-free.
         """
         m, (fc, v0c, g1, g2, v0g1, v0g2, cn) = faces
-        dirs = np.asarray(dirs, dtype=float)
         k = len(dirs)
         if k == 1:  # a one-row product takes another BLAS path
             dirs = np.concatenate([dirs, dirs])
-        origins = np.asarray(origins, dtype=float).reshape(-1, 1, 3)
+        origins = origins.reshape(-1, 1, 3)
         den = dirs @ fc.T                              # (k, m)
         num = v0c[None, :] - (origins @ fc.T)[:, 0]    # broadcasts (1|k, m)
         dn = np.linalg.norm(dirs, axis=1)[:, None] + 1e-300
@@ -382,51 +377,34 @@ def _line_angle(v, axis):
 
 
 def _point_tri_sqdist(p, tri):
-    """Squared distance from one point to each triangle in an (m,3,3) stack."""
-    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
-    ab = b - a
-    ac = c - a
-    ap = p[None] - a
-    d1 = np.einsum("ij,ij->i", ab, ap)
-    d2 = np.einsum("ij,ij->i", ac, ap)
-    bp = p[None] - b
-    d3 = np.einsum("ij,ij->i", ab, bp)
-    d4 = np.einsum("ij,ij->i", ac, bp)
-    cp = p[None] - c
-    d5 = np.einsum("ij,ij->i", ab, cp)
-    d6 = np.einsum("ij,ij->i", ac, cp)
+    """Squared distance from one point to each triangle of an (m, 3, 3) stack.
 
-    def _safe_div(num, den):
-        return num / np.where(den == 0.0, 1.0, den)
+    The squared distance to the face's plane where p projects into the face,
+    that is where the Gram determinant |e1 x e2|^2 of its edges from corner a
+    is positive and the barycentrics of the projection lie in [0, 1]; else,
+    and at most, the least squared distance to its three edges.
+    """
+    a, b, c = tri.transpose(1, 2, 0)
+    e1, e2, ap = geom._sub(b, a), geom._sub(c, a), geom._sub(p, a)
+    n = geom.cross3(e1, e2)
+    gram = geom._dot(n, n)
+    # the barycentrics of b and c, times the Gram determinant
+    v = geom._dot(n, geom.cross3(ap, e2))
+    w = geom._dot(n, geom.cross3(e1, ap))
+    into = (gram > 0.0) & (v >= 0.0) & (w >= 0.0) & (v + w <= gram)
+    h = geom._dot(n, ap)
+    plane = np.divide(h * h, gram, out=np.full(len(tri), np.inf), where=into)
+    edges = [_point_seg_sqdist(p, s, e) for s, e in ((a, b), (b, c), (c, a))]
+    return np.minimum(plane, np.min(edges, axis=0))
 
-    vc = d1 * d4 - d3 * d2
-    vb = d5 * d2 - d1 * d6
-    va = d3 * d6 - d5 * d4
-    denom = np.where(va + vb + vc == 0.0, 1.0, va + vb + vc)
 
-    # interior projection by default, then edge regions, then vertex regions
-    v_in = vb / denom
-    w_in = vc / denom
-    closest = a + v_in[:, None] * ab + w_in[:, None] * ac
-
-    mask_bc = (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)
-    w_bc = _safe_div(d4 - d3, (d4 - d3) + (d5 - d6))
-    closest[mask_bc] = (b + w_bc[:, None] * (c - b))[mask_bc]
-
-    mask_ac = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
-    w_ac = _safe_div(d2, d2 - d6)
-    closest[mask_ac] = (a + w_ac[:, None] * ac)[mask_ac]
-
-    mask_ab = (vc <= 0) & (d1 >= 0) & (d3 <= 0)
-    v_ab = _safe_div(d1, d1 - d3)
-    closest[mask_ab] = (a + v_ab[:, None] * ab)[mask_ab]
-
-    mask_c = (d6 >= 0) & (d5 <= d6)
-    closest[mask_c] = c[mask_c]
-    mask_b = (d3 >= 0) & (d4 <= d3)
-    closest[mask_b] = b[mask_b]
-    mask_a = (d1 <= 0) & (d2 <= 0)
-    closest[mask_a] = a[mask_a]
-
-    diff = p[None] - closest
-    return np.einsum("ij,ij->i", diff, diff)
+def _point_seg_sqdist(p, s, e):
+    """Squared distance from one point to each segment [s, e] of column
+    triples, and at most |p - s|^2 itself, so that each corner of a face,
+    the start of one of its edges, enters the least distance exactly."""
+    se, sp = geom._sub(e, s), geom._sub(p, s)
+    length2 = geom._dot(se, se)
+    t = np.clip(np.divide(geom._dot(sp, se), length2, out=np.zeros(len(length2)),
+                          where=length2 > 0.0), 0.0, 1.0)
+    d = [spc - t * sec for spc, sec in zip(sp, se)]
+    return np.minimum(geom._dot(d, d), geom._dot(sp, sp))

@@ -1,5 +1,6 @@
 import dataclasses
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -182,30 +183,23 @@ def test_corner_bound_is_below_exact_distance(corners, shape, t, tiny, point,
     assert _point_tri_sqdist(x, tri[None])[0] >= lower - slack
 
 
-# the least area / longest edge^2 of a face for which the former exact test
-# sees every corner of the closed ball; the thinnest tessellation face
-# (capsule(2, 0.5)) has 0.024.  On slivers the exact distance can err by
-# ~1e-10 of the coordinates, past a corner that lies just as close to the
-# sphere, so there the former code could drop a face that meets the ball.
-WELL_SHAPED = 1e-4
-# the least radius, relative to the coordinates, for which it does: the
-# exact test's closest point alone rounds by ~1e-16 of them
-RESOLVED = 1e-9
+# a sliver of area / edge^2 ~ 1e-10 whose corner a lies 1.99e-29 from x,
+# which lies inside it: the former region cascade put x 5e-15 away
+SLIVER = [-1.99e-29, 1e-4, 0.0, 0.0, 0.0, 0.0, 1e-14, 1.9999999999e-4, 0.0]
 
 
 @settings(max_examples=400, deadline=None)
 @given(corners=COORDS, point=POINT, near=st.sampled_from([None, 1e-3, 1e-8]),
        k=st.integers(0, 2), grow=st.sampled_from([0.0, 1e-12, 0.5]),
        scale=st.sampled_from([1e-4, 1.0, 1e3]))
+@example(corners=SLIVER, point=[0.0, 1e-4, 0.0], near=None, k=0, grow=0.0,
+         scale=1.0)
 def test_corner_in_ball_passes_exact_test(corners, point, near, k, grow,
                                           scale):
-    """A well-shaped face with a corner in the closed ball of a resolved
-    radius passes the former exact test sqrt(d^2) <= r, also with that corner
-    on the sphere and the centre next to it."""
+    """A face with a corner in the closed ball passes the former exact test
+    sqrt(d^2) <= r, also with that corner on the sphere and the centre next
+    to it, on slivers and degenerate faces too."""
     tri = scale * np.array(corners, dtype=float).reshape(3, 3)
-    longest = max(np.linalg.norm(tri[i] - tri[j])
-                  for i, j in ((0, 1), (1, 2), (2, 0)))
-    assume(geom.tri_areas(tri[None])[0] > WELL_SHAPED * longest**2)
     x = scale * np.array(point)
     if near is not None:
         x = tri[k] + near * x
@@ -213,8 +207,58 @@ def test_corner_in_ball_passes_exact_test(corners, point, near, k, grow,
     r = np.sqrt(d2) * (1.0 + grow)
     if d2 > r * r:
         r = np.nextafter(r, np.inf)
-    assume(r > RESOLVED * np.sqrt(analysis._size2(x, tri)))
     assert np.sqrt(_point_tri_sqdist(x, tri[None])[0]) <= r
+
+
+def _exact_sqdist(x, tri):
+    """The squared distance from x to the closed triangle tri, in rationals:
+    to the projection when it lies in the face, else to the nearest edge."""
+    x = [Fraction(v) for v in x]
+    a, b, c = ([Fraction(v) for v in row] for row in tri)
+    sub = lambda u, w: [ui - wi for ui, wi in zip(u, w)]
+    dot = lambda u, w: sum(ui * wi for ui, wi in zip(u, w))
+
+    def edge(s, e):
+        se, sp = sub(e, s), sub(x, s)
+        t = min(max(dot(sp, se) / dot(se, se), 0), 1) if any(se) else 0
+        d = sub(sp, [t * v for v in se])
+        return dot(d, d)
+
+    best = min(edge(a, b), edge(b, c), edge(c, a))
+    e1, e2, ap = sub(b, a), sub(c, a), sub(x, a)
+    g11, g22, g12 = dot(e1, e1), dot(e2, e2), dot(e1, e2)
+    det = g11 * g22 - g12 * g12
+    if det > 0:
+        v = (g22 * dot(ap, e1) - g12 * dot(ap, e2)) / det
+        w = (g11 * dot(ap, e2) - g12 * dot(ap, e1)) / det
+        if v >= 0 and w >= 0 and v + w <= 1:
+            d = [p - v * q - w * r for p, q, r in zip(ap, e1, e2)]
+            best = min(best, dot(d, d))
+    return best
+
+
+@settings(max_examples=400, deadline=None)
+@given(corners=COORDS, shape=SHAPES, t=st.floats(-1.0, 2.0),
+       tiny=st.floats(1e-17, 1e-6), point=POINT,
+       weights=st.tuples(*[st.floats(1.0, 2.0)] * 3), above=st.booleans(),
+       scale=st.sampled_from([1e-4, 1.0, 1e3]))
+def test_distance_is_at_most_any_face_point(corners, shape, t, tiny, point,
+                                            weights, above, scale):
+    """The squared distance never exceeds the squared distance to a corner,
+    bit for bit, nor, up to rounding, to a fixed barycentric point q of the
+    face, also from a point right above q, where the two agree; and it is
+    the exact squared distance up to rounding.  Both roundings stay below
+    ~1e-15 of the squared size, slivers and collinear faces included."""
+    tri = scale * _triangle(corners, shape, t, tiny)
+    q = (np.array(weights) / sum(weights)) @ tri
+    x = scale * np.array(point)
+    if above:
+        x = q + point[0] / scale * np.cross(tri[1] - tri[0], tri[2] - tri[0])
+    d2 = _point_tri_sqdist(x, tri[None])[0]
+    slack = 1e-14 * analysis._size2(x, tri)
+    assert d2 <= analysis._face_columns(tri[None], x)[9:, 0].min()
+    assert d2 <= np.sum((x - q) ** 2) + slack
+    assert abs(d2 - _exact_sqdist(x, tri)) <= slack
 
 
 class TestBeta:

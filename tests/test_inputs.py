@@ -20,6 +20,7 @@ SPHERE = SurfaceOracle.sphere(1.0)
 TORUS = SurfaceOracle.torus(2.0, 1.0)
 POLE = [0.0, 0.0, 1.0]
 ICO0 = shapes.icosphere(0)
+ICO2 = SurfaceOracle.from_mesh(shapes.icosphere(2))
 
 
 def strict(call, *args, **kwargs):
@@ -116,6 +117,26 @@ PROBES = {
     "segment-nan": (  # returned []
         "b has non-finite coordinates", SPHERE.segment_hits, np.zeros(3),
         [NAN, 0.0, 0.0]),
+    "rays-inverted": (  # returned no hits
+        "tmax must be a number in [tmin, inf], got -1.0", SPHERE.ray_hits,
+        np.zeros(3), np.ones((2, 3)), 1.0, -1.0),
+    "rays-nan-mesh": (  # returned no hits
+        "dirs must be a (k, 3) array of finite numbers", ICO2.ray_hits,
+        np.zeros(3), [[NAN, 0.0, 0.0]], 0.0, 1.0),
+    "rays-2-vector-origin": (  # numpy's "operands could not be broadcast"
+        "origins must be a point of 3 coordinates", TORUS.ray_hits,
+        np.zeros(2), np.ones((2, 3)), 0.0, 1.0),
+    "inside-nan": (  # returned False
+        "p has non-finite coordinates", SPHERE.inside, [NAN, 0.0, 0.0]),
+    "inside-nan-torus": (  # returned False
+        "p has non-finite coordinates", TORUS.inside, [NAN, 0.0, 0.0]),
+    "inside-nan-mesh": (  # returned False
+        "p has non-finite coordinates", ICO2.inside, [NAN, 0.0, 0.0]),
+    "distance-nan-mesh": (  # numpy's "zero-size array to reduction operation"
+        "p has non-finite coordinates", ICO2.surface_distance, [NAN, 0.0, 0.0]),
+    "distance-2-vector": (  # numpy's "operands could not be broadcast"
+        "p must be a point of 3 coordinates", SPHERE.surface_distance,
+        [0.0, 0.0]),
 }
 
 
@@ -220,6 +241,14 @@ API = {
          "dirs": (np.eye(3), [np.ones(3), np.ones((2, 2)), [[NAN, 0.0, 1.0]],
                               [[0.0, INF, 1.0]]]),
          "tmin": (0.5, [NAN, INF, -INF]), "tmax": (2.0, [NAN, -INF, 0.0])}),
+    "ray_hits": (lambda a: SPHERE.ray_hits(a["origins"], a["dirs"], a["tmin"],
+                                           a["tmax"]),
+                 {"origins": (np.zeros((3, 3)), POINTS + [[0.0, 1.0],
+                                                          np.zeros((2, 3))]),
+                  "dirs": (np.eye(3), [np.ones(3), np.ones((3, 2)),
+                                       [[NAN, 0.0, 1.0]] * 3]),
+                  "tmin": (0.5, [NAN, INF, -INF]),
+                  "tmax": (2.0, [NAN, -INF, 0.0])}),
     "segment_hits": (lambda a: SPHERE.segment_hits(a["a"], a["b"]),
                      {"a": (np.zeros(3), POINTS + [[0.0, 1.0]]),
                       "b": (POLE, POINTS + [[0.0, 1.0]])}),

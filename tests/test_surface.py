@@ -11,6 +11,7 @@ from menger_surf.rng import substream
 from menger_surf.surface import (MeshParseError, SurfaceOracle, TriMesh,
                                  load_mesh, load_obj, load_off, sample_point,
                                  save_obj, save_off, shapes)
+from menger_surf.surface.analytic import Sphere
 from menger_surf.surface.trimesh import _point_tri_sqdist
 
 CUBE_OBJ = """# unit cube
@@ -276,6 +277,17 @@ class TestSegmentHits:
         assert hits[:, 2] == approx(np.array([-5.2, 5.2]), abs=1e-12)
 
 
+# the off-centre sphere of the ray tests, a torus and a capsule, each with
+# points of its core: the centre, the axis and centre circle, the axis segment
+TUBES = {"sphere": (SurfaceOracle(Sphere(1.3, center=(0.2, -0.1, 0.3))),
+                    [[0.2, -0.1, 0.3]]),
+         "torus": (SurfaceOracle.torus(2.0, 1.0),
+                   [[0.0, 0.0, 0.0], [0.0, 0.0, 1.5], [2.0, 0.0, 0.0],
+                    [0.0, -2.0, 0.0], [-1.2, 1.6, 0.0]]),
+         "capsule": (SurfaceOracle.capsule(2.0, 0.5),
+                     [[0.0, 0.0, -1.0], [0.0, 0.0, 0.3], [0.0, 0.0, 1.0]])}
+
+
 class TestInside:
     def test_sphere(self, unit_sphere):
         assert unit_sphere.inside([0, 0, 0])
@@ -301,17 +313,31 @@ class TestInside:
             crossings = len(SurfaceOracle(icosphere2).segment_hits(p, far))
             assert icosphere2.inside(p) == (crossings % 2 == 1)
 
-    def test_normals_point_inward(self, icosphere2, torus_2_1):
+    def test_normals_point_inward(self, icosphere2):
         assert icosphere2.normals_inward
         eps = 1e-3
         for i in range(0, len(icosphere2.vertices), 17):
             v = icosphere2.vertices[i]
             n = icosphere2.vertex_normals[i]
             assert icosphere2.inside(v + eps * n)
-        rng = substream(4, 4)
-        pts, normals = torus_2_1.sample(rng, 200)
-        for p, n in zip(pts, normals):
-            assert torus_2_1.inside(p + 1e-4 * n)
+        # the tubes answer every point query from their core: on sampled
+        # points, and at the core points where no normal exists
+        for oracle, singular in TUBES.values():
+            pts, normals = oracle.sample(substream(4, 4), 200)
+            for p, n in zip(pts, normals):
+                assert oracle.surface_distance(p) <= 1e-12 * oracle.diameter
+                assert np.abs(oracle.normal_at(p) - n).max() <= 1e-12
+                assert oracle.inside(p + 1e-6 * n)
+                assert not oracle.inside(p - 1e-6 * n)
+            for p in singular:
+                with pytest.raises(InputError, match="which has no normal"):
+                    oracle.normal_at(p)
+        # every centre-circle point is nearest to a point of the torus axis
+        torus = TUBES["torus"][0]
+        for z in (0.0, 0.5, -3.0):
+            assert torus.surface_distance([0.0, 0.0, z]) == approx(
+                np.hypot(2.0, z) - 1.0, rel=1e-15)
+            assert not torus.inside([0.0, 0.0, z])
 
 
 class TestTessellation:
