@@ -55,14 +55,26 @@ def integer_in(value, name, least, most=math.inf):
     return int(value)
 
 
-def as_point(p, name="point"):
+def as_array(v, name, what, shape=None):
+    """v as a float array, reshaped to shape when one is given.  A ragged,
+    non-numeric or wrongly sized v raises InputError("<name> must be <what>")."""
     try:
-        p = np.asarray(p, dtype=float).reshape(3)
+        v = np.asarray(v, dtype=float)
+        return v if shape is None else v.reshape(shape)
     except (TypeError, ValueError):
-        raise InputError(f"{name} must be a point of 3 coordinates") from None
-    if not np.all(np.isfinite(p)):
+        raise InputError(f"{name} must be {what}") from None
+
+
+def _coordinates(v, name, what, shape):
+    """v as a finite float array of the given shape."""
+    v = as_array(v, name, what, shape)
+    if not np.all(np.isfinite(v)):
         raise InputError(f"{name} has non-finite coordinates")
-    return p
+    return v
+
+
+def as_point(p, name="point"):
+    return _coordinates(p, name, "a point of 3 coordinates", 3)
 
 
 def unit_vector(v, name):
@@ -74,18 +86,16 @@ def unit_vector(v, name):
     return v / norm
 
 
-def as_tetra(T):
-    T = np.asarray(T, dtype=float).reshape(4, 3)
-    if not np.all(np.isfinite(T)):
-        raise InputError("T has non-finite coordinates")
-    return T
+def as_tetra(T, name="T"):
+    return _coordinates(T, name, "4 points of 3 coordinates", (4, 3))
 
 
 def as_points(v, name):
     """v as a (k, 3) array of finite floats."""
-    v = np.asarray(v, dtype=float)
+    what = "a (k, 3) array of finite numbers"
+    v = as_array(v, name, what)
     if v.ndim != 2 or v.shape[1] != 3 or not np.all(np.isfinite(v)):
-        raise InputError(f"{name} must be a (k, 3) array of finite numbers")
+        raise InputError(f"{name} must be {what}")
     return v
 
 
@@ -281,7 +291,7 @@ def point_plane_distance(p, a, b, c):
 def tetra_distance(T, T2):
     """min over vertex pairings of the max vertex displacement (pseudometric)."""
     T = as_tetra(T)
-    T2 = as_tetra(T2)
+    T2 = as_tetra(T2, "T2")
     best = np.inf
     for perm in _PERMS4:
         d = np.max(np.linalg.norm(T[perm] - T2, axis=1))
@@ -292,8 +302,7 @@ def tetra_distance(T, T2):
 
 def angle_between(u, v):
     """Angle in [0, pi] between two nonzero vectors."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u, v = as_point(u, "u"), as_point(v, "v")
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
         raise InputError("u, v: zero vector has no direction")
@@ -397,7 +406,7 @@ def classify_wide(tri, theta, d):
     """True iff the triple is (theta, d)-wide (voluminous conditions (i)-(iii))."""
     finite_in(theta, "theta", 0, 1)
     finite_in(d, "d", 0)
-    tri = np.asarray(tri, dtype=float).reshape(3, 3)
+    tri = _coordinates(tri, "tri", "3 points of 3 coordinates", (3, 3))
     return bool(classify_wide_batch(tri[None], theta, d)[0])
 
 

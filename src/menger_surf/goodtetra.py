@@ -290,8 +290,6 @@ def find_good_tetra(oracle, seed_point, params=None):
         radii.append(float(rho))
         if first_hit is None:
             first_hit = rho
-        if len(hits) == 0:
-            raise RuntimeError("stopping sphere carried no hits")
         label, payload = _classify(hits, x0, v, rho, params)
         y1 = payload[0]
         r = rho * np.sin(PHI0)  # radius of the stopping rim

@@ -54,7 +54,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..geom import InputError, as_point, as_points, finite_in, integer_in
+from ..geom import (InputError, as_array, as_point, as_points, finite_in,
+                    integer_in)
 from .analytic import Capsule, SaddlePatch, Sphere, Torus
 from .io import MeshParseError, load_obj, load_off, save_obj, save_off
 from .trimesh import TriMesh
@@ -154,7 +155,8 @@ class SurfaceOracle:
         (3,) or one per ray (k, 3), dirs a finite (k, 3) array, tmin finite
         and tmax at least tmin (it may be inf)."""
         dirs = as_points(dirs, "dirs")
-        origins = (as_points(origins, "origins") if np.ndim(origins) == 2
+        origins = as_array(origins, "origins", "one point or one per ray")
+        origins = (as_points(origins, "origins") if origins.ndim == 2
                    else as_point(origins, "origins"))
         if origins.ndim == 2 and len(origins) != len(dirs):
             raise InputError(f"origins must be one point or one per ray, got "

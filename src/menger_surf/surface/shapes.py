@@ -20,28 +20,29 @@ _ICO_FACES = np.array([
 ], dtype=np.int64)
 
 
+def _unit_rows(v):
+    """Rows of v over their norms, with np.linalg.norm's bits on each row."""
+    return v / np.sqrt(v[:, None] @ v[:, :, None])[:, 0]
+
+
 def _icosphere_arrays(subdivisions):
     """Vertices (on the unit sphere) and faces of the icosahedron subdivided
-    ``subdivisions`` times, each new vertex projected to the sphere."""
-    verts = [v / np.linalg.norm(v) for v in _ICO_VERTS]
-    faces = [tuple(f) for f in _ICO_FACES]
+    ``subdivisions`` times: face (a, b, c) becomes (a, ab, ca), (b, bc, ab),
+    (c, ca, bc) and (ab, bc, ca), the midpoints projected to the sphere and
+    numbered by first appearance along the edges ab, bc, ca of each face."""
+    verts, faces = _unit_rows(_ICO_VERTS), _ICO_FACES.copy()
     for _ in range(subdivisions):
-        cache = {}
-        new_faces = []
-
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in cache:
-                m = verts[i] + verts[j]
-                verts.append(m / np.linalg.norm(m))
-                cache[key] = len(verts) - 1
-            return cache[key]
-
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = new_faces
-    return np.asarray(verts), np.asarray(faces, dtype=np.int64)
+        ends = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        _, first, edge = np.unique(ends[:, 0] * len(verts) + ends[:, 1],
+                                   return_index=True, return_inverse=True)
+        order = np.argsort(first)  # unique edges by first appearance
+        i, j = ends[first[order]].T
+        mid = (len(verts) + np.argsort(order))[edge].reshape(-1, 3)
+        verts = np.concatenate([verts, _unit_rows(verts[i] + verts[j])])
+        (a, b, c), (ab, bc, ca) = faces.T, mid.T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca],
+                         axis=-1).reshape(-1, 3)
+    return verts, faces
 
 
 def icosphere(subdivisions, radius=1.0):
@@ -96,16 +97,14 @@ def capsule_mesh(length, radius, n_profile=64, n_around=128):
     """Capsule about the z axis as a revolved profile (watertight)."""
     half = length / 2.0
     # profile from the -z pole to the +z pole: cap arc, wall, cap arc
-    ang = np.linspace(-np.pi / 2, 0.0, n_profile // 2, endpoint=False)
-    bottom = [(radius * np.cos(t), -half + radius * np.sin(t)) for t in ang]
-    wall = [(radius, z) for z in np.linspace(-half, half, max(2, n_profile // 4))]
-    ang = np.linspace(0.0, np.pi / 2, n_profile // 2 + 1)[1:]
-    top = [(radius * np.cos(t), half + radius * np.sin(t)) for t in ang]
-    profile = bottom + wall + top  # (rho, z); first rho=0 is the -z pole seed
-
-    rho = np.array([p[0] for p in profile])
-    zz = np.array([p[1] for p in profile])
-    inner = (rho > 1e-12)
+    bottom = np.linspace(-np.pi / 2, 0.0, n_profile // 2, endpoint=False)
+    wall = np.linspace(-half, half, max(2, n_profile // 4))
+    top = np.linspace(0.0, np.pi / 2, n_profile // 2 + 1)[1:]
+    rho = np.concatenate([radius * np.cos(bottom), np.full(len(wall), radius, float),
+                          radius * np.cos(top)])
+    zz = np.concatenate([-half + radius * np.sin(bottom), wall,
+                         half + radius * np.sin(top)])
+    inner = (rho > 1e-12)  # the poles' rows
     rho, zz = rho[inner], zz[inner]
     m = len(rho)
 

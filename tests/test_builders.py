@@ -1,4 +1,5 @@
-"""The shared Fibonacci and grid builders against the code they replaced."""
+"""The shared Fibonacci and grid builders and the array-code icosphere and
+capsule builders against the code they replaced."""
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ BUILD_SETTINGS = settings(max_examples=60, deadline=None)
 
 
 def _same(got, want):
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    """Equal dtype, shape and bytes, so the sign of every zero counts."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def _beta_grid(n):
@@ -58,8 +61,10 @@ def _check_torus(nu, nv):
           builder_oracle.torus_faces(nu, nv))
 
 
-def _check_capsule(n_profile, n_around):
-    mesh = shapes.capsule_mesh(2.0, 0.5, n_profile, n_around)
+def _check_capsule(n_profile, n_around, length=2.0, radius=0.5):
+    args = (length, radius, n_profile, n_around)
+    mesh = shapes.capsule_mesh(*args)
+    _same(mesh.vertices, builder_oracle.capsule_vertices(*args))
     rings = (len(mesh.vertices) - 2) // n_around  # between the two poles
     _same(mesh.faces, builder_oracle.capsule_faces(rings, n_around))
 
@@ -85,3 +90,29 @@ def test_grid_meshes_match_oracle(a, b):
     _check_graph(a)
     _check_torus(a, b)
     _check_capsule(a, b)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_icosphere_arrays_match_oracle(k):
+    verts, faces = shapes._icosphere_arrays(k)
+    want_verts, want_faces = builder_oracle.icosphere_arrays(k)
+    assert len(verts) == 10 * 4**k + 2 and len(faces) == 20 * 4**k
+    _same(verts, want_verts)
+    _same(faces, want_faces)
+
+
+@pytest.mark.parametrize("mesh, scale, k", [
+    (shapes.icosphere(3, 2.5), 2.5, 3),
+    (shapes.ellipsoid(1.3, 1.0, 0.8, 1), np.array([1.3, 1.0, 0.8]), 1)])
+def test_icosphere_meshes_match_oracle(mesh, scale, k):
+    verts, faces = builder_oracle.icosphere_arrays(k)
+    assert len(mesh.vertices) == 10 * 4**k + 2
+    _same(mesh.vertices, verts * scale)
+    _same(mesh.faces, faces)
+
+
+@pytest.mark.parametrize("length, radius, n_profile, n_around", [
+    (2, 0.5, 64, 128), (10, 0.2, 64, 128), (1, 3, 8, 6), (5, 0.1, 3, 5),
+    (2, 0.5, 2, 4)])
+def test_capsule_vertices_match_oracle(length, radius, n_profile, n_around):
+    _check_capsule(n_profile, n_around, length, radius)

@@ -137,6 +137,24 @@ PROBES = {
     "distance-2-vector": (  # numpy's "operands could not be broadcast"
         "p must be a point of 3 coordinates", SPHERE.surface_distance,
         [0.0, 0.0]),
+    "band-ragged-dirs": (  # numpy's "inhomogeneous shape"
+        "dirs must be a (k, 3) array of finite numbers", SPHERE.band_min_hits,
+        np.zeros(3), [[1.0, 0.0, 0.0], [1.0, 0.0]], 0.0, 1.0),
+    "band-text-dirs": (  # numpy's "could not convert string to float"
+        "dirs must be a (k, 3) array of finite numbers", SPHERE.band_min_hits,
+        np.zeros(3), [["a", "b", "c"]], 0.0, 1.0),
+    "rays-ragged-origins": (  # numpy's "inhomogeneous shape" from np.ndim
+        "origins must be one point or one per ray", SPHERE.ray_hits,
+        [[0.0, 0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0, 0.0]] * 2, 0.0, 1.0),
+    "simplex-one-point": (  # numpy's "cannot reshape array of size 3"
+        "T must be 4 points of 3 coordinates", geom.simplex_measures,
+        [[0.0, 0.0, 0.0]]),
+    "angle-nan": (  # returned nan
+        "u has non-finite coordinates", geom.angle_between, [NAN, 0.0, 0.0],
+        [1.0, 0.0, 0.0]),
+    "wide-nan": (  # returned False
+        "tri has non-finite coordinates", geom.classify_wide,
+        [[NAN, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], 0.1, 1.0),
 }
 
 
