@@ -345,7 +345,7 @@ def normal_oscillation_profile(oracle, x, scales, pairs_per_scale=400, seed=0):
 def holder_exponent_fit(profile):
     """Least-squares fit of log(osc) = exponent * log(d) + log_constant."""
     profile = [(finite_in(d, "profile scales", 0),
-                finite_in(o, "profile oscillations", 0, closed=True))
+                finite_in(o, "profile oscillations", 0, ends="[)"))
                for d, o in profile]
     if len(profile) < 3:
         raise InputError("profile needs at least 3 points")

@@ -9,12 +9,13 @@ flows from the single seed through counter-based streams.
 A document's results are the fields of the study's result.  Only this module
 forms documents, and every CSV table, the audit too, has one writer.
 
-Exit codes: 0 success, 2 any ``InputError`` (an argument that the library
-or this module refuses: a flag out of range, a --point off the surface, a
-mesh file that fails to parse or is neither OBJ nor OFF, surface parameters
-that give no surface or no finite area, a bad --integrand spec), 1 runtime
-error (an arithmetic overflow or a numpy RuntimeWarning is one).  The library
-checks the arguments it takes; this module checks only its own flags.
+Exit codes: 0 success, 2 a usage error or any ``InputError`` (an argument
+that the library or this module refuses: a flag out of range or that the
+surface source does not take, a --point off the surface, a mesh file that
+fails to parse or has no reader, surface parameters that give no surface or
+no finite area, a bad --integrand spec), 1 runtime error (an arithmetic
+overflow or a numpy RuntimeWarning is one).  The library checks the
+arguments it takes; this module checks only its own flags.
 """
 
 import argparse
@@ -30,20 +31,17 @@ import numpy as np
 
 from . import __version__, analysis, energy, goodtetra, minimize
 from .geom import InputError
-from .integrand import IntegrandSpec, eval_integrand
+from .integrand import MEANS, IntegrandSpec, eval_integrand
 from .rng import substream
-from .surface import SurfaceOracle, SurfacePoint, sample_point
-
-SUBCOMMANDS = ("integrand", "energy", "local-energy", "scaling", "diverge",
-               "density", "beta", "oscillation", "goodtetra", "minimize")
+from .surface import READERS, SurfaceOracle, SurfacePoint, sample_point
 
 _SKIP_ECHO = {"--output", "--threads", "--audit-out", "--mesh-out"}
-
-_MESH_FORMATS = ("obj", "off")
 
 # each --analytic kind and the flags of its SurfaceOracle constructor, in order
 _ANALYTIC = {"sphere": ("radius",), "torus": ("major_radius", "minor_radius"),
              "saddle": ("extent",), "capsule": ("length", "radius")}
+# every flag of _ANALYTIC, each once
+_SHAPE_FLAGS = tuple(dict.fromkeys(f for names in _ANALYTIC.values() for f in names))
 
 # the integer flags this module checks itself, and their (least, greatest)
 # values; the library checks every other argument.  --threads: every
@@ -54,6 +52,11 @@ _ANALYTIC = {"sphere": ("radius",), "torus": ("major_radius", "minor_radius"),
 # the search has run, and a failed search would then hide a bad count.
 _INT_RANGES = {"threads": (1, 256), "iters": (1, math.inf),
                "proj_rays": (1, math.inf)}
+
+
+def _flag(name):
+    """The command-line spelling of an argument name."""
+    return "--" + name.replace("_", "-")
 
 
 def _floats(text, n=None):
@@ -72,36 +75,36 @@ def _check_ranges(args):
         value = getattr(args, name, None)
         if value is not None and not least <= value <= most:
             bound = f"at least {least}" if value < least else f"at most {most}"
-            raise InputError(f"--{name.replace('_', '-')} must be {bound}, "
-                             f"got {value}")
+            raise InputError(f"{_flag(name)} must be {bound}, got {value}")
 
 
 def _add_surface_flags(sp):
-    sp.add_argument("--mesh", help="path to an OBJ/OFF mesh")
-    sp.add_argument("--mesh-format", choices=_MESH_FORMATS)
+    sp.add_argument("--mesh", help="path to a mesh file")
+    sp.add_argument("--mesh-format", choices=tuple(READERS))
     sp.add_argument("--analytic", choices=tuple(_ANALYTIC))
-    sp.add_argument("--radius", type=float, help="sphere/capsule radius")
-    sp.add_argument("--major-radius", type=float)
-    sp.add_argument("--minor-radius", type=float)
-    sp.add_argument("--extent", type=float, help="saddle patch half-side")
-    sp.add_argument("--length", type=float, help="capsule cylinder length")
+    for name in _SHAPE_FLAGS:
+        sp.add_argument(_flag(name), type=float, help="for --analytic " + ", ".join(
+            kind for kind, names in _ANALYTIC.items() if name in names))
 
 
 def _resolve_surface(args):
     if (args.mesh is None) == (args.analytic is None):
         raise InputError("need exactly one surface source: --mesh or --analytic")
+    takes = _ANALYTIC.get(args.analytic, ("mesh_format",))
+    source = "--mesh" if args.mesh is not None else f"--analytic {args.analytic}"
+    for name in ("mesh_format",) + _SHAPE_FLAGS:
+        if name not in takes and getattr(args, name) is not None:
+            raise InputError(f"{source} takes no {_flag(name)}")
     if args.mesh is not None:
         return SurfaceOracle.from_file(args.mesh, args.mesh_format)
-    kind, names = args.analytic, _ANALYTIC[args.analytic]
-    values = [getattr(args, name) for name in names]
+    values = [getattr(args, name) for name in takes]
     if None in values:
-        raise InputError(f"--analytic {kind} needs " + " and ".join(
-            "--" + name.replace("_", "-") for name in names))
+        raise InputError(f"{source} needs " + " and ".join(map(_flag, takes)))
     try:
-        return getattr(SurfaceOracle, kind)(*values)
+        return getattr(SurfaceOracle, args.analytic)(*values)
     except (ValueError, ArithmeticError, RuntimeWarning) as exc:
         # no such surface, or one whose size overflows a float
-        raise InputError(f"--analytic {kind}: {exc}") from None
+        raise InputError(f"{source}: {exc}") from None
 
 
 def _resolve_spec(args):
@@ -134,7 +137,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     common = {}
-    for name in SUBCOMMANDS:
+    for name in _RUNNERS:
         sp = sub.add_parser(name)
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--threads", type=int, default=None)
@@ -163,12 +166,12 @@ def build_parser():
     common["diverge"].add_argument("--alpha", type=float, required=True)
     common["diverge"].add_argument("--eps", type=float, default=0.05)
     common["diverge"].add_argument("--nmax", type=int, default=5)
-    common["diverge"].add_argument("--mean", default="geometric",
-                                   choices=("geometric", "arithmetic", "min", "max"))
+    common["diverge"].add_argument("--mean", default="geometric", choices=tuple(MEANS))
 
     for name in ("density", "beta", "oscillation", "goodtetra"):
-        common[name].add_argument("--point")
-        common[name].add_argument("--seed-vertex", type=int)
+        point = common[name].add_mutually_exclusive_group()
+        point.add_argument("--point")
+        point.add_argument("--seed-vertex", type=int)
 
     common["density"].add_argument("--patch-radius", type=float, required=True)
     common["density"].add_argument("--depth", type=int, default=8)
@@ -186,7 +189,7 @@ def build_parser():
 
     mz = common["minimize"]
     mz.add_argument("--mesh", required=True)
-    mz.add_argument("--mesh-format", choices=_MESH_FORMATS)
+    mz.add_argument("--mesh-format", choices=tuple(READERS))
     mz.add_argument("--mode", choices=("energy", "area"), required=True)
     mz.add_argument("--cap", type=float, required=True)
     mz.add_argument("--iters", type=int, required=True)

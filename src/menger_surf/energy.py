@@ -104,7 +104,7 @@ def estimate_mp(oracle, spec, p, n, seed, threads=1):
     All four points of every quadruple are independent area-uniform draws.
     """
     n = integer_in(n, "n", MIN_SAMPLES)
-    finite_in(p, "p", 1, closed=True)
+    finite_in(p, "p", 1, ends="[)")
 
     def draw_values(k, m):
         rng = substream(seed, _ENERGY_TAG, k)
@@ -133,7 +133,7 @@ def local_energy(oracle, center, radius, spec, p, n, seed, threads=1):
     (a centre off the surface) raises ValueError.
     """
     n = integer_in(n, "n", 1)
-    finite_in(p, "p", 1, closed=True)
+    finite_in(p, "p", 1, ends="[)")
     finite_in(radius, "radius", 0)
     center = as_point(center, "center")
 

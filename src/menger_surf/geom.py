@@ -31,14 +31,19 @@ class InputError(ValueError):
     names the argument; failures of a valid call raise other errors."""
 
 
-def finite_in(value, name, low, high=math.inf, closed=False):
-    """float(value), which must be finite and lie in (low, high), or in
-    [low, high) when closed."""
-    value = float(value)
-    if not (math.isfinite(value) and value < high
-            and (low <= value if closed else low < value)):
+def finite_in(value, name, low, high=math.inf, ends="()"):
+    """float(value), which must be a finite number (not text) in the interval
+    from low to high; ends holds its brackets, "()" open, "[)" or "(]"."""
+    try:
+        ok = (not isinstance(value, (str, bytes))
+              and math.isfinite(value := float(value))
+              and (low <= value if ends[0] == "[" else low < value)
+              and (value <= high if ends[1] == "]" else value < high))
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
         raise InputError(f"{name} must be a finite number in "
-                         f"{'[' if closed else '('}{low}, {high}), got {value!r}")
+                         f"{ends[0]}{low}, {high}{ends[1]}, got {value!r}")
     return value
 
 
@@ -56,13 +61,15 @@ def integer_in(value, name, least, most=math.inf):
 
 
 def as_array(v, name, what, shape=None):
-    """v as a float array, reshaped to shape when one is given.  A ragged,
-    non-numeric or wrongly sized v raises InputError("<name> must be <what>")."""
+    """v as a float array, of the given shape when one is given.  A ragged,
+    non-numeric or wrongly shaped v raises InputError("<name> must be <what>")."""
     try:
         v = np.asarray(v, dtype=float)
-        return v if shape is None else v.reshape(shape)
     except (TypeError, ValueError):
-        raise InputError(f"{name} must be {what}") from None
+        v = None
+    if v is None or shape is not None and v.shape != shape:
+        raise InputError(f"{name} must be {what}")
+    return v
 
 
 def _coordinates(v, name, what, shape):
@@ -74,7 +81,7 @@ def _coordinates(v, name, what, shape):
 
 
 def as_point(p, name="point"):
-    return _coordinates(p, name, "a point of 3 coordinates", 3)
+    return _coordinates(p, name, "a point of 3 coordinates", (3,))
 
 
 def unit_vector(v, name):
@@ -436,17 +443,15 @@ def slanted_constants(phi0, phi1):
     c0(phi0, phi1) = (1/2) (1 - cos(phi1/2)) sin(2 phi0) and
     c1(phi0) = (1/16) sin(2 phi0).
     """
-    if not (0.0 < phi0 < np.pi / 2):
-        raise InputError("phi0 must lie in (0, pi/2)")
-    if not (0.0 < phi1 < np.pi):
-        raise InputError("phi1 must lie in (0, pi)")
+    phi0 = finite_in(phi0, "phi0", 0, np.pi / 2)
+    phi1 = finite_in(phi1, "phi1", 0, np.pi)
     c0 = 0.5 * (1.0 - np.cos(phi1 / 2.0)) * np.sin(2.0 * phi0)
     c1 = np.sin(2.0 * phi0) / 16.0
     return SlantedConstants(float(c0), float(c1))
 
 
 def perturbation_radius(eta):
-    """Perturbation radius eps(eta) = min(eta^5/10, eta^7/36).
+    """Perturbation radius eps(eta) = min(eta^5/10, eta^7/36), eta in (0, 1/2].
 
     Moving each vertex of a tetrahedron with base angle, edge lengths and
     height controlled by (eta, d) at most eps(eta)*d keeps the height of the
@@ -454,17 +459,15 @@ def perturbation_radius(eta):
     constraints 10*eps <= eta^5 and 6*eps*eta^-6 <= eta/6; the value is
     sufficient, not tight.
     """
-    if not (0.0 < eta <= 0.5):
-        raise InputError("eta must lie in (0, 1/2]")
+    eta = finite_in(eta, "eta", 0, 0.5, "(]")
     return float(min(eta**5 / 10.0, eta**7 / 36.0))
 
 
 def perturbation_alpha(eta):
-    """Stability radius alpha(eta) = min(eta/20, eps(eta)) / 2.
+    """Stability radius alpha(eta) = min(eta/20, eps(eta)) / 2, eta in (0, 1/2].
 
     Any perturbation of a (eta, d)-voluminous tetrahedron by at most
     alpha(eta)*d stays (eta/2, 3d/2)-voluminous.
     """
-    if not (0.0 < eta <= 0.5):
-        raise InputError("eta must lie in (0, 1/2]")
-    return float(min(eta / 20.0, perturbation_radius(eta)) / 2.0)
+    return float(min(finite_in(eta, "eta", 0, 0.5, "(]") / 20.0,
+                     perturbation_radius(eta)) / 2.0)

@@ -20,16 +20,31 @@ import numpy as np
 from . import geom
 from .geom import LemmaBounds
 
-KINDS = ("menger", "circumsphere", "leger", "scaled")
-MEANS = ("geometric", "arithmetic", "min", "max")
+# each mean of a nonnegative triple, of floats or of arrays
+MEANS = {"geometric": lambda a, b, c: np.cbrt(a * b * c),
+         "arithmetic": lambda a, b, c: (a + b + c) / 3.0,
+         "min": lambda a, b, c: np.minimum(a, np.minimum(b, c)),
+         "max": lambda a, b, c: np.maximum(a, np.maximum(b, c))}
+
+# each kind's parameters, each with the test its value must pass and the
+# words that the refusal of a failing value ends in
+PARAMETERS = {
+    "menger": {},
+    "circumsphere": {},
+    "leger": {"mean": (lambda m: isinstance(m, str) and m in MEANS,
+                       f"a mean from {tuple(MEANS)}"),
+              "alpha": (lambda a: a is not None and a > 1.0, "alpha > 1")},
+    "scaled": {"s": (lambda s: s is not None and s > 0.0, "s > 0")},
+}
+KINDS = tuple(PARAMETERS)
 
 
 @dataclass(frozen=True)
 class IntegrandSpec:
     """Selects one member of the integrand family.
 
-    ``mean`` and ``alpha`` are required for (and only for) kind ``leger``;
-    ``s`` is required for (and only for) kind ``scaled``.
+    A kind takes exactly the parameters that ``PARAMETERS`` lists for it:
+    ``mean`` and ``alpha`` for ``leger``, ``s`` for ``scaled``.
     """
     kind: str
     mean: str = None
@@ -46,30 +61,19 @@ class IntegrandSpec:
                 raise geom.InputError(f"{name} must be a finite number, got {value!r}")
         if self.kind not in KINDS:
             raise geom.InputError(f"unknown integrand kind {self.kind!r}")
-        if self.kind == "leger":
-            if self.mean not in MEANS:
-                raise geom.InputError(f"leger kind needs a mean from {MEANS}")
-            if self.alpha is None or not self.alpha > 1.0:
-                raise geom.InputError("leger kind needs alpha > 1")
-            if self.s is not None:
-                raise geom.InputError("parameter s is only for the scaled kind")
-        elif self.kind == "scaled":
-            if self.s is None or not self.s > 0.0:
-                raise geom.InputError("scaled kind needs s > 0")
-            if self.mean is not None or self.alpha is not None:
-                raise geom.InputError("mean/alpha are only for the leger kind")
-        else:
-            if self.mean is not None or self.alpha is not None or self.s is not None:
-                raise geom.InputError(f"kind {self.kind!r} takes no parameters")
+        takes = PARAMETERS[self.kind]
+        for name in ("mean", "alpha", "s"):
+            value = getattr(self, name)
+            if name in takes:
+                test, needs = takes[name]
+                if not test(value):
+                    raise geom.InputError(f"{self.kind} kind needs {needs}")
+            elif value is not None:
+                raise geom.InputError(f"kind {self.kind!r} takes no parameter {name}")
 
     def to_dict(self):
-        out = {"kind": self.kind}
-        if self.kind == "leger":
-            out["mean"] = self.mean
-            out["alpha"] = self.alpha
-        if self.kind == "scaled":
-            out["s"] = self.s
-        return out
+        return {"kind": self.kind,
+                **{name: getattr(self, name) for name in PARAMETERS[self.kind]}}
 
     def to_json(self):
         return json.dumps(self.to_dict())
@@ -128,21 +132,11 @@ def _canonical_points(P):
     return C.transpose(2, 0, 1)
 
 
-def _mean_batch(name, a, b, c):
-    if name == "geometric":
-        return np.cbrt(a * b * c)
-    if name == "arithmetic":
-        return (a + b + c) / 3.0
-    if name == "min":
-        return np.minimum(a, np.minimum(b, c))
-    if name == "max":
-        return np.maximum(a, np.maximum(b, c))
-    raise geom.InputError(f"unknown mean {name!r}")
-
-
 def mean_value(name, a, b, c):
     """One of the supported means on a nonnegative triple."""
-    return float(_mean_batch(name, float(a), float(b), float(c)))
+    if not isinstance(name, str) or name not in MEANS:
+        raise geom.InputError(f"unknown mean {name!r}")
+    return float(MEANS[name](float(a), float(b), float(c)))
 
 
 def eval_batch(spec, P):
@@ -157,7 +151,7 @@ def eval_batch(spec, P):
         da = np.linalg.norm(xi - x, axis=1)
         db = np.linalg.norm(xi - y, axis=1)
         dc = np.linalg.norm(xi - z, axis=1)
-        m = _mean_batch(spec.mean, da, db, dc)
+        m = MEANS[spec.mean](da, db, dc)
         ok = base_ok & (m > 0.0)
         out = np.zeros(len(P))
         dist = (np.abs(np.einsum("ij,ij->i", xi[ok] - x[ok], cross[ok]))
@@ -194,9 +188,7 @@ def lemma_bounds(theta, kappa, d):
     a (theta, d)-wide base, fourth vertex in B(x0, 2d) and at distance at
     least kappa*d from the base plane has K > theta^3 kappa / (2500 d).
     """
-    if not (0.0 < theta < 1.0):
-        raise geom.InputError("theta must lie in (0, 1)")
-    if not (0.0 < kappa <= 1.0):
-        raise geom.InputError("kappa must lie in (0, 1]")
-    geom.finite_in(d, "d", 0)
+    theta = geom.finite_in(theta, "theta", 0, 1)
+    kappa = geom.finite_in(kappa, "kappa", 0, 1, "(]")
+    d = geom.finite_in(d, "d", 0)
     return LemmaBounds(theta**4 / (2500.0 * d), theta**3 * kappa / (2500.0 * d))

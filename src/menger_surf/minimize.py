@@ -204,7 +204,7 @@ def minimize_energy_area_cap(mesh, p, area_cap, iters, seed):
 def minimize_area_energy_cap(mesh, p, energy_cap, iters, seed):
     """Anneal the mesh area, rejecting states above the energy cap."""
     DiscreteEnergyConfig(p=p)
-    cap = finite_in(energy_cap, "energy_cap", 0, closed=True)
+    cap = finite_in(energy_cap, "energy_cap", 0, ends="[)")
 
     def score(area, energy):
         return area, energy, energy <= cap

@@ -57,7 +57,7 @@ import numpy as np
 from ..geom import (InputError, as_array, as_point, as_points, finite_in,
                     integer_in)
 from .analytic import Capsule, SaddlePatch, Sphere, Torus
-from .io import MeshParseError, load_obj, load_off, save_obj, save_off
+from .io import READERS, MeshParseError, load_obj, load_off, save_obj, save_off
 from .trimesh import TriMesh
 from . import shapes
 
@@ -68,20 +68,17 @@ class SurfacePoint(NamedTuple):
 
 
 def load_mesh(path, format=None):
-    """Load an OBJ or OFF file into a TriMesh.
+    """Load a mesh file into a TriMesh.
 
-    ``format`` is "obj" or "off"; when omitted it is taken from the file
-    extension.  Another format raises ``InputError``, and a file that does
-    not parse, or whose faces are all degenerate, ``MeshParseError``.
+    ``format`` is a key of ``READERS``; when omitted it is taken from the
+    file extension.  Another format raises ``InputError``, and a file that
+    does not parse, or whose faces are all degenerate, ``MeshParseError``.
     """
     if format is None:
         format = str(path).rsplit(".", 1)[-1].lower()
-    if format == "obj":
-        vertices, faces = load_obj(path)
-    elif format == "off":
-        vertices, faces = load_off(path)
-    else:
+    if not isinstance(format, str) or format not in READERS:
         raise InputError(f"unknown mesh format {format!r}")
+    vertices, faces = READERS[format](path)
     try:
         return TriMesh(vertices, faces)
     except ValueError as exc:  # the parsers leave only "every face degenerate"

@@ -4,7 +4,14 @@ OBJ: ``v x y z`` and ``f i j k ...`` records with 1-based (optionally
 negative) indices, ``#`` comments, and ``i/t/n`` face tokens (only the vertex
 index is used).  OFF: ``OFF`` header, counts line, vertex block, face block.
 Polygon faces are fan-triangulated.  Both formats are whitespace-tolerant.
+
+The readers share one line reader and one check each for a vertex, a face and
+an empty mesh; every error is a ``MeshParseError`` naming its record's line.
+``READERS`` maps each format to its reader and is the one list of formats.
 """
+
+import math
+from itertools import islice
 
 import numpy as np
 
@@ -18,124 +25,116 @@ class MeshParseError(InputError):
         self.line_no = line_no
 
 
-def _fan(indices):
-    return [(indices[0], indices[i], indices[i + 1])
-            for i in range(1, len(indices) - 1)]
+def _records(path):
+    """(line number, words) of each line that keeps words once its ``#``
+    comment is cut, read one line at a time."""
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            words = raw.split("#", 1)[0].split()
+            if words:
+                yield line_no, words
+
+
+def _vertex(path, line_no, words):
+    """The three finite coordinates that words spell."""
+    try:
+        xyz = [float(w) for w in words]
+    except ValueError:
+        raise MeshParseError(path, line_no, "bad vertex coordinate") from None
+    if not all(map(math.isfinite, xyz)):
+        raise MeshParseError(path, line_no, "non-finite vertex coordinates")
+    return xyz
+
+
+def _face(path, line_no, tokens, count, obj=False):
+    """The triangle fan of a polygon of at least 3 of count vertices, each named
+    by its 0-based index or, in OBJ, by the 1-based or negative i of i/t/n."""
+    if len(tokens) < 3:
+        raise MeshParseError(path, line_no, "face needs at least 3 vertices")
+    idx = []
+    for token in tokens:
+        try:
+            i = int(token.split("/", 1)[0] if obj else token)
+        except ValueError:
+            raise MeshParseError(path, line_no, f"bad face index {token!r}") from None
+        if obj:
+            i += -1 if i > 0 else count
+        if not 0 <= i < count:
+            raise MeshParseError(path, line_no, f"face index {token} out of range")
+        idx.append(i)
+    return [(idx[0], idx[k], idx[k + 1]) for k in range(1, len(idx) - 1)]
+
+
+def _arrays(path, vertices, faces):
+    if not vertices or not faces:
+        raise MeshParseError(path, 1, "empty mesh")
+    return np.asarray(vertices, dtype=float), np.asarray(faces, dtype=np.int64)
 
 
 def load_obj(path):
     """Read an OBJ file; returns (vertices (n,3) float, faces (m,3) int)."""
     vertices = []
     faces = []
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            tag = parts[0]
-            if tag == "v":
-                if len(parts) < 4:
-                    raise MeshParseError(path, line_no, "vertex needs 3 coordinates")
-                try:
-                    vertices.append([float(p) for p in parts[1:4]])
-                except ValueError:
-                    raise MeshParseError(path, line_no, "bad vertex coordinate") from None
-            elif tag == "f":
-                idx = []
-                for token in parts[1:]:
-                    head = token.split("/", 1)[0]
-                    try:
-                        i = int(head)
-                    except ValueError:
-                        raise MeshParseError(path, line_no, f"bad face index {token!r}") from None
-                    if i > 0:
-                        i -= 1
-                    elif i < 0:
-                        i += len(vertices)
-                    else:
-                        raise MeshParseError(path, line_no, "face index 0 is invalid")
-                    if not 0 <= i < len(vertices):
-                        raise MeshParseError(path, line_no, f"face index {token} out of range")
-                    idx.append(i)
-                if len(idx) < 3:
-                    raise MeshParseError(path, line_no, "face needs at least 3 vertices")
-                faces.extend(_fan(idx))
-            # vn / vt / o / g / s / usemtl / mtllib records are ignored
-    return _finalize(path, vertices, faces)
+    for line_no, words in _records(path):
+        if words[0] == "v":
+            if len(words) < 4:
+                raise MeshParseError(path, line_no, "vertex needs 3 coordinates")
+            vertices.append(_vertex(path, line_no, words[1:4]))
+        elif words[0] == "f":
+            faces.extend(_face(path, line_no, words[1:], len(vertices), obj=True))
+        # vn / vt / o / g / s / usemtl / mtllib records are ignored
+    return _arrays(path, vertices, faces)
 
 
 def load_off(path):
-    """Read an OFF file; returns (vertices (n,3) float, faces (m,3) int)."""
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        lines = fh.readlines()
+    """Read an OFF file; returns (vertices (n,3) float, faces (m,3) int).
 
-    tokens = []  # (line_no, token) stream with comments stripped
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        for token in line.split():
-            tokens.append((line_no, token))
-    pos = 0
+    The file is one stream of words, so a record may span lines; an error
+    names the line of the last word read.
+    """
+    last = 1  # the line of the last word read
+
+    def words():
+        nonlocal last
+        for last, line in _records(path):
+            yield from line
+
+    stream = words()
 
     def take(n, what):
-        nonlocal pos
-        if pos + n > len(tokens):
-            last = tokens[-1][0] if tokens else 1
+        got = list(islice(stream, n))
+        if len(got) < n:
             raise MeshParseError(path, last, f"unexpected end of file while reading {what}")
-        out = tokens[pos:pos + n]
-        pos += n
-        return out
+        return last, got
 
-    first = take(1, "header")[0]
-    if first[1].upper() == "OFF":
-        counts = take(3, "counts")
+    line_no, counts = take(1, "header")
+    if counts[0].upper() == "OFF":
+        line_no, counts = take(3, "counts")
     else:
         # headerless variant: the first line is already the counts line
-        counts = [first] + take(2, "counts")
+        counts += take(2, "counts")[1]
     try:
-        nv, nf = int(counts[0][1]), int(counts[1][1])
-        int(counts[2][1])
+        nv, nf, ne = map(int, counts)
+        bad = min(nv, nf, ne) < 0
     except ValueError:
-        raise MeshParseError(path, counts[0][0], "bad counts line") from None
+        bad = True
+    if bad:
+        raise MeshParseError(path, line_no, "bad counts line")
 
-    vertices = []
-    for _ in range(nv):
-        triple = take(3, "vertex")
-        try:
-            vertices.append([float(t[1]) for t in triple])
-        except ValueError:
-            raise MeshParseError(path, triple[0][0], "bad vertex coordinate") from None
-
+    vertices = [_vertex(path, *take(3, "vertex")) for _ in range(nv)]
     faces = []
     for _ in range(nf):
-        head = take(1, "face size")[0]
+        line_no, (size,) = take(1, "face size")
         try:
-            k = int(head[1])
+            k = int(size)
         except ValueError:
-            raise MeshParseError(path, head[0], "bad face vertex count") from None
-        if k < 3:
-            raise MeshParseError(path, head[0], "face needs at least 3 vertices")
-        toks = take(k, "face indices")
-        idx = []
-        for line_no, tok in toks:
-            try:
-                i = int(tok)
-            except ValueError:
-                raise MeshParseError(path, line_no, f"bad face index {tok!r}") from None
-            if not 0 <= i < nv:
-                raise MeshParseError(path, line_no, f"face index {i} out of range")
-            idx.append(i)
-        faces.extend(_fan(idx))
-    return _finalize(path, vertices, faces)
+            raise MeshParseError(path, line_no, "bad face vertex count") from None
+        # a size below 3 reads no index, and _face refuses it
+        faces.extend(_face(path, *take(k if k >= 3 else 0, "face indices"), nv))
+    return _arrays(path, vertices, faces)
 
 
-def _finalize(path, vertices, faces):
-    if not vertices or not faces:
-        raise MeshParseError(path, 1, "empty mesh")
-    v = np.asarray(vertices, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise MeshParseError(path, 1, "non-finite vertex coordinates")
-    return v, np.asarray(faces, dtype=np.int64)
+READERS = {"obj": load_obj, "off": load_off}
 
 
 def save_obj(path, vertices, faces):

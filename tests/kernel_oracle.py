@@ -96,7 +96,7 @@ def eval_batch(spec, P):
         da = np.linalg.norm(xi - x, axis=1)
         db = np.linalg.norm(xi - y, axis=1)
         dc = np.linalg.norm(xi - z, axis=1)
-        m = integrand._mean_batch(spec.mean, da, db, dc)
+        m = integrand.MEANS[spec.mean](da, db, dc)
         ok = base_ok & (m > 0.0)
         dist = np.abs(np.einsum("ij,ij->i", xi[ok] - x[ok], cross[ok])) / ncross[ok]
         out[ok] = dist / m[ok] ** spec.alpha

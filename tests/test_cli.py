@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import BAD_SPECS
 from menger_surf import InputError, SurfaceOracle, analysis, cli, energy
-from menger_surf.surface import save_obj, shapes
+from menger_surf.integrand import MEANS
+from menger_surf.surface import READERS, save_obj, shapes
 
 
 HIT_TOL = ("hit_tolerance must be a finite number in (0, 0.19634954084936207), "
@@ -503,6 +504,53 @@ class TestExitCodes:
         assert code == 2 and not out.exists()
         assert capsys.readouterr().err == \
             f"menger-surf: --point lies {distance} off the surface\n"
+
+    @pytest.mark.parametrize("name", ["beta", "density", "goodtetra",
+                                      "oscillation"])
+    def test_point_and_seed_vertex_conflict(self, capsys, tmp_path, name):
+        # --point used to win silently
+        code, out = run_to_file(tmp_path, "doc.json",
+                                QUICK[name] + ["--seed-vertex", "3"])
+        assert code == 2 and not out.exists()
+        assert ("argument --seed-vertex: not allowed with argument --point"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("extra,says", [
+        (["--analytic", "sphere", "--radius", "1", "--length", "3"],
+         "--analytic sphere takes no --length"),
+        (["--analytic", "sphere", "--radius", "1", "--mesh-format", "obj"],
+         "--analytic sphere takes no --mesh-format"),
+        (["--analytic", "torus", "--major-radius", "2", "--minor-radius", "1",
+          "--radius", "1"], "--analytic torus takes no --radius"),
+        (["--analytic", "capsule", "--length", "2", "--radius", "1",
+          "--extent", "1"], "--analytic capsule takes no --extent"),
+        (["--mesh", "MESH", "--radius", "1"], "--mesh takes no --radius"),
+        (["--mesh", "MESH", "--mesh-format", "obj", "--major-radius", "2"],
+         "--mesh takes no --major-radius"),
+    ], ids=["sphere-length", "sphere-format", "torus-radius", "capsule-extent",
+            "mesh-radius", "mesh-major-radius"])
+    def test_surface_flag_of_another_source(self, capsys, tmp_path, ico_obj,
+                                            extra, says):
+        # each flag used to be ignored
+        argv = ["energy", "--p", "8", "--samples", "2000", "--seed", "0"]
+        argv += [ico_obj if a == "MESH" else a for a in extra]
+        code, out = run_to_file(tmp_path, "doc.json", argv)
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == f"menger-surf: {says}\n"
+
+    def test_flag_choices_come_from_their_tables(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(cli._RUNNERS)
+        choices = {}
+        for name, parser in sub.choices.items():
+            for action in parser._actions:
+                choices.setdefault(action.dest, {})[name] = action.choices
+        assert choices["mesh_format"] == dict.fromkeys(
+            ["energy", "local-energy", "density", "beta", "oscillation",
+             "goodtetra", "minimize"], tuple(READERS))
+        assert tuple(READERS) == ("obj", "off")
+        assert choices["mean"] == {"diverge": tuple(MEANS)}
 
 
 def _ints(most):

@@ -155,6 +155,15 @@ PROBES = {
     "wide-nan": (  # returned False
         "tri has non-finite coordinates", geom.classify_wide,
         [[NAN, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], 0.1, 1.0),
+    "simplex-2-by-6": (  # reshaped to (4, 3)
+        "T must be 4 points of 3 coordinates", geom.simplex_measures,
+        np.arange(12.0).reshape(2, 6)),
+    "normal-column": (  # reshaped to (3,), and answered [-0, -0, -1]
+        "p must be a point of 3 coordinates", SPHERE.normal_at,
+        [[0.0], [0.0], [1.0]]),
+    "wide-flat-9": (  # reshaped to (3, 3)
+        "tri must be 3 points of 3 coordinates", geom.classify_wide,
+        np.eye(3).ravel(), 0.1, 1.0),
 }
 
 
@@ -165,7 +174,7 @@ def test_probe_is_refused(name):
 
 
 # the public API at small sizes: each argument's good value and bad values
-REALS = [NAN, INF, -INF, 0.0, -1.0]  # bad for every positive real
+REALS = [NAN, INF, -INF, 0.0, -1.0, "a"]  # bad for every positive real
 COUNTS = [0, -1]
 POINTS = [[NAN, 0.0, 1.0], [0.0, INF, 1.0]]
 ON_SURFACE = POINTS + [[0.0, 0.0, 3.0], [0.0, 0.0, 0.0]]  # for the unit sphere
@@ -292,7 +301,14 @@ API = {
         {"theta": (0.1, REALS + [1.0]), "d": (1.0, REALS)}),
     "lemma_bounds": (lambda a: lemma_bounds(a["theta"], a["kappa"], a["d"]),
                      {"theta": (0.5, REALS + [1.0]),
-                      "kappa": (0.5, REALS + [1.5]), "d": (1.0, REALS)}),
+                      "kappa": (1.0, REALS + [1.5]), "d": (1.0, REALS)}),
+    "slanted_constants": (lambda a: geom.slanted_constants(a["phi0"], a["phi1"]),
+                          {"phi0": (0.5, REALS + [np.pi / 2, 2.0]),
+                           "phi1": (np.pi - 0.1, REALS + [np.pi, 4.0])}),
+    "perturbation_radius": (lambda a: geom.perturbation_radius(a["eta"]),
+                            {"eta": (0.5, REALS + [0.75, 1.0])}),
+    "perturbation_alpha": (lambda a: geom.perturbation_alpha(a["eta"]),
+                           {"eta": (0.5, REALS + [0.75, 1.0])}),
 }
 
 

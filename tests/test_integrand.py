@@ -51,6 +51,31 @@ class TestSpec:
                      IntegrandSpec(kind="scaled", s=1)):
             assert IntegrandSpec.from_json(spec.to_json()) == spec
 
+    def test_json_documents(self):
+        # each kind writes exactly its parameters, in field order
+        assert [spec.to_json() for spec in (
+            MENGER, CIRCUM, IntegrandSpec(kind="leger", mean="min", alpha=2.5),
+            IntegrandSpec(kind="scaled", s=1))] == [
+            '{"kind": "menger"}', '{"kind": "circumsphere"}',
+            '{"kind": "leger", "mean": "min", "alpha": 2.5}',
+            '{"kind": "scaled", "s": 1}']
+
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(kind="menger", alpha=2.0), "kind 'menger' takes no parameter alpha"),
+        (dict(kind="circumsphere", mean="min"),
+         "kind 'circumsphere' takes no parameter mean"),
+        (dict(kind="leger", mean="min", alpha=2.0, s=1.0),
+         "kind 'leger' takes no parameter s"),
+        (dict(kind="scaled", s=1.0, alpha=2.0), "kind 'scaled' takes no parameter alpha"),
+        (dict(kind="leger", mean="median", alpha=2.0),
+         "leger kind needs a mean from ('geometric', 'arithmetic', 'min', 'max')"),
+        (dict(kind="leger", mean="min"), "leger kind needs alpha > 1"),
+        (dict(kind="scaled", s=0), "scaled kind needs s > 0"),
+    ])
+    def test_parameter_messages(self, kwargs, message):
+        with pytest.raises(InputError, match=exactly(message)):
+            IntegrandSpec(**kwargs)
+
     @pytest.mark.parametrize("text", BAD_SPECS)
     def test_bad_json_rejected(self, text):
         with pytest.raises(ValueError):

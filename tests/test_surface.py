@@ -58,6 +58,45 @@ class TestLoaders:
         assert back.vertices == approx(ico.vertices)
         assert (back.faces == ico.faces).all()
 
+    @pytest.mark.parametrize("save,load", [(save_obj, load_obj),
+                                           (save_off, load_off)])
+    def test_writers_read_back_bit_for_bit(self, tmp_path, save, load):
+        rng = substream(25, 1)
+        vertices = np.concatenate([shapes.icosphere(2).vertices,
+                                   rng.standard_normal((50, 3)) * 1e-300,
+                                   rng.standard_normal((50, 3)) * 1e300,
+                                   [[-0.0, 5e-324, 2.0**-1074]]])
+        faces = rng.integers(0, len(vertices), (40, 3))
+        path = tmp_path / "m"
+        save(path, vertices, faces)
+        got = load(path)
+        for want, back in zip((vertices, faces.astype(np.int64)), got):
+            assert back.dtype == want.dtype and back.shape == want.shape
+            assert back.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name,text,line", [
+        ("nan.obj", "v 0 0 0\nv 1 0 0\nv nan 1 0\nv 0 0 1\nf 1 2 3\n", 3),
+        ("inf.obj", "v 0 0 0\n\n# c\nv 1 0 -inf\nv 0 1 0\nf 1 2 3\n", 4),
+        ("nan.off", "OFF\n4 1 0\n0 0 0\n1 0 0\n0 NaN 0\n0 0 1\n3 0 1 2\n", 5),
+        ("inf.off", "OFF\n4 1 0\n0 0 0\n1 0 0\ninf 1 0\n0 0 1\n3 0 1 2\n", 5),
+        ("big.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1e999 0\n3 0 1 2\n", 5),
+    ])
+    def test_non_finite_vertex_reports_its_line(self, tmp_path, name, text,
+                                                line):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(MeshParseError, match=exactly(
+                f"{path}:{line}: non-finite vertex coordinates")):
+            load_mesh(path)
+
+    @pytest.mark.parametrize("counts", ["-3 1 0", "3 -1 0", "3 1 -1"])
+    def test_negative_off_count_is_a_counts_error(self, tmp_path, counts):
+        path = tmp_path / "neg.off"
+        path.write_text(f"OFF\n{counts}\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+        with pytest.raises(MeshParseError, match=exactly(
+                f"{path}:2: bad counts line")):
+            load_mesh(path)
+
     def test_face_index_out_of_range_reports_line(self, tmp_path):
         path = tmp_path / "bad.obj"
         path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n")
