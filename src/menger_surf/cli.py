@@ -26,6 +26,7 @@ import os
 import sys
 import time
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +34,8 @@ from . import __version__, analysis, energy, goodtetra, minimize
 from .geom import InputError
 from .integrand import MEANS, IntegrandSpec, eval_integrand
 from .rng import substream
-from .surface import READERS, SurfaceOracle, SurfacePoint, sample_point
+from .surface import (READERS, SurfaceOracle, SurfacePoint, load_mesh,
+                      sample_point, save_obj)
 
 _SKIP_ECHO = {"--output", "--threads", "--audit-out", "--mesh-out"}
 
@@ -59,14 +61,16 @@ def _flag(name):
     return "--" + name.replace("_", "-")
 
 
-def _floats(text, n=None):
+def _floats(text, shape=None):
+    """The comma-separated numbers of text, nested to shape if one is given."""
     try:
         vals = [float(v) for v in str(text).split(",") if v != ""]
     except ValueError:
         raise InputError(f"expected comma-separated numbers, got {text!r}")
-    if n is not None and len(vals) != n:
+    n = len(vals) if shape is None else math.prod(shape)
+    if len(vals) != n:
         raise InputError(f"expected {n} comma-separated numbers, got {text!r}")
-    return vals
+    return np.reshape(vals, shape or n).tolist()
 
 
 def _check_ranges(args):
@@ -115,9 +119,9 @@ def _resolve_spec(args):
 
 
 def _resolve_point(args, oracle, seed):
-    if getattr(args, "point", None) is not None:
-        return oracle.point_on_surface(_floats(args.point, 3), "--point")
-    if getattr(args, "seed_vertex", None) is not None:
+    if args.point is not None:
+        return oracle.point_on_surface(_floats(args.point, (3,)), "--point")
+    if args.seed_vertex is not None:
         if not oracle.is_mesh:
             raise InputError("--seed-vertex needs a mesh surface")
         mesh = oracle.backing
@@ -129,6 +133,30 @@ def _resolve_point(args, oracle, seed):
     return sample_point(oracle, substream(seed, 0x504F494E)).position
 
 
+def _resolve(args, seed):
+    """(config, inputs) of args' subcommand: the inputs are args plus the
+    surface, point and spec its row resolves, in that order, with each list
+    flag parsed; the config holds each of them, then each own flag not quiet."""
+    row = _SUBCOMMANDS[args.subcommand]
+    got = argparse.Namespace(**vars(args))
+    config = {}
+    if "surface" in row.resolves:
+        got.surface = _resolve_surface(args)
+        config["surface"] = got.surface.describe()
+    if "point" in row.resolves:
+        got.point = _resolve_point(args, got.surface, seed)
+        config["point"] = got.point.tolist()
+    if "spec" in row.resolves:
+        got.spec = _resolve_spec(args)
+        config["spec"] = got.spec.to_dict()
+    for name, kwargs in row.flags.items():
+        if "floats" in kwargs:
+            setattr(got, name, _floats(getattr(args, name), kwargs["floats"]))
+        if name not in row.quiet:
+            config[name] = getattr(got, name)
+    return config, got
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="menger-surf",
@@ -136,66 +164,23 @@ def build_parser():
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    common = {}
-    for name in _RUNNERS:
+    for name, row in _SUBCOMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--threads", type=int, default=None)
         sp.add_argument("--output", help="write the document here (default stdout)")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-        common[name] = sp
-
-    for name in ("energy", "local-energy", "density", "beta", "oscillation",
-                 "goodtetra"):
-        _add_surface_flags(common[name])
-    for name in ("integrand", "energy", "local-energy", "scaling"):
-        common[name].add_argument("--integrand", default='{"kind":"menger"}')
-
-    common["integrand"].add_argument("--tetra", required=True,
-                                     help="12 comma-separated coordinates")
-
-    for name in ("energy", "local-energy", "scaling", "diverge"):
-        common[name].add_argument("--p", type=float, required=True)
-        common[name].add_argument("--samples", type=int, required=True)
-
-    common["local-energy"].add_argument("--center", required=True)
-    common["local-energy"].add_argument("--patch-radius", type=float, required=True)
-
-    common["scaling"].add_argument("--radii", required=True)
-
-    common["diverge"].add_argument("--alpha", type=float, required=True)
-    common["diverge"].add_argument("--eps", type=float, default=0.05)
-    common["diverge"].add_argument("--nmax", type=int, default=5)
-    common["diverge"].add_argument("--mean", default="geometric", choices=tuple(MEANS))
-
-    for name in ("density", "beta", "oscillation", "goodtetra"):
-        point = common[name].add_mutually_exclusive_group()
-        point.add_argument("--point")
-        point.add_argument("--seed-vertex", type=int)
-
-    common["density"].add_argument("--patch-radius", type=float, required=True)
-    common["density"].add_argument("--depth", type=int, default=8)
-
-    common["beta"].add_argument("--patch-radius", type=float, required=True)
-    common["beta"].add_argument("--patch-samples", type=int, default=4000)
-    common["beta"].add_argument("--grid-level", type=int, default=1)
-
-    common["oscillation"].add_argument("--scales", required=True)
-    common["oscillation"].add_argument("--pairs", type=int, default=400)
-
-    common["goodtetra"].add_argument("--rays", type=int, default=4096)
-    common["goodtetra"].add_argument("--hit-tol", type=float, default=1e-3)
-    common["goodtetra"].add_argument("--proj-rays", type=int, default=800)
-
-    mz = common["minimize"]
-    mz.add_argument("--mesh", required=True)
-    mz.add_argument("--mesh-format", choices=tuple(READERS))
-    mz.add_argument("--mode", choices=("energy", "area"), required=True)
-    mz.add_argument("--cap", type=float, required=True)
-    mz.add_argument("--iters", type=int, required=True)
-    mz.add_argument("--p", type=float, required=True)
-    mz.add_argument("--audit-out", help="write the iteration audit CSV here")
-    mz.add_argument("--mesh-out", help="write the final mesh OBJ here")
+        if "surface" in row.resolves:
+            _add_surface_flags(sp)
+        if "point" in row.resolves:
+            point = sp.add_mutually_exclusive_group()
+            point.add_argument("--point")
+            point.add_argument("--seed-vertex", type=int)
+        if "spec" in row.resolves:
+            sp.add_argument("--integrand", default='{"kind":"menger"}')
+        for flag, kwargs in row.flags.items():
+            sp.add_argument(_flag(flag), **{key: value for key, value in
+                                            kwargs.items() if key != "floats"})
     return ap
 
 
@@ -242,44 +227,30 @@ def _named(results, *names):
 # ---------------------------------------------------------------------------
 
 def _run_integrand(args, seed, threads):
-    spec = _resolve_spec(args)
-    T = np.asarray(_floats(args.tetra, 12)).reshape(4, 3)
-    results = {"value": eval_integrand(spec, T)}
-    config = {"spec": spec.to_dict(), "tetra": T.tolist()}
+    config, a = _resolve(args, seed)
+    results = {"value": eval_integrand(a.spec, a.tetra)}
     return config, results, _named(results, "value")
 
 
 def _run_energy(args, seed, threads):
-    oracle = _resolve_surface(args)
-    spec = _resolve_spec(args)
-    est = energy.estimate_mp(oracle, spec, args.p, args.samples, seed,
-                             threads=threads)
-    config = {"surface": oracle.describe(), "spec": spec.to_dict(),
-              "p": args.p, "samples": args.samples}
-    results = _document(est)
+    config, a = _resolve(args, seed)
+    results = _document(energy.estimate_mp(a.surface, a.spec, a.p, a.samples,
+                                           seed, threads=threads))
     return config, results, _named(results, "value", "std_error", "n_samples")
 
 
 def _run_local_energy(args, seed, threads):
-    oracle = _resolve_surface(args)
-    spec = _resolve_spec(args)
-    center = _floats(args.center, 3)
-    est = energy.local_energy(oracle, center, args.patch_radius, spec,
-                              args.p, args.samples, seed, threads=threads)
-    config = {"surface": oracle.describe(), "spec": spec.to_dict(),
-              "p": args.p, "samples": args.samples, "center": center,
-              "patch_radius": args.patch_radius}
-    results = _document(est)
+    config, a = _resolve(args, seed)
+    results = _document(energy.local_energy(
+        a.surface, a.center, a.patch_radius, a.spec, a.p, a.samples, seed,
+        threads=threads))
     return config, results, _named(results, "value", "std_error", "n_samples")
 
 
 def _run_scaling(args, seed, threads):
-    spec = _resolve_spec(args)
-    radii = _floats(args.radii)
-    rows = energy.scaling_study(spec, args.p, radii, args.samples, seed,
+    config, a = _resolve(args, seed)
+    rows = energy.scaling_study(a.spec, a.p, a.radii, a.samples, seed,
                                 threads=threads)
-    config = {"spec": spec.to_dict(), "p": args.p, "samples": args.samples,
-              "radii": radii}
     table = (["radius", "value", "std_error", "normalized"],
              [[r.radius, r.estimate.value, r.estimate.std_error, r.normalized]
               for r in rows])
@@ -287,51 +258,35 @@ def _run_scaling(args, seed, threads):
 
 
 def _run_diverge(args, seed, threads):
-    rows, slope = energy.divergence_study(args.alpha, args.p, args.mean,
-                                          args.eps, args.nmax, args.samples,
-                                          seed, threads=threads)
-    config = {"alpha": args.alpha, "p": args.p, "mean": args.mean,
-              "eps": args.eps, "nmax": args.nmax, "samples": args.samples}
+    config, a = _resolve(args, seed)
+    rows, slope = energy.divergence_study(a.alpha, a.p, a.mean, a.eps, a.nmax,
+                                          a.samples, seed, threads=threads)
     results = {"rows": _document(rows), "fitted_slope": slope,
-               "predicted_slope": 12.0 + (1.0 - args.alpha) * args.p}
+               "predicted_slope": 12.0 + (1.0 - a.alpha) * a.p}
     table = (["n", "r_n", "patch_integral", "std_error", "fitted_slope"],
              [[r.n, r.r_n, r.patch_integral, r.std_error, slope] for r in rows])
     return config, results, table
 
 
 def _run_density(args, seed, threads):
-    oracle = _resolve_surface(args)
-    point = _resolve_point(args, oracle, seed)
-    rep = analysis.density_quotient(oracle, point, args.patch_radius,
-                                    args.depth)
-    config = {"surface": oracle.describe(), "point": point.tolist(),
-              "patch_radius": args.patch_radius, "depth": args.depth}
-    results = _document(rep)
+    config, a = _resolve(args, seed)
+    results = _document(analysis.density_quotient(a.surface, a.point,
+                                                  a.patch_radius, a.depth))
     return config, results, _named(results, "radius", "patch_area", "quotient",
                                    "passes_lower_bound", "error_bound")
 
 
 def _run_beta(args, seed, threads):
-    oracle = _resolve_surface(args)
-    point = _resolve_point(args, oracle, seed)
-    rep = analysis.beta_number(oracle, point, args.patch_radius,
-                               args.patch_samples, args.grid_level, seed)
-    config = {"surface": oracle.describe(), "point": point.tolist(),
-              "patch_radius": args.patch_radius,
-              "patch_samples": args.patch_samples,
-              "grid_level": args.grid_level}
-    results = _document(rep)
+    config, a = _resolve(args, seed)
+    results = _document(analysis.beta_number(
+        a.surface, a.point, a.patch_radius, a.patch_samples, a.grid_level, seed))
     return config, results, _named(results, "radius", "beta", "grid_level")
 
 
 def _run_oscillation(args, seed, threads):
-    oracle = _resolve_surface(args)
-    point = _resolve_point(args, oracle, seed)
-    scales = _floats(args.scales)
-    profile = analysis.normal_oscillation_profile(oracle, point, scales,
-                                                  args.pairs, seed)
-    config = {"surface": oracle.describe(), "point": point.tolist(),
-              "scales": scales, "pairs": args.pairs}
+    config, a = _resolve(args, seed)
+    profile = analysis.normal_oscillation_profile(a.surface, a.point, a.scales,
+                                                  a.pairs, seed)
     results = {"profile": _document(profile)}
     # fit only the scales with positive oscillation, when 3 or more have it
     positive = [(d, osc) for d, osc in profile if osc > 0.0]
@@ -341,18 +296,13 @@ def _run_oscillation(args, seed, threads):
 
 
 def _run_goodtetra(args, seed, threads):
-    oracle = _resolve_surface(args)
-    point = _resolve_point(args, oracle, seed)
-    normal = oracle.normal_at(point)
-    params = goodtetra.GoodTetraParams(ray_count=args.rays,
-                                       hit_tolerance=args.hit_tol)
-    res = goodtetra.find_good_tetra(oracle, SurfacePoint(point, normal), params)
+    config, a = _resolve(args, seed)
+    params = goodtetra.GoodTetraParams(ray_count=a.rays, hit_tolerance=a.hit_tol)
+    res = goodtetra.find_good_tetra(
+        a.surface, SurfacePoint(a.point, a.surface.normal_at(a.point)), params)
     frac = goodtetra.verify_projection(
-        oracle, res.vertices[0], res.stopping_distance / 2.0,
-        res.witness_plane_normal, n_rays=args.proj_rays, seed=seed)
-    config = {"surface": oracle.describe(), "point": point.tolist(),
-              "rays": args.rays, "hit_tol": args.hit_tol,
-              "proj_rays": args.proj_rays}
+        a.surface, res.vertices[0], res.stopping_distance / 2.0,
+        res.witness_plane_normal, n_rays=a.proj_rays, seed=seed)
     results = {**_document(res), "projection_fraction": frac}
     return config, results, _named(
         results, "stopping_distance", "case_label", "eta_achieved",
@@ -360,22 +310,16 @@ def _run_goodtetra(args, seed, threads):
 
 
 def _run_minimize(args, seed, threads):
-    from .surface import load_mesh, save_obj
-    mesh = load_mesh(args.mesh, args.mesh_format)
-    if args.mode == "energy":
-        state = minimize.minimize_energy_area_cap(mesh, args.p, args.cap,
-                                                  args.iters, seed)
-    else:
-        state = minimize.minimize_area_energy_cap(mesh, args.p, args.cap,
-                                                  args.iters, seed)
+    config, a = _resolve(args, seed)
+    anneal = (minimize.minimize_energy_area_cap if a.mode == "energy"
+              else minimize.minimize_area_energy_cap)
+    state = anneal(load_mesh(a.mesh, a.mesh_format), a.p, a.cap, a.iters, seed)
     table = (["iteration", "objective", "constraint_value", "accepted"],
              state.audit)
-    if args.audit_out:
-        _emit(args.audit_out, _csv(*table))
-    if args.mesh_out:
-        save_obj(args.mesh_out, state.mesh.vertices, state.mesh.faces)
-    config = {"mesh": args.mesh, "mode": args.mode, "cap": args.cap,
-              "iters": args.iters, "p": args.p}
+    if a.audit_out:
+        _emit(a.audit_out, _csv(*table))
+    if a.mesh_out:
+        save_obj(a.mesh_out, state.mesh.vertices, state.mesh.faces)
     results = {"objective": state.objective,
                "constraint_value": state.constraint_value,
                "best_objective": state.best_objective,
@@ -385,33 +329,68 @@ def _run_minimize(args, seed, threads):
     return config, results, table
 
 
-_RUNNERS = {
-    "integrand": _run_integrand,
-    "energy": _run_energy,
-    "local-energy": _run_local_energy,
-    "scaling": _run_scaling,
-    "diverge": _run_diverge,
-    "density": _run_density,
-    "beta": _run_beta,
-    "oscillation": _run_oscillation,
-    "goodtetra": _run_goodtetra,
-    "minimize": _run_minimize,
+class _Row(NamedTuple):
+    """A subcommand: its runner, the inputs it resolves (of "surface", "point"
+    and "spec"), its own flags by dest name with their argparse keywords, and
+    the own flags that its config leaves out.  A flag's "floats" keyword, the
+    shape or None for any length, makes it a list of numbers that _resolve
+    parses after argparse, so that a bad list is an InputError."""
+    run: object
+    resolves: tuple
+    flags: dict
+    quiet: tuple = ()
+
+
+_FLOAT = {"type": float, "required": True}
+_INT = {"type": int, "required": True}
+_FLOATS = {"required": True, "floats": None}
+
+# every subcommand, in the order of the parser's list
+_SUBCOMMANDS = {
+    "integrand": _Row(_run_integrand, ("spec",), {"tetra": {
+        "required": True, "help": "12 comma-separated coordinates",
+        "floats": (4, 3)}}),
+    "energy": _Row(_run_energy, ("surface", "spec"),
+                   {"p": _FLOAT, "samples": _INT}),
+    "local-energy": _Row(_run_local_energy, ("surface", "spec"), {
+        "p": _FLOAT, "samples": _INT,
+        "center": {"required": True, "floats": (3,)}, "patch_radius": _FLOAT}),
+    "scaling": _Row(_run_scaling, ("spec",),
+                    {"p": _FLOAT, "samples": _INT, "radii": _FLOATS}),
+    "diverge": _Row(_run_diverge, (), {
+        "p": _FLOAT, "samples": _INT, "alpha": _FLOAT,
+        "eps": {"type": float, "default": 0.05},
+        "nmax": {"type": int, "default": 5},
+        "mean": {"default": "geometric", "choices": tuple(MEANS)}}),
+    "density": _Row(_run_density, ("surface", "point"), {
+        "patch_radius": _FLOAT, "depth": {"type": int, "default": 8}}),
+    "beta": _Row(_run_beta, ("surface", "point"), {
+        "patch_radius": _FLOAT, "patch_samples": {"type": int, "default": 4000},
+        "grid_level": {"type": int, "default": 1}}),
+    "oscillation": _Row(_run_oscillation, ("surface", "point"), {
+        "scales": _FLOATS, "pairs": {"type": int, "default": 400}}),
+    "goodtetra": _Row(_run_goodtetra, ("surface", "point"), {
+        "rays": {"type": int, "default": 4096},
+        "hit_tol": {"type": float, "default": 1e-3},
+        "proj_rays": {"type": int, "default": 800}}),
+    "minimize": _Row(_run_minimize, (), {
+        "mesh": {"required": True}, "mesh_format": {"choices": tuple(READERS)},
+        "mode": {"choices": ("energy", "area"), "required": True},
+        "cap": _FLOAT, "iters": _INT, "p": _FLOAT,
+        "audit_out": {"help": "write the iteration audit CSV here"},
+        "mesh_out": {"help": "write the final mesh OBJ here"}},
+        quiet=("mesh_format", "audit_out", "mesh_out")),
 }
+_RUNNERS = {name: row.run for name, row in _SUBCOMMANDS.items()}
 
 
 def _echo_argv(argv):
-    out = []
-    skip_next = False
+    """argv without the flags of _SKIP_ECHO and their values."""
+    out, skip = [], False
     for tok in argv:
-        if skip_next:
-            skip_next = False
-            continue
-        if tok in _SKIP_ECHO:
-            skip_next = True
-            continue
-        if tok.split("=", 1)[0] in _SKIP_ECHO:
-            continue
-        out.append(tok)
+        if not skip and tok.split("=", 1)[0] not in _SKIP_ECHO:
+            out.append(tok)
+        skip = not skip and tok in _SKIP_ECHO
     return out
 
 
@@ -444,9 +423,7 @@ def run(argv):
     t0 = time.monotonic()
     try:
         _check_ranges(args)
-        seed = args.seed
-        if seed is None:
-            seed = _env_int("MENGER_SEED")
+        seed = _env_int("MENGER_SEED") if args.seed is None else args.seed
         threads = args.threads
         if threads is None:
             least, most = _INT_RANGES["threads"]
