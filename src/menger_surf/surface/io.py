@@ -2,8 +2,9 @@
 
 OBJ: ``v x y z`` and ``f i j k ...`` records with 1-based (optionally
 negative) indices, ``#`` comments, and ``i/t/n`` face tokens (only the vertex
-index is used).  OFF: ``OFF`` header, counts line, vertex block, face block.
-Polygon faces are fan-triangulated.  Both formats are whitespace-tolerant.
+index is used).  OFF: ``OFF`` header, counts line, then one line per vertex
+and per face, colour columns skipped.  Polygon faces are fan-triangulated.
+Both formats are whitespace-tolerant.
 
 The readers share one line reader and one check each for a vertex, a face and
 an empty mesh; every error is a ``MeshParseError`` naming its record's line.
@@ -11,7 +12,6 @@ an empty mesh; every error is a ``MeshParseError`` naming its record's line.
 """
 
 import math
-from itertools import islice
 
 import numpy as np
 
@@ -89,30 +89,22 @@ def load_obj(path):
 def load_off(path):
     """Read an OFF file; returns (vertices (n,3) float, faces (m,3) int).
 
-    The file is one stream of words, so a record may span lines; an error
-    names the line of the last word read.
+    One record per line; words after a vertex's 3 coordinates or after a
+    face's indices are colour, and the counts may share the header's line.
     """
-    last = 1  # the line of the last word read
+    records = _records(path)
+    last = 1  # the line of the last record read
 
-    def words():
+    def take(what):
         nonlocal last
-        for last, line in _records(path):
-            yield from line
+        for last, words in records:
+            return last, words
+        raise MeshParseError(path, last, f"unexpected end of file while reading {what}")
 
-    stream = words()
-
-    def take(n, what):
-        got = list(islice(stream, n))
-        if len(got) < n:
-            raise MeshParseError(path, last, f"unexpected end of file while reading {what}")
-        return last, got
-
-    line_no, counts = take(1, "header")
+    line_no, counts = take("header")
     if counts[0].upper() == "OFF":
-        line_no, counts = take(3, "counts")
-    else:
-        # headerless variant: the first line is already the counts line
-        counts += take(2, "counts")[1]
+        counts = counts[1:] or take("counts")[1]
+        line_no = last
     try:
         nv, nf, ne = map(int, counts)
         bad = min(nv, nf, ne) < 0
@@ -121,16 +113,22 @@ def load_off(path):
     if bad:
         raise MeshParseError(path, line_no, "bad counts line")
 
-    vertices = [_vertex(path, *take(3, "vertex")) for _ in range(nv)]
+    vertices = []
+    for line_no, words in (take("vertex") for _ in range(nv)):
+        if len(words) < 3:
+            raise MeshParseError(path, line_no, "vertex needs 3 coordinates")
+        vertices.append(_vertex(path, line_no, words[:3]))
     faces = []
-    for _ in range(nf):
-        line_no, (size,) = take(1, "face size")
+    for line_no, words in (take("face size") for _ in range(nf)):
         try:
-            k = int(size)
+            k = int(words[0])
         except ValueError:
             raise MeshParseError(path, line_no, "bad face vertex count") from None
-        # a size below 3 reads no index, and _face refuses it
-        faces.extend(_face(path, *take(k if k >= 3 else 0, "face indices"), nv))
+        if k >= 3 and len(words) <= k:
+            raise MeshParseError(path, line_no, f"face needs {k} indices, "
+                                 f"got {len(words) - 1}")
+        # a size below 3 passes no index, and _face refuses it
+        faces.extend(_face(path, line_no, words[1:k + 1] if k >= 3 else [], nv))
     return _arrays(path, vertices, faces)
 
 

@@ -122,6 +122,41 @@ class TestLoaders:
         assert len(mesh.faces) == 1
         assert mesh.total_area == 0.5
 
+    def test_off_colour_columns_are_skipped(self, tmp_path):
+        plain = ("OFF\n4 4 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+                 "3 0 2 1\n3 0 1 3\n3 0 3 2\n3 1 2 3\n")
+        colour = ("OFF\n4 4 0\n0 0 0 255 0 0\n1 0 0 255 0 0\n0 1 0 255 0 0\n"
+                  "0 0 1 255 0 0\n3 0 2 1 0 0 255\n3 0 1 3 0 0 255\n"
+                  "3 0 3 2 0.1 0.2 0.3 1\n3 1 2 3\n")
+        (tmp_path / "plain.off").write_text(plain)
+        (tmp_path / "color.off").write_text(colour)
+        want = load_off(tmp_path / "plain.off")
+        got = load_off(tmp_path / "color.off")
+        for a, b in zip(want, got):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("name,text,message", [
+        ("short.off", "OFF\n3 1 0\n0 0 0\n1 0\n0 0\n0 1 0\n3 0 1 2\n",
+         "4: vertex needs 3 coordinates"),
+        ("face.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1\n2\n",
+         "6: face needs 3 indices, got 2"),
+        ("small.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n2 0 1\n",
+         "6: face needs at least 3 vertices"),
+        ("end.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n",
+         "4: unexpected end of file while reading vertex"),
+    ])
+    def test_off_record_errors_name_their_line(self, tmp_path, name, text,
+                                               message):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(MeshParseError, match=exactly(f"{path}:{message}")):
+            load_off(path)
+
+    def test_off_counts_on_the_header_line(self, tmp_path):
+        path = tmp_path / "one.off"
+        path.write_text("OFF 3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+        assert load_off(path)[1].tolist() == [[0, 1, 2]]
+
     def test_negative_obj_indices(self, tmp_path):
         path = tmp_path / "neg.obj"
         path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\n")
