@@ -132,13 +132,6 @@ def _canonical_points(P):
     return C.transpose(2, 0, 1)
 
 
-def mean_value(name, a, b, c):
-    """One of the supported means on a nonnegative triple."""
-    if not isinstance(name, str) or name not in MEANS:
-        raise geom.InputError(f"unknown mean {name!r}")
-    return float(MEANS[name](float(a), float(b), float(c)))
-
-
 def eval_batch(spec, P):
     """Evaluate the integrand on a (n, 4, 3) stack of quadruples."""
     P = np.asarray(P, dtype=float)
