@@ -6,8 +6,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geom
-from .geom import InputError, as_point, finite_in, integer_in
+from .geom import InputError, as_point, finite_in, instance_of, integer_in
 from .rng import blocks, substream
+from .surface import SurfaceOracle
 from .surface.trimesh import _point_tri_sqdist
 
 _PATCH_TAG = 0x50415443
@@ -92,6 +93,7 @@ def density_quotient(oracle, x, radius, depth=8):
     bound does not.  The children of a quadrisection reuse their parent's
     squared corner distances and those of its three edge midpoints.
     """
+    instance_of(oracle, SurfaceOracle, "oracle")
     x = oracle.point_on_surface(x, "x")
     finite_in(radius, "radius", 0)
     depth = integer_in(depth, "depth", 0, 10)
@@ -245,6 +247,7 @@ def patch_samples(oracle, x, r, n_patch, seed=0):
     """Up to n_patch area-uniform samples of the patch inside B(x, r); fewer
     only when the patch holds too little of the oracle's cover of the ball
     (such as none, for a centre off the surface)."""
+    instance_of(oracle, SurfaceOracle, "oracle")
     x = as_point(x, "x")
     finite_in(r, "r", 0)
     n_patch = integer_in(n_patch, "n_patch", 1)
@@ -261,6 +264,7 @@ def beta_number(oracle, x, r, n_patch=4000, grid_level=1, seed=0):
     memory), plus the patch SVD normal and one refinement pass around the
     best direction.
     """
+    instance_of(oracle, SurfaceOracle, "oracle")
     x = oracle.point_on_surface(x, "x")
     grid_level = integer_in(grid_level, "grid_level", 0, 6)
     pts = patch_samples(oracle, x, r, n_patch, seed)
@@ -308,6 +312,7 @@ def normal_oscillation_profile(oracle, x, scales, pairs_per_scale=400, seed=0):
     collect more pairs than asked.  A scale that collects none (a patch that
     misses the annulus) raises ValueError.
     """
+    instance_of(oracle, SurfaceOracle, "oracle")
     x = oracle.point_on_surface(x, "x")
     scales = sorted(finite_in(s, "scales", 0) for s in scales)
     if not scales:

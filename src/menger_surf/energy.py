@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import _ball_points
-from .geom import InputError, as_point, finite_in, integer_in, sample_cap
+from .geom import (InputError, as_point, finite_in, instance_of, integer_in,
+                   sample_cap)
 from .integrand import IntegrandSpec, eval_batch
 from .rng import CHUNK, blocks, substream
 from .surface import SurfaceOracle
@@ -103,6 +104,8 @@ def estimate_mp(oracle, spec, p, n, seed, threads=1):
 
     All four points of every quadruple are independent area-uniform draws.
     """
+    instance_of(oracle, SurfaceOracle, "oracle")
+    instance_of(spec, IntegrandSpec, "spec")
     n = integer_in(n, "n", MIN_SAMPLES)
     finite_in(p, "p", 1, ends="[)")
 
@@ -132,6 +135,8 @@ def local_energy(oracle, center, radius, spec, p, n, seed, threads=1):
     number.  A patch that holds fewer than 100 points after the block bound
     (a centre off the surface) raises ValueError.
     """
+    instance_of(oracle, SurfaceOracle, "oracle")
+    instance_of(spec, IntegrandSpec, "spec")
     n = integer_in(n, "n", 1)
     finite_in(p, "p", 1, ends="[)")
     finite_in(radius, "radius", 0)

@@ -106,6 +106,14 @@ def as_points(v, name):
     return v
 
 
+def instance_of(value, cls, name):
+    """value, which must be an instance of cls."""
+    if not isinstance(value, cls):
+        raise InputError(f"{name} must be of type {cls.__name__}, "
+                         f"got {type(value).__name__}")
+    return value
+
+
 class SimplexMeasures(NamedTuple):
     volume: float
     total_area: float

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import geom
 from .rng import substream
+from .surface import SurfaceOracle, SurfacePoint
 
 _PROJ_TAG = 0x50524F4A
 
@@ -276,7 +277,10 @@ def find_good_tetra(oracle, seed_point, params=None):
     achieved eta and whose witness plane carries the large-projection
     property up to the stopping distance.
     """
-    params = params or GoodTetraParams()
+    geom.instance_of(oracle, SurfaceOracle, "oracle")
+    geom.instance_of(seed_point, SurfacePoint, "seed_point")
+    params = (GoodTetraParams() if params is None
+              else geom.instance_of(params, GoodTetraParams, "params"))
     if not oracle.has_interior():
         raise geom.InputError("oracle has no interior")
     x0 = oracle.point_on_surface(seed_point.position, "seed_point.position")
@@ -435,6 +439,7 @@ def verify_projection(oracle, x0, r, witness_plane_normal, n_rays=1000,
     perpendicular to the plane; a hit counts when it lies in
     B(x0, r (1 + WITNESS_TOL)).
     """
+    geom.instance_of(oracle, SurfaceOracle, "oracle")
     x0 = geom.as_point(x0, "x0")
     geom.finite_in(r, "r", 0)
     v = geom.unit_vector(witness_plane_normal, "witness_plane_normal")

@@ -134,6 +134,7 @@ def _canonical_points(P):
 
 def eval_batch(spec, P):
     """Evaluate the integrand on a (n, 4, 3) stack of quadruples."""
+    geom.instance_of(spec, IntegrandSpec, "spec")
     P = np.asarray(P, dtype=float)
     if P.ndim != 3 or P.shape[1:] != (4, 3):
         raise geom.InputError("P must be an (n, 4, 3) array of quadruples")

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import exactly
 from menger_surf import InputError, analysis, energy, geom, goodtetra, minimize
-from menger_surf.integrand import IntegrandSpec, lemma_bounds
+from menger_surf.integrand import IntegrandSpec, eval_batch, lemma_bounds
 from menger_surf.rng import substream
 from menger_surf.surface import SurfaceOracle, SurfacePoint, shapes
 
@@ -288,6 +288,21 @@ API = {
         SPHERE, a["x0"], a["r"], a["witness_plane_normal"], a["n_rays"]),
         {"x0": (POLE, POINTS), "r": (0.5, REALS),
          "witness_plane_normal": (POLE, VECTORS), "n_rays": (16, COUNTS)}),
+    # objects of the wrong type, once an AttributeError deep in the call
+    "estimate_mp_objects": (lambda a: energy.estimate_mp(
+        a["oracle"], a["spec"], 8.0, 1000, 0),
+        {"oracle": (SPHERE, [None, "sphere", ICO0]),
+         "spec": (MENGER, ["menger", {"kind": "menger"}])}),
+    "beta_number_oracle": (lambda a: analysis.beta_number(
+        a["oracle"], POLE, 0.3, 50, 0),
+        {"oracle": (SPHERE, [None, "sphere", ICO0])}),
+    "find_good_tetra_objects": (lambda a: goodtetra.find_good_tetra(
+        SPHERE, a["seed_point"], a["params"]),
+        {"seed_point": (SurfacePoint(np.array(POLE), np.array(POLE)),
+                        [np.array(POLE), (POLE, POLE)]),
+         "params": (goodtetra.GoodTetraParams(1e-3, 64), [5, "fast"])}),
+    "eval_batch": (lambda a: eval_batch(a["spec"], np.eye(4, 3)[None]),
+                   {"spec": (MENGER, ["menger", None])}),
     "minimize_energy_area_cap": (lambda a: minimize.minimize_energy_area_cap(
         ICO0, a["p"], a["area_cap"], a["iters"], 0),
         {"p": (9.0, REALS + [8.0]), "area_cap": (10.0, REALS),
