@@ -222,25 +222,31 @@ def _max_abs_dot(dirs, rel):
     return out
 
 
+def _read_blocks(work, need, threads=1):
+    """The rows that the blocks ``work(0), work(1), ...`` keep, joined, and
+    the number of blocks read: blocks are read until ``need`` rows are kept
+    or ``MAX_BLOCKS`` are read."""
+    kept = []
+    have = 0
+    for rows in blocks(work, MAX_BLOCKS, threads):
+        kept.append(rows)
+        have += len(rows)
+        if have >= need:
+            break
+    return np.concatenate(kept), len(kept)
+
+
 def _ball_points(oracle, x, r, need, stream, block, threads=1):
     """Surface points in B(x, r) by rejection, and the number of blocks drawn.
 
     Block k draws ``block`` points of the oracle's cover of the ball from
-    ``substream(*stream, k)`` and keeps those in the ball; blocks are read
-    until ``need`` points are kept or ``MAX_BLOCKS`` are drawn."""
+    ``substream(*stream, k)`` and keeps those in the ball (``_read_blocks``)."""
     def work(k):
         pts = oracle.sample_points(substream(*stream, k), block, (x, r))
         d = pts - x
         return pts[np.einsum("ij,ij->i", d, d) <= r * r]
 
-    kept = []
-    have = 0
-    for pts in blocks(work, MAX_BLOCKS, threads):
-        kept.append(pts)
-        have += len(pts)
-        if have >= need:
-            break
-    return np.concatenate(kept), len(kept)
+    return _read_blocks(work, need, threads)
 
 
 def patch_samples(oracle, x, r, n_patch, seed=0):
@@ -272,29 +278,26 @@ def beta_number(oracle, x, r, n_patch=4000, grid_level=1, seed=0):
         raise ValueError("empty patch")
     rel = pts - x
 
+    def step(dirs, best):  # the (direction, value) best, or a better one of dirs
+        vals = _max_abs_dot(dirs, rel)
+        i = int(np.argmin(vals))
+        return (dirs[i], float(vals[i])) if vals[i] < best[1] else best
+
     # the small-residual plane normal is an excellent candidate and makes
     # exactly flat patches come out at machine zero
     _, _, vt = np.linalg.svd(rel, full_matrices=False)
-    best_dir = vt[-1]
-    best_val = float(_max_abs_dot(best_dir[None], rel)[0])
+    best = step(vt[-1:], (None, np.inf))
 
     # levels are cumulative (each adds its grid and a refinement around the
     # running best), so a finer grid_level can only lower the reported value
     for k in range(grid_level + 1):
-        dirs = np.stack(geom.fibonacci_columns(2.0, 500 * 4**k), axis=-1)
-        vals = _max_abs_dot(dirs, rel)
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_dir, best_val = dirs[i], float(vals[i])
+        best = step(np.stack(geom.fibonacci_columns(2.0, 500 * 4**k), axis=-1),
+                    best)
         spacing = 2.0 / np.sqrt(500 * 4**k)
-        refine = geom.cap_fibonacci(best_dir / np.linalg.norm(best_dir),
-                                    2.0 * spacing, 600)
-        rvals = _max_abs_dot(refine, rel)
-        i = int(np.argmin(rvals))
-        if rvals[i] < best_val:
-            best_dir, best_val = refine[i], float(rvals[i])
+        best = step(geom.cap_fibonacci(best[0] / np.linalg.norm(best[0]),
+                                       2.0 * spacing, 600), best)
 
-    return BetaReport(x, float(r), float(best_val / r), best_dir, grid_level)
+    return BetaReport(x, float(r), float(best[1] / r), best[0], grid_level)
 
 
 # ---------------------------------------------------------------------------
@@ -328,22 +331,15 @@ def normal_oscillation_profile(oracle, x, scales, pairs_per_scale=400, seed=0):
                                      (x, d))
         dist = np.linalg.norm(pts - x, axis=1)
         keep = (dist >= d / 2.0) & (dist <= d)
-        cosang = np.clip(normals[keep] @ n0, -1.0, 1.0)
-        return len(cosang), float(np.arccos(cosang).max(initial=0.0))
+        return np.clip(normals[keep] @ n0, -1.0, 1.0)
 
     profile = []
     for si, d in enumerate(scales):
-        collected = 0
-        max_osc = 0.0
-        for count, osc in blocks(lambda k: work(k, si, d), MAX_BLOCKS):
-            collected += count
-            max_osc = max(max_osc, osc)
-            if collected >= pairs_per_scale:
-                break
-        if collected == 0:
+        cosang = _read_blocks(lambda k: work(k, si, d), pairs_per_scale)[0]
+        if len(cosang) == 0:
             raise ValueError(f"no sampled point at distance [{d / 2.0}, {d}] "
                              f"from x for scale {d}")
-        profile.append((d, max_osc))
+        profile.append((d, float(np.arccos(cosang).max())))
     return profile
 
 

@@ -198,13 +198,18 @@ def _classify(hits, x0, v, rho, params):
 
 _RIM_FACTORS = (1.0, 0.996, 0.99, 0.97, 0.94)
 _RIM_SCAN = 96  # rim points scanned per factor
-_NO_RIM_HIT = ("no rim segment met the surface "
-               "(cone condition failed at mesh resolution)")
 
 
-def _rim_segments(x0, v, z, half):
-    """Ends of the segments of half-length half along v through x0 + z."""
-    return (x0 + z) - half * v, (x0 + z) + half * v
+def _rim_hit(oracle, v, segments, score):
+    """The surface point of best score on the first segment that meets the
+    surface, of the (mid, half) segments of half-length half along v through
+    mid, in order."""
+    for mid, half in segments:
+        pts = oracle.segment_hits(mid - half * v, mid + half * v)
+        if len(pts):
+            return pts[int(np.argmax(score(pts)))]
+    raise RuntimeError("no rim segment met the surface "
+                       "(cone condition failed at mesh resolution)")
 
 
 def _rim_vertex(oracle, x0, v, r, plane_normal, params, first=None):
@@ -219,29 +224,23 @@ def _rim_vertex(oracle, x0, v, r, plane_normal, params, first=None):
     """
     halves = [f * r * (1.0 + 2.0 * params.hit_tolerance) for f in _RIM_FACTORS]
     ring = _circle(v, np.arange(_RIM_SCAN) * (2.0 * np.pi / _RIM_SCAN))
-    los, his, scores = [], [], []
+    segments, scores = [], []
     for f, half in zip(_RIM_FACTORS, halves):
-        lo, hi = _rim_segments(x0, v, f * r * ring, half)
-        dlo = (lo - x0) @ plane_normal
-        dhi = (hi - x0) @ plane_normal
+        mid = x0 + f * r * ring
+        dlo = (mid - half * v - x0) @ plane_normal
+        dhi = (mid + half * v - x0) @ plane_normal
         crossing = np.sign(dlo) != np.sign(dhi)
         scores.append(np.where(crossing, 0.0,
                                np.minimum(np.abs(dlo), np.abs(dhi))))
-        los.append(lo)
-        his.append(hi)
+        segments += [(m, half) for m in mid]
     # stable, so equal scores keep the scan's (factor, k) order
     order = np.argsort(-np.concatenate(scores), kind="stable")
-    segments = list(zip(np.concatenate(los)[order],
-                        np.concatenate(his)[order]))
+    segments = [segments[i] for i in order]
     if first is not None:
-        segments[:0] = [_rim_segments(x0, v, f * first, half)
+        segments[:0] = [(x0 + f * first, half)
                         for f, half in zip(_RIM_FACTORS, halves)]
-
-    for a, b in segments:
-        pts = oracle.segment_hits(a, b)
-        if len(pts):
-            return pts[int(np.argmax(np.abs((pts - x0) @ plane_normal)))]
-    raise RuntimeError(_NO_RIM_HIT)
+    return _rim_hit(oracle, v, segments,
+                    lambda pts: np.abs((pts - x0) @ plane_normal))
 
 
 def _plane_normal(x0, p1, p2):
@@ -346,17 +345,14 @@ def _case_central(oracle, x0, v, r, y1, params):
     """
     v, u, e2, axial = _hit_frame(y1, v, params.hit_tolerance * r)
     z2 = -r * e2
-    for f in _RIM_FACTORS:
-        a, b = _rim_segments(x0, v, f * z2,
-                             f * r * (1.0 + 2.0 * params.hit_tolerance))
-        pts = oracle.segment_hits(a, b)
-        if len(pts):
-            # most central hit keeps the base wide
-            x2 = pts[int(np.argmin(np.abs((pts - x0[None]) @ v)))]
-            if axial:
-                return v, x2, r * u, "central_hit_a"
-            return v, x2, None, "central_hit_b"
-    raise RuntimeError(_NO_RIM_HIT)
+    # most central hit keeps the base wide
+    x2 = _rim_hit(oracle, v, [(x0 + f * z2,
+                               f * r * (1.0 + 2.0 * params.hit_tolerance))
+                              for f in _RIM_FACTORS],
+                  lambda pts: -np.abs((pts - x0) @ v))
+    if axial:
+        return v, x2, r * u, "central_hit_a"
+    return v, x2, None, "central_hit_b"
 
 
 def _case_antipodal(oracle, x0, v, rho, y1, params):
