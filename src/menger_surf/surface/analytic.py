@@ -472,31 +472,17 @@ class Capsule(_Tube):
         return 2.0 * np.pi * self.radius * max(hi - lo, 0.0)
 
     def _draw(self, rng, n, ball):
-        """cos phi, sin phi, the wall height z and the wall mask of every row,
-        and for the cap rows whether they lie on the top cap and their
-        outward unit vectors about the cap centres.
-
-        The whole capsule picks wall or cap by area and then a height; a band
-        (``_band``) draws the height uniformly.
-        """
-        if ball is None:
-            u = rng.random(n) * self.total_area
-            phi = rng.random(n) * 2.0 * np.pi
-            h = rng.random(n)
-            cyl = u < self.cyl_area
-            z = (h - 0.5) * self.length
-            # end caps: split the remaining area evenly, hemisphere z-uniform
-            cap = ~cyl
-            top = u[cap] < self.cyl_area + self.cap_area / 2.0
-            zc = h[cap]  # uniform in [0, 1] -> hemisphere by Archimedes
-        else:
-            lo, hi = self._band(ball)
-            z = rng.random(n if hi > lo else 0) * (hi - lo) + lo
-            phi = rng.random(len(z)) * 2.0 * np.pi
-            cyl = np.abs(z) <= self.half
-            cap = ~cyl
-            top = z[cap] > 0.0
-            zc = (np.abs(z[cap]) - self.half) / self.radius
+        """cos phi, sin phi, the height z and the wall mask of every row, and
+        for the cap rows whether they lie on the top cap and their outward
+        unit vectors about the cap centres: z uniform on the band (``_band``),
+        the whole capsule without a ball, then phi uniform."""
+        lo, hi = self._band(ball)
+        z = rng.random(n if hi > lo else 0) * (hi - lo) + lo
+        phi = rng.random(len(z)) * 2.0 * np.pi
+        cyl = np.abs(z) <= self.half
+        cap = ~cyl
+        top = z[cap] > 0.0
+        zc = (np.abs(z[cap]) - self.half) / self.radius
         c, s = np.cos(phi), np.sin(phi)
         sc = np.sqrt(np.maximum(1.0 - zc * zc, 0.0))
         w = np.stack([sc * c[cap], sc * s[cap], np.where(top, zc, -zc)], axis=-1)

@@ -3,9 +3,12 @@
 Each function is the former whole-surface ``sample(rng, n)`` body of one
 backing, with ``self`` renamed ``surf``.  They stack whole (n, 3) arrays,
 gather the (n, 3, 3) face corners, look faces up by ``np.searchsorted`` and
-test every proposal of a rejection block.  The backings' ``sample`` and
-``sample_points`` without a ball must return their rows bit for bit and leave
-the generator in the same state (``tests/test_sampling.py``).
+test every proposal of a rejection block.  The sphere's, the torus's, the
+saddle's and the mesh's ``sample`` and ``sample_points`` without a ball must
+return their rows bit for bit and leave the generator in the same state
+(``tests/test_sampling.py``).  The capsule now draws its whole surface as
+its full z band, with other draws, so ``capsule`` (wall or cap by area, then
+a height) is a reference in distribution only.
 
 ``patch`` is the reference for the samplers with a ball: the whole-surface
 sample, culled by the exact ball test.  The local samplers must match it in

@@ -103,8 +103,8 @@ DIGESTS = {
         "f2d4228aa34338091473c1d73f4056b4f0677f3aaf9a8166e4be45995022d49a",
         "d973f2f5610c0f31e0733ea333213e49390384b1daabf27798c4c1b7c330886d"),
     "energy-capsule": (
-        "cdfd800ddb32e657bb346fe39b1bf9c5ba22f6f91d8cdf543df2b4acfae20bd9",
-        "414bd3920c558fde09503d4e6f8b762b37a649186697964a3485a58bfd7ab30b"),
+        "c910aaf126001f994dde918858f04c58a5de89539bde9791682499bfe6de1dd9",
+        "e7f4fadf9c07e711f7bc66783099f371f457a855acc9fcb3e95f183915b85c6a"),
     "energy-obj": (
         "8537e6c2c1f53fa4169fc38ab1acced790717f6783675d7b7a90afd5da289b79",
         "7086abc7aad36ca6a48fbecb6891fa06b6125292a86efc0032dd8e1952871817"),
