@@ -114,7 +114,7 @@ def _resolve_surface(args):
 def _resolve_spec(args):
     try:
         return IntegrandSpec.from_json(args.integrand)
-    except (ValueError, KeyError) as exc:
+    except InputError as exc:
         raise InputError(f"bad integrand spec: {exc}")
 
 

@@ -201,9 +201,8 @@ _RIM_SCAN = 96  # rim points scanned per factor
 
 
 def _rim_hit(oracle, v, segments, score):
-    """The surface point of best score on the first segment that meets the
-    surface, of the (mid, half) segments of half-length half along v through
-    mid, in order."""
+    """The best-scored hit of the first of the (mid, half) segments, of
+    half-length half along v through mid, that meets the surface."""
     for mid, half in segments:
         pts = oracle.segment_hits(mid - half * v, mid + half * v)
         if len(pts):

@@ -28,12 +28,13 @@ the same end state of the generator and the rows of ``sample(rng, n,
 ball)[0]`` bit for bit, without forming a normal or passing through
 ``sample``.
 
-Without a ball the draws are area-uniform on the whole surface.  With a ball
-(center, radius) they are area-uniform on the backing's cover of the ball: a
-region of the surface that holds every surface point of the ball, of exact
-area ``cover_area(ball)``.  The cover is a cap on the sphere, a product of a
-major-angle arc and a minor-angle arc on the torus, a z band on the capsule,
-an xy box on the saddle and the faces whose boxes reach the ball on a mesh.
+Without a ball the draws are area-uniform on the whole surface, of area
+``cover_area(None)``.  With a ball (center, radius) they are area-uniform on
+the backing's cover of the ball: a region of the surface that holds every
+surface point of the ball, of exact area ``cover_area(ball)``.  The cover is
+a cap on the sphere, a product of a major-angle arc and a minor-angle arc on
+the torus, a z band on the capsule, an xy box on the saddle and the faces
+whose boxes reach the ball on a mesh.
 A cover is empty (area 0, and the draw returns no rows) only where the ball
 misses the surface.  Callers that keep only the points of a patch apply their
 own exact test to what comes back, and the fraction they keep, times
@@ -55,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..geom import (InputError, as_array, as_point, as_points, finite_in,
-                    integer_in)
+                    instance_of, integer_in)
 from .analytic import Capsule, SaddlePatch, Sphere, Torus
 from .io import READERS, MeshParseError, load_obj, load_off, save_obj, save_off
 from .trimesh import TriMesh
@@ -116,9 +117,7 @@ class SurfaceOracle:
 
     @classmethod
     def from_mesh(cls, mesh):
-        if not isinstance(mesh, TriMesh):
-            raise TypeError("from_mesh expects a TriMesh")
-        return cls(mesh)
+        return cls(instance_of(mesh, TriMesh, "mesh"))
 
     @classmethod
     def from_file(cls, path, format=None):
@@ -144,6 +143,8 @@ class SurfaceOracle:
 
     def cover_area(self, ball):
         """Exact area of the region that ``sample(rng, n, ball)`` draws from."""
+        if ball is None:
+            return self.total_area
         return float(self.backing.cover_area(_checked(ball)))
 
     def ray_hits(self, origins, dirs, tmin, tmax):

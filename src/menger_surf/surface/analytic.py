@@ -1,7 +1,9 @@
 """Closed-form surfaces: sphere, torus, saddle patch, capsule.
 
 Each kind provides area-exact sampling, on the whole surface or on a cover
-of a ball (``cover_area`` gives its exact area), closed-form ray intersection
+of a ball (``cover_area`` gives its exact area; torus, saddle and capsule
+draw the whole surface as a cover that holds it: whole arcs, the square, the
+full z band), closed-form ray intersection
 (``ray_hits``: every hit of a batch of rays within a parameter band),
 normals, an inside test when the surface bounds a volume, and a triangulated
 stand-in via ``tessellate`` for the face-based diagnostics.  Normals point

@@ -190,6 +190,13 @@ def test_whole_cover_is_the_surface():
         assert surf.cover_area(big) == pytest.approx(surf.total_area, rel=1e-12)
 
 
+def test_no_ball_covers_the_whole_surface():
+    """Without a ball the cover is the whole surface, on every backing."""
+    for kind in BACKINGS:
+        oracle = SurfaceOracle(backing(kind))
+        assert oracle.cover_area(None) == oracle.total_area, kind
+
+
 def _chi2_quantile(df, z):
     """Upper quantile of the chi-square law with df degrees of freedom at the
     standard normal quantile z (Wilson and Hilferty 1931)."""

@@ -468,7 +468,8 @@ class TestOracleValidation:
             load_mesh(tmp_path / "noisy.ply")
 
     def test_from_mesh_type_check(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(InputError,
+                           match=exactly("mesh must be of type TriMesh, got str")):
             SurfaceOracle.from_mesh("not a mesh")
 
     def test_bad_parameters(self):
