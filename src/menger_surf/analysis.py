@@ -261,14 +261,82 @@ def patch_samples(oracle, x, r, n_patch, seed=0):
                         8192)[0][:n_patch]
 
 
+def _rim(rel):
+    """The 256 points of the patch ``rel`` farthest from x, and the margin
+    16 eps max_i |rel_i| by which a rim score may exceed the whole patch's.
+
+    Each score is a 3-term dot product with a unit direction, so rounding
+    moves it by at most gamma_3 |rel_i| ~ 1.5 eps |rel_i| (Higham), whatever
+    shape of product BLAS computes it in; the margin covers both sides.
+    """
+    d2 = np.einsum("ij,ij->i", rel, rel)
+    far = np.argpartition(d2, -256)[-256:] if len(rel) > 256 else slice(None)
+    return rel[far], 16.0 * np.finfo(float).eps * np.sqrt(d2.max())
+
+
+def _step(dirs, rel, rim, margin, best):
+    """The (direction, value) best, or a better one of dirs: the lowest-index
+    minimum of ``_max_abs_dot(dirs, rel)`` if it is below ``best[1]``.
+
+    A max over the rim is at most the max over the patch, so the rim scores
+    bound each direction's score from below, up to the margin; they are
+    tight because a linear function takes its maximum over a point set at a
+    hull vertex, and on a near-flat patch those lie on the far rim.  The
+    512-direction blocks of ``_max_abs_dot`` are scored on the whole patch in
+    increasing order of their least bound, until that bound exceeds the
+    least score so far (or ``best[1]``) by more than the margin: no
+    direction left can then reach that score or tie it.  Each block is the
+    same product as in one call over all of dirs, so every score keeps its
+    bits.
+    """
+    lb = _max_abs_dot(dirs, rim)
+    starts = np.arange(0, len(dirs), 512)
+    vals = np.full(len(dirs), np.inf)
+    lows = np.minimum.reduceat(lb, starts)
+    cut = best[1]
+    for b in np.argsort(lows):
+        if lows[b] > cut + margin:
+            break
+        s = starts[b]
+        vals[s:s + 512] = _max_abs_dot(dirs[s:s + 512], rel)
+        cut = min(cut, vals[s:s + 512].min())
+    i = int(np.argmin(vals))
+    return (dirs[i], float(vals[i])) if vals[i] < best[1] else best
+
+
+def _beta_search(rel, grid_level):
+    """The (direction, value) of ``beta_number``'s search over the patch
+    ``rel`` (points minus x)."""
+    rim, margin = _rim(rel)
+    # the small-residual plane normal is an excellent candidate and makes
+    # exactly flat patches come out at machine zero
+    _, _, vt = np.linalg.svd(rel, full_matrices=False)
+    best = (vt[-1], float(_max_abs_dot(vt[-1:], rel)[0]))
+
+    # levels are cumulative (each adds its grid and a refinement around the
+    # running best), so a finer grid_level can only lower the reported value
+    for k in range(grid_level + 1):
+        best = _step(np.stack(geom.fibonacci_columns(2.0, 500 * 4**k), axis=-1),
+                     rel, rim, margin, best)
+        spacing = 2.0 / np.sqrt(500 * 4**k)
+        best = _step(geom.cap_fibonacci(best[0] / np.linalg.norm(best[0]),
+                                        2.0 * spacing, 600),
+                     rel, rim, margin, best)
+    return best
+
+
 def beta_number(oracle, x, r, n_patch=4000, grid_level=1, seed=0):
     """Scale-normalized sup-distance of the patch to its best plane through x.
 
     The infimum over planes is approximated from above by a nested
-    direction-grid search (500 * 4^k Fibonacci directions for k = 0..level,
-    so a finer level can only lower the value; the cap of 6 bounds time and
-    memory), plus the patch SVD normal and one refinement pass around the
-    best direction.
+    direction-grid search, so a finer level can only lower the value (the
+    cap of 6 bounds time and memory).  The candidates are the patch SVD
+    normal, then for each k = 0..level the 500 * 4^k Fibonacci directions and
+    600 directions of a cap around the best direction so far.  Of each set
+    only the 512-direction blocks whose rim bound can still win are scored
+    on the whole patch (``_step``); the result is that of scoring every
+    direction: the lowest-index minimum, kept only if strictly below the
+    best so far.
     """
     instance_of(oracle, SurfaceOracle, "oracle")
     x = oracle.point_on_surface(x, "x")
@@ -276,27 +344,7 @@ def beta_number(oracle, x, r, n_patch=4000, grid_level=1, seed=0):
     pts = patch_samples(oracle, x, r, n_patch, seed)
     if len(pts) == 0:
         raise ValueError("empty patch")
-    rel = pts - x
-
-    def step(dirs, best):  # the (direction, value) best, or a better one of dirs
-        vals = _max_abs_dot(dirs, rel)
-        i = int(np.argmin(vals))
-        return (dirs[i], float(vals[i])) if vals[i] < best[1] else best
-
-    # the small-residual plane normal is an excellent candidate and makes
-    # exactly flat patches come out at machine zero
-    _, _, vt = np.linalg.svd(rel, full_matrices=False)
-    best = step(vt[-1:], (None, np.inf))
-
-    # levels are cumulative (each adds its grid and a refinement around the
-    # running best), so a finer grid_level can only lower the reported value
-    for k in range(grid_level + 1):
-        best = step(np.stack(geom.fibonacci_columns(2.0, 500 * 4**k), axis=-1),
-                    best)
-        spacing = 2.0 / np.sqrt(500 * 4**k)
-        best = step(geom.cap_fibonacci(best[0] / np.linalg.norm(best[0]),
-                                       2.0 * spacing, 600), best)
-
+    best = _beta_search(pts - x, grid_level)
     return BetaReport(x, float(r), float(best[1] / r), best[0], grid_level)
 
 

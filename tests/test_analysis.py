@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from pytest import approx
 
+import beta_oracle
 import density_oracle
 from conftest import exactly
 from menger_surf import InputError, analysis, geom
@@ -445,3 +446,157 @@ def test_max_abs_dot_equals_one_product(count, data, seed):
     directions would pass 2^22 entries."""
     _check_one_product(
         count, data.draw(st.integers(1, min(4000, (1 << 22) // count))), seed)
+
+
+# The pruned beta search (analysis._step) against the exhaustive one
+# (tests/beta_oracle.py).  Values are compared by their hex form and
+# directions by their bytes, so the sign of a zero counts too.
+
+def _same_best(got, want):
+    if want[0] is None:
+        return got[0] is None and got[1] == want[1]
+    return (got[0].tobytes() == want[0].tobytes()
+            and float(got[1]).hex() == float(want[1]).hex())
+
+
+def _check_rim_bound(count, rel):
+    """The rim scores exceed the whole-patch scores by no more than the
+    margin, element by element, although the two products have different
+    row counts."""
+    dirs = _beta_directions(count, rel)
+    rim, margin = analysis._rim(rel)
+    assert len(rim) == min(len(rel), 256)
+    assert np.all(analysis._max_abs_dot(dirs, rim)
+                  <= analysis._max_abs_dot(dirs, rel) + margin), len(rel)
+
+
+@pytest.mark.parametrize("count", [1, 500, 600, 2000])
+def test_rim_bound_is_below_every_score_small_patches(count):
+    """Every patch size 1-300, across the 256-point rim."""
+    for n_points in range(1, 301):
+        _check_rim_bound(count, np.random.default_rng(n_points).standard_normal(
+            (n_points, 3)))
+
+
+@pytest.mark.parametrize("count", BETA_DIRECTION_COUNTS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32), decade=st.integers(-6, 3))
+def test_rim_bound_is_below_every_score(count, data, seed, decade):
+    """Up to beta's 4000 patch points, fewer where one product over all
+    directions would pass 2^22 entries, at magnitudes 1e-6 to 1e3."""
+    n_points = data.draw(st.integers(1, min(4000, (1 << 22) // count)))
+    _check_rim_bound(count, 10.0**decade * np.random.default_rng(
+        seed).standard_normal((n_points, 3)))
+
+
+def _point_set(kind, seed, n):
+    """About n points of one of the random, symmetric or flat kinds."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-6, 2)
+    if kind == "random":    # a Gaussian patch of random flatness
+        return scale * rng.standard_normal((n, 3)) * [1, 1, rng.uniform(0, 1)]
+    if kind == "pairs":     # +- pairs: p and -p score alike on any direction
+        half = rng.standard_normal(((n + 1) // 2, 3))
+        return scale * np.concatenate([half, -half])
+    if kind == "prism":     # a regular polygon at heights +-h, repeated
+        t = 2 * np.pi * np.arange(max(n // 2, 3)) / max(n // 2, 3)
+        ring = np.stack([np.cos(t), np.sin(t), np.full_like(t, 0.1)], axis=-1)
+        return scale * np.concatenate([ring, ring * [1, 1, -1]])
+    if kind == "cube":      # the 8 corners of a box, each up to n // 8 times
+        corners = np.array(np.meshgrid([-1, 1], [-1, 1], [-1, 1])).reshape(3, -1)
+        return scale * np.tile(corners.T * rng.uniform(0, 1, 3), (max(n // 8, 1), 1))
+    if kind == "line":      # a segment through x: most directions tie at 0
+        return scale * np.outer(rng.standard_normal(n), rng.standard_normal(3))
+    if kind == "zero":      # every point at x: every direction scores 0
+        return np.zeros((n, 3))
+    rel = np.zeros((max(n, 3), 3))  # flat: the plane z = 0 through x
+    rel[:, :2] = scale * rng.standard_normal((max(n, 3), 2))
+    return rel
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["random", "pairs", "prism", "cube", "line", "zero",
+                             "flat"]),
+       seed=st.integers(0, 2**32), n=st.integers(1, 700),
+       grid_level=st.integers(0, 2))
+def test_beta_search_matches_oracle(kind, seed, n, grid_level):
+    """The pruned search returns the exhaustive search's value and
+    direction bit for bit: on random patches, on symmetric sets where many
+    points and directions score alike, and on a flat patch, where beta is
+    exactly zero."""
+    rel = _point_set(kind, seed, n)
+    got = analysis._beta_search(rel, grid_level)
+    assert _same_best(got, beta_oracle.beta_search(rel, grid_level))
+    if kind == "flat":
+        assert got[1] == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 700),
+       n_dirs=st.integers(1, 2100), distinct=st.integers(1, 8),
+       best=st.sampled_from(["none", "least", "above", "below"]))
+def test_step_keeps_lowest_index_and_strict_rule(seed, n, n_dirs, distinct,
+                                                 best):
+    """Directions d and -d score alike bit for bit, so a few directions with
+    random signs, spread over several 512-blocks, make exact ties across
+    blocks: the step takes the lowest-index minimum, as the exhaustive one
+    does, and keeps a running best that the minimum only ties."""
+    rng = np.random.default_rng(seed)
+    rel = rng.standard_normal((n, 3)) * [1, 1, rng.uniform(0, 1)]
+    base = rng.standard_normal((distinct, 3))
+    base /= np.linalg.norm(base, axis=1, keepdims=True)
+    dirs = base[rng.integers(distinct, size=n_dirs)]
+    dirs *= rng.choice([-1.0, 1.0], size=(n_dirs, 1))
+    least = beta_oracle.step(dirs, rel, (None, np.inf))
+    start = {"none": (None, np.inf), "least": (base[0], least[1]),
+             "above": (base[0], np.nextafter(least[1], np.inf)),
+             "below": (base[0], np.nextafter(least[1], -np.inf))}[best]
+    got = analysis._step(dirs, rel, *analysis._rim(rel), start)
+    assert _same_best(got, beta_oracle.step(dirs, rel, start))
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(["sphere", "icosphere3", "torus", "saddle"]),
+       seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 1.0),
+       n_patch=st.sampled_from([1, 3, 100, 256, 257, 1000, 4000]),
+       grid_level=st.integers(0, 2))
+@example(name="sphere", seed=0, t=0.5, n_patch=4000, grid_level=1)
+def test_beta_number_matches_oracle(density_surfaces, name, seed, t, n_patch,
+                                    grid_level):
+    """Every BetaReport equals the exhaustive search's, field for field, on
+    patches of the four surfaces: centres sampled on the surface, r
+    log-uniform in [1e-3, 0.5 diameter]."""
+    oracle = density_surfaces[name]
+    x = sample_point(oracle, substream(seed)).position
+    r = 1e-3 * (0.5 * oracle.diameter / 1e-3) ** t
+    got = analysis.beta_number(oracle, x, r, n_patch, grid_level, seed)
+    want = beta_oracle.beta_number(oracle, x, r, n_patch, grid_level, seed)
+    for field in dataclasses.fields(want):
+        assert (np.asarray(getattr(got, field.name)).tobytes()
+                == np.asarray(getattr(want, field.name)).tobytes()), field
+
+
+@pytest.mark.parametrize("name, x", [("sphere", (0.0, 0.0, 1.0)),
+                                     ("torus", (3.0, 0.0, 0.0))])
+def test_beta_scores_few_blocks_on_the_whole_patch(density_surfaces,
+                                                   monkeypatch, name, x):
+    """At the benchmark's beta call (r = 0.2, 4000 points, grid level 1,
+    seed 0) the search scores at most 3 blocks of 512 directions on the
+    whole patch; scoring every direction takes 10 (the SVD normal, 500,
+    600, 2000 and 600 directions).  A silent fall back to the exhaustive
+    search keeps every bit and fails only here."""
+    blocks = []
+    kernel = analysis._max_abs_dot
+
+    def counted(dirs, rel):
+        if len(rel) == 4000:
+            blocks.append(-(-len(dirs) // 512))
+        return kernel(dirs, rel)
+
+    monkeypatch.setattr(analysis, "_max_abs_dot", counted)
+    monkeypatch.setattr(beta_oracle, "_max_abs_dot", counted)
+    beta_oracle.beta_number(density_surfaces[name], x, 0.2, 4000, 1, seed=0)
+    assert sum(blocks) == 10
+    blocks.clear()
+    analysis.beta_number(density_surfaces[name], x, 0.2, 4000, 1, seed=0)
+    assert sum(blocks) <= 3
