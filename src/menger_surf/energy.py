@@ -9,6 +9,7 @@ Either way the estimate is a pure function of (seed, n, spec, p, surface),
 independent of the worker count.
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,10 +110,18 @@ def estimate_mp(oracle, spec, p, n, seed, threads=1):
     n = integer_in(n, "n", MIN_SAMPLES)
     finite_in(p, "p", 1, ends="[)")
 
+    # one pair of blocks per worker, filled anew by each of its chunks: the
+    # chunk's points and their canonical order (``eval_batch``'s block)
+    workspace = threading.local()
+
     def draw_values(k, m):
+        if not hasattr(workspace, "blocks"):
+            workspace.blocks = np.empty((2, 12 * min(CHUNK, n)))
+        pts, block = workspace.blocks[:, :12 * m]
         rng = substream(seed, _ENERGY_TAG, k)
-        pts = oracle.sample_points(rng, 4 * m).reshape(m, 4, 3)
-        return eval_batch(spec, pts) ** p
+        pts = oracle.sample_points(rng, 4 * m, out=pts.reshape(4 * m, 3))
+        return eval_batch(spec, pts.reshape(m, 4, 3),
+                          block=block.reshape(4, 3, m)) ** p
 
     mean, stderr = _chunk_stats(draw_values, n, threads)
     a4 = oracle.total_area ** 4

@@ -104,7 +104,7 @@ _SORT_NETWORKS = {3: ((0, 1), (1, 2), (0, 1)),
                   4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))}
 
 
-def _canonical_points(P):
+def _canonical_points(P, out=None):
     """Lexicographically sort the vertices inside each simplex of a stack.
 
     The symmetric integrands are permutation invariant exactly; fixing a
@@ -117,9 +117,14 @@ def _canonical_points(P):
     depends on, so the order is the one a stable sort gives.  Swaps exchange
     the bits of the columns under an all-ones mask.  The result is an
     (n, k, 3) view of a (k, 3, n) column block, whose columns the geometry
-    kernel reads contiguously.
+    kernel reads contiguously; given ``out``, a float (k, 3, n) array, the
+    block is ``out``, and no new one is made.
     """
-    C = P.transpose(1, 2, 0).copy()
+    if out is None:
+        C = P.transpose(1, 2, 0).copy()
+    else:
+        C = out
+        C[...] = P.transpose(1, 2, 0)
     bits = C.view(np.int64)
     for i, j in _SORT_NETWORKS[P.shape[1]]:
         a, b = C[i], C[j]
@@ -132,14 +137,19 @@ def _canonical_points(P):
     return C.transpose(2, 0, 1)
 
 
-def eval_batch(spec, P):
-    """Evaluate the integrand on a (n, 4, 3) stack of quadruples."""
+def eval_batch(spec, P, block=None):
+    """Evaluate the integrand on a (n, 4, 3) stack of quadruples.
+
+    ``block``, a float (4, 3, n) array, receives the canonically ordered
+    vertices (``_canonical_points``) in place of a new block, so that a
+    caller that evaluates chunk after chunk reuses one.
+    """
     geom.instance_of(spec, IntegrandSpec, "spec")
     P = np.asarray(P, dtype=float)
     if P.ndim != 3 or P.shape[1:] != (4, 3):
         raise geom.InputError("P must be an (n, 4, 3) array of quadruples")
     if spec.kind == "leger":
-        base = _canonical_points(P[:, :3])
+        base = _canonical_points(P[:, :3], None if block is None else block[:3])
         x, y, z, xi = base[:, 0], base[:, 1], base[:, 2], P[:, 3]
         cross, area, _, base_ok = geom.triangles(x, y, z)
         da = np.linalg.norm(xi - x, axis=1)
@@ -153,7 +163,7 @@ def eval_batch(spec, P):
         out[ok] = dist / m[ok] ** spec.alpha
         return out
     # the symmetric kinds, on canonically ordered vertices
-    P = _canonical_points(P)
+    P = _canonical_points(P, block)
     out = np.zeros(len(P))
     if spec.kind == "circumsphere":
         radius, coplanar = geom.circumsphere_radius_batch(P)

@@ -21,12 +21,14 @@ parity votes of the inside test.
 The oracle samples area-uniformly through one draw core per backing:
 ``backing._draw(rng, n, ball)`` makes every random draw of n samples and
 returns their per-row parameters p, from which ``backing._points(*p)`` and
-``backing._normals(*p)`` form the rows.  ``sample(rng, n, ball=None)``
-composes all three.  ``sample_points(rng, n, ball=None)``, for callers that
-need no normals, composes ``_draw`` and ``_points`` alone: the same draws,
-the same end state of the generator and the rows of ``sample(rng, n,
-ball)[0]`` bit for bit, without forming a normal or passing through
-``sample``.
+``backing._normals(*p)`` form the rows; the first parameter has one entry
+per row.  ``sample(rng, n, ball=None)`` composes all three.
+``sample_points(rng, n, ball=None, out=None)``, for callers that need no
+normals, composes ``_draw`` and ``_points`` alone: the same draws, the same
+end state of the generator and the rows of ``sample(rng, n, ball)[0]`` bit
+for bit, without forming a normal or passing through ``sample``.  Given a
+float (n, 3) ``out``, ``_points(*p, out=out)`` writes the rows into it, so
+that a Monte-Carlo loop can fill one block for all its chunks.
 
 Without a ball the draws are area-uniform on the whole surface, of area
 ``cover_area(None)``.  With a ball (center, radius) they are area-uniform on
@@ -135,11 +137,21 @@ class SurfaceOracle:
         p = self.backing._draw(rng, integer_in(n, "n", 0), _checked(ball))
         return self.backing._points(*p), self.backing._normals(*p)
 
-    def sample_points(self, rng, n, ball=None):
+    def sample_points(self, rng, n, ball=None, out=None):
         """The points of ``sample(rng, n, ball)``, bit for bit, without forming
-        any normal (module docstring)."""
-        return self.backing._points(*self.backing._draw(
-            rng, integer_in(n, "n", 0), _checked(ball)))
+        any normal (module docstring).  With ``out``, a writeable float (n, 3)
+        array, the rows are written into it and it is returned; a ball whose
+        cover is empty draws no rows, and ``out[:0]`` comes back."""
+        n = integer_in(n, "n", 0)
+        if out is not None and not (isinstance(out, np.ndarray)
+                                    and out.shape == (n, 3)
+                                    and out.dtype == np.float64
+                                    and out.flags.writeable):
+            raise InputError(f"out must be a writeable float ({n}, 3) array")
+        p = self.backing._draw(rng, n, _checked(ball))
+        if out is not None and len(p[0]) < n:
+            out = out[:len(p[0])]
+        return self.backing._points(*p, out=out)
 
     def cover_area(self, ball):
         """Exact area of the region that ``sample(rng, n, ball)`` draws from."""

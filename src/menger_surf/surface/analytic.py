@@ -140,8 +140,8 @@ class Sphere(_Tube):
         """Area of the cap that ``_draw`` draws from for this ball."""
         return 2.0 * np.pi * self.radius**2 * self._cap(ball)[1]
 
-    def _points(self, *w):
-        pts = np.empty((len(w[2]), 3))
+    def _points(self, *w, out=None):
+        pts = np.empty((len(w[2]), 3)) if out is None else out
         for c in range(3):
             col = np.multiply(self.radius, w[c], out=pts[:, c])
             col += self.center[c]
@@ -246,8 +246,8 @@ class Torus(_Tube):
         u = rng.random(n) * du + u0
         return np.cos(u), np.sin(u), cv, np.sin(v)
 
-    def _points(self, cu, su, cv, sv):
-        pts = np.empty((len(cu), 3))
+    def _points(self, cu, su, cv, sv, out=None):
+        pts = np.empty((len(cu), 3)) if out is None else out
         rho = np.multiply(self.r, cv)
         rho += self.R
         np.multiply(rho, cu, out=pts[:, 0])
@@ -398,8 +398,8 @@ class SaddlePatch:
         xy = xy[:n]
         return xy[:, 0], xy[:, 1]
 
-    def _points(self, x, y):
-        return np.stack([x, y, x * y], axis=-1)
+    def _points(self, x, y, out=None):
+        return np.stack([x, y, x * y], axis=-1, out=out)
 
     def _normals(self, x, y):
         nrm = np.sqrt(1.0 + x**2 + y**2)
@@ -490,8 +490,8 @@ class Capsule(_Tube):
         w = np.stack([sc * c[cap], sc * s[cap], np.where(top, zc, -zc)], axis=-1)
         return c, s, z, cyl, top, w
 
-    def _points(self, c, s, z, cyl, top, w):
-        pts = np.empty((len(z), 3))
+    def _points(self, c, s, z, cyl, top, w, out=None):
+        pts = np.empty((len(z), 3)) if out is None else out
         # cylinder wall
         pts[cyl] = np.stack([self.radius * c[cyl], self.radius * s[cyl], z[cyl]],
                             axis=-1)

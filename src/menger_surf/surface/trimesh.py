@@ -6,7 +6,8 @@ import numpy as np
 
 from .. import geom
 
-# fixed, axis-avoiding directions for the parity votes (deterministic runs)
+# fixed, axis-avoiding directions of the inside test's three parity rays
+# (deterministic runs)
 _PARITY_DIRS = np.array([
     [0.53772154625261, -0.12349872938470, 0.83400044827373],
     [-0.29834709218370, 0.74290184728349, 0.59930750947102],
@@ -32,9 +33,10 @@ class TriMesh:
 
     ``ray_hits`` tests only the faces that can matter (see there).  Stored
     normals point into the bounded component when the mesh is watertight
-    (established by a ray-parity vote); ``normals_inward`` is None for open
-    meshes, which have no interior.  Only the face view of the last shared
-    ray origin changes after construction, one attribute replaced whole.
+    (established by the sign of its enclosed volume); ``normals_inward`` is
+    None for open meshes, which have no interior.  Only the face view of the
+    last shared ray origin changes after construction, one attribute replaced
+    whole.
     """
 
     def __init__(self, vertices, faces):
@@ -133,13 +135,13 @@ class TriMesh:
         return normals
 
     def _orient_inward(self):
-        m = len(self.faces)
-        probe = np.linspace(0, m - 1, num=min(25, m), dtype=int)
-        eps = 1e-4 * self.mean_edge
-        points = self._tri[probe].mean(axis=1) + eps * self.face_normals[probe]
-        votes = np.count_nonzero(self._inside_all(points))
-        if votes <= len(probe) // 2:
-            # winding normals point outward; flip so stored normals are inward
+        """Make the stored normals point inward.  By the divergence theorem
+        the sum over the faces of (v0 - c) . (v1 - v0) x (v2 - v0) is six
+        times the enclosed volume, positive exactly when the winding normals
+        point outward; c, the vertex centroid, keeps the precision of a mesh
+        far from the origin."""
+        lever = self._tri[:, 0] - self.vertices.mean(axis=0)
+        if np.einsum("ij,ij->", lever, self._kernel_arrays[0]) > 0.0:
             self.face_normals = -self.face_normals
             self.vertex_normals = -self.vertex_normals
         self.normals_inward = True
@@ -192,11 +194,11 @@ class TriMesh:
         fi[rest] = np.searchsorted(self.cum_areas, u[rest])
         return fi
 
-    def _points(self, fi, r1, r2):
+    def _points(self, fi, r1, r2, out=None):
         """(1 - r1) a + r1 (1 - r2) b + r1 r2 c on faces fi with corners a, b,
         c, summed left to right one coordinate column at a time."""
         weights = (1.0 - r1, r1 * (1.0 - r2), r1 * r2)
-        pts = np.empty((len(fi), 3))
+        pts = np.empty((len(fi), 3)) if out is None else out
         term = np.empty(len(fi))
         for col, corners in zip(pts.T, self._corners):
             np.multiply(weights[0], corners[0][fi], out=col)
@@ -296,17 +298,10 @@ class TriMesh:
 
     def inside(self, p):
         """Ray-parity membership with 3 fixed directions and majority vote."""
-        return bool(self._inside_all(p[None])[0])
-
-    def _inside_all(self, points):
-        """``inside`` for each row of points, from one batch of parity rays."""
         if not self.watertight:
             raise ValueError("no interior")
-        n = len(points)
-        ray, t = self.ray_hits(np.repeat(points, 3, axis=0),
-                               np.tile(_PARITY_DIRS, (n, 1)), 0.0, np.inf)
-        parity = np.bincount(ray[t > 0.0], minlength=3 * n) % 2
-        return parity.reshape(n, 3).sum(axis=1) >= 2
+        ray, t = self.ray_hits(np.tile(p, (3, 1)), _PARITY_DIRS, 0.0, np.inf)
+        return bool((np.bincount(ray[t > 0.0], minlength=3) % 2).sum() >= 2)
 
     def has_interior(self):
         return self.watertight

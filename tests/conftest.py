@@ -1,6 +1,8 @@
 """Shared fixtures and structured-tetrahedron generators."""
 
+import importlib.util
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,15 @@ BAD_SPECS = ['[1]', '"menger"', '{"kind":"scaled","s":"x"}',
              '{"kind":"scaled","s":Infinity}',
              '{"kind":"leger","mean":"min","alpha":1e400}',
              '{"kind":"scaled","s":true}', '{"kind":"menger","extra":1}']
+
+
+def load_workloads():
+    """The benchmark's ``perfbench/workloads.py``, imported from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def exactly(message):

@@ -44,14 +44,14 @@ class TestEstimateMp:
 
     def test_constant_integrand_is_unbiased(self, unit_sphere, monkeypatch):
         monkeypatch.setattr(energy, "eval_batch",
-                            lambda spec, pts: np.ones(len(pts)))
+                            lambda spec, pts, **kw: np.ones(len(pts)))
         est = energy.estimate_mp(unit_sphere, MENGER, 8.0, 4096, seed=0)
         assert est.value == unit_sphere.total_area ** 4
         assert est.std_error == 0.0
 
     def test_nonfinite_integrand_raises(self, unit_sphere, monkeypatch):
         monkeypatch.setattr(energy, "eval_batch",
-                            lambda spec, pts: np.full(len(pts), np.inf))
+                            lambda spec, pts, **kw: np.full(len(pts), np.inf))
         with pytest.raises(FloatingPointError, match="non-finite"):
             energy.estimate_mp(unit_sphere, MENGER, 8.0, 2000, seed=0)
 

@@ -13,13 +13,12 @@ is replaced by ``TOKEN`` before hashing (it shows in ``command`` and in
 
 import dataclasses
 import hashlib
-import importlib.util
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import load_workloads
 from menger_surf import cli
 from menger_surf.surface import TriMesh, save_obj, save_off, shapes
 
@@ -387,11 +386,7 @@ def plain(value):
 
 @pytest.fixture(scope="module")
 def workloads():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_workloads()
 
 
 def workload_digests(workloads, name, seed, tmp):

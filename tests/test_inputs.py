@@ -250,8 +250,10 @@ API = {
                                        a["ball"]),
                {"n": (20, [-1, 2.5, "3"]), "ball": ((POLE, 0.3), BALLS)}),
     "sample_points": (lambda a: SPHERE.sample_points(
-        np.random.default_rng(0), a["n"], a["ball"]),
-        {"n": (20, [-1, 2.5, "3"]), "ball": ((POLE, 0.3), BALLS)}),
+        np.random.default_rng(0), a["n"], a["ball"], a["out"]),
+        {"n": (20, [-1, 2.5, "3"]), "ball": ((POLE, 0.3), BALLS),
+         "out": (None, [np.empty((19, 3)), np.empty((20, 3), dtype=np.float32),
+                        [[0.0, 0.0, 0.0]] * 20])}),
     "cover_area": (lambda a: SPHERE.cover_area(a["ball"]),
                    {"ball": ((POLE, 0.3), BALLS)}),
     "holder_exponent_fit": (lambda a: analysis.holder_exponent_fit(

@@ -107,6 +107,27 @@ def test_whole_capsule_is_its_full_band(n):
     assert np.array_equal(whole_rng.random(4), ball_rng.random(4))
 
 
+@pytest.mark.parametrize("kind", ["sphere", "torus", "capsule", "saddle", "mesh"])
+@pytest.mark.parametrize("ball", [False, True])
+def test_sample_points_fills_out(kind, ball):
+    """With ``out`` the rows of the allocating call, bit for bit and with the
+    same end state of the generator, land in ``out``, which comes back; a
+    ball that misses the surface draws no rows and returns ``out[:0]``."""
+    oracle = SurfaceOracle(backing(kind))
+    x = oracle.sample_points(substream(0, 15), 1)[0]
+    ball = (x, 0.2 * oracle.diameter) if ball else None
+    want_rng, rng = substream(1, 15), substream(1, 15)
+    want = oracle.sample_points(want_rng, 5000, ball)
+    buf = np.full((5000, 3), np.nan)
+    assert oracle.sample_points(rng, 5000, ball, out=buf) is buf
+    assert np.array_equal(buf, want)
+    assert np.array_equal(rng.random(4), want_rng.random(4))
+    if ball is not None and kind != "torus":  # a torus cover is never empty
+        far = (x + 10.0 * oracle.diameter, 1e-3)
+        got = oracle.sample_points(rng, 5000, far, out=buf)
+        assert len(got) == 0 and got.base is buf
+
+
 def test_whole_capsule_heights_and_azimuths_are_uniform():
     """Archimedes: every height of the capsule carries the same area, so the
     whole-capsule points fall evenly into 10 height slices times 8 azimuth

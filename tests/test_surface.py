@@ -2,10 +2,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from pytest import approx
 
-from conftest import exactly, kink_box
+import orient_oracle
+from conftest import exactly, kink_box, load_workloads
 from menger_surf import InputError
 from menger_surf.rng import substream
 from menger_surf.surface import (MeshParseError, SurfaceOracle, TriMesh,
@@ -362,6 +363,46 @@ TUBES = {"sphere": (SurfaceOracle(Sphere(1.3, center=(0.2, -0.1, 0.3))),
                      [[0.0, 0.0, -1.0], [0.0, 0.0, 0.3], [0.0, 0.0, 1.0]])}
 
 
+@pytest.fixture(scope="module")
+def builder_meshes():
+    """Every watertight mesh that the builders and the benchmark make."""
+    meshes = {f"icosphere{k}": shapes.icosphere(k) for k in range(5)}
+    meshes["ellipsoid"] = shapes.ellipsoid(1.3, 1.0, 0.8)
+    meshes["torus"] = shapes.torus_mesh(2.0, 1.0)
+    meshes["capsule"] = shapes.capsule_mesh(2.0, 0.5)
+    workloads = load_workloads()
+    meshes.update((f"kink/{label}", TriMesh(*workloads.kink_box(**kw)))
+                  for label, kw in workloads.KINK_BOXES)
+    return meshes
+
+
+BUILDER_MESHES = ["icosphere0", "icosphere1", "icosphere2", "icosphere3",
+                  "icosphere4", "ellipsoid", "torus", "capsule",
+                  "kink/central_hit_a", "kink/central_hit_b", "kink/wide_pair",
+                  "kink/antipodal_3a", "kink/antipodal_3b"]
+
+
+@pytest.mark.parametrize("name", BUILDER_MESHES)
+@settings(max_examples=8, deadline=None)
+@given(reverse=st.booleans(),
+       shift=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+       decade=st.floats(-3.0, 3.0))
+@example(reverse=False, shift=[0.0, 0.0, 0.0], decade=0.0)
+@example(reverse=True, shift=[0.0, 0.0, 0.0], decade=0.0)
+def test_signed_volume_orientation_matches_the_vote(builder_meshes, name,
+                                                    reverse, shift, decade):
+    """The signed volume flips the stored normals exactly where the former
+    25-probe parity vote does (``tests/orient_oracle.py``): on each builder
+    mesh, in either winding, scaled by 1e-3 to 1e3 and moved by up to 1e3."""
+    base = builder_meshes[name]
+    faces = base.faces[:, ::-1] if reverse else base.faces
+    mesh = TriMesh(base.vertices * 10.0**decade + np.array(shift), faces)
+    assert mesh.watertight and mesh.n_dropped == 0
+    flipped = mesh.face_normals[0] @ mesh._kernel_arrays[0][0] < 0.0
+    assert flipped == orient_oracle.winding_points_outward(mesh)
+    assert flipped != reverse  # the builders wind their faces outward
+
+
 class TestInside:
     def test_sphere(self, unit_sphere):
         assert unit_sphere.inside([0, 0, 0])
@@ -387,13 +428,21 @@ class TestInside:
             crossings = len(SurfaceOracle(icosphere2).segment_hits(p, far))
             assert icosphere2.inside(p) == (crossings % 2 == 1)
 
-    def test_normals_point_inward(self, icosphere2):
+    def test_normals_point_inward(self, icosphere2, builder_meshes):
         assert icosphere2.normals_inward
         eps = 1e-3
         for i in range(0, len(icosphere2.vertices), 17):
             v = icosphere2.vertices[i]
             n = icosphere2.vertex_normals[i]
             assert icosphere2.inside(v + eps * n)
+        # every watertight builder mesh, in both windings
+        for name, base in builder_meshes.items():
+            for mesh in (base, TriMesh(base.vertices, base.faces[:, ::-1])):
+                assert mesh.normals_inward, name
+                eps = 1e-3 * mesh.mean_edge
+                for i in np.linspace(0, len(mesh.vertices) - 1, 24, dtype=int):
+                    v, n = mesh.vertices[i], mesh.vertex_normals[i]
+                    assert mesh.inside(v + eps * n), (name, i)
         # the tubes answer every point query from their core: on sampled
         # points, and at the core points where no normal exists
         for oracle, singular in TUBES.values():
