@@ -137,6 +137,34 @@ def _canonical_points(P, out=None):
     return C.transpose(2, 0, 1)
 
 
+def _ranked_block(points, quads, out=None):
+    """The canonical (4, 3, m) block of the quadruples of ``points`` (an
+    (n, 3) array) whose vertex indices are the four arrays ``quads``.
+
+    One lexicographic rank of the points orders every quadruple: a sorting
+    network of integer minima and maxima sorts its four rank columns, and
+    each coordinate column is gathered straight into the block.  Points of
+    equal rank order are equal up to the sign of zero coordinates, so the
+    block is the one ``_canonical_points(points[quads])`` makes, up to that
+    sign.  Like ``_canonical_points``, it returns the (m, 4, 3) view of the
+    block; given ``out``, a float (4, 3, m) array, the block is ``out``.
+    """
+    order = np.lexsort(points.T[::-1])
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    ranked = points[order].T.copy()
+    r = [np.take(rank, q) for q in quads]
+    for i, j in _SORT_NETWORKS[4]:
+        r[i], r[j] = np.minimum(r[i], r[j]), np.maximum(r[i], r[j])
+    if out is None:
+        out = np.empty((4, 3, len(r[0])))
+    for i in range(4):
+        for k in range(3):
+            # mode "clip" writes into ``out`` unbuffered; every rank is in range
+            np.take(ranked[k], r[i], out=out[i, k], mode="clip")
+    return out.transpose(2, 0, 1)
+
+
 def eval_batch(spec, P, block=None):
     """Evaluate the integrand on a (n, 4, 3) stack of quadruples.
 
@@ -162,8 +190,12 @@ def eval_batch(spec, P, block=None):
                 / (2.0 * area[ok]))
         out[ok] = dist / m[ok] ** spec.alpha
         return out
-    # the symmetric kinds, on canonically ordered vertices
-    P = _canonical_points(P, block)
+    return _symmetric(spec, _canonical_points(P, block))
+
+
+def _symmetric(spec, P):
+    """A symmetric kind on a (n, 4, 3) stack whose vertices are canonically
+    ordered (``_canonical_points`` or ``_ranked_block``)."""
     out = np.zeros(len(P))
     if spec.kind == "circumsphere":
         radius, coplanar = geom.circumsphere_radius_batch(P)

@@ -9,16 +9,15 @@ mesh follows the exact homogeneity factor, so projection costs nothing), the
 energy-capped problem rejects any state whose energy exceeds the cap.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import InputError, finite_in, integer_in, tri_areas
-from .integrand import IntegrandSpec, eval_batch
+from .geom import TETRA_CHUNK, InputError, finite_in, integer_in, tri_areas
+from .integrand import IntegrandSpec, _ranked_block, _symmetric, eval_batch
 from .rng import substream
-from .surface.trimesh import TriMesh
+from .surface.trimesh import TriMesh, has_self_intersections
 
 _ANNEAL_TAG = 0x414E4C31
 _MENGER = IntegrandSpec(kind="menger")
@@ -59,17 +58,30 @@ def discrete_energy(mesh, config):
 
     Sums all unordered quadruples times the 24 orderings (the integrand is
     permutation symmetric; quadruples with a repeated vertex are coplanar and
-    contribute 0).  Needs 4 to ``MAX_EXHAUSTIVE_VERTICES`` vertices.
+    contribute 0).  Needs 4 to ``MAX_EXHAUSTIVE_VERTICES`` vertices.  The
+    integrand runs through ``eval_batch``, ``TETRA_CHUNK`` quadruples at a
+    time, and not through the annealer's rank-ordered rows, so this sum
+    audits the annealer's table: both give the same bits.
     """
-    return _EnergyTable(mesh.vertices, mesh.faces, config.p).energy()
+    verts = mesh.vertices
+    cols, triples, _ = _combos(len(verts))
+    kp = np.empty(len(cols[0]))
+    block = np.empty((4, 3, min(len(kp), TETRA_CHUNK)))
+    for s in range(0, len(kp), TETRA_CHUNK):
+        P = np.stack([verts[c[s:s + TETRA_CHUNK]] for c in cols], axis=1)
+        kp[s:s + len(P)] = eval_batch(_MENGER, P, block[..., :len(P)]) ** config.p
+    w = _lumped_weights(tri_areas(verts[mesh.faces]), mesh.faces, len(verts))
+    return _weighted_sum(w, kp, triples, cols[3])
 
 
 _combo_cache = {}
 
 
 def _combos(n):
-    """The 4-subsets of range(n) as rows, their four index columns and, for
-    each vertex, the rows that contain it."""
+    """The 4-subsets of range(n) as four index columns, in the order of
+    ``itertools.combinations``; the 3-subsets as three columns plus the
+    number of 4-subsets that each begins; and, for each vertex, the rows
+    of the 4-subsets that hold it."""
     if n < 4:
         raise InputError(f"mesh: the discrete energy needs at least 4 "
                          f"vertices, got {n}")
@@ -77,54 +89,99 @@ def _combos(n):
         raise InputError(f"mesh: vertex budget exceeded for exhaustive mode "
                          f"({n} > {MAX_EXHAUSTIVE_VERTICES})")
     if n not in _combo_cache:
-        combos = np.array(list(itertools.combinations(range(n), 4)), dtype=np.int64)
-        _combo_cache[n] = combos, tuple(combos.T.copy()), _rows_by_vertex(combos, n)
+        quads, triples = _subsets(n, 4), _subsets(n, 3)
+        _combo_cache[n] = (tuple(quads.T.copy()),
+                           (*triples.T.copy(), n - 1 - triples[:, 2]),
+                           _rows_by_vertex(quads, n))
     return _combo_cache[n]
 
 
-def _weight_products(w, cols):
-    """w[c0] w[c1] w[c2] w[c3] per quadruple, the bits of w[combos].prod(axis=1)."""
-    c0, c1, c2, c3 = cols
-    return w[c0] * w[c1] * w[c2] * w[c3]
+def _subsets(n, k):
+    """The k-subsets of range(n) as rows, in the order of
+    ``itertools.combinations``: each (j-1)-subset is followed in turn by
+    every index above its last one."""
+    table = np.arange(n)[:, None]
+    for _ in range(k - 1):
+        last = table[:, -1]
+        counts = n - 1 - last
+        rows = np.repeat(np.arange(len(table)), counts)
+        first = np.cumsum(counts) - counts
+        table = np.column_stack(
+            [table[rows], np.arange(len(rows)) - first[rows] + last[rows] + 1])
+    return table
+
+
+def _weighted_sum(w, kp, triples, c3):
+    """24 times the sum of w[c0] w[c1] w[c2] w[c3] kp over the quadruples.
+
+    The rows of each 3-subset (c0, c1, c2) are contiguous, so its weight
+    product is formed once and repeated over them; every row still
+    multiplies in the order ((w0 w1) w2) w3 kp.
+    """
+    t0, t1, t2, reps = triples
+    prod = np.repeat(w[t0] * w[t1] * w[t2], reps)
+    prod *= w[c3]
+    prod *= kp
+    return 24.0 * float(np.sum(prod))
 
 
 def _rows_by_vertex(table, n):
     """For each of n vertices, the ascending rows of an index table that hold it."""
-    flat = table.ravel()
+    # vertex numbers of at most 16 bits sort by radix; a stable sort gives
+    # the same order whatever the integer type
+    flat = table.ravel().astype(np.min_scalar_type(n))
     order = np.argsort(flat, kind="stable")
     return np.split(order // table.shape[1], np.cumsum(np.bincount(flat, minlength=n))[:-1])
 
 
 class _EnergyTable:
-    """Exhaustive quadrature with incremental updates under vertex moves."""
+    """Exhaustive quadrature with incremental updates under vertex moves.
+
+    The integrand rows are evaluated on rank-ordered blocks
+    (``integrand._ranked_block``), ``TETRA_CHUNK`` rows at a time when the
+    table is built.  A move re-evaluates only the rows of the quadruples
+    that hold the moved vertex; the energy forms one weight product per
+    3-subset and repeats it over the rows that the 3-subset begins.
+    """
 
     def __init__(self, vertices, faces, p):
         self.p = float(p)
         self.verts = vertices.copy()
         self.faces = faces
-        self.combos, self.combo_cols, self.rows_of = _combos(len(vertices))
-        self.kp = eval_batch(_MENGER, np.take(self.verts, self.combos, axis=0)) ** self.p
+        self.cols, self.triples, self.rows_of = _combos(len(vertices))
+        n_rows = len(self.cols[0])
+        self.block = np.empty((4, 3, max(len(self.rows_of[0]),
+                                         min(n_rows, TETRA_CHUNK))))
+        self.kp = np.empty(n_rows)
+        for s in range(0, n_rows, TETRA_CHUNK):
+            self.kp[s:s + TETRA_CHUNK] = self._values(
+                [c[s:s + TETRA_CHUNK] for c in self.cols])
         self.face_areas = tri_areas(self.verts[faces])
         self.faces_of = _rows_by_vertex(faces, len(vertices))
+
+    def _values(self, quads):
+        """integrand^p of the quadruples whose vertex indices are the four
+        arrays ``quads``."""
+        block = self.block[..., :len(quads[0])]
+        return _symmetric(_MENGER, _ranked_block(self.verts, quads, block)) ** self.p
 
     def area(self):
         return float(self.face_areas.sum())
 
     def energy(self):
         w = _lumped_weights(self.face_areas, self.faces, len(self.verts))
-        return 24.0 * float(np.sum(_weight_products(w, self.combo_cols) * self.kp))
+        return _weighted_sum(w, self.kp, self.triples, self.cols[3])
 
     def move(self, vi, new_pos):
         """Apply a vertex move; returns an undo closure."""
         rows = self.rows_of[vi]
         fids = self.faces_of[vi]
         old_pos = self.verts[vi].copy()
-        old_kp = self.kp[rows].copy()
-        old_areas = self.face_areas[fids].copy()
+        old_kp = self.kp[rows]
+        old_areas = self.face_areas[fids]
         self.verts[vi] = new_pos
         self.face_areas[fids] = tri_areas(self.verts[self.faces[fids]])
-        quads = np.take(self.combos, rows, axis=0)
-        self.kp[rows] = eval_batch(_MENGER, np.take(self.verts, quads, axis=0)) ** self.p
+        self.kp[rows] = self._values([np.take(c, rows) for c in self.cols])
 
         def undo():
             self.verts[vi] = old_pos
@@ -214,46 +271,3 @@ def minimize_area_energy_cap(mesh, p, energy_cap, iters, seed):
         return final, float(final.face_areas.sum()), table.energy()
 
     return _anneal(mesh, p, iters, seed, score, finish)
-
-
-_PAIR_ROWS = 256  # faces per row block of the candidate-pair search
-
-
-def has_self_intersections(mesh):
-    """True when a face edge crosses the inside of a face it shares no vertex
-    with, tested on the pairs whose closed boxes overlap, a row block at a
-    time.  This covers every transversal face/face crossing; exactly coplanar
-    overlaps are not detected.  Report flag only."""
-    faces = mesh.faces
-    tri = mesh.vertices[faces]
-    lo, hi = tri.min(axis=1).T, tri.max(axis=1).T
-    m = len(tri)
-    for start in range(0, m, _PAIR_ROWS):
-        rows = np.arange(start, min(start + _PAIR_ROWS, m))
-        near = rows[:, None] < np.arange(start, m)
-        for k in range(3):
-            near &= lo[k, rows, None] <= hi[k, start:]
-            near &= lo[k, start:] <= hi[k, rows, None]
-        i, j = np.argwhere(near).T + start
-        apart = ~(faces[i, :, None] == faces[j, None, :]).any(axis=(1, 2))
-        i, j = i[apart], j[apart]
-        if (_edges_cross(tri[i], tri[j]) | _edges_cross(tri[j], tri[i])).any():
-            return True
-    return False
-
-
-def _edges_cross(a, b):
-    """Whether an edge of each triangle of stack ``a`` crosses the inside of
-    the matching triangle of ``b`` (Moller and Trumbore 1997): 0 < t < 1
-    along the edge and both barycentrics above 1e-12 with a sum below
-    1 - 1e-12.  Edges nearly parallel to the plane of ``b`` are skipped."""
-    e1, e2 = b[:, 1:2] - b[:, :1], b[:, 2:] - b[:, :1]
-    d = a[:, [1, 2, 0]] - a  # edge k runs from corner k to corner k + 1
-    s = a - b[:, :1]
-    pvec, q = np.cross(d, e2), np.cross(s, e1)
-    den = np.sum(e1 * pvec, axis=2)  # -n.d for the face normal n = e1 x e2
-    slack = np.linalg.norm(np.cross(e1, e2), axis=2) * np.linalg.norm(d, axis=2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u, v, t = (np.sum(x * y, axis=2) / den for x, y in ((s, pvec), (d, q), (e2, q)))
-        hit = (0.0 < t) & (t < 1.0) & (u > 1e-12) & (v > 1e-12) & (u + v < 1.0 - 1e-12)
-    return (hit & (np.abs(den) >= 1e-14 * (slack + 1e-300))).any(axis=1)

@@ -26,6 +26,8 @@ _CONE_SLACK = 1e-7
 CHUNK_PAIRS = 1 << 16
 # guide-table steps before a face lookup falls back to binary search
 _GUIDE_STEPS = 4
+# faces per row block of the self-intersection test's candidate-pair search
+_PAIR_ROWS = 256
 
 
 class TriMesh:
@@ -403,3 +405,43 @@ def _point_seg_sqdist(p, s, e):
                           where=length2 > 0.0), 0.0, 1.0)
     d = [spc - t * sec for spc, sec in zip(sp, se)]
     return np.minimum(geom._dot(d, d), geom._dot(sp, sp))
+
+
+def has_self_intersections(mesh):
+    """True when a face edge crosses the inside of a face it shares no vertex
+    with, tested on the pairs whose closed boxes overlap, a row block at a
+    time.  This covers every transversal face/face crossing; exactly coplanar
+    overlaps are not detected.  Report flag only."""
+    faces = mesh.faces
+    tri = mesh.vertices[faces]
+    lo, hi = tri.min(axis=1).T, tri.max(axis=1).T
+    m = len(tri)
+    for start in range(0, m, _PAIR_ROWS):
+        rows = np.arange(start, min(start + _PAIR_ROWS, m))
+        near = rows[:, None] < np.arange(start, m)
+        for k in range(3):
+            near &= lo[k, rows, None] <= hi[k, start:]
+            near &= lo[k, start:] <= hi[k, rows, None]
+        i, j = np.argwhere(near).T + start
+        apart = ~(faces[i, :, None] == faces[j, None, :]).any(axis=(1, 2))
+        i, j = i[apart], j[apart]
+        if (_edges_cross(tri[i], tri[j]) | _edges_cross(tri[j], tri[i])).any():
+            return True
+    return False
+
+
+def _edges_cross(a, b):
+    """Whether an edge of each triangle of stack ``a`` crosses the inside of
+    the matching triangle of ``b`` (Moller and Trumbore 1997): 0 < t < 1
+    along the edge and both barycentrics above 1e-12 with a sum below
+    1 - 1e-12.  Edges nearly parallel to the plane of ``b`` are skipped."""
+    e1, e2 = b[:, 1:2] - b[:, :1], b[:, 2:] - b[:, :1]
+    d = a[:, [1, 2, 0]] - a  # edge k runs from corner k to corner k + 1
+    s = a - b[:, :1]
+    pvec, q = np.cross(d, e2), np.cross(s, e1)
+    den = np.sum(e1 * pvec, axis=2)  # -n.d for the face normal n = e1 x e2
+    slack = np.linalg.norm(np.cross(e1, e2), axis=2) * np.linalg.norm(d, axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u, v, t = (np.sum(x * y, axis=2) / den for x, y in ((s, pvec), (d, q), (e2, q)))
+        hit = (0.0 < t) & (t < 1.0) & (u > 1e-12) & (v > 1e-12) & (u + v < 1.0 - 1e-12)
+    return (hit & (np.abs(den) >= 1e-14 * (slack + 1e-300))).any(axis=1)

@@ -1,20 +1,27 @@
-"""The annealer loop and self-intersection test that ``minimize`` replaced.
+"""The annealer loop, energy sum and self-intersection test that
+``minimize`` and ``surface.trimesh`` replaced.
 
 ``anneal`` is the former ``_anneal``, one loop that branched on a ``mode``
 string ("energy": anneal the discrete energy at the fixed area
 ``area_target``; "area": anneal the area under ``energy_cap``).
+``exhaustive_energy`` is the former discrete energy: ``eval_batch`` on one
+stack of every 4-subset and a weight product gathered one column at a time.
 ``has_self_intersections`` is the former face-pair loop, which called
 ``edges_cross_tri`` once per pair of non-adjacent faces whose closed boxes
 overlap.  ``tests/test_minimize.py`` pins the public annealers' states and
-the array-based flag against them.
+the array-based flag against them, and ``tests/test_kernel.py`` the
+annealer's energy table against ``exhaustive_energy``.
 """
+
+import itertools
 
 import numpy as np
 
 from menger_surf.geom import tri_areas
+from menger_surf.integrand import IntegrandSpec, eval_batch
 from menger_surf.minimize import (_ANNEAL_TAG, DiscreteEnergyConfig,
                                   OptimizerState, _EnergyTable,
-                                  discrete_energy)
+                                  _lumped_weights, discrete_energy)
 from menger_surf.rng import substream
 from menger_surf.surface.trimesh import TriMesh
 
@@ -95,6 +102,15 @@ def anneal(mesh, p, iters, seed, mode, area_target=None, energy_cap=None):
                           min(best, objective) if mode == "energy" else best,
                           accepted, audit,
                           self_intersecting=has_self_intersections(final))
+
+
+def exhaustive_energy(mesh, p):
+    verts, faces = mesh.vertices, mesh.faces
+    combos = np.array(list(itertools.combinations(range(len(verts)), 4)))
+    kp = eval_batch(IntegrandSpec(kind="menger"), verts[combos]) ** p
+    w = _lumped_weights(tri_areas(verts[faces]), faces, len(verts))
+    c0, c1, c2, c3 = combos.T
+    return 24.0 * float(np.sum(w[c0] * w[c1] * w[c2] * w[c3] * kp))
 
 
 def minimize_energy_area_cap(mesh, p, area_cap, iters, seed):

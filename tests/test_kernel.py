@@ -1,13 +1,18 @@
-"""The column kernel agrees bit for bit with the (n, 3)-array oracle, and the
-annealer's incremental energy table with the exhaustive sum."""
+"""The column kernel agrees bit for bit with the (n, 3)-array oracle, the
+rank-ordered blocks with the sorting network, and the annealer's
+incremental energy table with the exhaustive sum."""
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import anneal_oracle
 import kernel_oracle as oracle
 from menger_surf import geom, minimize
-from menger_surf.integrand import IntegrandSpec, _canonical_points, eval_batch
+from menger_surf.integrand import (IntegrandSpec, _canonical_points,
+                                   _ranked_block, _symmetric, eval_batch)
 from menger_surf.surface import TriMesh, shapes
 
 KERNEL_SETTINGS = settings(max_examples=40, deadline=None)
@@ -105,6 +110,63 @@ def test_empty_stack():
     assert eval_batch(SPECS[0], np.zeros((0, 4, 3))).shape == (0,)
 
 
+def point_set(n, seed):
+    """n points with ties in x and in (x, y), repeated points and signed
+    zero coordinates."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, 3))
+    i, j = rng.integers(0, n, (2, 4 * n))
+    X[i[:n], 0] = X[j[:n], 0]                      # ties in x
+    X[i[n:2 * n], :2] = X[j[n:2 * n], :2]          # ties in (x, y)
+    X[i[2 * n:2 * n + n // 4]] = X[j[2 * n:2 * n + n // 4]]  # repeated points
+    zeros = rng.random((n, 3)) < 0.15
+    X[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+    return X
+
+
+point_sets = st.builds(point_set, st.integers(4, 64), st.integers(0, 2**32 - 1))
+SYMMETRIC = SPECS[:3]
+
+
+@KERNEL_SETTINGS
+@given(point_sets, st.integers(0, 2**32 - 1))
+def test_ranked_block_matches_canonical_points(X, seed):
+    # random index quadruples, repeated indices too, and every 4-subset
+    n = len(X)
+    quads = np.random.default_rng(seed).integers(0, n, (300, 4))
+    if n <= 12:
+        quads = np.vstack([quads, list(itertools.combinations(range(n), 4))])
+    P = X[quads]
+    got = _ranked_block(X, quads.T)
+    # equal up to the sign of zeros, which == does not see
+    assert np.array_equal(got, _canonical_points(P))
+    for spec in SYMMETRIC:
+        assert _symmetric(spec, got).tobytes() == eval_batch(spec, P).tobytes()
+
+
+def test_ranked_block_fills_out():
+    X = point_set(9, 3)
+    quads = np.array(list(itertools.combinations(range(9), 4))).T
+    out = np.empty((4, 3, quads.shape[1]))
+    got = _ranked_block(X, quads, out)
+    assert np.shares_memory(got, out)
+    assert np.array_equal(got, _ranked_block(X, quads))
+
+
+# C(n, 4) rows: 1, 7,315 and 8,855 (either side of one TETRA_CHUNK),
+# 10,626, 12,650, 111,930 and 635,376
+@pytest.mark.parametrize("n", [4, 22, 23, 24, 25, 42, 64])
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([1.0, 9.0]))
+def test_energy_table_rows_match_eval_batch(n, seed, p):
+    X = point_set(n, seed)
+    table = minimize._EnergyTable(X, np.array([[0, 1, 2]]), p)
+    combos = np.array(list(itertools.combinations(range(n), 4)))
+    want = np.concatenate([eval_batch(SPECS[0], X[rows]) ** p
+                           for rows in np.array_split(combos, -(-len(combos) // 2**16))])
+    assert table.kp.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("level", [0, 1])
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
@@ -118,5 +180,19 @@ def test_energy_table_moves_and_undos_match_discrete_energy(level, seed):
         undo = table.move(vi, table.verts[vi] + 0.05 * rng.standard_normal(3))
         if rng.random() < 0.4:
             undo()
-        exhaustive = minimize.discrete_energy(TriMesh(table.verts.copy(), mesh.faces), cfg)
-        assert table.energy() == exhaustive
+        moved = TriMesh(table.verts.copy(), mesh.faces)
+        assert table.energy() == anneal_oracle.exhaustive_energy(moved, cfg.p)
+        assert table.energy() == minimize.discrete_energy(moved, cfg)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 23, 42, 64])
+def test_combos_match_itertools(n):
+    cols, (t0, t1, t2, reps), rows_of = minimize._combos(n)
+    quads = np.array(list(itertools.combinations(range(n), 4)))
+    triples = np.array(list(itertools.combinations(range(n), 3)))
+    assert np.array_equal(np.stack(cols, axis=1), quads)
+    assert np.array_equal(np.stack([t0, t1, t2], axis=1), triples)
+    # each 3-subset begins the next reps[i] rows of the 4-subsets
+    assert np.array_equal(np.repeat(triples, reps, axis=0), quads[:, :3])
+    for v in (0, n // 2, n - 1):
+        assert np.array_equal(rows_of[v], np.flatnonzero((quads == v).any(axis=1)))

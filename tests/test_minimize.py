@@ -10,7 +10,7 @@ from conftest import exactly
 from menger_surf import InputError, energy, minimize
 from menger_surf.integrand import IntegrandSpec
 from menger_surf.rng import substream
-from menger_surf.surface import SurfaceOracle, TriMesh, shapes
+from menger_surf.surface import SurfaceOracle, TriMesh, shapes, trimesh
 
 P = 9.0
 CFG = minimize.DiscreteEnergyConfig(p=P)
@@ -283,7 +283,7 @@ PAIRS = {  # two faces without a shared vertex, and whether they cross
 
 class TestSelfIntersectionFlag:
     def test_clean_mesh(self):
-        assert not minimize.has_self_intersections(shapes.icosphere(1))
+        assert not trimesh.has_self_intersections(shapes.icosphere(1))
 
     def test_crossing_triangles(self):
         verts = np.array([
@@ -292,21 +292,21 @@ class TestSelfIntersectionFlag:
         ], dtype=float)
         faces = np.array([[0, 1, 2], [3, 4, 5]])
         mesh = TriMesh(verts, faces)
-        assert minimize.has_self_intersections(mesh)
+        assert trimesh.has_self_intersections(mesh)
 
     @pytest.mark.parametrize("name", sorted(PAIRS))
     def test_face_pairs(self, name):
         mesh, crosses = PAIRS[name]
-        assert minimize.has_self_intersections(mesh) == crosses
+        assert trimesh.has_self_intersections(mesh) == crosses
         assert anneal_oracle.has_self_intersections(mesh) == crosses
 
     def test_row_blocks(self, monkeypatch):
         # a crossing pair split across row blocks, and one inside a block
         mesh = PAIRS["edge-through-face"][0]
         for rows in (1, 2):
-            monkeypatch.setattr(minimize, "_PAIR_ROWS", rows)
-            assert minimize.has_self_intersections(mesh)
-            assert not minimize.has_self_intersections(shapes.icosphere(1))
+            monkeypatch.setattr(trimesh, "_PAIR_ROWS", rows)
+            assert trimesh.has_self_intersections(mesh)
+            assert not trimesh.has_self_intersections(shapes.icosphere(1))
 
     @settings(max_examples=60, deadline=None)
     @given(level=st.integers(0, 2), seed=st.integers(0, 2**32 - 1),
@@ -320,5 +320,5 @@ class TestSelfIntersectionFlag:
         rng = np.random.default_rng(seed)
         step = noise * base.mean_edge * rng.standard_normal(base.vertices.shape)
         mesh = TriMesh(base.vertices + step, base.faces)
-        assert (minimize.has_self_intersections(mesh)
+        assert (trimesh.has_self_intersections(mesh)
                 == anneal_oracle.has_self_intersections(mesh))
