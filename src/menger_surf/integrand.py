@@ -137,17 +137,19 @@ def _canonical_points(P, out=None):
     return C.transpose(2, 0, 1)
 
 
-def _ranked_block(points, quads, out=None):
-    """The canonical (4, 3, m) block of the quadruples of ``points`` (an
-    (n, 3) array) whose vertex indices are the four arrays ``quads``.
+def _ranked_block(points, quads, out):
+    """Fill ``out``, a float (4, 3, m) array, with the canonical block of
+    the quadruples of ``points`` (an (n, 3) array) whose vertex indices are
+    the four arrays ``quads``.
 
     One lexicographic rank of the points orders every quadruple: a sorting
     network of integer minima and maxima sorts its four rank columns, and
-    each coordinate column is gathered straight into the block.  Points of
-    equal rank order are equal up to the sign of zero coordinates, so the
+    each coordinate column is gathered straight into the block.  The rank
+    compares coordinates as the network of ``_canonical_points`` does, so
+    points it ties are equal up to the sign of zero coordinates, and the
     block is the one ``_canonical_points(points[quads])`` makes, up to that
     sign.  Like ``_canonical_points``, it returns the (m, 4, 3) view of the
-    block; given ``out``, a float (4, 3, m) array, the block is ``out``.
+    block.
     """
     order = np.lexsort(points.T[::-1])
     rank = np.empty_like(order)
@@ -156,8 +158,6 @@ def _ranked_block(points, quads, out=None):
     r = [np.take(rank, q) for q in quads]
     for i, j in _SORT_NETWORKS[4]:
         r[i], r[j] = np.minimum(r[i], r[j]), np.maximum(r[i], r[j])
-    if out is None:
-        out = np.empty((4, 3, len(r[0])))
     for i in range(4):
         for k in range(3):
             # mode "clip" writes into ``out`` unbuffered; every rank is in range

@@ -98,16 +98,16 @@ def _combos(n):
 
 def _subsets(n, k):
     """The k-subsets of range(n) as rows, in the order of
-    ``itertools.combinations``: each (j-1)-subset is followed in turn by
-    every index above its last one."""
+    ``itertools.combinations``: each j-subset, in order, repeated once for
+    every index above its last one, which it gains as its next column."""
     table = np.arange(n)[:, None]
     for _ in range(k - 1):
         last = table[:, -1]
         counts = n - 1 - last
-        rows = np.repeat(np.arange(len(table)), counts)
-        first = np.cumsum(counts) - counts
-        table = np.column_stack(
-            [table[rows], np.arange(len(rows)) - first[rows] + last[rows] + 1])
+        # row i of a run that starts at row first gains last + 1 + (i - first)
+        shift = np.repeat(last + 1 - (np.cumsum(counts) - counts), counts)
+        table = np.column_stack([np.repeat(table, counts, axis=0),
+                                 np.arange(len(shift)) + shift])
     return table
 
 
