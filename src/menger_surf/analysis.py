@@ -95,7 +95,8 @@ def density_quotient(oracle, x, radius, depth=8):
     """
     instance_of(oracle, SurfaceOracle, "oracle")
     x = oracle.point_on_surface(x, "x")
-    finite_in(radius, "radius", 0)
+    if finite_in(radius, "radius", 0) ** 2 == 0.0:  # the quotient divides by it
+        raise InputError(f"radius {radius!r} is too small: its square is 0")
     depth = integer_in(depth, "depth", 0, 10)
     mesh = oracle.tessellate()
     tri = mesh.vertices[mesh.faces[mesh.box_distances(x)[0] <= radius]]

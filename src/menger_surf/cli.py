@@ -223,68 +223,61 @@ def _named(results, *names):
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners: return (config_dict, results_dict, (header, rows))
+# subcommand runners: take the inputs that _resolve forms, the seed and the
+# thread count; return (results_dict, (header, rows))
 # ---------------------------------------------------------------------------
 
-def _run_integrand(args, seed, threads):
-    config, a = _resolve(args, seed)
+def _run_integrand(a, seed, threads):
     results = {"value": eval_integrand(a.spec, a.tetra)}
-    return config, results, _named(results, "value")
+    return results, _named(results, "value")
 
 
-def _run_energy(args, seed, threads):
-    config, a = _resolve(args, seed)
+def _run_energy(a, seed, threads):
     results = _document(energy.estimate_mp(a.surface, a.spec, a.p, a.samples,
                                            seed, threads=threads))
-    return config, results, _named(results, "value", "std_error", "n_samples")
+    return results, _named(results, "value", "std_error", "n_samples")
 
 
-def _run_local_energy(args, seed, threads):
-    config, a = _resolve(args, seed)
+def _run_local_energy(a, seed, threads):
     results = _document(energy.local_energy(
         a.surface, a.center, a.patch_radius, a.spec, a.p, a.samples, seed,
         threads=threads))
-    return config, results, _named(results, "value", "std_error", "n_samples")
+    return results, _named(results, "value", "std_error", "n_samples")
 
 
-def _run_scaling(args, seed, threads):
-    config, a = _resolve(args, seed)
+def _run_scaling(a, seed, threads):
     rows = energy.scaling_study(a.spec, a.p, a.radii, a.samples, seed,
                                 threads=threads)
     table = (["radius", "value", "std_error", "normalized"],
              [[r.radius, r.estimate.value, r.estimate.std_error, r.normalized]
               for r in rows])
-    return config, {"rows": _document(rows)}, table
+    return {"rows": _document(rows)}, table
 
 
-def _run_diverge(args, seed, threads):
-    config, a = _resolve(args, seed)
+def _run_diverge(a, seed, threads):
     rows, slope = energy.divergence_study(a.alpha, a.p, a.mean, a.eps, a.nmax,
                                           a.samples, seed, threads=threads)
     results = {"rows": _document(rows), "fitted_slope": slope,
                "predicted_slope": 12.0 + (1.0 - a.alpha) * a.p}
     table = (["n", "r_n", "patch_integral", "std_error", "fitted_slope"],
              [[r.n, r.r_n, r.patch_integral, r.std_error, slope] for r in rows])
-    return config, results, table
+    return results, table
 
 
-def _run_density(args, seed, threads):
-    config, a = _resolve(args, seed)
+def _run_density(a, seed, threads):
     results = _document(analysis.density_quotient(a.surface, a.point,
                                                   a.patch_radius, a.depth))
-    return config, results, _named(results, "radius", "patch_area", "quotient",
-                                   "passes_lower_bound", "error_bound")
+    return results, _named(results, "radius", "patch_area", "quotient",
+                           "passes_lower_bound", "error_bound")
 
 
-def _run_beta(args, seed, threads):
-    config, a = _resolve(args, seed)
+def _run_beta(a, seed, threads):
     results = _document(analysis.beta_number(
         a.surface, a.point, a.patch_radius, a.patch_samples, a.grid_level, seed))
-    return config, results, _named(results, "radius", "beta", "grid_level")
+    return results, _named(results, "radius", "beta", "grid_level")
 
 
-def _run_oscillation(args, seed, threads):
-    config, a = _resolve(args, seed)
+def _run_oscillation(a, seed, threads):
     profile = analysis.normal_oscillation_profile(a.surface, a.point, a.scales,
                                                   a.pairs, seed)
     results = {"profile": _document(profile)}
@@ -292,11 +285,10 @@ def _run_oscillation(args, seed, threads):
     positive = [(d, osc) for d, osc in profile if osc > 0.0]
     if len(positive) >= 3:
         results["fit"] = _document(analysis.holder_exponent_fit(positive))
-    return config, results, (["scale", "max_oscillation"], profile)
+    return results, (["scale", "max_oscillation"], profile)
 
 
-def _run_goodtetra(args, seed, threads):
-    config, a = _resolve(args, seed)
+def _run_goodtetra(a, seed, threads):
     params = goodtetra.GoodTetraParams(ray_count=a.rays, hit_tolerance=a.hit_tol)
     res = goodtetra.find_good_tetra(
         a.surface, SurfacePoint(a.point, a.surface.normal_at(a.point)), params)
@@ -304,13 +296,12 @@ def _run_goodtetra(args, seed, threads):
         a.surface, res.vertices[0], res.stopping_distance / 2.0,
         res.witness_plane_normal, n_rays=a.proj_rays, seed=seed)
     results = {**_document(res), "projection_fraction": frac}
-    return config, results, _named(
+    return results, _named(
         results, "stopping_distance", "case_label", "eta_achieved",
         "iterations", "projection_fraction")
 
 
-def _run_minimize(args, seed, threads):
-    config, a = _resolve(args, seed)
+def _run_minimize(a, seed, threads):
     anneal = (minimize.minimize_energy_area_cap if a.mode == "energy"
               else minimize.minimize_area_energy_cap)
     state = anneal(load_mesh(a.mesh, a.mesh_format), a.p, a.cap, a.iters, seed)
@@ -326,7 +317,7 @@ def _run_minimize(args, seed, threads):
                "iterations": state.iteration,
                "accepted_moves": state.accepted_moves,
                "self_intersecting": bool(state.self_intersecting)}
-    return config, results, table
+    return results, table
 
 
 class _Row(NamedTuple):
@@ -434,8 +425,8 @@ def run(argv):
                                  f"{least}..{most}, got {threads}")
         with warnings.catch_warnings():  # e.g. numpy's overflow warnings
             warnings.simplefilter("error", RuntimeWarning)
-            config, results, table = _RUNNERS[args.subcommand](args, seed,
-                                                               threads)
+            config, inputs = _resolve(args, seed)
+            results, table = _RUNNERS[args.subcommand](inputs, seed, threads)
         if args.format == "csv":
             text = _csv(*table)
         else:  # a non-finite value raises ValueError: it is not JSON

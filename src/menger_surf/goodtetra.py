@@ -100,8 +100,7 @@ def _grow_cone(oracle, x0, v, t_lo, params):
     """
     t_far = 2.0 * oracle.diameter + t_lo
     t_hi = t_far
-    n_cap = params.ray_count // 4
-    n_rim = params.ray_count // 4
+    n_cap = n_rim = params.ray_count // 4
     coarse = _double_cone_dirs(v, PHI0, 128, 64)
     # an analytic backing solves every ray in full whatever the band
     shell = t_lo + SHELL_START * oracle.diameter if oracle.is_mesh else t_far
@@ -162,37 +161,28 @@ def _grow_cone(oracle, x0, v, t_lo, params):
 def _classify(hits, x0, v, rho, params):
     """Case label plus the relevant hit(s), in local surface coordinates."""
     y = hits - x0[None]
-    ynorm = np.linalg.norm(y, axis=1)
-    yhat = y / ynorm[:, None]
-    axial = np.abs(yhat @ v)
-
-    slack = params.hit_tolerance
-    central = axial >= np.cos(0.75 * PHI0 + slack)
-    if central.any():
-        pick = int(np.argmax(np.where(central, axial, -np.inf)))
+    yv = (y / np.linalg.norm(y, axis=1)[:, None]) @ v
+    axial = np.abs(yv)
+    # the most axial hit: central if any hit is, else the antipodal one
+    pick = int(np.argmax(axial))
+    if axial[pick] >= np.cos(0.75 * PHI0 + params.hit_tolerance):
         return "central", (y[pick],)
 
     # projected directions through the central projection onto the lid plane:
     # antipodal hits identify, so flip by the sign of the axial component
-    sign = np.where(yhat @ v >= 0.0, 1.0, -1.0)
     w = y - np.outer(y @ v, v)
     wnorm = np.linalg.norm(w, axis=1)
-    ok = wnorm > 1e-12 * rho
-    wdir = np.zeros_like(w)
-    wdir[ok] = (sign[ok, None] * w[ok]) / wnorm[ok, None]
-
-    idx = np.nonzero(ok)[0]
+    idx = np.nonzero(wnorm > 1e-12 * rho)[0]
     if len(idx) > 512:
         idx = idx[np.linspace(0, len(idx) - 1, 512).astype(int)]
     if len(idx) >= 2:
-        sub = wdir[idx]
+        sign = np.where(yv[idx] >= 0.0, 1.0, -1.0)
+        sub = (sign[:, None] * w[idx]) / wnorm[idx, None]
         gram = np.clip(sub @ sub.T, -1.0, 1.0)
         ang = np.arccos(gram)
         i, j = np.unravel_index(int(np.argmax(ang)), ang.shape)
         if ang[i, j] >= np.pi / 3.0:
             return "wide", (y[idx[i]], y[idx[j]])
-
-    pick = int(np.argmax(axial))
     return "antipodal", (y[pick],)
 
 
@@ -285,13 +275,10 @@ def find_good_tetra(oracle, seed_point, params=None):
     v = geom.unit_vector(seed_point.normal, "seed_point.normal")
 
     t_lo = max(1e-7 * oracle.diameter, 0.0)
-    first_hit = None
     radii = []
     for iteration in range(1, MAX_ITERATIONS + 1):
         rho, hits = _grow_cone(oracle, x0, v, t_lo, params)
         radii.append(float(rho))
-        if first_hit is None:
-            first_hit = rho
         label, payload = _classify(hits, x0, v, rho, params)
         y1 = payload[0]
         r = rho * np.sin(PHI0)  # radius of the stopping rim
@@ -316,7 +303,7 @@ def find_good_tetra(oracle, seed_point, params=None):
         x3 = _rim_vertex(oracle, x0, axis, r, n_p, params, first)
         T = np.stack([x0, x1, x2, x3])
         return GoodTetraResult(T, float(rho), case, _eta_achieved(T, rho),
-                               iteration, v.copy(), float(first_hit), radii)
+                               iteration, v.copy(), radii[0], radii)
     raise RuntimeError(f"{MAX_ITERATIONS} cone growths exceeded "
                        "(insufficient resolution or non-admissible surface)")
 
@@ -365,7 +352,6 @@ def _case_antipodal(oracle, x0, v, rho, y1, params):
     v, _, vu, _ = _hit_frame(y1, v, 1e-12 * rho)
     w = -vu  # u x v, the axis that turns v away from the hit
 
-    n_scan = 64
     band_lo = 0.5 * rho * (1.0 - params.hit_tolerance)
     band_hi = rho * (1.0 + params.hit_tolerance)
     cos_old = np.cos(PHI0 + 2.0 * params.hit_tolerance)
@@ -375,37 +361,28 @@ def _case_antipodal(oracle, x0, v, rho, y1, params):
         dirs = _double_cone_dirs(axis, PHI0, 512, 192)
         ts = oracle.band_min_hits(x0, dirs, band_lo, band_hi)
         okm = np.isfinite(ts)
-        if not okm.any():
-            return None
         pts = x0[None] + ts[okm, None] * dirs[okm]
         y = pts - x0[None]
         yhat = y / np.linalg.norm(y, axis=1)[:, None]
         fresh = np.abs(yhat @ v) < cos_old
-        if not fresh.any():
-            return None
-        cand = np.nonzero(fresh)[0]
-        return pts[cand[0]]
+        return pts[np.argmax(fresh)] if fresh.any() else None
 
-    s_grid = np.linspace(0.0, 0.5, n_scan + 1)[1:]
-    hit_pt, s_hit, s_empty = None, None, 0.0
-    for s in s_grid:
-        pt = new_point(s)
-        if pt is not None:
-            hit_pt, s_hit = pt, s
+    # scan 64 rotations up to PHI0 / 2 until one sees a new point, then
+    # bisect toward the earliest rotation that still does; lo is the latest
+    # rotation that saw none, hi the latest that saw one and x2 its point
+    scan = iter(np.linspace(0.0, 0.5, 65)[1:])
+    lo, hi, x2 = 0.0, None, None
+    while hi is None or hi - lo > BISECTION_TOL:
+        s = next(scan, None) if hi is None else 0.5 * (lo + hi)
+        if s is None:
             break
-        s_empty = s
-
-    if hit_pt is not None:
-        # bisect toward the earliest rotation that still sees a new point
-        lo, hi, pt_hi = s_empty, s_hit, hit_pt
-        while hi - lo > BISECTION_TOL:
-            mid = 0.5 * (lo + hi)
-            pt = new_point(mid)
-            if pt is not None:
-                hi, pt_hi = mid, pt
-            else:
-                lo = mid
-        return v, pt_hi, "antipodal_3a"
+        pt = new_point(s)
+        if pt is None:
+            lo = s
+        else:
+            hi, x2 = s, pt
+    if x2 is not None:
+        return v, x2, "antipodal_3a"
 
     # subcase (b): forward annulus of the half-rotated cone
     v_star = _rotation(w, 0.5 * PHI0) @ v
@@ -413,9 +390,8 @@ def _case_antipodal(oracle, x0, v, rho, y1, params):
     dirs = _double_cone_dirs(v_star, PHI0, 1024, 256)
     ts = oracle.band_min_hits(x0, dirs, rho * (1.0 + params.hit_tolerance),
                               2.0 * rho * (1.0 - 1e-6))
-    okm = np.isfinite(ts)
-    if okm.any():
-        pick = int(np.argmin(np.where(okm, ts, np.inf)))
+    pick = int(np.argmin(ts))  # a miss is inf
+    if np.isfinite(ts[pick]):
         return v, x0 + ts[pick] * dirs[pick], "antipodal_3b"
 
     return v_star, None, None  # subcase (c): caller continues with this axis

@@ -20,10 +20,10 @@ BAD_SPECS = ['[1]', '"menger"', '{"kind":"scaled","s":"x"}',
              '{"kind":"scaled","s":true}', '{"kind":"menger","extra":1}']
 
 
-def load_workloads():
-    """The benchmark's ``perfbench/workloads.py``, imported from its file."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("workloads", path)
+def load_perfbench(name):
+    """The benchmark's module ``perfbench/<name>.py``, imported from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

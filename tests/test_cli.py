@@ -188,12 +188,14 @@ class TestDocuments:
                 assert doc["results"]["fit"] == dataclasses.asdict(fit)
 
     def test_non_finite_result_exits_1(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setitem(cli._RUNNERS, "energy", lambda args, seed, threads:
-                            ({}, {"value": float("-inf")}, ([], [])))
+        monkeypatch.setitem(cli._RUNNERS, "energy", lambda a, seed, threads:
+                            ({"value": float("-inf")}, ([], [])))
         code, out = run_to_file(tmp_path, "inf.json", QUICK["energy"])
         assert code == 1 and not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("menger-surf: ") and "Traceback" not in err
+        # json.dumps refused the value, not the runner's call
+        assert "not JSON compliant" in err
 
     def test_minimize_document(self, tmp_path, ico_obj):
         audit = tmp_path / "audit.csv"
@@ -373,6 +375,9 @@ class TestExitCodes:
         (["local-energy", "--analytic", "sphere", "--radius", "1", "--center",
           "0,0,1", "--patch-radius", "nan", "--p", "8", "--samples", "2000"],
          "radius must be a finite number in (0, inf), got nan"),
+        (["density", "--analytic", "sphere", "--radius", "1", "--point",
+          "0,0,1", "--patch-radius", "1e-162"],
+         "radius 1e-162 is too small: its square is 0"),
         (["scaling", "--p", "8", "--radii", "", "--samples", "2000"],
          "radii must be a non-empty list"),
         (["minimize", "--mesh", "MESH", "--mode", "energy", "--cap", "nan",
@@ -392,9 +397,9 @@ class TestExitCodes:
         (QUICK["goodtetra"] + ["--hit-tol", "0.2"], f"{HIT_TOL}0.2"),
         (QUICK["goodtetra"] + ["--hit-tol", "5"], f"{HIT_TOL}5.0"),
         (QUICK["goodtetra"] + ["--hit-tol", "1e200"], f"{HIT_TOL}1e+200"),
-    ], ids=["p-nan", "radius-inf", "patch-radius-nan", "radii-empty",
-            "energy-cap-nan", "area-cap-nan", "eps-2", "eps-1", "alpha-0.5",
-            "alpha-1", "hit-tol-0.2", "hit-tol-5", "hit-tol-1e200"])
+    ], ids=["p-nan", "radius-inf", "patch-radius-nan", "patch-radius-1e-162",
+            "radii-empty", "energy-cap-nan", "area-cap-nan", "eps-2", "eps-1",
+            "alpha-0.5", "alpha-1", "hit-tol-0.2", "hit-tol-5", "hit-tol-1e200"])
     def test_non_finite_or_empty_input(self, capsys, ico_obj, argv, says):
         argv = [ico_obj if a == "MESH" else a for a in argv]
         assert cli.run(argv + ["--seed", "0"]) == 2

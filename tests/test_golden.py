@@ -18,7 +18,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import load_workloads
+from conftest import load_perfbench
 from menger_surf import cli
 from menger_surf.surface import TriMesh, save_obj, save_off, shapes
 
@@ -386,7 +386,7 @@ def plain(value):
 
 @pytest.fixture(scope="module")
 def workloads():
-    return load_workloads()
+    return load_perfbench("workloads")
 
 
 def workload_digests(workloads, name, seed, tmp):

@@ -389,3 +389,74 @@ def test_wide_pair_box_tests_half_the_pairs(monkeypatch):
         pairs.append(0)
         grow(oracle, x0, v, t_lo, params)
     assert pairs[1] <= 0.5 * pairs[0]
+
+
+# ---------------------------------------------------------------------------
+# the case analysis, against its former bodies
+# ---------------------------------------------------------------------------
+
+# kinked boxes seeded at the origin: a plain box's first growth is central;
+# on the others it is antipodal, and the rotated cap ends it in subcase (a),
+# (b) or, on the one-sided kink, (c)
+CASE_KINKS = {"box48": dict(neg=(100.0, 0.0)),
+              "kink48_3a": dict(pos=(0.30, 77.0)),
+              "kink48_3b": dict(pos=(0.45, 77.0)), "kink48_3c": dict()}
+CASE_SURFACES = ["icosphere3", "noisy3", "torus", *CASE_KINKS]
+
+
+@functools.lru_cache(maxsize=None)
+def case_oracle(name):
+    if name in CASE_KINKS:
+        return SurfaceOracle.from_mesh(kink_box(n=48, **CASE_KINKS[name]))
+    return shell_oracle(name)
+
+
+def same_bits(a, b):
+    if a is None or b is None:
+        return a is b
+    return (np.shape(a) == np.shape(b)
+            and np.asarray(a).tobytes() == np.asarray(b).tobytes())
+
+
+def compare_cases(name, x0, v):
+    """The search's and the former classification and antipodal case of the
+    first growth from x0 about v, fed the hit the classification picked;
+    returns both labels (the antipodal one None for subcase (c))."""
+    oracle = case_oracle(name)
+    t_lo = 1e-7 * oracle.diameter
+    rho, hits = goodtetra._grow_cone(oracle, x0, v, t_lo, SHELL_PARAMS)
+    label, payload = goodtetra._classify(hits, x0, v, rho, SHELL_PARAMS)
+    old_label, old_payload = goodtetra_oracle.classify(hits, x0, v, rho,
+                                                       SHELL_PARAMS)
+    assert label == old_label
+    assert same_bits(np.stack(payload), np.stack(old_payload))
+    y1 = payload[0]
+    new = goodtetra._case_antipodal(oracle, x0, v, rho, y1, SHELL_PARAMS)
+    old = goodtetra_oracle.case_antipodal(oracle, x0, v, rho, y1, SHELL_PARAMS)
+    assert same_bits(new[0], old[0]) and same_bits(new[1], old[1])
+    assert new[2] == old[2]
+    return label, new[2]
+
+
+@SHELL_SETTINGS
+@given(name=st.sampled_from(CASE_SURFACES), k=st.integers(0, 10**6),
+       axis=unit_axes, tilt=st.floats(0.0, 0.5))
+def test_cases_match_their_former_bodies(name, k, axis, tilt):
+    oracle = case_oracle(name)
+    x0 = np.zeros(3) if name in CASE_KINKS else seed_on(oracle, k)
+    v = (1.0 - tilt) * oracle.normal_at(x0) + tilt * np.asarray(axis)
+    if np.linalg.norm(v) < 1e-3:
+        v = np.asarray(axis)
+    compare_cases(name, x0, v / np.linalg.norm(v))
+
+
+def test_cases_reach_every_label():
+    down = np.array([0.0, 0.0, -1.0])
+    labels = [compare_cases(name, np.zeros(3), down) for name in CASE_KINKS]
+    assert [label for label, _ in labels] == ["central"] + 3 * ["antipodal"]
+    assert [sub for _, sub in labels[1:]] == ["antipodal_3a", "antipodal_3b",
+                                             None]
+    # a sphere's first contact is the cone's rim
+    ico = case_oracle("icosphere3")
+    x0 = ico.backing.vertices[0]
+    assert compare_cases("icosphere3", x0, ico.normal_at(x0))[0] == "wide"

@@ -86,6 +86,9 @@ PROBES = {
     "density-depth": (
         "depth must be an integer in [0, 10], got -1", analysis.density_quotient,
         SPHERE, POLE, 0.3, -1),
+    "density-radius-underflow": (  # divided by zero
+        "radius 1e-162 is too small: its square is 0",
+        analysis.density_quotient, SPHERE, POLE, 1e-162),
     "beta-grid-level": (
         "grid_level must be an integer in [0, 6], got -1", analysis.beta_number,
         SPHERE, POLE, 0.3, 100, -1),

@@ -189,3 +189,13 @@ def test_combos_match_itertools(n):
     assert np.array_equal(np.repeat(triples, reps, axis=0), quads[:, :3])
     for v in (0, n // 2, n - 1):
         assert np.array_equal(rows_of[v], np.flatnonzero((quads == v).any(axis=1)))
+
+
+def test_combos_keeps_the_two_latest_sizes():
+    minimize._combos.cache_clear()
+    for n in (4, 5, 6):
+        minimize._combos(n)
+    info = minimize._combos.cache_info()
+    assert info.currsize == 2 and info.misses == 3
+    assert minimize._combos(5) is minimize._combos(5)
+    assert minimize._combos.cache_info().hits == 2

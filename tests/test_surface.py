@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from pytest import approx
 
 import orient_oracle
-from conftest import exactly, kink_box, load_workloads
+from conftest import exactly, kink_box, load_perfbench
 from menger_surf import InputError
 from menger_surf.rng import substream
 from menger_surf.surface import (MeshParseError, SurfaceOracle, TriMesh,
@@ -370,7 +370,7 @@ def builder_meshes():
     meshes["ellipsoid"] = shapes.ellipsoid(1.3, 1.0, 0.8)
     meshes["torus"] = shapes.torus_mesh(2.0, 1.0)
     meshes["capsule"] = shapes.capsule_mesh(2.0, 0.5)
-    workloads = load_workloads()
+    workloads = load_perfbench("workloads")
     meshes.update((f"kink/{label}", TriMesh(*workloads.kink_box(**kw)))
                   for label, kw in workloads.KINK_BOXES)
     return meshes
