@@ -6,7 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geom
-from .geom import InputError, as_point, finite_in, instance_of, integer_in
+from .geom import (InputError, _radius_in, as_point, finite_in, instance_of,
+                   integer_in)
 from .rng import blocks, substream
 from .surface import SurfaceOracle
 from .surface.trimesh import _point_tri_sqdist
@@ -95,8 +96,7 @@ def density_quotient(oracle, x, radius, depth=8):
     """
     instance_of(oracle, SurfaceOracle, "oracle")
     x = oracle.point_on_surface(x, "x")
-    if finite_in(radius, "radius", 0) ** 2 == 0.0:  # the quotient divides by it
-        raise InputError(f"radius {radius!r} is too small: its square is 0")
+    _radius_in(radius, "radius")  # the quotient divides by its square
     depth = integer_in(depth, "depth", 0, 10)
     mesh = oracle.tessellate()
     tri = mesh.vertices[mesh.faces[mesh.box_distances(x)[0] <= radius]]
@@ -256,7 +256,7 @@ def patch_samples(oracle, x, r, n_patch, seed=0):
     (such as none, for a centre off the surface)."""
     instance_of(oracle, SurfaceOracle, "oracle")
     x = as_point(x, "x")
-    finite_in(r, "r", 0)
+    _radius_in(r, "r")
     n_patch = integer_in(n_patch, "n_patch", 1)
     return _ball_points(oracle, x, r, n_patch, (seed, _PATCH_TAG),
                         8192)[0][:n_patch]
@@ -366,9 +366,11 @@ def normal_oscillation_profile(oracle, x, scales, pairs_per_scale=400, seed=0):
     """
     instance_of(oracle, SurfaceOracle, "oracle")
     x = oracle.point_on_surface(x, "x")
-    scales = sorted(finite_in(s, "scales", 0) for s in scales)
+    scales = sorted(_radius_in(s, "scales") for s in scales)
     if not scales:
         raise InputError("scales must be a non-empty list")
+    if len(set(scales)) < len(scales):
+        raise InputError(f"scales must not repeat, got {scales}")
     if scales[-1] > oracle.diameter:
         raise InputError(f"scales must not exceed the surface diameter "
                          f"{oracle.diameter}, got {scales[-1]}")
@@ -397,8 +399,8 @@ def holder_exponent_fit(profile):
     profile = [(finite_in(d, "profile scales", 0),
                 finite_in(o, "profile oscillations", 0, ends="[)"))
                for d, o in profile]
-    if len(profile) < 3:
-        raise InputError("profile needs at least 3 points")
+    if len({d for d, _ in profile}) < 3:
+        raise InputError("profile needs at least 3 distinct scales")
     if all(o == 0.0 for _, o in profile):
         return HolderFit(0.0, -np.inf, 1.0)
     if any(o <= 0.0 for _, o in profile):

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import _ball_points
-from .geom import (InputError, as_point, finite_in, instance_of, integer_in,
-                   sample_cap)
+from .geom import (InputError, _radius_in, as_point, finite_in, instance_of,
+                   integer_in, sample_cap)
 from .integrand import IntegrandSpec, eval_batch
 from .rng import CHUNK, blocks, substream
 from .surface import SurfaceOracle
@@ -148,7 +148,7 @@ def local_energy(oracle, center, radius, spec, p, n, seed, threads=1):
     instance_of(spec, IntegrandSpec, "spec")
     n = integer_in(n, "n", 1)
     finite_in(p, "p", 1, ends="[)")
-    finite_in(radius, "radius", 0)
+    _radius_in(radius, "radius")
     center = as_point(center, "center")
 
     block = 4 * CHUNK

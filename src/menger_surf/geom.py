@@ -47,6 +47,14 @@ def finite_in(value, name, low, high=math.inf, ends="()"):
     return value
 
 
+def _radius_in(value, name):
+    """``finite_in(value, name, 0)``, whose square must not be 0: a radius
+    that no squared distance below it can resolve is refused."""
+    if (value := finite_in(value, name, 0)) ** 2 == 0.0:
+        raise InputError(f"{name} {value!r} is too small: its square is 0")
+    return value
+
+
 def integer_in(value, name, least, most=math.inf):
     """int(value), which must be an integer in [least, most]."""
     try:

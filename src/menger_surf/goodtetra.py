@@ -412,7 +412,7 @@ def verify_projection(oracle, x0, r, witness_plane_normal, n_rays=1000,
     """
     geom.instance_of(oracle, SurfaceOracle, "oracle")
     x0 = geom.as_point(x0, "x0")
-    geom.finite_in(r, "r", 0)
+    geom._radius_in(r, "r")
     v = geom.unit_vector(witness_plane_normal, "witness_plane_normal")
     geom.integer_in(n_rays, "n_rays", 1)
     rng = substream(seed, _PROJ_TAG)

@@ -57,8 +57,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..geom import (InputError, as_array, as_point, as_points, finite_in,
-                    instance_of, integer_in)
+from ..geom import (InputError, _radius_in, as_array, as_point, as_points,
+                    finite_in, instance_of, integer_in)
 from .analytic import Capsule, SaddlePatch, Sphere, Torus
 from .io import READERS, MeshParseError, load_obj, load_off, save_obj, save_off
 from .trimesh import TriMesh
@@ -240,7 +240,7 @@ def _checked(ball):
     InputError naming the ball."""
     if ball is None:
         return None
-    return as_point(ball[0], "ball centre"), finite_in(ball[1], "ball radius", 0)
+    return as_point(ball[0], "ball centre"), _radius_in(ball[1], "ball radius")
 
 
 def sample_point(oracle, rng):

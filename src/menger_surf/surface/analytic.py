@@ -11,7 +11,8 @@ into the bounded component (inward) where one exists.  Every ``ray_hits``
 solves its whole batch on one root path, with no per-ray fallback.
 
 Sphere, capsule and torus are tubes (``_Tube``): they answer ``inside``,
-``normal_at`` and ``surface_distance`` from the nearest point of their core.
+``normal_at`` and ``surface_distance`` from the nearest point of their core;
+sphere and capsule also form their sample rows from it (``_Tube._points``).
 Point queries take the finite (3,) array that the oracle has checked.
 """
 
@@ -83,7 +84,8 @@ class _Tube:
     the capsule's axis segment or the torus's centre circle.  Each point
     query works from ``_core(p)``: the nearest core point to p, and whether
     it is the only one.  Where it is not, or p lies on the core, p has no
-    normal."""
+    normal.  Rows are core + radius w, with the columns of both from
+    ``_outward(*p)``: w is the outward unit vector of each drawn row."""
 
     def inside(self, p):
         return bool(np.linalg.norm(p - self._core(p)[0]) < self.radius)
@@ -101,6 +103,17 @@ class _Tube:
 
     def surface_distance(self, p):
         return float(abs(np.linalg.norm(p - self._core(p)[0]) - self.radius))
+
+    def _points(self, *p, out=None):
+        core, w = self._outward(*p)
+        pts = np.empty((len(w[2]), 3)) if out is None else out
+        for c in range(3):
+            col = np.multiply(self.radius, w[c], out=pts[:, c])
+            col += core[c]
+        return pts
+
+    def _normals(self, *p):
+        return -np.stack(self._outward(*p)[1], axis=-1)
 
 
 class Sphere(_Tube):
@@ -140,15 +153,8 @@ class Sphere(_Tube):
         """Area of the cap that ``_draw`` draws from for this ball."""
         return 2.0 * np.pi * self.radius**2 * self._cap(ball)[1]
 
-    def _points(self, *w, out=None):
-        pts = np.empty((len(w[2]), 3)) if out is None else out
-        for c in range(3):
-            col = np.multiply(self.radius, w[c], out=pts[:, c])
-            col += self.center[c]
-        return pts
-
-    def _normals(self, *w):
-        return -np.stack(w, axis=-1)
+    def _outward(self, *w):
+        return self.center, w
 
     def _core(self, p):
         return self.center, True
@@ -246,6 +252,7 @@ class Torus(_Tube):
         u = rng.random(n) * du + u0
         return np.cos(u), np.sin(u), cv, np.sin(v)
 
+    # own rows: (R + r cos v) cos u rounds unlike _Tube's core + radius w
     def _points(self, cu, su, cv, sv, out=None):
         pts = np.empty((len(cu), 3)) if out is None else out
         rho = np.multiply(self.r, cv)
@@ -474,37 +481,20 @@ class Capsule(_Tube):
         return 2.0 * np.pi * self.radius * max(hi - lo, 0.0)
 
     def _draw(self, rng, n, ball):
-        """cos phi, sin phi, the height z and the wall mask of every row, and
-        for the cap rows whether they lie on the top cap and their outward
-        unit vectors about the cap centres: z uniform on the band (``_band``),
-        the whole capsule without a ball, then phi uniform."""
+        """cos phi, sin phi and height z of every row: z uniform on the band
+        (``_band``), the whole capsule without a ball, then phi uniform."""
         lo, hi = self._band(ball)
         z = rng.random(n if hi > lo else 0) * (hi - lo) + lo
         phi = rng.random(len(z)) * 2.0 * np.pi
-        cyl = np.abs(z) <= self.half
-        cap = ~cyl
-        top = z[cap] > 0.0
-        zc = (np.abs(z[cap]) - self.half) / self.radius
-        c, s = np.cos(phi), np.sin(phi)
-        sc = np.sqrt(np.maximum(1.0 - zc * zc, 0.0))
-        w = np.stack([sc * c[cap], sc * s[cap], np.where(top, zc, -zc)], axis=-1)
-        return c, s, z, cyl, top, w
+        return np.cos(phi), np.sin(phi), z
 
-    def _points(self, c, s, z, cyl, top, w, out=None):
-        pts = np.empty((len(z), 3)) if out is None else out
-        # cylinder wall
-        pts[cyl] = np.stack([self.radius * c[cyl], self.radius * s[cyl], z[cyl]],
-                            axis=-1)
-        centers = np.zeros((len(w), 3))
-        centers[:, 2] = np.where(top, self.half, -self.half)
-        pts[~cyl] = centers + self.radius * w
-        return pts
-
-    def _normals(self, c, s, z, cyl, top, w):
-        normals = np.empty((len(z), 3))
-        normals[cyl] = np.stack([-c[cyl], -s[cyl], np.zeros(int(cyl.sum()))], axis=-1)
-        normals[~cyl] = -w
-        return normals
+    def _outward(self, c, s, z):
+        """The nearest axis point and the outward unit vector, whose z is
+        e = (z - core) / radius: 0 on the wall."""
+        core = np.clip(z, -self.half, self.half)
+        e = (z - core) / self.radius
+        sc = np.sqrt(np.maximum(1.0 - e * e, 0.0))
+        return (0.0, 0.0, core), (sc * c, sc * s, e)
 
     def ray_hits(self, o, dirs, tmin, tmax):
         # the roots on the wall (columns 0-1), the top cap (2-3) and the

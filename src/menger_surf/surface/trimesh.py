@@ -35,10 +35,9 @@ class TriMesh:
 
     ``ray_hits`` tests only the faces that can matter (see there).  Stored
     normals point into the bounded component when the mesh is watertight
-    (established by the sign of its enclosed volume); ``normals_inward`` is
-    None for open meshes, which have no interior.  Only the face view of the
-    last shared ray origin changes after construction, one attribute replaced
-    whole.
+    (established by the sign of its enclosed volume); open meshes have no
+    interior.  Only the face view of the last shared ray origin changes after
+    construction, one attribute replaced whole.
     """
 
     def __init__(self, vertices, faces):
@@ -74,7 +73,8 @@ class TriMesh:
             np.searchsorted(buckets, np.arange(len(faces) + 1)), len(faces) - 1)
         # _corners[c, k] is coordinate c of corner k of every face, a view
         self._corners = tri.transpose(2, 1, 0)
-        self.face_normals = cross / np.linalg.norm(cross, axis=1)[:, None]
+        cross_norm = np.linalg.norm(cross, axis=1)
+        self.face_normals = cross / cross_norm[:, None]
         self._tri = tri
         # precomputed plane + barycentric gradients: ray batches then reduce
         # to matrix products instead of per-pair cross products
@@ -89,8 +89,7 @@ class TriMesh:
         g2 = (e11[:, None] * e2 - e12[:, None] * e1) / gram_det[:, None]
         self._kernel_arrays = (cross, np.einsum("ij,ij->i", v0, cross), g1, g2,
                                np.einsum("ij,ij->i", v0, g1),
-                               np.einsum("ij,ij->i", v0, g2),
-                               np.linalg.norm(cross, axis=1))
+                               np.einsum("ij,ij->i", v0, g2), cross_norm)
         # face boxes, padded past the ray kernel's barycentric slack so that
         # no cull drops a face the kernel would report a hit on
         lo, hi = tri.min(axis=1), tri.max(axis=1)
@@ -105,7 +104,6 @@ class TriMesh:
 
         self.watertight = self._check_watertight()
         self.vertex_normals = self._angle_weighted_normals()
-        self.normals_inward = None
         if self.watertight:
             self._orient_inward()
 
@@ -146,7 +144,6 @@ class TriMesh:
         if np.einsum("ij,ij->", lever, self._kernel_arrays[0]) > 0.0:
             self.face_normals = -self.face_normals
             self.vertex_normals = -self.vertex_normals
-        self.normals_inward = True
 
     # -- sampling ---------------------------------------------------------------
 
@@ -377,18 +374,26 @@ def _point_tri_sqdist(p, tri):
     """Squared distance from one point to each triangle of an (m, 3, 3) stack.
 
     The squared distance to the face's plane where p projects into the face,
-    that is where the Gram determinant |e1 x e2|^2 of its edges from corner a
-    is positive and the barycentrics of the projection lie in [0, 1]; else,
-    and at most, the least squared distance to its three edges.
+    that is where the Gram determinant |e1 x e2|^2 of its edges e1, e2 from
+    the corner a opposite its longest edge is above 1e-28 |e1|^2 |e2|^2 (an
+    angle at a above 1e-14, not rounding noise) and the barycentrics of the
+    projection lie in [0, 1]; else, and at most, the least squared distance
+    to its three edges.  The corner is rotated to the front, which keeps the
+    directed edges.
     """
     a, b, c = tri.transpose(1, 2, 0)
+    far = np.argmax([geom._dot(d, d) for d in (geom._sub(c, b), geom._sub(a, c),
+                                              geom._sub(b, a))], axis=0)
+    a, b, c = tri[np.arange(len(tri))[:, None],
+                  (far[:, None] + np.arange(3)) % 3].transpose(1, 2, 0)
     e1, e2, ap = geom._sub(b, a), geom._sub(c, a), geom._sub(p, a)
     n = geom.cross3(e1, e2)
     gram = geom._dot(n, n)
     # the barycentrics of b and c, times the Gram determinant
     v = geom._dot(n, geom.cross3(ap, e2))
     w = geom._dot(n, geom.cross3(e1, ap))
-    into = (gram > 0.0) & (v >= 0.0) & (w >= 0.0) & (v + w <= gram)
+    into = ((gram > 1e-28 * geom._dot(e1, e1) * geom._dot(e2, e2))
+            & (v >= 0.0) & (w >= 0.0) & (v + w <= gram))
     h = geom._dot(n, ap)
     plane = np.divide(h * h, gram, out=np.full(len(tri), np.inf), where=into)
     edges = [_point_seg_sqdist(p, s, e) for s, e in ((a, b), (b, c), (c, a))]

@@ -9,7 +9,7 @@ import pytest
 
 from menger_surf import geom
 from menger_surf.rng import substream
-from menger_surf.surface import SurfaceOracle, shapes
+from menger_surf.surface import SurfaceOracle, TriMesh, shapes
 
 # --integrand texts that are not an object, have a parameter that is not a
 # finite int or float, or have an unknown key
@@ -65,8 +65,12 @@ def _tilted(dir1, angle, psi):
             + (np.sin(angle) * np.sin(psi))[:, None] * e2)
 
 
-def voluminous_tetrahedra(rng, n, theta, d):
-    """n quadruples passing classify_voluminous(theta, d) exactly."""
+def _structured_tetrahedra(rng, n, theta, d, h_low, keep):
+    """n quadruples (0, x1, x2, x3) that ``keep(quads, nrm)`` passes, drawn
+    in blocks: x1 and x2 at distances in [theta d, 2 d] with an angle in
+    [theta, pi - theta] between them, and x3 = a dir1 + b dir2 + h nrm with
+    a, b in [-0.6 d, 0.6 d] and |h| in [h_low, 1.4 d], nrm the unit normal of
+    dir1 x dir2; a row with no such normal is never kept."""
     out = []
     have = 0
     while have < n:
@@ -85,47 +89,30 @@ def voluminous_tetrahedra(rng, n, theta, d):
         nrm[ok] /= nn[ok, None]
         a = rng.uniform(-0.6 * d, 0.6 * d, m)
         b = rng.uniform(-0.6 * d, 0.6 * d, m)
-        h = rng.uniform(theta * d, 1.4 * d, m) * rng.choice([-1.0, 1.0], m)
+        h = rng.uniform(h_low, 1.4 * d, m) * rng.choice([-1.0, 1.0], m)
         x3 = a[:, None] * dir1 + b[:, None] * dir2 + h[:, None] * nrm
         quads = np.stack([np.zeros((m, 3)), x1, x2, x3], axis=1)
-        keep = ok & geom.classify_voluminous_batch(quads, theta, d)
-        out.append(quads[keep])
-        have += int(keep.sum())
+        out.append(quads[ok & keep(quads, nrm)])
+        have += len(out[-1])
     return np.concatenate(out)[:n]
+
+
+def voluminous_tetrahedra(rng, n, theta, d):
+    """n quadruples passing classify_voluminous(theta, d) exactly."""
+    return _structured_tetrahedra(
+        rng, n, theta, d, theta * d,
+        lambda quads, nrm: geom.classify_voluminous_batch(quads, theta, d))
 
 
 def wide_base_tetrahedra(rng, n, theta, kappa, d):
     """Quadruples with a (theta,d)-wide base, x3 in B(x0,2d) at height >= kappa d."""
-    out = []
-    have = 0
-    while have < n:
-        m = max(4 * n, 4096)
-        dir1 = _unit_vectors(rng, m)
-        r1 = rng.uniform(theta * d, 2.0 * d, m)
-        x1 = r1[:, None] * dir1
-        ang = rng.uniform(theta, np.pi - theta, m)
-        psi = rng.uniform(0.0, 2.0 * np.pi, m)
-        dir2 = _tilted(dir1, ang, psi)
-        r2 = rng.uniform(theta * d, 2.0 * d, m)
-        x2 = r2[:, None] * dir2
-        nrm = np.cross(dir1, dir2)
-        nn = np.linalg.norm(nrm, axis=1)
-        ok = nn > 1e-9
-        nrm[ok] /= nn[ok, None]
-        a = rng.uniform(-0.6 * d, 0.6 * d, m)
-        b = rng.uniform(-0.6 * d, 0.6 * d, m)
-        h = rng.uniform(kappa * d, 1.4 * d, m) * rng.choice([-1.0, 1.0], m)
-        x3 = a[:, None] * dir1 + b[:, None] * dir2 + h[:, None] * nrm
+    def keep(quads, nrm):
+        x3 = quads[:, 3]
+        return (geom.classify_wide_batch(quads[:, :3], theta, d)
+                & (np.linalg.norm(x3, axis=1) <= 2.0 * d)
+                & (np.abs(np.einsum("ij,ij->i", x3, nrm)) >= kappa * d))
 
-        tris = np.stack([np.zeros((m, 3)), x1, x2], axis=1)
-        wide = geom.classify_wide_batch(tris, theta, d)
-        in_ball = np.linalg.norm(x3, axis=1) <= 2.0 * d
-        height = np.abs(np.einsum("ij,ij->i", x3, nrm))
-        keep = ok & wide & in_ball & (height >= kappa * d)
-        quads = np.stack([np.zeros((m, 3)), x1, x2, x3], axis=1)
-        out.append(quads[keep])
-        have += int(keep.sum())
-    return np.concatenate(out)[:n]
+    return _structured_tetrahedra(rng, n, theta, d, kappa * d, keep)
 
 
 def random_rotations(rng, n):
@@ -139,46 +126,11 @@ def random_rotations(rng, n):
 
 
 def kink_box(L=4.0, depth=4.0, n=96, neg=(0.3, 80.0), pos=None):
-    """Closed box whose top is flat near the origin with off-center roofs.
-
-    The seed at the origin sees a flat tangent plane, but one or two steep
-    roof sheets start a little distance away; this is the geometry that
-    drives the growing cone into the antipodal cases.
-    """
-    xs = np.linspace(-L, L, n + 1)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    Z = np.zeros_like(X)
-    a_n, s_n = neg
-    Z = np.maximum(Z, np.maximum(0.0, -X - a_n) * np.tan(np.radians(s_n)))
-    if pos is not None:
-        a_p, s_p = pos
-        Z = np.maximum(Z, np.maximum(0.0, X - a_p) * np.tan(np.radians(s_p)))
-    top = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=-1)
-    bot = np.stack([X.ravel(), Y.ravel(), np.full(X.size, -depth)], axis=-1)
-    verts = np.concatenate([top, bot])
-    off = len(top)
-    faces = []
-
-    def vid(i, j, layer):
-        return layer * off + i * (n + 1) + j
-
-    for i in range(n):
-        for j in range(n):
-            faces += [(vid(i, j, 0), vid(i + 1, j, 0), vid(i + 1, j + 1, 0)),
-                      (vid(i, j, 0), vid(i + 1, j + 1, 0), vid(i, j + 1, 0))]
-            faces += [(vid(i, j, 1), vid(i + 1, j + 1, 1), vid(i + 1, j, 1)),
-                      (vid(i, j, 1), vid(i, j + 1, 1), vid(i + 1, j + 1, 1))]
-    for k in range(n):
-        faces += [(vid(0, k, 0), vid(0, k + 1, 0), vid(0, k + 1, 1)),
-                  (vid(0, k, 0), vid(0, k + 1, 1), vid(0, k, 1))]
-        faces += [(vid(n, k, 0), vid(n, k, 1), vid(n, k + 1, 1)),
-                  (vid(n, k, 0), vid(n, k + 1, 1), vid(n, k + 1, 0))]
-        faces += [(vid(k, 0, 0), vid(k, 0, 1), vid(k + 1, 0, 1)),
-                  (vid(k, 0, 0), vid(k + 1, 0, 1), vid(k + 1, 0, 0))]
-        faces += [(vid(k, n, 0), vid(k + 1, n, 0), vid(k + 1, n, 1)),
-                  (vid(k, n, 0), vid(k + 1, n, 1), vid(k, n, 1))]
-    from menger_surf.surface import TriMesh
-    return TriMesh(verts, np.asarray(faces, dtype=np.int64))
+    """The benchmark's closed box (``perfbench/workloads.py``) as a mesh: its
+    top is flat near the origin, with one or two steep roof sheets a little
+    way off, the geometry that drives the growing cone into the antipodal
+    cases from a seed at the origin."""
+    return TriMesh(*load_perfbench("workloads").kink_box(L, depth, n, neg, pos))
 
 
 @pytest.fixture(scope="session")

@@ -242,15 +242,26 @@ def _exact_sqdist(x, tri):
 @given(corners=COORDS, shape=SHAPES, t=st.floats(-1.0, 2.0),
        tiny=st.floats(1e-17, 1e-6), point=POINT,
        weights=st.tuples(*[st.floats(1.0, 2.0)] * 3), above=st.booleans(),
-       scale=st.sampled_from([1e-4, 1.0, 1e3]))
+       scale=st.sampled_from([1e-4, 1.0, 1e3]), turn=st.integers(0, 2))
+# a sliver whose plane, formed at its first corner, rounded 1.06 times the
+# slack away; a collinear face whose Gram determinant of rounding noise,
+# 1.75e-46 after one turn, took the plane branch 7.9e10 times the slack away
+@example(corners=[0.0, 6.93359375, 6.5, -4.3125, 0, 0, 0, 0, 0],
+         shape="sliver", t=1.53125, tiny=4.043096969251223e-07,
+         point=[-11.0, 0, 0], weights=(1, 1, 1), above=True, scale=1e-4,
+         turn=0)
+@example(corners=[0.4375, -9, 1, 0, 5.75, 0, 0, 0, 0], shape="collinear",
+         t=0.5, tiny=1e-6, point=[0, -9, 1], weights=(1, 1, 1), above=False,
+         scale=1e-4, turn=1)
 def test_distance_is_at_most_any_face_point(corners, shape, t, tiny, point,
-                                            weights, above, scale):
+                                            weights, above, scale, turn):
     """The squared distance never exceeds the squared distance to a corner,
     bit for bit, nor, up to rounding, to a fixed barycentric point q of the
     face, also from a point right above q, where the two agree; and it is
     the exact squared distance up to rounding.  Both roundings stay below
-    ~1e-15 of the squared size, slivers and collinear faces included."""
-    tri = scale * _triangle(corners, shape, t, tiny)
+    ~1e-15 of the squared size, slivers and collinear faces included, with
+    the corners in any of their three cyclic orders (``turn``)."""
+    tri = np.roll(scale * _triangle(corners, shape, t, tiny), -turn, axis=0)
     q = (np.array(weights) / sum(weights)) @ tri
     x = scale * np.array(point)
     if above:

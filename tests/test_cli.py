@@ -378,6 +378,17 @@ class TestExitCodes:
         (["density", "--analytic", "sphere", "--radius", "1", "--point",
           "0,0,1", "--patch-radius", "1e-162"],
          "radius 1e-162 is too small: its square is 0"),
+        (["beta", "--analytic", "sphere", "--radius", "1", "--point", "0,0,1",
+          "--patch-radius", "1e-162"], "r 1e-162 is too small: its square is 0"),
+        (["local-energy", "--analytic", "sphere", "--radius", "1", "--center",
+          "0,0,1", "--patch-radius", "1e-162", "--p", "8", "--samples", "400"],
+         "radius 1e-162 is too small: its square is 0"),
+        (["oscillation", "--analytic", "sphere", "--radius", "1", "--point",
+          "0,0,1", "--scales", "1e-162,1e-100,1e-50"],
+         "scales 1e-162 is too small: its square is 0"),
+        (["oscillation", "--analytic", "sphere", "--radius", "1", "--point",
+          "0,0,1", "--scales", "0.1,0.1,0.1"],
+         "scales must not repeat, got [0.1, 0.1, 0.1]"),
         (["scaling", "--p", "8", "--radii", "", "--samples", "2000"],
          "radii must be a non-empty list"),
         (["minimize", "--mesh", "MESH", "--mode", "energy", "--cap", "nan",
@@ -398,7 +409,8 @@ class TestExitCodes:
         (QUICK["goodtetra"] + ["--hit-tol", "5"], f"{HIT_TOL}5.0"),
         (QUICK["goodtetra"] + ["--hit-tol", "1e200"], f"{HIT_TOL}1e+200"),
     ], ids=["p-nan", "radius-inf", "patch-radius-nan", "patch-radius-1e-162",
-            "radii-empty", "energy-cap-nan", "area-cap-nan", "eps-2", "eps-1",
+            "beta-patch-radius-1e-162", "local-energy-patch-radius-1e-162",
+            "scales-1e-162", "scales-repeated", "radii-empty", "energy-cap-nan", "area-cap-nan", "eps-2", "eps-1",
             "alpha-0.5", "alpha-1", "hit-tol-0.2", "hit-tol-5", "hit-tol-1e200"])
     def test_non_finite_or_empty_input(self, capsys, ico_obj, argv, says):
         argv = [ico_obj if a == "MESH" else a for a in argv]

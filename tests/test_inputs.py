@@ -89,6 +89,34 @@ PROBES = {
     "density-radius-underflow": (  # divided by zero
         "radius 1e-162 is too small: its square is 0",
         analysis.density_quotient, SPHERE, POLE, 1e-162),
+    "local-energy-radius-underflow": (  # "patch too small for requested n"
+        "radius 1e-162 is too small: its square is 0", energy.local_energy,
+        SPHERE, POLE, 1e-162, MENGER, 8.0, 100, 0),
+    "patch-r-underflow": (  # returned no rows
+        "r 1e-162 is too small: its square is 0", analysis.patch_samples,
+        SPHERE, POLE, 1e-162, 100),
+    "beta-r-underflow": (  # "empty patch"
+        "r 1e-162 is too small: its square is 0", analysis.beta_number,
+        SPHERE, POLE, 1e-162, 100, 0),
+    "scales-underflow": (  # "no sampled point at distance ..."
+        "scales 1e-162 is too small: its square is 0",
+        analysis.normal_oscillation_profile, SPHERE, POLE,
+        [1e-162, 1e-100, 1e-50]),
+    "scales-repeated": (  # a poorly conditioned polyfit
+        "scales must not repeat, got [0.1, 0.1, 0.1]",
+        analysis.normal_oscillation_profile, SPHERE, POLE, [0.1, 0.1, 0.1]),
+    "holder-repeated-scales": (  # a fit with r^2 = -2.2e-16 and a RankWarning
+        "profile needs at least 3 distinct scales", analysis.holder_exponent_fit,
+        [(0.1, 0.2), (0.1, 0.3), (0.1, 0.25)]),
+    "holder-two-points": (
+        "profile needs at least 3 distinct scales", analysis.holder_exponent_fit,
+        [(0.1, 0.2), (0.2, 0.3)]),
+    "witness-r-underflow": (  # returned 0.0
+        "r 1e-162 is too small: its square is 0", goodtetra.verify_projection,
+        SPHERE, POLE, 1e-162, POLE),
+    "ball-radius-underflow": (  # returned no rows
+        "ball radius 1e-162 is too small: its square is 0", SPHERE.sample_points,
+        np.random.default_rng(0), 5, (POLE, 1e-162)),
     "beta-grid-level": (
         "grid_level must be an integer in [0, 6], got -1", analysis.beta_number,
         SPHERE, POLE, 0.3, 100, -1),

@@ -429,7 +429,7 @@ class TestInside:
             assert icosphere2.inside(p) == (crossings % 2 == 1)
 
     def test_normals_point_inward(self, icosphere2, builder_meshes):
-        assert icosphere2.normals_inward
+        assert icosphere2.watertight
         eps = 1e-3
         for i in range(0, len(icosphere2.vertices), 17):
             v = icosphere2.vertices[i]
@@ -438,7 +438,7 @@ class TestInside:
         # every watertight builder mesh, in both windings
         for name, base in builder_meshes.items():
             for mesh in (base, TriMesh(base.vertices, base.faces[:, ::-1])):
-                assert mesh.normals_inward, name
+                assert mesh.watertight, name
                 eps = 1e-3 * mesh.mean_edge
                 for i in np.linspace(0, len(mesh.vertices) - 1, 24, dtype=int):
                     v, n = mesh.vertices[i], mesh.vertex_normals[i]
